@@ -11,7 +11,6 @@ certifies the relevant makespan bounds on concrete instances.
 
 from .errors import (
     BudgetExceeded,
-    CannotSplit,
     CoLocationViolated,
     CycleDetected,
     DegenerateInstance,

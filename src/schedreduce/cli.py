@@ -1,10 +1,10 @@
 """Command-line surface: generate, reduce, solve, verify, roundtrip, bench.
 
 Exit codes: 0 success/feasible, 1 infeasible or bound violated, 2 usage
-error, 3 budget exceeded.  All file outputs are canonical JSON or CSV
-and depend only on inputs and --seed, never on the clock; measured
-timings go to stderr so reruns stay byte-identical (GapRow.wall_ms is
-written as 0 for the same reason).
+error, 3 budget exceeded (size caps count as budgets).  All file outputs
+are canonical JSON or CSV and depend only on inputs and --seed, never on
+the clock; measured timings go to stderr so reruns stay byte-identical
+(GapRow.wall_ms is written as 0 for the same reason).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from pathlib import Path
 from .errors import (
     BudgetExceeded,
     IterationBudgetExceeded,
+    MaterializationTooLarge,
     SchedReduceError,
 )
 from .generators import (
@@ -518,7 +519,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetExceeded, IterationBudgetExceeded) as exc:
+    except (BudgetExceeded, IterationBudgetExceeded, MaterializationTooLarge) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
     except SchedReduceError as exc:

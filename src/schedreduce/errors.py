@@ -107,13 +107,5 @@ class DivisibilityError(SchedReduceError):
     """A generator parameter fails a divisibility requirement."""
 
 
-class CannotSplit(SchedReduceError):
-    """No later slot can absorb part of a job's mass without breaking the
-    window-separation or capacity properties.  The fractional-schedule
-    generator handles this condition by leaving the job integral rather
-    than raising; the class names the condition for callers that want to
-    detect it explicitly."""
-
-
 class BudgetExceeded(SchedReduceError):
     """An exhaustive check ran out of its state budget before finishing."""

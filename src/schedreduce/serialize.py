@@ -44,8 +44,6 @@ def frac_str(value) -> str:
 
 
 def parse_frac(text) -> Fraction:
-    if isinstance(text, int):
-        return Fraction(text)
     return Fraction(text)
 
 

@@ -1,15 +1,25 @@
 """Exact desk-scale solvers and list-scheduling heuristics.
 
-The exact solvers all follow the same plan: enumerate machine
-assignments (trivial for fixed-home jobs, set partitions when machines
-are interchangeable, labeled assignments when speeds differ), then for
-each assignment enumerate per-machine processing orders consistent with
-the precedence projection, score each combination by the earliest-start
-longest path through the combined order graph, and keep the first
-strictly best result, so ties resolve to the lexicographically earliest
-combination.  Sound pruning (admissible lower bounds, forced
-co-location under huge delays, and a completed-set dynamic program for
-unit lengths) keeps desk-scale runs fast without changing any optimum.
+The three exact solvers share one branch-and-bound engine,
+``_exact_search``.  It seeds the incumbent with a serial schedule,
+enumerates machine assignments, then for each assignment enumerates
+per-machine processing orders consistent with the precedence
+projection, scores each combination by the earliest-start longest path
+through the combined order graph, and keeps the first strictly best
+result, so ties resolve to the lexicographically earliest combination.
+The solvers differ only in how they parameterize it:
+
+- fixed-home jobs pin every job to its home machine, so the search is
+  the order enumeration alone;
+- communication delays place forced co-location units on one class of
+  interchangeable machines (set partitions, capped at the machine count)
+  and pay the edge delay between machines;
+- related machines place single jobs on labeled machines, one class per
+  machine, with speed-scaled durations.
+
+Sound pruning (admissible lower bounds, forced co-location under huge
+delays, and a completed-set dynamic program for unit lengths) keeps
+desk-scale runs fast without changing any optimum.
 
 Every solver degrades gracefully: when a state budget or time budget is
 hit it returns the best schedule found so far with
@@ -136,13 +146,14 @@ def _projected_preds(jobs, reach):
     }
 
 
-def _orders_dfs(search, groups, n_nodes, base_edges, succ_weight, finish_weight, reach):
+def _orders_dfs(search, groups, n_nodes, base_edges, duration, reach):
     """Enumerate per-group orders with incremental lower-bound pruning.
 
-    ``groups`` is a list of (label, sorted jobs).  At every level the
-    current succession edges plus ``base_edges`` give an admissible
-    relaxation; a cycle in it rules out every completion, and a bound at
-    or above the incumbent prunes.  At the leaves the earliest-start
+    ``groups`` is a list of (label, sorted jobs) and ``duration(j)`` is
+    job j's time in its group.  At every level the succession edges
+    (weighted by the earlier job's duration) plus ``base_edges`` give an
+    admissible relaxation; a cycle in it rules out every completion, and
+    a bound at or above the incumbent prunes.  At the leaves the earliest-start
     makespan is offered to ``search`` together with the group labels.
     """
     labels = {}
@@ -159,7 +170,7 @@ def _orders_dfs(search, groups, n_nodes, base_edges, succ_weight, finish_weight,
         starts = _earliest_starts(n_nodes, itertools.chain(base_edges, succ_edges))
         if starts is None:
             return
-        bound = max(starts[j] + finish_weight(j) for j in range(1, n_nodes + 1))
+        bound = max(starts[j] + duration(j) for j in range(1, n_nodes + 1))
         if search.best_ms is not None and bound >= search.best_ms:
             return
         if k == len(groups):
@@ -167,7 +178,7 @@ def _orders_dfs(search, groups, n_nodes, base_edges, succ_weight, finish_weight,
             return
         for order in _extensions(groups[k][1], pred_sets[k]):
             added = [
-                (order[a], order[a + 1], succ_weight(order[a]))
+                (order[a], order[a + 1], duration(order[a]))
                 for a in range(len(order) - 1)
             ]
             succ_edges.extend(added)
@@ -175,6 +186,106 @@ def _orders_dfs(search, groups, n_nodes, base_edges, succ_weight, finish_weight,
             del succ_edges[len(succ_edges) - len(added):]
 
     level(0)
+
+
+def _serial_schedule(dag, machine: int, duration) -> Schedule:
+    """Every job on ``machine`` in topological order: no delay is ever paid."""
+    entries = {}
+    cursor = Fraction(0)
+    for j in topological_order(dag):
+        d = duration(j, machine)
+        entries[j] = (machine, cursor, cursor + d)
+        cursor += d
+    return Schedule(entries=entries)
+
+
+def _exact_search(dag, lim, serial, duration, delay=None, pinned=None, units=(), classes=()):
+    """Branch and bound over machine assignments, then per-machine orders.
+
+    ``duration(j, i)`` is job j's time on machine i, and ``delay`` maps a
+    dag edge to the extra wait paid when its ends sit on different
+    machines.  ``pinned`` fixes every job's machine up front, so the
+    search goes straight to the order enumeration.  Otherwise ``units``
+    (tuples of jobs that must share a machine) are placed in order, and
+    ``classes`` (tuples of interchangeable machines) limit each unit to
+    the machines already opened in a class plus the next one.  Every
+    assignment level prunes on an admissible bound: unplaced jobs at
+    their fastest time, delays on edges already placed apart, and
+    machine loads.  The ``serial`` schedule seeds the incumbent and is
+    returned when nothing beats it.
+    """
+    n = dag.node_count
+    if n > lim.max_jobs:
+        return SolveResult(makespan(serial), serial, proven_optimal=False, states_explored=0)
+    search = _Search(lim)
+    search.offer(makespan(serial), None)
+    reach = dag.reachable()
+    delay = delay or {}
+    machine_of = dict(pinned or {})
+    machines = sorted(set(itertools.chain(*classes)) | set(machine_of.values()))
+    time_of = {(j, i): Fraction(duration(j, i)) for j in range(1, n + 1) for i in machines}
+    fastest = {j: min(time_of[j, i] for i in machines) for j in range(1, n + 1)}
+    loads = {i: Fraction(0) for i in machines}
+    opened = [0] * len(classes)
+
+    def cost(j):
+        i = machine_of.get(j)
+        return fastest[j] if i is None else time_of[j, i]
+
+    def edges():
+        for u, v in dag.edges:
+            w = cost(u)
+            c = delay.get((u, v))
+            if c and u in machine_of and v in machine_of and machine_of[u] != machine_of[v]:
+                w += c
+            yield u, v, w
+
+    def leaf():
+        by_machine = {}
+        for j, i in machine_of.items():
+            by_machine.setdefault(i, []).append(j)
+        groups = [(i, sorted(jobs)) for i, jobs in sorted(by_machine.items())]
+        _orders_dfs(search, groups, n, list(edges()), cost, reach)
+
+    def assign(k):
+        search.tick()
+        starts = _earliest_starts(n, edges())
+        path = max(starts[j] + cost(j) for j in range(1, n + 1))
+        if max(path, max(loads.values())) >= search.best_ms:
+            return
+        if k == len(units):
+            leaf()
+            return
+        unit = units[k]
+        for c, cls in enumerate(classes):
+            for slot, i in enumerate(cls[:opened[c] + 1]):
+                fresh = slot == opened[c]  # opens the next machine of the class
+                load = sum(time_of[j, i] for j in unit)
+                opened[c] += fresh
+                loads[i] += load
+                for j in unit:
+                    machine_of[j] = i
+                assign(k + 1)
+                for j in unit:
+                    del machine_of[j]
+                loads[i] -= load
+                opened[c] -= fresh
+
+    proven = True
+    try:
+        if pinned is None:
+            assign(0)
+        else:
+            leaf()
+    except _Abort:
+        proven = False
+    if search.best_payload is None:
+        return SolveResult(makespan(serial), serial, proven, search.states)
+    labels, starts = search.best_payload
+    entries = {
+        j: (labels[j], starts[j], starts[j] + time_of[j, labels[j]]) for j in range(1, n + 1)
+    }
+    return SolveResult(search.best_ms, Schedule(entries=entries), proven, search.states)
 
 
 # ---------------------------------------------------------------------------
@@ -214,15 +325,14 @@ def solve_umps_exact(inst: UmpsInstance, lim: SolveLimits = None) -> SolveResult
         sched = greedy_umps(inst)
         return SolveResult(makespan(sched), sched, proven_optimal=False, states_explored=0)
     if inst.unit_lengths:
-        result = _solve_umps_unit(inst, lim)
-        if result is not None:
-            return result
-        sched = greedy_umps(inst)
-        return SolveResult(makespan(sched), sched, proven_optimal=False, states_explored=0)
-    return _solve_umps_orders(inst, lim)
+        return _solve_umps_unit(inst, lim)
+    return _exact_search(
+        inst.dag, lim, trivial_serial_schedule(inst), lambda j, i: inst.lengths[j],
+        pinned=inst.home,
+    )
 
 
-def _solve_umps_unit(inst: UmpsInstance, lim: SolveLimits):
+def _solve_umps_unit(inst: UmpsInstance, lim: SolveLimits) -> SolveResult:
     n = inst.n
     full = (1 << n) - 1
     pred_mask = [0] * (n + 1)
@@ -255,7 +365,9 @@ def _solve_umps_unit(inst: UmpsInstance, lim: SolveLimits):
                 parent[new] = (mask, choice)
                 queue.append(new)
         if len(dist) > lim.max_states or time.monotonic() - t0 > lim.time_budget:
-            return None
+            sched = greedy_umps(inst)
+            return SolveResult(makespan(sched), sched, proven_optimal=False,
+                               states_explored=len(dist))
 
     entries = {}
     mask = full
@@ -274,50 +386,8 @@ def _solve_umps_unit(inst: UmpsInstance, lim: SolveLimits):
     )
 
 
-def _solve_umps_orders(inst: UmpsInstance, lim: SolveLimits) -> SolveResult:
-    search = _Search(lim)
-    seed = trivial_serial_schedule(inst)
-    search.offer(makespan(seed), None)
-    seed_sched = seed
-
-    reach = inst.dag.reachable()
-    groups = [(i, sorted(inst.jobs_on(i))) for i in range(1, inst.m + 1) if inst.jobs_on(i)]
-    base_edges = [(u, v, Fraction(inst.lengths[u])) for u, v in inst.dag.edges]
-    proven = True
-    try:
-        _orders_dfs(
-            search,
-            groups,
-            inst.n,
-            base_edges,
-            succ_weight=lambda u: Fraction(inst.lengths[u]),
-            finish_weight=lambda u: Fraction(inst.lengths[u]),
-            reach=reach,
-        )
-    except _Abort:
-        proven = False
-    if search.best_payload is None:
-        return SolveResult(makespan(seed_sched), seed_sched, proven, search.states)
-    _, starts = search.best_payload
-    entries = {
-        j: (inst.home[j], starts[j], starts[j] + inst.lengths[j]) for j in range(1, inst.n + 1)
-    }
-    sched = Schedule(entries=entries)
-    return SolveResult(search.best_ms, sched, proven, search.states)
-
-
 # ---------------------------------------------------------------------------
 # communication delays
-
-
-def _serial_commdelay_schedule(inst: CommDelayInstance) -> Schedule:
-    """Everything on machine 1 in topological order: no delay is ever paid."""
-    entries = {}
-    cursor = Fraction(0)
-    for j in topological_order(inst.dag):
-        entries[j] = (1, cursor, cursor + inst.lengths[j])
-        cursor += inst.lengths[j]
-    return Schedule(entries=entries)
 
 
 def solve_commdelay_exact(inst: CommDelayInstance, lim: SolveLimits = None) -> SolveResult:
@@ -333,12 +403,7 @@ def solve_commdelay_exact(inst: CommDelayInstance, lim: SolveLimits = None) -> S
     """
     lim = lim or SolveLimits()
     n = inst.n_total
-    serial = _serial_commdelay_schedule(inst)
-    if n > lim.max_jobs:
-        return SolveResult(makespan(serial), serial, proven_optimal=False, states_explored=0)
-
-    search = _Search(lim)
-    search.offer(makespan(serial), "serial")
+    serial = _serial_schedule(inst.dag, 1, lambda j, i: inst.lengths[j])
     serial_ms = makespan(serial)
 
     # union-find over forced co-location pairs
@@ -356,86 +421,11 @@ def solve_commdelay_exact(inst: CommDelayInstance, lim: SolveLimits = None) -> S
     units = {}
     for j in range(1, n + 1):
         units.setdefault(find(j), []).append(j)
-    unit_list = sorted(units.values())  # each sorted, ordered by first member
     cap = inst.machines if inst.machines is not None else n
-
-    reach = inst.dag.reachable()
-    lengths = inst.lengths
-    group_of = {}
-    loads = []
-    proven = True
-
-    def lower_bound():
-        edges = []
-        for (u, v), c in inst.delays.items():
-            w = Fraction(lengths[u])
-            gu, gv = group_of.get(u), group_of.get(v)
-            if gu is not None and gv is not None and gu != gv:
-                w += c
-            edges.append((u, v, w))
-        starts = _earliest_starts(n, edges)
-        path = max(starts[j] + lengths[j] for j in range(1, n + 1))
-        return max(path, max(loads, default=Fraction(0)))
-
-    def assign(k):
-        search.tick()
-        if lower_bound() >= search.best_ms:
-            return
-        if k == len(unit_list):
-            _commdelay_orders(search, inst, group_of, reach)
-            return
-        unit = unit_list[k]
-        used = len(loads)
-        unit_load = sum(lengths[j] for j in unit)
-        for g in range(min(used + 1, cap)):
-            if g == used:
-                loads.append(Fraction(0))
-            loads[g] += unit_load
-            for j in unit:
-                group_of[j] = g
-            assign(k + 1)
-            for j in unit:
-                del group_of[j]
-            loads[g] -= unit_load
-            if g == used:
-                loads.pop()
-
-    try:
-        assign(0)
-    except _Abort:
-        proven = False
-
-    if search.best_payload == "serial":
-        return SolveResult(serial_ms, serial, proven, search.states)
-    labels, starts = search.best_payload
-    entries = {
-        j: (labels[j] + 1, starts[j], starts[j] + lengths[j]) for j in range(1, n + 1)
-    }
-    sched = Schedule(entries=entries)
-    return SolveResult(search.best_ms, sched, proven, search.states)
-
-
-def _commdelay_orders(search, inst, group_of, reach):
-    by_group = {}
-    for j, g in group_of.items():
-        by_group.setdefault(g, []).append(j)
-    groups = [(g, sorted(jobs)) for g, jobs in sorted(by_group.items())]
-    base_edges = [
-        (
-            u,
-            v,
-            Fraction(inst.lengths[u]) + (c if group_of[u] != group_of[v] else 0),
-        )
-        for (u, v), c in inst.delays.items()
-    ]
-    _orders_dfs(
-        search,
-        groups,
-        inst.n_total,
-        base_edges,
-        succ_weight=lambda u: Fraction(inst.lengths[u]),
-        finish_weight=lambda u: Fraction(inst.lengths[u]),
-        reach=reach,
+    return _exact_search(
+        inst.dag, lim, serial, lambda j, i: inst.lengths[j], delay=inst.delays,
+        units=sorted(units.values()),  # each sorted, ordered by first member
+        classes=[tuple(range(1, cap + 1))],
     )
 
 
@@ -489,82 +479,11 @@ def solve_related_exact(inst: RelatedInstance, lim: SolveLimits = None) -> Solve
     """Exact optimum on related machines by labeled machine assignment
     (speeds break the symmetry) plus per-machine order enumeration."""
     lim = lim or SolveLimits()
-    n, m = inst.n, inst.m
-    fastest = max(range(1, m + 1), key=lambda i: (inst.machines[i - 1], -i))
-    serial_entries = {}
-    cursor = Fraction(0)
-    for j in topological_order(inst.dag):
-        d = inst.duration(j, fastest)
-        serial_entries[j] = (fastest, cursor, cursor + d)
-        cursor += d
-    serial = Schedule(entries=serial_entries)
-    if n > lim.max_jobs:
-        return SolveResult(makespan(serial), serial, proven_optimal=False, states_explored=0)
-
-    search = _Search(lim)
-    search.offer(makespan(serial), "serial")
-    reach = inst.dag.reachable()
-    s_max = max(inst.machines)
-    machine_of = {}
-    loads = [Fraction(0)] * (m + 1)
-    proven = True
-
-    def duration_or_best(j):
-        if j in machine_of:
-            return inst.duration(j, machine_of[j])
-        return Fraction(inst.jobs[j - 1], s_max)
-
-    def lower_bound():
-        edges = [(u, v, duration_or_best(u)) for u, v in inst.dag.edges]
-        starts = _earliest_starts(n, edges)
-        path = max(starts[j] + duration_or_best(j) for j in range(1, n + 1))
-        return max(path, max(loads))
-
-    def assign(j):
-        search.tick()
-        if lower_bound() >= search.best_ms:
-            return
-        if j > n:
-            _related_orders(search, inst, dict(machine_of), reach)
-            return
-        for i in range(1, m + 1):
-            machine_of[j] = i
-            loads[i] += inst.duration(j, i)
-            assign(j + 1)
-            loads[i] -= inst.duration(j, i)
-            del machine_of[j]
-
-    try:
-        assign(1)
-    except _Abort:
-        proven = False
-
-    if search.best_payload == "serial":
-        return SolveResult(makespan(serial), serial, proven, search.states)
-    labels, starts = search.best_payload
-    entries = {
-        j: (labels[j], starts[j], starts[j] + inst.duration(j, labels[j]))
-        for j in range(1, n + 1)
-    }
-    sched = Schedule(entries=entries)
-    return SolveResult(search.best_ms, sched, proven, search.states)
-
-
-def _related_orders(search, inst, machine_of, reach):
-    by_machine = {}
-    for j, i in machine_of.items():
-        by_machine.setdefault(i, []).append(j)
-    groups = [(i, sorted(jobs)) for i, jobs in sorted(by_machine.items())]
-    dur = {j: inst.duration(j, machine_of[j]) for j in machine_of}
-    base_edges = [(u, v, dur[u]) for u, v in inst.dag.edges]
-    _orders_dfs(
-        search,
-        groups,
-        inst.n,
-        base_edges,
-        succ_weight=lambda u: dur[u],
-        finish_weight=lambda u: dur[u],
-        reach=reach,
+    fastest = max(range(1, inst.m + 1), key=lambda i: (inst.machines[i - 1], -i))
+    return _exact_search(
+        inst.dag, lim, _serial_schedule(inst.dag, fastest, inst.duration), inst.duration,
+        units=[(j,) for j in range(1, inst.n + 1)],
+        classes=[(i,) for i in range(1, inst.m + 1)],
     )
 
 

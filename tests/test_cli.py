@@ -126,6 +126,18 @@ def test_solve_budget_capped_still_writes_feasible_schedule(tmp_path, sample8_fi
     assert run("verify", sample8_file, out) == 0
 
 
+def test_solve_size_cap_is_budget_exceeded(tmp_path, capsys):
+    # the default kappa materializes tens of millions of jobs
+    inst, grouped = str(tmp_path / "inst.json"), str(tmp_path / "grouped.json")
+    assert run("gen", "random", "--params", "n=6,m=2", "--seed", "1", "--out", inst) == 0
+    assert run("reduce", inst, "--reduction", "related", "--out", grouped) == 0
+    capsys.readouterr()
+    assert run("solve", grouped, "--out", str(tmp_path / "sched.json")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded:") and "exceed the cap" in err
+    assert "Traceback" not in err
+
+
 def test_solve_greedy_exits_zero(tmp_path, sample8_file):
     out = str(tmp_path / "sched.json")
     assert run("solve", sample8_file, "--solver", "greedy", "--out", out) == 0

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from schedreduce import (
     validate_umps,
     verify_no_property,
 )
+from schedreduce.serialize import dump_canonical, to_obj
 from conftest import SAMPLE8
 from oracle import oracle_commdelay_optimum, oracle_umps_optimum
 
@@ -92,6 +94,7 @@ def test_budget_capped_solve_degrades_to_greedy():
     inst = gen_random_umps(6, 2, F(1, 4), seed=8)
     result = solve_umps_exact(inst, SolveLimits(max_states=1))
     assert not result.proven_optimal
+    assert result.states_explored > 0  # the capped DP still reports its work
     assert validate_umps(inst, result.schedule).feasible
 
 
@@ -247,6 +250,151 @@ def test_unit_speed_related_agrees_with_delay_free_brute_force(n, m, seed):
     assert result.proven_optimal
     assert validate_related(related, result.schedule).feasible
     assert result.optimum == oracle_commdelay_optimum(identical)
+
+
+# ---------------------------------------------------------------------------
+# pinned results of the exact solvers
+
+
+def _weighted(n, m, seed):
+    return gen_random_umps(n, m, F(1, 4), seed, max_length=3)
+
+
+def _reduced(n, m, seed):
+    return umps_to_commdelay(gen_random_umps(n, m, F(1, 3), seed, max_length=2)).output
+
+
+def _uniform(n, c, seed, machines):
+    base = gen_random_umps(n, 1, F(1, 3), seed, max_length=3)
+    return CommDelayInstance(
+        n_total=n, lengths=dict(base.lengths),
+        delays={e: c for e in base.dag.edges}, dag=base.dag, machines=machines,
+    )
+
+
+def _related(n, speeds, seed):
+    base = gen_random_umps(n, 1, F(1, 4), seed, max_length=4)
+    return RelatedInstance(
+        machines=speeds, jobs=tuple(base.lengths[j] for j in range(1, n + 1)),
+        dag=base.dag,
+    )
+
+
+# (solver, instance, limits, optimum, proven_optimal, states_explored,
+#  sha256 of the canonical schedule JSON).  A refactor of the search must
+# keep every field: the hash pins tie-breaks, the state count pins the
+# pruning order, and the capped rows pin the best-so-far on a budget trip.
+PINNED = [
+    pytest.param(solve_umps_exact, lambda: _weighted(5, 2, 1), SolveLimits(),
+                 "6", True, 9,
+                 "e4dbada5066595fcd25ef06402aa4cbc7c338bb0a89fe1b726d4f154312c439d",
+                 id="umps-5-2-1"),
+    pytest.param(solve_umps_exact, lambda: _weighted(6, 2, 2), SolveLimits(),
+                 "7", True, 8,
+                 "7d1f4d43689ca1eec83c25b2542b1c291690b32325b7b29d046724d04e27673d",
+                 id="umps-6-2-2"),
+    pytest.param(solve_umps_exact, lambda: _weighted(6, 3, 3), SolveLimits(),
+                 "7", True, 9,
+                 "fa35a52b56e2d9936cc9b7d568dc1958bc91794616fca538e4fca1d0e1341e8a",
+                 id="umps-6-3-3"),
+    pytest.param(solve_umps_exact, lambda: _weighted(7, 2, 4), SolveLimits(),
+                 "9", True, 11,
+                 "fd8645e85f5cbb330826cb9d6b04316c7e032a94cb9584d72b11817994886245",
+                 id="umps-7-2-4"),
+    pytest.param(solve_umps_exact, lambda: _weighted(7, 3, 5), SolveLimits(),
+                 "8", True, 13,
+                 "4585a1386a1e5756f153186143070b6f175b2a54997445bc17d6a23fda053c8a",
+                 id="umps-7-3-5"),
+    pytest.param(solve_umps_exact, lambda: _weighted(8, 3, 6), SolveLimits(),
+                 "9", True, 16,
+                 "3d414fa2cc06f4683ead7ca54c403733d2801d29048c3ace72b8e8941bd0a1cf",
+                 id="umps-8-3-6"),
+    pytest.param(solve_umps_exact, lambda: _weighted(8, 3, 6), SolveLimits(max_states=1),
+                 "16", False, 2,
+                 "7d0343ced62f4490a4831af4a9510bdc7a3673914f818974146d197721d43cfc",
+                 id="umps-capped1"),
+    pytest.param(solve_umps_exact, lambda: _weighted(7, 3, 5), SolveLimits(max_states=6),
+                 "8", False, 7,
+                 "4585a1386a1e5756f153186143070b6f175b2a54997445bc17d6a23fda053c8a",
+                 id="umps-capped"),
+    pytest.param(solve_commdelay_exact, lambda: _reduced(4, 2, 1), SolveLimits(max_jobs=12),
+                 "5", True, 11,
+                 "2bdb52dd87668b9354772d9a28f2e2276199013b35dbcf0aedab6c5e8b89362b",
+                 id="reduced-4-2-1"),
+    pytest.param(solve_commdelay_exact, lambda: _reduced(5, 2, 2), SolveLimits(max_jobs=12),
+                 "6", True, 10,
+                 "3e7801cb2bec44cf0054742359cdb74cd420ef5d77d398115c3d4b3a34d97dd8",
+                 id="reduced-5-2-2"),
+    pytest.param(solve_commdelay_exact, lambda: _reduced(6, 2, 3), SolveLimits(max_jobs=12),
+                 "7", True, 11,
+                 "9dd959b1bba51ad4928ae92c16d9ce3a5f77d5db9189d9e1f5c7028459277d33",
+                 id="reduced-6-2-3"),
+    pytest.param(solve_commdelay_exact, lambda: _reduced(5, 3, 4), SolveLimits(max_jobs=12),
+                 "5", True, 25,
+                 "a822dfcfbeae381795fe030337715aabd68bee1ba29f7cadee9942faedf81de1",
+                 id="reduced-5-3-4"),
+    pytest.param(solve_commdelay_exact, lambda: _reduced(6, 2, 3), SolveLimits(max_jobs=12, max_states=5),
+                 "11", False, 6,
+                 "061d7b1907e228ddee7c1b140442b4be0858346e253687abe2a3f8c6781932c6",
+                 id="reduced-capped"),
+    pytest.param(solve_commdelay_exact, lambda: _uniform(5, 1, 1, None), SolveLimits(),
+                 "7", True, 19,
+                 "9c3a2801ce72f8b6f7cb0e976412194aa9205fb52b918e0d21922c3119e84a82",
+                 id="uniform-5-1-1-None"),
+    pytest.param(solve_commdelay_exact, lambda: _uniform(6, 2, 2, None), SolveLimits(),
+                 "9", True, 68,
+                 "cee88fc0a721f04a6039a32fcbe230576d3052c6d5ee67ef5b0e9aa5d72d378a",
+                 id="uniform-6-2-2-None"),
+    pytest.param(solve_commdelay_exact, lambda: _uniform(5, 1, 3, 2), SolveLimits(),
+                 "6", True, 33,
+                 "44031b90cd356a7a42ebb96a9ef1aa01204ceb47d6a723ff30d25e7dde2de526",
+                 id="uniform-5-1-3-2"),
+    pytest.param(solve_commdelay_exact, lambda: _uniform(6, 2, 4, 2), SolveLimits(),
+                 "11", True, 51,
+                 "5f44d8c16b908f0ac5d54be8baee8674c7e68b9ac502daa4cc07fd0cb1147d68",
+                 id="uniform-6-2-4-2"),
+    pytest.param(solve_commdelay_exact, lambda: _uniform(6, 0, 5, 2), SolveLimits(),
+                 "7", True, 86,
+                 "73fca7bc375ac1e6805f7de5cd31a9bcaa21ce3939791a086749e3955dee6ef7",
+                 id="uniform-6-0-5-2"),
+    pytest.param(solve_commdelay_exact, lambda: _uniform(6, 0, 5, 2), SolveLimits(max_states=20),
+                 "11", False, 21,
+                 "7923b25921c20e3d3101e41879d3a2cb093471f37ba3b891c3b7322a414b6965",
+                 id="uniform-capped"),
+    pytest.param(solve_related_exact, lambda: _related(4, (1, 2, 3), 1), SolveLimits(),
+                 "5/3", True, 36,
+                 "0ccb4ce098822eadb45c018b959680021f60e235aa682452d52f93f7f28114b3",
+                 id="related-4-1"),
+    pytest.param(solve_related_exact, lambda: _related(5, (3, 1, 2), 2), SolveLimits(),
+                 "7/3", True, 52,
+                 "58542bc40b984f0e3b66fc6b2aeb8fc22cbe33d7e4805394a2b8de2031152825",
+                 id="related-5-2"),
+    pytest.param(solve_related_exact, lambda: _related(5, (2, 2, 3), 3), SolveLimits(),
+                 "8/3", True, 56,
+                 "dd6fd913d150cb411280604d2916c377aff4dac0f1b469244f9e3394dae8b2de",
+                 id="related-5-3"),
+    pytest.param(solve_related_exact, lambda: _related(6, (1, 2, 4), 4), SolveLimits(),
+                 "3", True, 238,
+                 "d6a318836ba8ca4e4ecd77300027f0df8484fb06bb9e9efad7cff250982b2f21",
+                 id="related-6-4"),
+    pytest.param(solve_related_exact, lambda: _related(6, (1, 1, 2), 5), SolveLimits(),
+                 "4", True, 106,
+                 "d948a98b12125de8f5d1ed4273ded32a86c962e83b06a21e762f1bee0578d5db",
+                 id="related-6-5"),
+    pytest.param(solve_related_exact, lambda: _related(6, (1, 2, 4), 4), SolveLimits(max_states=60),
+                 "7/2", False, 61,
+                 "cb50593739102c6b466a696b3fb0bddde09fe021faf7614bec2a2380898a7b45",
+                 id="related-capped"),
+]
+
+
+@pytest.mark.parametrize("solve, make, lim, optimum, proven, states, digest", PINNED)
+def test_exact_solvers_match_pinned_results(solve, make, lim, optimum, proven, states, digest):
+    result = solve(make(), lim)
+    schedule_json = dump_canonical(to_obj(result.schedule)).encode()
+    assert (str(result.optimum), result.proven_optimal, result.states_explored) == (
+        optimum, proven, states)
+    assert hashlib.sha256(schedule_json).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
