@@ -84,6 +84,9 @@ class UsageError(Exception):
     pass
 
 
+_BUDGET_ERRORS = (BudgetExceeded, IterationBudgetExceeded, MaterializationTooLarge)
+
+
 @dataclass
 class GapRow:
     instance_id: str
@@ -415,7 +418,7 @@ def cmd_bench(args) -> int:
     if not corpus.is_dir():
         raise UsageError(f"{args.corpus_dir} is not a directory")
     rows = []
-    any_budget = False
+    any_budget = any_failed = False
     all_messages = []
     for path in sorted(corpus.glob("*.json")):
         if path.name.endswith(".sidecar.json"):
@@ -434,9 +437,18 @@ def cmd_bench(args) -> int:
             print(f"{path.name}: no roundtrip mode for this kind, skipped", file=sys.stderr)
             continue
         t0 = time.monotonic()
-        new_rows, budget_hit, messages = _roundtrip_rows(
-            str(path), kind, lim, args.kappa_override
-        )
+        try:
+            new_rows, budget_hit, messages = _roundtrip_rows(
+                str(path), kind, lim, args.kappa_override
+            )
+        except _BUDGET_ERRORS as exc:
+            print(f"{path.name}: budget exceeded ({exc})", file=sys.stderr)
+            any_budget = True
+            continue
+        except SchedReduceError as exc:  # one bad corpus member: report, keep going
+            print(f"{path.name}: failed ({exc})", file=sys.stderr)
+            any_failed = True
+            continue
         elapsed_ms = (time.monotonic() - t0) * 1000
         print(f"{path.stem}: {elapsed_ms:.1f} ms", file=sys.stderr)
         if budget_hit:
@@ -451,7 +463,7 @@ def cmd_bench(args) -> int:
         print(msg, file=sys.stderr)
     held = sum(1 for r in rows if r.bound_holds)
     print(f"rows={len(rows)} bound_holds={held}/{len(rows)}")
-    if held < len(rows):
+    if any_failed or held < len(rows):
         return 1
     return 3 if any_budget else 0
 
@@ -519,7 +531,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetExceeded, IterationBudgetExceeded, MaterializationTooLarge) as exc:
+    except _BUDGET_ERRORS as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
     except SchedReduceError as exc:

@@ -22,7 +22,7 @@ from .model import (
     validate_umps,
 )
 from .reductions import KPartiteYesCertificate
-from .rng import stream
+from .rng import Stream
 from .rounding import FractionalSchedule
 
 
@@ -38,7 +38,7 @@ def gen_layered_umps(layers: int, per_layer: int, edge_prob, seed: int) -> UmpsI
         raise ValueError("need layers >= 1 and per_layer >= 1")
     prob = as_fraction(edge_prob)
     n = m * w
-    rng = stream(seed, "edges")
+    rng = Stream(seed, "edges")
     edges = []
     for i in range(1, m):
         for a in range(1, w + 1):
@@ -67,16 +67,16 @@ def gen_random_umps(n: int, m: int, edge_prob, seed: int, max_length: int = 1) -
     if n < 1 or m < 1 or max_length < 1:
         raise ValueError("need n, m, max_length >= 1")
     prob = as_fraction(edge_prob)
-    homes_rng = stream(seed, "homes")
+    homes_rng = Stream(seed, "homes")
     home = {j: homes_rng.randint(1, m) for j in range(1, n + 1)}
-    edges_rng = stream(seed, "edges")
+    edges_rng = Stream(seed, "edges")
     edges = [
         (u, v)
         for u in range(1, n + 1)
         for v in range(u + 1, n + 1)
         if edges_rng.bernoulli(prob)
     ]
-    lengths_rng = stream(seed, "lengths")
+    lengths_rng = Stream(seed, "lengths")
     lengths = {j: lengths_rng.randint(1, max_length) for j in range(1, n + 1)}
     return UmpsInstance(n=n, m=m, lengths=lengths, home=home, dag=PrecedenceDag(n, tuple(edges)))
 
@@ -87,8 +87,8 @@ def gen_jobshop(jobs: int, machines: int, ops_per_job: int, seed: int) -> JobSho
     uniform in [1, 4] ("durations" stream), drawn job-major."""
     if jobs < 1 or machines < 1 or ops_per_job < 1:
         raise ValueError("need jobs, machines, ops_per_job >= 1")
-    m_rng = stream(seed, "machines")
-    d_rng = stream(seed, "durations")
+    m_rng = Stream(seed, "machines")
+    d_rng = Stream(seed, "durations")
     chains = []
     for _ in range(jobs):
         chains.append(
@@ -124,12 +124,12 @@ def gen_kpartite_yes(n: int, k: int, seed: int):
     if n % k != 0:
         raise DivisibilityError(f"k = {k} must divide n = {n}")
     q = k
-    cells_rng = stream(seed, "cells")
+    cells_rng = Stream(seed, "cells")
     partition = []
     for i in range(1, k + 1):
         layer = range((i - 1) * n + 1, i * n + 1)
         partition.append(tuple(_cells_for_layer(layer, q, cells_rng)))
-    edges_rng = stream(seed, "edges")
+    edges_rng = Stream(seed, "edges")
     half = Fraction(1, 2)
     all_edges = []
     for i in range(k - 1):
@@ -162,7 +162,7 @@ def gen_kpartite_dense(n: int, k: int, density, seed: int) -> KPartiteInstance:
     if k < 1 or n < 1:
         raise ValueError("need n, k >= 1")
     prob = as_fraction(density)
-    rng = stream(seed, "edges")
+    rng = Stream(seed, "edges")
     all_edges = []
     for i in range(1, k):
         layer_edges = [
@@ -223,7 +223,7 @@ def gen_fractional(
     for j, s in slot_of.items():
         load[(inst.home[j], s)] = load.get((inst.home[j], s), Fraction(0)) + 1
 
-    rng = stream(seed, "split")
+    rng = Stream(seed, "split")
     for j in range(1, inst.n + 1):
         if not rng.bernoulli(split_prob):
             continue
@@ -244,7 +244,7 @@ def gen_fractional(
         load[(home, slot_of[j])] -= y
         load[(home, target)] = load.get((home, target), Fraction(0)) + y
 
-    del_rng = stream(seed, "delete")
+    del_rng = Stream(seed, "delete")
     for j in range(1, inst.n + 1):
         if gamma > 0 and del_rng.bernoulli(Fraction(1, 2)):
             amount = min(gamma * Fraction(j, 2 * inst.n), mass[(j, slot_of[j])] / 2)

@@ -74,8 +74,3 @@ class Stream:
             j = self.randrange(i + 1)
             items[i], items[j] = items[j], items[i]
         return items
-
-
-def stream(seed: int, label: str) -> Stream:
-    """Substream for ``(seed, label)``; pure function of its arguments."""
-    return Stream(seed, label)

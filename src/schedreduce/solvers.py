@@ -7,6 +7,8 @@ per-machine processing orders consistent with the precedence
 projection, scores each combination by the earliest-start longest path
 through the combined order graph, and keeps the first strictly best
 result, so ties resolve to the lexicographically earliest combination.
+Times are scaled to integers (by the LCM of their denominators) for the
+search and converted back to ``Fraction`` only in the ``SolveResult``.
 The solvers differ only in how they parameterize it:
 
 - fixed-home jobs pin every job to its home machine, so the search is
@@ -102,7 +104,7 @@ def _earliest_starts(n_nodes: int, edges):
     for u, v, w in edges:
         adj[u].append((v, w))
         indeg[v] += 1
-    start = [Fraction(0)] * (n_nodes + 1)
+    start = [0] * (n_nodes + 1)
     queue = deque(v for v in range(1, n_nodes + 1) if indeg[v] == 0)
     done = 0
     while queue:
@@ -204,7 +206,9 @@ def _exact_search(dag, lim, serial, duration, delay=None, pinned=None, units=(),
 
     ``duration(j, i)`` is job j's time on machine i, and ``delay`` maps a
     dag edge to the extra wait paid when its ends sit on different
-    machines.  ``pinned`` fixes every job's machine up front, so the
+    machines.  Times are scaled by the LCM of their denominators, so the
+    search runs on plain ints and only the result converts back to
+    ``Fraction``.  ``pinned`` fixes every job's machine up front, so the
     search goes straight to the order enumeration.  Otherwise ``units``
     (tuples of jobs that must share a machine) are placed in order, and
     ``classes`` (tuples of interchangeable machines) limit each unit to
@@ -217,15 +221,18 @@ def _exact_search(dag, lim, serial, duration, delay=None, pinned=None, units=(),
     n = dag.node_count
     if n > lim.max_jobs:
         return SolveResult(makespan(serial), serial, proven_optimal=False, states_explored=0)
-    search = _Search(lim)
-    search.offer(makespan(serial), None)
     reach = dag.reachable()
     delay = delay or {}
     machine_of = dict(pinned or {})
     machines = sorted(set(itertools.chain(*classes)) | set(machine_of.values()))
-    time_of = {(j, i): Fraction(duration(j, i)) for j in range(1, n + 1) for i in machines}
+    exact = {(j, i): Fraction(duration(j, i)) for j in range(1, n + 1) for i in machines}
+    scale = math.lcm(*(t.denominator for t in itertools.chain(exact.values(), delay.values())))
+    time_of = {key: int(t * scale) for key, t in exact.items()}
+    delay = {e: int(c * scale) for e, c in delay.items()}
+    search = _Search(lim)
+    search.offer(int(makespan(serial) * scale), None)
     fastest = {j: min(time_of[j, i] for i in machines) for j in range(1, n + 1)}
-    loads = {i: Fraction(0) for i in machines}
+    loads = {i: 0 for i in machines}
     opened = [0] * len(classes)
 
     def cost(j):
@@ -283,9 +290,11 @@ def _exact_search(dag, lim, serial, duration, delay=None, pinned=None, units=(),
         return SolveResult(makespan(serial), serial, proven, search.states)
     labels, starts = search.best_payload
     entries = {
-        j: (labels[j], starts[j], starts[j] + time_of[j, labels[j]]) for j in range(1, n + 1)
+        j: (i, Fraction(starts[j], scale), Fraction(starts[j] + time_of[j, i], scale))
+        for j, i in sorted(labels.items())
     }
-    return SolveResult(search.best_ms, Schedule(entries=entries), proven, search.states)
+    return SolveResult(Fraction(search.best_ms, scale), Schedule(entries=entries), proven,
+                       search.states)
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,46 @@ def test_bench_over_corpus(tmp_path, capsys):
     assert (tmp_path / "gap.csv").read_bytes() == first
 
 
+def test_bench_keeps_good_rows_when_one_instance_fails(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    run("gen", "random", "--params", "n=4,m=2", "--seed", "1",
+        "--out", str(corpus / "r1.json"))
+    run("gen", "kpartite_yes", "--params", "n=4,k=2", "--seed", "3",
+        "--out", str(corpus / "k1.json"))
+    out = tmp_path / "gap.csv"
+    assert run("bench", str(corpus), "--out", str(out)) == 0
+    good = out.read_bytes()
+    # density 0 is not dense, so the no-floor check has nothing to assert
+    run("gen", "kpartite_dense", "--params", "n=4,k=2,density=0", "--seed", "0",
+        "--out", str(corpus / "k0.json"))
+    capsys.readouterr()
+    assert run("bench", str(corpus), "--out", str(out)) == 1
+    assert out.read_bytes() == good
+    captured = capsys.readouterr()
+    assert "k0.json: failed (" in captured.err
+    assert captured.out.strip() == "rows=2 bound_holds=2/2"
+
+
+def test_bench_budget_error_on_one_instance_exits_3(tmp_path, capsys, monkeypatch):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    run("gen", "random", "--params", "n=4,m=2", "--seed", "1",
+        "--out", str(corpus / "r1.json"))
+    run("gen", "kpartite_dense", "--params", "n=4,k=2,density=1", "--seed", "0",
+        "--out", str(corpus / "k1.json"))
+
+    def out_of_pairs(_inst):
+        raise cli.BudgetExceeded("more than 0 set pairs")
+
+    monkeypatch.setattr(cli, "verify_no_property", out_of_pairs)
+    capsys.readouterr()
+    assert run("bench", str(corpus)) == 3
+    captured = capsys.readouterr()
+    assert "k1.json: budget exceeded (more than 0 set pairs)" in captured.err
+    assert captured.out.splitlines()[-1] == "rows=1 bound_holds=1/1"
+
+
 def test_bench_empty_dir(tmp_path, capsys):
     corpus = tmp_path / "empty"
     corpus.mkdir()

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from schedreduce.rng import Stream, fnv1a64, stream
+from schedreduce.rng import Stream, fnv1a64
 
 SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -23,60 +23,60 @@ def test_known_vector_matches_reference_splitmix64():
 
 @given(SEEDS)
 def test_streams_are_reproducible(seed):
-    a = stream(seed, "edges")
-    b = stream(seed, "edges")
+    a = Stream(seed, "edges")
+    b = Stream(seed, "edges")
     assert [a.next_u64() for _ in range(4)] == [b.next_u64() for _ in range(4)]
 
 
 def test_labels_split_streams():
-    a = stream(12345, "edges")
-    b = stream(12345, "homes")
+    a = Stream(12345, "edges")
+    b = Stream(12345, "homes")
     assert [a.next_u64() for _ in range(4)] != [b.next_u64() for _ in range(4)]
 
 
 @given(SEEDS, st.integers(min_value=1, max_value=1000))
 def test_randrange_bounds(seed, n):
-    s = stream(seed, "r")
+    s = Stream(seed, "r")
     for _ in range(20):
         assert 0 <= s.randrange(n) < n
 
 
 @given(SEEDS, st.integers(-50, 50), st.integers(0, 50))
 def test_randint_inclusive(seed, lo, width):
-    s = stream(seed, "r")
+    s = Stream(seed, "r")
     value = s.randint(lo, lo + width)
     assert lo <= value <= lo + width
 
 
 def test_randrange_rejects_empty():
     with pytest.raises(ValueError):
-        stream(0, "r").randrange(0)
+        Stream(0, "r").randrange(0)
     with pytest.raises(ValueError):
-        stream(0, "r").randint(5, 4)
+        Stream(0, "r").randint(5, 4)
 
 
 @given(SEEDS)
 def test_bernoulli_endpoints_exact(seed):
-    s = stream(seed, "b")
+    s = Stream(seed, "b")
     assert all(s.bernoulli(Fraction(1)) for _ in range(10))
     assert not any(s.bernoulli(Fraction(0)) for _ in range(10))
 
 
 def test_bernoulli_rejects_out_of_range():
     with pytest.raises(ValueError):
-        stream(0, "b").bernoulli(Fraction(3, 2))
+        Stream(0, "b").bernoulli(Fraction(3, 2))
 
 
 @given(SEEDS, st.lists(st.integers(), min_size=1, max_size=30))
 def test_shuffle_is_permutation(seed, items):
-    shuffled = stream(seed, "s").shuffle(list(items))
+    shuffled = Stream(seed, "s").shuffle(list(items))
     assert sorted(shuffled) == sorted(items)
 
 
 def test_shuffle_depends_on_seed():
     items = list(range(20))
-    a = stream(1, "s").shuffle(list(items))
-    b = stream(2, "s").shuffle(list(items))
+    a = Stream(1, "s").shuffle(list(items))
+    b = Stream(2, "s").shuffle(list(items))
     assert a != b  # 1 in 20! chance of collision by accident
 
 

@@ -398,6 +398,49 @@ def test_exact_solvers_match_pinned_results(solve, make, lim, optimum, proven, s
 
 
 # ---------------------------------------------------------------------------
+# integer time base: scaling every time by a constant changes nothing else
+
+
+def _related_speeds_times(k):
+    # speeds 7, 11, 13 against lengths 1..4: the search scales times by 1001 * k
+    return _related(6, (7 * k, 11 * k, 13 * k), 5)
+
+
+def _related_jobs_times(k):
+    base = _related(6, (7, 11, 13), 5)
+    return RelatedInstance(machines=base.machines, jobs=tuple(p * k for p in base.jobs),
+                           dag=base.dag)
+
+
+def _commdelay_times(k):
+    base = _uniform(6, 2, 7, 2)
+    return CommDelayInstance(
+        n_total=base.n_total, lengths={j: p * k for j, p in base.lengths.items()},
+        delays={e: c * k for e, c in base.delays.items()}, dag=base.dag,
+        machines=base.machines,
+    )
+
+
+@pytest.mark.parametrize("k", [2, 7])
+@pytest.mark.parametrize("solve, make, power", [
+    pytest.param(solve_related_exact, _related_speeds_times, -1, id="related-speeds"),
+    pytest.param(solve_related_exact, _related_jobs_times, 1, id="related-jobs"),
+    pytest.param(solve_commdelay_exact, _commdelay_times, 1, id="commdelay"),
+])
+def test_scaling_times_scales_only_the_optimum(solve, make, power, k):
+    base, scaled = solve(make(1)), solve(make(k))
+    assert base.proven_optimal and scaled.proven_optimal
+    assert scaled.optimum == base.optimum * F(k) ** power
+    assert scaled.states_explored == base.states_explored
+    machines = {j: i for j, (i, _, _) in base.schedule.entries.items()}
+    assert {j: i for j, (i, _, _) in scaled.schedule.entries.items()} == machines
+    for result in (base, scaled):
+        assert type(result.optimum) is Fraction
+        assert all(type(t) is Fraction
+                   for _, start, end in result.schedule.entries.values() for t in (start, end))
+
+
+# ---------------------------------------------------------------------------
 # layered-graph spread check
 
 
