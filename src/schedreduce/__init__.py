@@ -47,7 +47,6 @@ from .model import (
     Violation,
     makespan,
     topological_order,
-    trivial_serial_schedule,
     validate_commdelay,
     validate_grouped,
     validate_related,
@@ -90,6 +89,7 @@ from .solvers import (
     solve_commdelay_exact,
     solve_related_exact,
     solve_umps_exact,
+    trivial_serial_schedule,
     verify_no_property,
 )
 from .generators import (

@@ -3,8 +3,7 @@
 Exit codes: 0 success/feasible, 1 infeasible or bound violated, 2 usage
 error, 3 budget exceeded (size caps count as budgets).  All file outputs
 are canonical JSON or CSV and depend only on inputs and --seed, never on
-the clock; measured timings go to stderr so reruns stay byte-identical
-(GapRow.wall_ms is written as 0 for the same reason).
+the clock; measured timings go to stderr so reruns stay byte-identical.
 """
 
 from __future__ import annotations
@@ -63,10 +62,8 @@ from .rounding import canonicalize, extract_integral, strip_misplaced
 from .serialize import (
     dump_canonical,
     frac_str,
-    read_artifact,
     read_file,
     sidecar_path,
-    write_artifact,
     write_file,
 )
 from .solvers import (
@@ -97,7 +94,6 @@ class GapRow:
     bound_kind: str  # sandwich_plus_one | rounding_2L | yes_3n | no_floor
     bound_holds: bool
     solver_states: int
-    wall_ms: int
 
 
 GAP_COLUMNS = [f.name for f in fields(GapRow)]
@@ -171,7 +167,7 @@ def cmd_gen(args) -> int:
     elif family == "kpartite_yes":
         inst, cert = gen_kpartite_yes(_int(params, "n"), _int(params, "k"), args.seed)
         write_file(args.out, inst)
-        write_artifact(sidecar_path(args.out), cert)
+        write_file(sidecar_path(args.out), cert)
         return 0
     elif family == "kpartite_dense":
         inst = gen_kpartite_dense(
@@ -207,13 +203,13 @@ def cmd_reduce(args) -> int:
             raise UsageError("commdelay reduction needs a umps instance")
         art = umps_to_commdelay(inst)
         write_file(args.out, art.output)
-        write_artifact(sidecar_path(args.out), art)
+        write_file(sidecar_path(args.out), art)
     elif args.reduction == "related":
         if not isinstance(inst, UmpsInstance):
             raise UsageError("related reduction needs a umps instance")
         art = umps_to_related(inst, kappa_override=args.kappa_override)
         write_file(args.out, art.output)
-        write_artifact(sidecar_path(args.out), art)
+        write_file(sidecar_path(args.out), art)
     elif args.reduction == "umps":
         if isinstance(inst, JobShopInstance):
             out, origin = jobshop_to_umps(inst)
@@ -295,8 +291,8 @@ def cmd_verify(args) -> int:
     return 0 if report.feasible else 1
 
 
-def _roundtrip_rows(in_path, mode, lim, kappa_override):
-    """Returns (rows, budget_hit, messages)."""
+def _roundtrip_row(in_path, mode, lim, kappa_override):
+    """Returns (row, budget_hit, messages)."""
     instance_id = Path(in_path).stem
     inst = read_file(in_path)
     budget_hit = False
@@ -322,10 +318,9 @@ def _roundtrip_rows(in_path, mode, lim, kappa_override):
             # solely by a feasible target schedule beating the proven source floor
             sandwich = not (src.proven_optimal and tgt.optimum < src.optimum)
         holds = sandwich and not messages
-        row = GapRow(instance_id, inst.n, inst.m, src.optimum, tgt.optimum,
-                     "sandwich_plus_one", holds,
-                     src.states_explored + tgt.states_explored, 0)
-        return [row], budget_hit, messages
+        return GapRow(instance_id, inst.n, inst.m, src.optimum, tgt.optimum,
+                      "sandwich_plus_one", holds,
+                      src.states_explored + tgt.states_explored), budget_hit, messages
 
     if mode == "related":
         if not isinstance(inst, UmpsInstance):
@@ -338,16 +333,15 @@ def _roundtrip_rows(in_path, mode, lim, kappa_override):
         extracted = extract_integral(canonicalize(fs))
         target = makespan(extracted)
         holds = target <= 2 * src.optimum
-        row = GapRow(instance_id, inst.n, inst.m, src.optimum, target,
-                     "rounding_2L", holds, src.states_explored, 0)
-        return [row], budget_hit, messages
+        return GapRow(instance_id, inst.n, inst.m, src.optimum, target,
+                      "rounding_2L", holds, src.states_explored), budget_hit, messages
 
     if mode == "kpartite":
         if not isinstance(inst, KPartiteInstance):
             raise UsageError("kpartite roundtrip needs a kpartite instance")
         side = Path(sidecar_path(in_path))
         if side.exists():
-            cert = read_artifact(side)
+            cert = read_file(side)
             validate_certificate(inst, cert)
             sched = kpartite_yes_schedule(inst, cert)
             reduced = kpartite_to_umps(inst)
@@ -357,9 +351,8 @@ def _roundtrip_rows(in_path, mode, lim, kappa_override):
             source = makespan(sched)
             target = Fraction(3 * inst.n)
             holds = source <= target and not messages
-            row = GapRow(instance_id, inst.n, inst.k, source, target,
-                         "yes_3n", holds, 0, 0)
-            return [row], budget_hit, messages
+            return GapRow(instance_id, inst.n, inst.k, source, target,
+                          "yes_3n", holds, 0), budget_hit, messages
         if not verify_no_property(inst):
             raise SchedReduceError(
                 f"{instance_id}: instance is not dense; no soundness floor to assert"
@@ -371,9 +364,8 @@ def _roundtrip_rows(in_path, mode, lim, kappa_override):
         budget_hit = not src.proven_optimal
         target = (1 - 2 * inst.delta) * inst.k * inst.n
         holds = src.optimum >= target
-        row = GapRow(instance_id, inst.n, inst.k, src.optimum, target,
-                     "no_floor", holds, src.states_explored, 0)
-        return [row], budget_hit, messages
+        return GapRow(instance_id, inst.n, inst.k, src.optimum, target,
+                      "no_floor", holds, src.states_explored), budget_hit, messages
 
     raise UsageError(f"unknown roundtrip mode {mode!r}")
 
@@ -386,8 +378,7 @@ def _write_rows(rows, out):
         writer.writerow([
             row.instance_id, row.n, row.m,
             frac_str(row.opt_source), frac_str(row.opt_target),
-            row.bound_kind, "true" if row.bound_holds else "false",
-            row.solver_states, row.wall_ms,
+            row.bound_kind, "true" if row.bound_holds else "false", row.solver_states,
         ])
     text = buf.getvalue()
     if out:
@@ -398,16 +389,16 @@ def _write_rows(rows, out):
 
 def cmd_roundtrip(args) -> int:
     lim = _parse_limits(args.limits)
-    rows, budget_hit, messages = _roundtrip_rows(
+    row, budget_hit, messages = _roundtrip_row(
         args.in_path, args.mode, lim, args.kappa_override
     )
-    _write_rows(rows, args.out)
+    _write_rows([row], args.out)
     for msg in messages:
         print(msg, file=sys.stderr)
     if budget_hit:
         print(f"{Path(args.in_path).stem}: solver budget exceeded; "
               "optima are upper bounds only", file=sys.stderr)
-    if any(not row.bound_holds for row in rows):
+    if not row.bound_holds:
         return 1
     return 3 if budget_hit else 0
 
@@ -438,7 +429,7 @@ def cmd_bench(args) -> int:
             continue
         t0 = time.monotonic()
         try:
-            new_rows, budget_hit, messages = _roundtrip_rows(
+            row, budget_hit, messages = _roundtrip_row(
                 str(path), kind, lim, args.kappa_override
             )
         except _BUDGET_ERRORS as exc:
@@ -454,7 +445,7 @@ def cmd_bench(args) -> int:
         if budget_hit:
             print(f"{path.stem}: solver budget exceeded; optima are upper "
                   "bounds only", file=sys.stderr)
-        rows.extend(new_rows)
+        rows.append(row)
         any_budget = any_budget or budget_hit
         all_messages.extend(messages)
     rows.sort(key=lambda r: r.instance_id)

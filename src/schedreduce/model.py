@@ -486,70 +486,57 @@ def _overlaps(sched: Schedule):
     return out
 
 
+def _validate_flat(dag, sched, duration, home=None, machines=None, delays=None):
+    """Feasibility in a flat model, shared by the three validators below.
+
+    ``duration(j, i)`` is job j's time on machine i.  With ``home``, a job
+    off its home machine is a ``wrong_machine`` violation; without it, a
+    machine below 1 or above ``machines`` (when given) raises.  ``delays``
+    maps each edge to the extra wait paid when its ends run on different
+    machines; without it every edge is plain precedence.
+    """
+    _check_job_set(sched, dag.node_count)
+    violations = []
+    for job in range(1, dag.node_count + 1):
+        machine, start, end = sched.entries[job]
+        if home is not None:
+            if machine != home[job]:
+                violations.append(Violation("wrong_machine", (job, machine)))
+        elif machine < 1 or machines is not None and machine > machines:
+            have = "" if machines is None else f", have {machines}"
+            raise MachineOutOfRange(f"job {job} on machine {machine}{have}")
+        if start < 0:
+            violations.append(Violation("negative_time", (job,)))
+        if end - start != duration(job, machine):
+            violations.append(Violation("duration", (job,)))
+    violations.extend(_overlaps(sched))
+    for u, v in dag.edges:
+        mu, _, eu = sched.entries[u]
+        mv, sv, _ = sched.entries[v]
+        if sv < eu:
+            violations.append(Violation("precedence", (u, v)))
+        elif delays and mu != mv and sv < eu + delays[(u, v)]:
+            violations.append(Violation("delay", (u, v)))
+    return _report(violations)
+
+
 def validate_umps(inst: UmpsInstance, sched: Schedule) -> ValidationReport:
     """Feasibility for fixed-home scheduling: home machines, durations,
     no same-machine overlap, and precedence end <= start per edge."""
-    _check_job_set(sched, inst.n)
-    violations = []
-    for job in range(1, inst.n + 1):
-        machine, start, end = sched.entries[job]
-        if machine != inst.home[job]:
-            violations.append(Violation("wrong_machine", (job, machine)))
-        if start < 0:
-            violations.append(Violation("negative_time", (job,)))
-        if end - start != inst.lengths[job]:
-            violations.append(Violation("duration", (job,)))
-    violations.extend(_overlaps(sched))
-    for u, v in inst.dag.edges:
-        if sched.entries[u][2] > sched.entries[v][1]:
-            violations.append(Violation("precedence", (u, v)))
-    return _report(violations)
+    return _validate_flat(inst.dag, sched, lambda j, i: inst.lengths[j], home=inst.home)
 
 
 def validate_commdelay(inst: CommDelayInstance, sched: Schedule) -> ValidationReport:
     """Feasibility with communication delays: cross-machine successors wait
     the edge delay after the predecessor ends; co-located ones do not."""
-    _check_job_set(sched, inst.n_total)
-    violations = []
-    for job in range(1, inst.n_total + 1):
-        machine, start, end = sched.entries[job]
-        if inst.machines is not None and not 1 <= machine <= inst.machines:
-            raise MachineOutOfRange(f"job {job} on machine {machine}, have {inst.machines}")
-        if machine < 1:
-            raise MachineOutOfRange(f"job {job} on machine {machine}")
-        if start < 0:
-            violations.append(Violation("negative_time", (job,)))
-        if end - start != inst.lengths[job]:
-            violations.append(Violation("duration", (job,)))
-    violations.extend(_overlaps(sched))
-    for u, v in inst.dag.edges:
-        mu, _, eu = sched.entries[u]
-        mv, sv, _ = sched.entries[v]
-        if sv < eu:
-            violations.append(Violation("precedence", (u, v)))
-        elif mu != mv and sv < eu + inst.delays[(u, v)]:
-            violations.append(Violation("delay", (u, v)))
-    return _report(violations)
+    return _validate_flat(inst.dag, sched, lambda j, i: inst.lengths[j],
+                          machines=inst.machines, delays=inst.delays)
 
 
 def validate_related(inst: RelatedInstance, sched: Schedule) -> ValidationReport:
     """Feasibility on related machines: any machine is allowed, but the
     interval must equal the job's speed-scaled duration there."""
-    _check_job_set(sched, inst.n)
-    violations = []
-    for job in range(1, inst.n + 1):
-        machine, start, end = sched.entries[job]
-        if not 1 <= machine <= inst.m:
-            raise MachineOutOfRange(f"job {job} on machine {machine}, have {inst.m}")
-        if start < 0:
-            violations.append(Violation("negative_time", (job,)))
-        if end - start != inst.duration(job, machine):
-            violations.append(Violation("duration", (job,)))
-    violations.extend(_overlaps(sched))
-    for u, v in inst.dag.edges:
-        if sched.entries[u][2] > sched.entries[v][1]:
-            violations.append(Violation("precedence", (u, v)))
-    return _report(violations)
+    return _validate_flat(inst.dag, sched, inst.duration, machines=inst.m)
 
 
 def validate_grouped(
@@ -605,22 +592,3 @@ def validate_grouped(
         if ends and starts and max(ends) > min(starts):
             violations.append(Violation("precedence", (gu, gv)))
     return _report(violations)
-
-
-# ---------------------------------------------------------------------------
-# canonical simple schedules
-
-
-def trivial_serial_schedule(inst: UmpsInstance) -> Schedule:
-    """All jobs back-to-back in topological order on their home machines.
-
-    Always feasible; makespan equals the total processing time, which is
-    the easy upper bound every solver starts from.
-    """
-    entries = {}
-    cursor = Fraction(0)
-    for job in topological_order(inst.dag):
-        p = inst.lengths[job]
-        entries[job] = (inst.home[job], cursor, cursor + p)
-        cursor += p
-    return Schedule(entries=entries)

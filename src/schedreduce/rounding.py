@@ -12,10 +12,11 @@ Live objects always satisfy the three defining properties:
 Two local rewrites clean a schedule up without breaking the properties:
 a *swap* moves mass of an earlier-finishing job to an earlier slot,
 displacing an equal mass of a later-finishing job from that slot, and a
-*fill* pulls mass of a job forward into machine idle capacity.  Their
-joint fixpoint is the canonical earliest-deadline packed form, which the
-direct construction :func:`greedy_canonical` produces in one sweep; the
-equality of the two is a tested property, not an assumption.
+*fill* pulls mass of a job forward into machine idle capacity.
+:func:`greedy_canonical` builds an earliest-deadline packed fixpoint of
+both in one sweep.  The passes usually reach the same one, but not
+always: a swap can push a job into a later slot, fills then empty the
+slot before it, and the job's window no longer reaches back.
 
 In canonical form the leftover ("partial") mass on a machine grows by at
 most gamma per slot, so when gamma * horizon <= 1/(10 n) each slot hosts
@@ -320,8 +321,8 @@ def canonicalize(fs: FractionalSchedule, trace: list = None) -> FractionalSchedu
 
     If the step budget trips before the fixpoint (never observed on
     generated inputs, and the local steps carry no termination proof),
-    fall back to :func:`greedy_canonical`, which constructs the same
-    canonical form directly.
+    fall back to :func:`greedy_canonical`, which builds a packed fixpoint
+    directly (usually, but not always, the one the passes reach).
     """
     budget = _default_budget(fs)
     current = fs

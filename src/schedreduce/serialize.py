@@ -6,9 +6,9 @@ sorted keys, two-space indent, and a trailing newline, so identical
 objects always produce byte-identical files and instances round-trip
 exactly: read(write(x)) == x.
 
-Reduction artifacts are written as self-contained sidecar files (source
-and output instances embedded) so the backward maps never recompute the
-reduction.
+Reduction artifacts and certificates are written the same way, as
+self-contained sidecar files (source and output instances embedded), so
+the backward maps never recompute the reduction.
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ from .rounding import FractionalSchedule
 def frac_str(value) -> str:
     f = Fraction(value)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def parse_frac(text) -> Fraction:
-    return Fraction(text)
 
 
 def _dag_obj(dag: PrecedenceDag) -> dict:
@@ -139,6 +135,30 @@ def to_obj(value) -> dict:
             ],
             "umps_ref": to_obj(value.umps_ref),
         }
+    if isinstance(value, CommDelayReductionArtifact):
+        return {
+            "kind": "commdelay_artifact",
+            "c_infinity": value.c_infinity,
+            "dummy_ids": list(value.dummy_ids),
+            "origin": {str(j): o for j, o in value.origin.items()},
+            "source": to_obj(value.source),
+            "output": to_obj(value.output),
+        }
+    if isinstance(value, RelatedReductionArtifact):
+        return {
+            "kind": "related_artifact",
+            "kappa": value.kappa,
+            "kappa_meets_bound": value.kappa_meets_bound,
+            "origin": {str(g): j for g, j in value.origin.items()},
+            "machine_group_of": {str(i): g for i, g in value.machine_group_of.items()},
+            "source": to_obj(value.source),
+            "output": to_obj(value.output),
+        }
+    if isinstance(value, KPartiteYesCertificate):
+        return {
+            "kind": "kpartite_certificate",
+            "partition": [[list(cell) for cell in layer] for layer in value.partition],
+        }
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -183,8 +203,8 @@ def from_obj(obj):
             layers=tuple(tuple(layer) for layer in obj["layers"]),
             edges=tuple(tuple(tuple(e) for e in layer_edges) for layer_edges in obj["edges"]),
             Q=obj["Q"],
-            eps=parse_frac(obj["eps"]),
-            delta=parse_frac(obj["delta"]),
+            eps=Fraction(obj["eps"]),
+            delta=Fraction(obj["delta"]),
         )
     if kind == "schedule":
         if "placements" in obj:
@@ -193,8 +213,8 @@ def from_obj(obj):
                     GroupedPlacement(
                         group=pl["group"],
                         machine_group=pl["machine_group"],
-                        start=parse_frac(pl["start"]),
-                        end=parse_frac(pl["end"]),
+                        start=Fraction(pl["start"]),
+                        end=Fraction(pl["end"]),
                         count=pl["count"],
                     )
                     for pl in obj["placements"]
@@ -202,54 +222,17 @@ def from_obj(obj):
             )
         return Schedule(
             entries={
-                int(j): (machine, parse_frac(s), parse_frac(e))
+                int(j): (machine, Fraction(s), Fraction(e))
                 for j, (machine, s, e) in obj["entries"].items()
             }
         )
     if kind == "fractional":
         return FractionalSchedule(
             horizon=obj["horizon"],
-            mass={(job, slot): parse_frac(x) for job, slot, x in obj["mass"]},
-            gamma=parse_frac(obj["gamma"]),
+            mass={(job, slot): Fraction(x) for job, slot, x in obj["mass"]},
+            gamma=Fraction(obj["gamma"]),
             umps_ref=from_obj(obj["umps_ref"]),
         )
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# reduction artifacts (sidecars)
-
-
-def artifact_to_obj(art) -> dict:
-    if isinstance(art, CommDelayReductionArtifact):
-        return {
-            "kind": "commdelay_artifact",
-            "c_infinity": art.c_infinity,
-            "dummy_ids": list(art.dummy_ids),
-            "origin": {str(j): o for j, o in art.origin.items()},
-            "source": to_obj(art.source),
-            "output": to_obj(art.output),
-        }
-    if isinstance(art, RelatedReductionArtifact):
-        return {
-            "kind": "related_artifact",
-            "kappa": art.kappa,
-            "kappa_meets_bound": art.kappa_meets_bound,
-            "origin": {str(g): j for g, j in art.origin.items()},
-            "machine_group_of": {str(i): g for i, g in art.machine_group_of.items()},
-            "source": to_obj(art.source),
-            "output": to_obj(art.output),
-        }
-    if isinstance(art, KPartiteYesCertificate):
-        return {
-            "kind": "kpartite_certificate",
-            "partition": [[list(cell) for cell in layer] for layer in art.partition],
-        }
-    raise TypeError(f"cannot serialize artifact {type(art).__name__}")
-
-
-def artifact_from_obj(obj):
-    kind = obj.get("kind")
     if kind == "commdelay_artifact":
         return CommDelayReductionArtifact(
             output=from_obj(obj["output"]),
@@ -273,7 +256,7 @@ def artifact_from_obj(obj):
                 tuple(tuple(cell) for cell in layer) for layer in obj["partition"]
             )
         )
-    raise ValueError(f"unknown artifact kind {kind!r}")
+    raise ValueError(f"unknown kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -293,20 +276,18 @@ def write_file(path, value, extra: dict = None) -> None:
     Path(path).write_text(dump_canonical(obj), encoding="utf-8")
 
 
-def read_file(path):
-    return from_obj(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
 def read_obj(path) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def write_artifact(path, art) -> None:
-    Path(path).write_text(dump_canonical(artifact_to_obj(art)), encoding="utf-8")
-
-
-def read_artifact(path):
-    return artifact_from_obj(json.loads(Path(path).read_text(encoding="utf-8")))
+def read_file(path):
+    """Read a domain object; a file of the wrong shape (a missing field, a
+    list where an object belongs) raises ``ValueError`` naming ``path``."""
+    obj = read_obj(path)
+    try:
+        return from_obj(obj)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed file ({type(exc).__name__}: {exc})") from exc
 
 
 def sidecar_path(out_path) -> str:

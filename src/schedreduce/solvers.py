@@ -46,7 +46,6 @@ from .model import (
     UmpsInstance,
     makespan,
     topological_order,
-    trivial_serial_schedule,
 )
 
 
@@ -190,14 +189,55 @@ def _orders_dfs(search, groups, n_nodes, base_edges, duration, reach):
     level(0)
 
 
-def _serial_schedule(dag, machine: int, duration) -> Schedule:
-    """Every job on ``machine`` in topological order: no delay is ever paid."""
+def _serial_schedule(dag, machine_of, duration) -> Schedule:
+    """Every job back to back in topological order, job j on
+    ``machine_of[j]``: nothing ever overlaps and no delay is ever paid."""
     entries = {}
     cursor = Fraction(0)
     for j in topological_order(dag):
-        d = duration(j, machine)
-        entries[j] = (machine, cursor, cursor + d)
+        d = duration(j, machine_of[j])
+        entries[j] = (machine_of[j], cursor, cursor + d)
         cursor += d
+    return Schedule(entries=entries)
+
+
+def trivial_serial_schedule(inst: UmpsInstance) -> Schedule:
+    """All jobs back-to-back in topological order on their home machines.
+
+    Always feasible; makespan equals the total processing time, which is
+    the easy upper bound every solver starts from.
+    """
+    return _serial_schedule(inst.dag, inst.home, lambda j, i: inst.lengths[j])
+
+
+def _list_schedule(dag, priority, lengths, candidates, delays) -> Schedule:
+    """List scheduling: jobs in ``priority`` (a topological order, so each
+    job's predecessors are already placed when it is reached) go to the
+    machine among ``candidates(j)`` where they can start earliest, paying
+    the edge delay in ``delays`` when a predecessor sits on a different
+    machine.  Ties go to the earliest candidate."""
+    if sorted(priority) != list(range(1, dag.node_count + 1)):
+        raise ValueError("priority must be a permutation of all jobs")
+    pos = {j: k for k, j in enumerate(priority)}
+    for u, v in dag.edges:
+        if pos[u] >= pos[v]:
+            raise ValueError(f"priority is not topological: {u} -> {v}")
+    preds = dag.predecessors()
+    free = {}
+    entries = {}
+    for j in priority:
+        best = None
+        for i in candidates(j):
+            est = free.get(i, 0)
+            for u in preds[j]:
+                mu, _, eu = entries[u]
+                lag = delays.get((u, j), 0) if mu != i else 0
+                est = max(est, eu + lag)
+            if best is None or est < best[1]:
+                best = (i, est)
+        i, est = best
+        entries[j] = (i, est, est + lengths[j])
+        free[i] = est + lengths[j]
     return Schedule(entries=entries)
 
 
@@ -306,17 +346,7 @@ def greedy_umps(inst: UmpsInstance, priority=None) -> Schedule:
     lowest-index topological order)."""
     if priority is None:
         priority = topological_order(inst.dag)
-    _require_topological(priority, inst.n, inst.dag.edges)
-    preds = inst.dag.predecessors()
-    free = {i: Fraction(0) for i in range(1, inst.m + 1)}
-    entries = {}
-    for j in priority:
-        est = free[inst.home[j]]
-        for u in preds[j]:
-            est = max(est, entries[u][2])
-        entries[j] = (inst.home[j], est, est + inst.lengths[j])
-        free[inst.home[j]] = est + inst.lengths[j]
-    return Schedule(entries=entries)
+    return _list_schedule(inst.dag, priority, inst.lengths, lambda j: (inst.home[j],), {})
 
 
 def solve_umps_exact(inst: UmpsInstance, lim: SolveLimits = None) -> SolveResult:
@@ -412,7 +442,8 @@ def solve_commdelay_exact(inst: CommDelayInstance, lim: SolveLimits = None) -> S
     """
     lim = lim or SolveLimits()
     n = inst.n_total
-    serial = _serial_schedule(inst.dag, 1, lambda j, i: inst.lengths[j])
+    serial = _serial_schedule(inst.dag, dict.fromkeys(range(1, n + 1), 1),
+                              lambda j, i: inst.lengths[j])
     serial_ms = makespan(serial)
 
     # union-find over forced co-location pairs
@@ -438,46 +469,17 @@ def solve_commdelay_exact(inst: CommDelayInstance, lim: SolveLimits = None) -> S
     )
 
 
-def _require_topological(priority, n, edges):
-    if sorted(priority) != list(range(1, n + 1)):
-        raise ValueError("priority must be a permutation of all jobs")
-    pos = {j: k for k, j in enumerate(priority)}
-    for u, v in edges:
-        if pos[u] >= pos[v]:
-            raise ValueError(f"priority is not topological: {u} -> {v}")
-
-
 def list_schedule_commdelay(inst: CommDelayInstance, m: int, priority) -> Schedule:
-    """List scheduling with communication delays.
-
-    Jobs are taken in ``priority`` (a topological order, so each job's
-    predecessors are already placed when it is reached) and assigned to
-    the machine where they can start earliest, counting the edge delay
-    when a predecessor sits on a different machine.  Ties go to the
-    lowest machine index.
-    """
+    """List scheduling with communication delays on machines 1..m: each
+    job in ``priority`` goes where it can start earliest, counting the edge
+    delay from predecessors on other machines; ties go to the lowest
+    machine index."""
     if m < 1:
         raise ValueError("need at least one machine")
     if inst.machines is not None and m > inst.machines:
         raise ValueError(f"instance allows {inst.machines} machines, asked for {m}")
-    _require_topological(priority, inst.n_total, inst.dag.edges)
-    preds = inst.dag.predecessors()
-    free = {i: Fraction(0) for i in range(1, m + 1)}
-    entries = {}
-    for j in priority:
-        best = None
-        for i in range(1, m + 1):
-            est = free[i]
-            for u in preds[j]:
-                mu, _, eu = entries[u]
-                lag = inst.delays[(u, j)] if mu != i else 0
-                est = max(est, eu + lag)
-            if best is None or est < best[1]:
-                best = (i, est)
-        i, est = best
-        entries[j] = (i, est, est + inst.lengths[j])
-        free[i] = est + inst.lengths[j]
-    return Schedule(entries=entries)
+    machines = range(1, m + 1)
+    return _list_schedule(inst.dag, priority, inst.lengths, lambda j: machines, inst.delays)
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +491,10 @@ def solve_related_exact(inst: RelatedInstance, lim: SolveLimits = None) -> Solve
     (speeds break the symmetry) plus per-machine order enumeration."""
     lim = lim or SolveLimits()
     fastest = max(range(1, inst.m + 1), key=lambda i: (inst.machines[i - 1], -i))
+    serial = _serial_schedule(inst.dag, dict.fromkeys(range(1, inst.n + 1), fastest),
+                              inst.duration)
     return _exact_search(
-        inst.dag, lim, _serial_schedule(inst.dag, fastest, inst.duration), inst.duration,
+        inst.dag, lim, serial, inst.duration,
         units=[(j,) for j in range(1, inst.n + 1)],
         classes=[(i,) for i in range(1, inst.m + 1)],
     )

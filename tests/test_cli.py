@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +166,21 @@ def test_missing_file_is_usage_error(tmp_path):
                str(tmp_path / "x.json")) == 2
 
 
+@pytest.mark.parametrize("text", ['{"kind": "umps"}', "[1, 2]"], ids=["missing-field", "list"])
+def test_malformed_file_is_usage_error_without_traceback(tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "schedreduce.cli", "solve", str(bad),
+         "--out", str(tmp_path / "x.json")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "bad.json" in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # roundtrip / bench
 
@@ -180,7 +199,7 @@ def test_roundtrip_commdelay_row(tmp_path, sample8_file):
         "instance_id": "sample8", "n": "8", "m": "3",
         "opt_source": "5", "opt_target": "6",
         "bound_kind": "sandwich_plus_one", "bound_holds": "true",
-        "solver_states": row["solver_states"], "wall_ms": "0",
+        "solver_states": row["solver_states"],
     }
     assert int(row["solver_states"]) > 0
 
@@ -230,7 +249,9 @@ def test_bench_over_corpus(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "rows=3 bound_holds=3/3"
     rows = read_rows(out)
     assert [r["instance_id"] for r in rows] == ["k1", "r1", "r2"]
-    assert all(r["bound_holds"] == "true" and r["wall_ms"] == "0" for r in rows)
+    assert all(r["bound_holds"] == "true" for r in rows)
+    assert (tmp_path / "gap.csv").read_text().splitlines()[0] == (
+        "instance_id,n,m,opt_source,opt_target,bound_kind,bound_holds,solver_states")
     # rerun: byte-identical despite the measured timings on stderr
     first = (tmp_path / "gap.csv").read_bytes()
     assert run("bench", str(corpus), "--out", out) == 0

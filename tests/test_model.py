@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from schedreduce import (
     GroupedRelatedInstance,
     GroupedSchedule,
     JobGroup,
+    JobSetMismatch,
     JobShopInstance,
     KPartiteInstance,
     MachineGroup,
@@ -19,14 +21,19 @@ from schedreduce import (
     RelatedInstance,
     Schedule,
     UmpsInstance,
+    gen_random_umps,
+    greedy_umps,
+    list_schedule_commdelay,
     makespan,
     topological_order,
     trivial_serial_schedule,
+    umps_to_commdelay,
     validate_commdelay,
     validate_grouped,
     validate_related,
     validate_umps,
 )
+from schedreduce.serialize import dump_canonical, to_obj
 from conftest import SAMPLE8, make_sample8
 
 # strategy: random dag via index-increasing edge choices
@@ -278,3 +285,130 @@ def test_trivial_serial_schedule_always_feasible(inst):
     sched = trivial_serial_schedule(inst)
     assert validate_umps(inst, sched).feasible
     assert makespan(sched) == inst.total_length()
+
+
+# ---------------------------------------------------------------------------
+# pinned flat-model behaviour: every violation kind in report order, the
+# structural errors, and the exact bytes of the list and serial schedules
+
+
+def _umps3():
+    # job 1 belongs on machine 1, job 3 on machine 2; job 1 precedes job 3
+    return UmpsInstance(n=3, m=2, lengths={1: 1, 2: 2, 3: 1}, home={1: 1, 2: 1, 3: 2},
+                        dag=PrecedenceDag(3, ((1, 3),)))
+
+
+def _commdelay4(machines):
+    return CommDelayInstance(n_total=4, lengths={1: 1, 2: 2, 3: 1, 4: 1},
+                             delays={(1, 3): 2, (2, 4): 3},
+                             dag=PrecedenceDag(4, ((1, 3), (2, 4))), machines=machines)
+
+
+def _related3():
+    return RelatedInstance(machines=(1, 2), jobs=(2, 2, 1), dag=PrecedenceDag(3, ((1, 3),)))
+
+
+def _checked(validate, make, entries):
+    def run():
+        report = validate(make(), Schedule(entries=entries))
+        return [(v.kind, v.witness) for v in report.violations]
+    return run
+
+
+def _flat_schedule_digest(kind, n, m, seed):
+    def run():
+        inst = gen_random_umps(n, m, Fraction(1, 3), seed, max_length=3)
+        if kind == "greedy":
+            sched = greedy_umps(inst)
+        elif kind == "serial":
+            sched = trivial_serial_schedule(inst)
+        elif kind == "list":
+            delays = {(u, v): (u + v) % 3 for u, v in inst.dag.edges}
+            cd = CommDelayInstance(n_total=n, lengths=inst.lengths, delays=delays,
+                                   dag=inst.dag)
+            sched = list_schedule_commdelay(cd, m, topological_order(cd.dag))
+        else:  # the reduced instance: anchors and huge delays
+            cd = umps_to_commdelay(inst).output
+            sched = list_schedule_commdelay(cd, m, topological_order(cd.dag))
+        text = dump_canonical(to_obj(sched)).encode()
+        return hashlib.sha256(text).hexdigest()[:16]
+    return run
+
+
+FLAT_PINS = {
+    "umps-feasible": (
+        _checked(validate_umps, _umps3, {1: (1, 0, 1), 2: (1, 1, 3), 3: (2, 1, 2)}), []),
+    "umps-every-kind": (
+        _checked(validate_umps, _umps3, {1: (2, 0, 1), 2: (1, -1, 1), 3: (2, 0, 2)}),
+        [("wrong_machine", (1, 2)), ("negative_time", (2,)), ("duration", (3,)),
+         ("overlap", (2, 1, 3)), ("precedence", (1, 3))]),
+    "umps-machine-past-m-is-wrong-home": (
+        _checked(validate_umps, _umps3, {1: (3, 0, 1), 2: (1, 1, 3), 3: (2, 1, 2)}),
+        [("wrong_machine", (1, 3))]),
+    "umps-job-set": (
+        _checked(validate_umps, _umps3, {1: (1, 0, 1), 2: (1, 1, 3)}), JobSetMismatch),
+    "commdelay-feasible": (
+        _checked(validate_commdelay, lambda: _commdelay4(2),
+                 {1: (1, 0, 1), 2: (2, 0, 2), 3: (1, 1, 2), 4: (1, 5, 6)}), []),
+    "commdelay-every-kind": (
+        _checked(validate_commdelay, lambda: _commdelay4(2),
+                 {1: (1, 0, 1), 2: (2, -1, 1), 3: (1, 0, 2), 4: (1, 2, 3)}),
+        [("negative_time", (2,)), ("duration", (3,)), ("overlap", (1, 1, 3)),
+         ("precedence", (1, 3)), ("delay", (2, 4))]),
+    "commdelay-unlimited-every-kind": (
+        _checked(validate_commdelay, lambda: _commdelay4(None),
+                 {1: (1, 0, 1), 2: (7, -1, 1), 3: (1, 0, 2), 4: (1, 2, 3)}),
+        [("negative_time", (2,)), ("duration", (3,)), ("overlap", (1, 1, 3)),
+         ("precedence", (1, 3)), ("delay", (2, 4))]),
+    "commdelay-machine-past-count": (
+        _checked(validate_commdelay, lambda: _commdelay4(2),
+                 {1: (1, 0, 1), 2: (3, 0, 2), 3: (1, 1, 2), 4: (1, 5, 6)}),
+        MachineOutOfRange),
+    "commdelay-unlimited-machine-0": (
+        _checked(validate_commdelay, lambda: _commdelay4(None),
+                 {1: (1, 0, 1), 2: (0, 0, 2), 3: (1, 1, 2), 4: (1, 5, 6)}),
+        MachineOutOfRange),
+    "commdelay-job-set": (
+        _checked(validate_commdelay, lambda: _commdelay4(2), {1: (1, 0, 1)}), JobSetMismatch),
+    "related-feasible": (
+        _checked(validate_related, _related3,
+                 {1: (2, 0, 1), 2: (1, 0, 2), 3: (2, 1, Fraction(3, 2))}), []),
+    "related-every-kind": (
+        _checked(validate_related, _related3,
+                 {1: (2, 0, 1), 2: (1, -1, 1), 3: (2, 0, 1)}),
+        [("negative_time", (2,)), ("duration", (3,)), ("overlap", (2, 1, 3)),
+         ("precedence", (1, 3))]),
+    "related-machine-past-m": (
+        _checked(validate_related, _related3,
+                 {1: (2, 0, 1), 2: (1, 0, 2), 3: (3, 1, Fraction(3, 2))}),
+        MachineOutOfRange),
+    "related-job-set": (
+        _checked(validate_related, _related3, {1: (2, 0, 1)}), JobSetMismatch),
+}
+FLAT_SCHEDULE_DIGESTS = {
+    "greedy-5-2-1": "05e6b28075c5842d",
+    "greedy-6-3-2": "ad09caf40afcdbd4",
+    "greedy-8-3-3": "0ab3ea4ef1deb923",
+    "serial-5-2-1": "79e669e1882eba5d",
+    "serial-6-3-2": "15bf5d1a81f0e083",
+    "serial-8-3-3": "f88c066184e01d1b",
+    "list-5-2-1": "9c3a2801ce72f8b6",
+    "list-6-3-2": "261be738b3eade99",
+    "list-8-3-3": "7f5be7fcd1be3882",
+    "reduced-5-2-1": "05ccafa5347203e5",
+    "reduced-6-3-2": "d28f70cd2b4c1f70",
+    "reduced-8-3-3": "1f09d1fe3badfd40",
+}
+for _name, _digest in FLAT_SCHEDULE_DIGESTS.items():
+    _kind, _n, _m, _seed = _name.split("-")
+    FLAT_PINS[_name] = (_flat_schedule_digest(_kind, int(_n), int(_m), int(_seed)), _digest)
+
+
+@pytest.mark.parametrize("name", list(FLAT_PINS))
+def test_flat_model_checks_and_schedules_are_pinned(name):
+    compute, expected = FLAT_PINS[name]
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            compute()
+    else:
+        assert compute() == expected
