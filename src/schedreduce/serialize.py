@@ -17,6 +17,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+from .errors import CycleDetected
 from .model import (
     CommDelayInstance,
     GroupedPlacement,
@@ -282,11 +283,12 @@ def read_obj(path) -> dict:
 
 def read_file(path):
     """Read a domain object; a file of the wrong shape (a missing field, a
-    list where an object belongs) raises ``ValueError`` naming ``path``."""
+    list where an object belongs, a precedence cycle) raises
+    ``ValueError`` naming ``path``."""
     obj = read_obj(path)
     try:
         return from_obj(obj)
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, CycleDetected) as exc:
         raise ValueError(f"{path}: malformed file ({type(exc).__name__}: {exc})") from exc
 
 

@@ -7,17 +7,21 @@ per-machine processing orders consistent with the precedence
 projection, scores each combination by the earliest-start longest path
 through the combined order graph, and keeps the first strictly best
 result, so ties resolve to the lexicographically earliest combination.
-Times are scaled to integers (by the LCM of their denominators) for the
-search and converted back to ``Fraction`` only in the ``SolveResult``.
-The solvers differ only in how they parameterize it:
+Interchangeable machines are opened in label order and twin jobs are
+kept in job order; these rules skip symmetric copies of a schedule but
+keep the lexicographically earliest member of each class, so optima and
+tie-breaks are those of the unrestricted search.  Times are scaled to
+integers (by the LCM of their denominators) for the search and converted
+back to ``Fraction`` only in the ``SolveResult``.  The solvers differ
+only in how they parameterize it:
 
 - fixed-home jobs pin every job to its home machine, so the search is
   the order enumeration alone;
 - communication delays place forced co-location units on one class of
   interchangeable machines (set partitions, capped at the machine count)
   and pay the edge delay between machines;
-- related machines place single jobs on labeled machines, one class per
-  machine, with speed-scaled durations.
+- related machines place single jobs on machines grouped into one class
+  per distinct speed, with speed-scaled durations.
 
 Sound pruning (admissible lower bounds, forced co-location under huge
 delays, and a completed-set dynamic program for unit lengths) keeps
@@ -91,33 +95,6 @@ class _Search:
             self.best_payload = payload
 
 
-def _earliest_starts(n_nodes: int, edges):
-    """Earliest-start longest path over nodes 1..n_nodes.
-
-    ``edges`` is an iterable of (u, v, weight): v starts at least
-    ``weight`` after u starts.  Returns the start list (index 0 unused)
-    or None if the graph has a cycle.
-    """
-    indeg = [0] * (n_nodes + 1)
-    adj = [[] for _ in range(n_nodes + 1)]
-    for u, v, w in edges:
-        adj[u].append((v, w))
-        indeg[v] += 1
-    start = [0] * (n_nodes + 1)
-    queue = deque(v for v in range(1, n_nodes + 1) if indeg[v] == 0)
-    done = 0
-    while queue:
-        u = queue.popleft()
-        done += 1
-        for v, w in adj[u]:
-            if start[u] + w > start[v]:
-                start[v] = start[u] + w
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    return start if done == n_nodes else None
-
-
 def _extensions(jobs, pred_sets):
     """Yield the linear extensions of a tiny poset in lexicographic order."""
     jobs = sorted(jobs)
@@ -139,54 +116,59 @@ def _extensions(jobs, pred_sets):
     yield from rec()
 
 
-def _projected_preds(jobs, reach):
-    jobs_set = set(jobs)
-    return {
-        v: {u for u in jobs_set if u != v and v in reach[u]}
-        for v in jobs_set
-    }
+def _relax(pending, start, succ, dur, limit, changed):
+    """Raise earliest starts along ``succ`` from the ``(job, start)``
+    candidates in ``pending``, logging each overwritten start in
+    ``changed``.  Returns the latest end raised, or None as soon as an end
+    reaches ``limit``.  Every edge weight is positive, so a cycle raises
+    its ends without bound and always ends in None."""
+    top = 0
+    while pending:
+        v, t = pending.pop()
+        if t > start[v]:
+            changed.append((v, start[v]))
+            start[v] = t
+            if t + dur[v] >= limit:
+                return None
+            if t + dur[v] > top:
+                top = t + dur[v]
+            pending.extend([(w, t + c) for w, c in succ[v]])
+    return top
 
 
-def _orders_dfs(search, groups, n_nodes, base_edges, duration, reach):
-    """Enumerate per-group orders with incremental lower-bound pruning.
+def _orders_dfs(search, groups, succ, dur, start, bound, labels):
+    """Enumerate per-machine orders with incremental longest paths.
 
-    ``groups`` is a list of (label, sorted jobs) and ``duration(j)`` is
-    job j's time in its group.  At every level the succession edges
-    (weighted by the earlier job's duration) plus ``base_edges`` give an
-    admissible relaxation; a cycle in it rules out every completion, and
-    a bound at or above the incumbent prunes.  At the leaves the earliest-start
-    makespan is offered to ``search`` together with the group labels.
+    ``groups`` lists, machine by machine, the jobs and the poset their
+    order must extend; ``succ`` holds the weighted edges of the assigned
+    dag, ``start`` its earliest starts and ``bound`` its makespan.  Each
+    order adds succession edges (weighted by the earlier job's time),
+    relaxes the starts they raise, and prunes once an end reaches the
+    incumbent, which covers cycles too.  Every full set of orders offers
+    its makespan to ``search`` with a copy of ``labels``, each job's
+    machine.
     """
-    labels = {}
-    for label, jobs in groups:
-        for j in jobs:
-            labels[j] = label
-    pred_sets = [
-        _projected_preds(jobs, reach) for _, jobs in groups
-    ]
-    succ_edges = []
 
-    def level(k):
-        search.tick()
-        starts = _earliest_starts(n_nodes, itertools.chain(base_edges, succ_edges))
-        if starts is None:
-            return
-        bound = max(starts[j] + duration(j) for j in range(1, n_nodes + 1))
-        if search.best_ms is not None and bound >= search.best_ms:
-            return
+    def level(k, bound):
         if k == len(groups):
-            search.offer(bound, (dict(labels), list(starts)))
+            search.offer(bound, (list(labels), list(start)))
             return
-        for order in _extensions(groups[k][1], pred_sets[k]):
-            added = [
-                (order[a], order[a + 1], duration(order[a]))
-                for a in range(len(order) - 1)
-            ]
-            succ_edges.extend(added)
-            level(k + 1)
-            del succ_edges[len(succ_edges) - len(added):]
+        jobs, pred_sets = groups[k]
+        for order in _extensions(jobs, pred_sets):
+            search.tick()
+            pending, changed = [], []
+            for u, v in zip(order, order[1:]):
+                succ[u].append((v, dur[u]))
+                pending.append((v, start[u] + dur[u]))
+            top = _relax(pending, start, succ, dur, search.best_ms, changed)
+            if top is not None and max(bound, top) < search.best_ms:
+                level(k + 1, max(bound, top))
+            for v, old in reversed(changed):
+                start[v] = old
+            for u in order[:-1]:
+                succ[u].pop()
 
-    level(0)
+    level(0, bound)
 
 
 def _serial_schedule(dag, machine_of, duration) -> Schedule:
@@ -248,14 +230,29 @@ def _exact_search(dag, lim, serial, duration, delay=None, pinned=None, units=(),
     dag edge to the extra wait paid when its ends sit on different
     machines.  Times are scaled by the LCM of their denominators, so the
     search runs on plain ints and only the result converts back to
-    ``Fraction``.  ``pinned`` fixes every job's machine up front, so the
-    search goes straight to the order enumeration.  Otherwise ``units``
-    (tuples of jobs that must share a machine) are placed in order, and
-    ``classes`` (tuples of interchangeable machines) limit each unit to
-    the machines already opened in a class plus the next one.  Every
-    assignment level prunes on an admissible bound: unplaced jobs at
-    their fastest time, delays on edges already placed apart, and
-    machine loads.  The ``serial`` schedule seeds the incumbent and is
+    ``Fraction``.  ``pinned`` fixes jobs to machines up front; with no
+    ``units`` the search goes straight to the order enumeration.
+    Otherwise ``units`` (tuples of jobs that must share a machine) are
+    placed in order, each on the machines of ``classes`` (tuples of
+    interchangeable machines) in increasing label order, skipping any
+    machine past the first one not yet used in its class.
+
+    Twin jobs (the same time on every machine, the same predecessors,
+    successors and edge delays, the same pin) are interchangeable too: a
+    later single-job unit never takes a lower machine than its earlier
+    twin, and twins sharing a machine run in job order.  Each symmetry
+    rule keeps the lexicographically least member of every class of
+    equivalent schedules, the one an unrestricted search meets first, so
+    the rules change the states explored but neither the optimum nor the
+    schedule returned.
+
+    Every assignment level computes earliest starts in one pass over a
+    topological order and prunes on an admissible bound: unplaced jobs at
+    their fastest time, delays on edges already placed apart, and machine
+    loads.  No child's bound is below its parent's, so once the incumbent
+    drops to a node's bound its remaining children are skipped.  A full
+    assignment hands its starts to :func:`_orders_dfs` without counting
+    another state.  The ``serial`` schedule seeds the incumbent and is
     returned when nothing beats it.
     """
     n = dag.node_count
@@ -263,75 +260,117 @@ def _exact_search(dag, lim, serial, duration, delay=None, pinned=None, units=(),
         return SolveResult(makespan(serial), serial, proven_optimal=False, states_explored=0)
     reach = dag.reachable()
     delay = delay or {}
-    machine_of = dict(pinned or {})
-    machines = sorted(set(itertools.chain(*classes)) | set(machine_of.values()))
-    exact = {(j, i): Fraction(duration(j, i)) for j in range(1, n + 1) for i in machines}
+    pinned = pinned or {}
+    jobs = range(1, n + 1)
+    class_of = {i: (c, slot) for c, cls in enumerate(classes) for slot, i in enumerate(cls)}
+    machines = sorted(set(class_of) | set(pinned.values()))
+    exact = {(j, i): Fraction(duration(j, i)) for j in jobs for i in machines}
     scale = math.lcm(*(t.denominator for t in itertools.chain(exact.values(), delay.values())))
     time_of = {key: int(t * scale) for key, t in exact.items()}
     delay = {e: int(c * scale) for e, c in delay.items()}
     search = _Search(lim)
     search.offer(int(makespan(serial) * scale), None)
-    fastest = {j: min(time_of[j, i] for i in machines) for j in range(1, n + 1)}
-    loads = {i: 0 for i in machines}
+
+    preds = [[] for _ in range(n + 1)]  # (u, delay) per job
+    succs = [[] for _ in range(n + 1)]  # (v, delay) per job
+    for u, v in dag.edges:
+        preds[v].append((u, delay.get((u, v), 0)))
+        succs[u].append((v, delay.get((u, v), 0)))
+    topo = [(v, preds[v]) for v in topological_order(dag)]
+    # mach[j] is job j's machine (0 until placed) and dur[j] its time
+    # there, or its fastest time while unplaced
+    fastest = [0] + [min(time_of[j, i] for i in machines) for j in jobs]
+    mach = [0] + [pinned.get(j, 0) for j in jobs]
+    dur = [time_of[j, mach[j]] if mach[j] else fastest[j] for j in range(n + 1)]
+    loads = dict.fromkeys(machines, 0)
+    for j, i in pinned.items():
+        loads[i] += dur[j]
+
+    first, twin = {}, {}  # twin[j]: the first job of j's twin class
+    for j in jobs:
+        key = (tuple(time_of[j, i] for i in machines), tuple(sorted(preds[j])),
+               tuple(sorted(succs[j])), pinned.get(j))
+        twin[j] = first.setdefault(key, j)
+    # before[v]: the jobs that must run before v when they share its machine
+    before = [set()] + [{u for u in jobs if v in reach[u] or u < v and twin[u] == twin[v]}
+                        for v in jobs]
+    floor_of, last = {}, {}  # unit index -> the earlier single-job twin it may not undercut
+    for k, unit in enumerate(units):
+        if len(unit) == 1:
+            if twin[unit[0]] in last:
+                floor_of[k] = last[twin[unit[0]]]
+            last[twin[unit[0]]] = unit[0]
+    candidates = [(i, *class_of[i]) for i in sorted(class_of)]
     opened = [0] * len(classes)
 
-    def cost(j):
-        i = machine_of.get(j)
-        return fastest[j] if i is None else time_of[j, i]
+    def bound():
+        """Earliest starts of the dag as placed so far, and the bound."""
+        start = [0] * (n + 1)
+        path = max(loads.values())
+        for v, pv in topo:
+            s = 0
+            for u, c in pv:
+                t = start[u] + dur[u]
+                if c and mach[u] and mach[v] and mach[u] != mach[v]:
+                    t += c
+                if t > s:
+                    s = t
+            start[v] = s
+            if s + dur[v] > path:
+                path = s + dur[v]
+        return start, path
 
-    def edges():
-        for u, v in dag.edges:
-            w = cost(u)
-            c = delay.get((u, v))
-            if c and u in machine_of and v in machine_of and machine_of[u] != machine_of[v]:
-                w += c
-            yield u, v, w
-
-    def leaf():
+    def leaf(start, path):
+        succ = [[(v, dur[u] + (c if mach[u] != mach[v] else 0)) for v, c in succs[u]]
+                for u in range(n + 1)]
         by_machine = {}
-        for j, i in machine_of.items():
-            by_machine.setdefault(i, []).append(j)
-        groups = [(i, sorted(jobs)) for i, jobs in sorted(by_machine.items())]
-        _orders_dfs(search, groups, n, list(edges()), cost, reach)
+        for j in jobs:
+            by_machine.setdefault(mach[j], []).append(j)
+        groups = []
+        for _, group in sorted(by_machine.items()):
+            if len(group) > 1:  # a lone job has one order and adds no edge
+                members = set(group)
+                groups.append((group, {v: before[v] & members for v in group}))
+        _orders_dfs(search, groups, succ, dur, start, path, mach)
 
     def assign(k):
         search.tick()
-        starts = _earliest_starts(n, edges())
-        path = max(starts[j] + cost(j) for j in range(1, n + 1))
-        if max(path, max(loads.values())) >= search.best_ms:
+        start, path = bound()
+        if path >= search.best_ms:
             return
         if k == len(units):
-            leaf()
+            leaf(start, path)
             return
         unit = units[k]
-        for c, cls in enumerate(classes):
-            for slot, i in enumerate(cls[:opened[c] + 1]):
-                fresh = slot == opened[c]  # opens the next machine of the class
-                load = sum(time_of[j, i] for j in unit)
-                opened[c] += fresh
-                loads[i] += load
-                for j in unit:
-                    machine_of[j] = i
-                assign(k + 1)
-                for j in unit:
-                    del machine_of[j]
-                loads[i] -= load
-                opened[c] -= fresh
+        low = mach[floor_of[k]] if k in floor_of else 0
+        for i, c, slot in candidates:
+            if slot > opened[c] or i < low:
+                continue
+            fresh = slot == opened[c]  # opens the next machine of the class
+            opened[c] += fresh
+            for j in unit:
+                mach[j], dur[j] = i, time_of[j, i]
+                loads[i] += dur[j]
+            assign(k + 1)
+            for j in unit:
+                loads[i] -= dur[j]
+                mach[j], dur[j] = 0, fastest[j]
+            opened[c] -= fresh
+            if path >= search.best_ms:  # every later child starts from this bound
+                return
 
     proven = True
     try:
-        if pinned is None:
-            assign(0)
-        else:
-            leaf()
+        assign(0)
     except _Abort:
         proven = False
     if search.best_payload is None:
         return SolveResult(makespan(serial), serial, proven, search.states)
     labels, starts = search.best_payload
     entries = {
-        j: (i, Fraction(starts[j], scale), Fraction(starts[j] + time_of[j, i], scale))
-        for j, i in sorted(labels.items())
+        j: (labels[j], Fraction(starts[j], scale),
+            Fraction(starts[j] + time_of[j, labels[j]], scale))
+        for j in jobs
     }
     return SolveResult(Fraction(search.best_ms, scale), Schedule(entries=entries), proven,
                        search.states)
@@ -487,16 +526,20 @@ def list_schedule_commdelay(inst: CommDelayInstance, m: int, priority) -> Schedu
 
 
 def solve_related_exact(inst: RelatedInstance, lim: SolveLimits = None) -> SolveResult:
-    """Exact optimum on related machines by labeled machine assignment
-    (speeds break the symmetry) plus per-machine order enumeration."""
+    """Exact optimum on related machines: single jobs placed on machines
+    grouped into one class per distinct speed (equal-speed machines are
+    interchangeable), plus per-machine order enumeration."""
     lim = lim or SolveLimits()
     fastest = max(range(1, inst.m + 1), key=lambda i: (inst.machines[i - 1], -i))
     serial = _serial_schedule(inst.dag, dict.fromkeys(range(1, inst.n + 1), fastest),
                               inst.duration)
+    by_speed = {}
+    for i, speed in enumerate(inst.machines, start=1):
+        by_speed.setdefault(speed, []).append(i)
     return _exact_search(
         inst.dag, lim, serial, inst.duration,
         units=[(j,) for j in range(1, inst.n + 1)],
-        classes=[(i,) for i in range(1, inst.m + 1)],
+        classes=[tuple(machines) for machines in by_speed.values()],
     )
 
 

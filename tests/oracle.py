@@ -13,6 +13,9 @@ used.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 
 def _topo(n, edges):
     indeg = {v: 0 for v in range(1, n + 1)}
@@ -119,3 +122,55 @@ def oracle_commdelay_optimum(inst, machine_cap: int = None) -> int:
         if fits(0, deadline):
             return deadline
     raise AssertionError("co-located serial schedule always fits")
+
+
+def oracle_related_optimum(inst) -> Fraction:
+    """Smallest makespan over explicit (machine, start) choices on related
+    machines, searched on a speed-scaled integer grid.
+
+    With L the LCM of the speeds, job j takes ``jobs[j] * L / speed`` grid
+    units on a machine of that speed, an integer, so the left-shift
+    argument above makes the grid exhaustive; the optimum is the smallest
+    feasible grid deadline divided by L.  Machines of one speed that are
+    still empty are interchangeable, so a job tries only the first of them.
+    """
+    n, edges = inst.n, inst.dag.edges
+    speeds = inst.machines
+    grid = math.lcm(*speeds)
+    time = {(j, i): inst.jobs[j - 1] * grid // speeds[i - 1]
+            for j in range(1, n + 1) for i in range(1, len(speeds) + 1)}
+    order = _topo(n, edges)
+    pred = _preds(n, edges)
+    fastest = {j: min(time[j, i] for i in range(1, len(speeds) + 1)) for j in range(1, n + 1)}
+    work = sum(inst.jobs) * grid
+    lb = max(_chain_bound(n, fastest, edges), -(-work // sum(speeds)))
+
+    placed = {}  # job -> (machine, start, end)
+
+    def fits(k, deadline):
+        if k == len(order):
+            return True
+        j = order[k]
+        lo = max((placed[u][2] for u in pred[j]), default=0)
+        used = {mi for mi, _, _ in placed.values()}
+        tried_empty = set()
+        for i in range(1, len(speeds) + 1):
+            if i not in used:
+                if speeds[i - 1] in tried_empty:
+                    continue
+                tried_empty.add(speeds[i - 1])
+            p = time[j, i]
+            same = [(b, e) for (mi, b, e) in placed.values() if mi == i]
+            for s in range(lo, deadline - p + 1):
+                if all(e <= s or s + p <= b for b, e in same):
+                    placed[j] = (i, s, s + p)
+                    if fits(k + 1, deadline):
+                        del placed[j]
+                        return True
+                    del placed[j]
+        return False
+
+    for deadline in range(lb, sum(fastest.values()) + 1):
+        if fits(0, deadline):
+            return Fraction(deadline, grid)
+    raise AssertionError("serial schedule on a fastest machine always fits")

@@ -166,7 +166,14 @@ def test_missing_file_is_usage_error(tmp_path):
                str(tmp_path / "x.json")) == 2
 
 
-@pytest.mark.parametrize("text", ['{"kind": "umps"}', "[1, 2]"], ids=["missing-field", "list"])
+CYCLIC_UMPS = json.dumps({
+    "kind": "umps", "n": 2, "m": 1, "lengths": {"1": 1, "2": 1}, "home": {"1": 1, "2": 1},
+    "dag": {"node_count": 2, "edges": [[1, 2], [2, 1]]},
+})
+
+
+@pytest.mark.parametrize("text", ['{"kind": "umps"}', "[1, 2]", CYCLIC_UMPS],
+                         ids=["missing-field", "list", "cycle"])
 def test_malformed_file_is_usage_error_without_traceback(tmp_path, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)

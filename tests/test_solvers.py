@@ -17,11 +17,13 @@ from schedreduce import (
     greedy_umps,
     list_schedule_commdelay,
     makespan,
+    materialize_related,
     solve_commdelay_exact,
     solve_related_exact,
     solve_umps_exact,
     topological_order,
     umps_to_commdelay,
+    umps_to_related,
     validate_commdelay,
     validate_related,
     validate_umps,
@@ -29,7 +31,7 @@ from schedreduce import (
 )
 from schedreduce.serialize import dump_canonical, to_obj
 from conftest import SAMPLE8
-from oracle import oracle_commdelay_optimum, oracle_umps_optimum
+from oracle import oracle_commdelay_optimum, oracle_related_optimum, oracle_umps_optimum
 
 F = Fraction
 
@@ -282,11 +284,12 @@ def _related(n, speeds, seed):
 
 # (solver, instance, limits, optimum, proven_optimal, states_explored,
 #  sha256 of the canonical schedule JSON).  A refactor of the search must
-# keep every field: the hash pins tie-breaks, the state count pins the
-# pruning order, and the capped rows pin the best-so-far on a budget trip.
+# keep every field, and a faster search may only lower the state count:
+# the hash pins tie-breaks, the state count pins the pruning order, and
+# the capped rows pin the best-so-far on a budget trip.
 PINNED = [
     pytest.param(solve_umps_exact, lambda: _weighted(5, 2, 1), SolveLimits(),
-                 "6", True, 9,
+                 "6", True, 6,
                  "e4dbada5066595fcd25ef06402aa4cbc7c338bb0a89fe1b726d4f154312c439d",
                  id="umps-5-2-1"),
     pytest.param(solve_umps_exact, lambda: _weighted(6, 2, 2), SolveLimits(),
@@ -318,19 +321,19 @@ PINNED = [
                  "4585a1386a1e5756f153186143070b6f175b2a54997445bc17d6a23fda053c8a",
                  id="umps-capped"),
     pytest.param(solve_commdelay_exact, lambda: _reduced(4, 2, 1), SolveLimits(max_jobs=12),
-                 "5", True, 11,
+                 "5", True, 10,
                  "2bdb52dd87668b9354772d9a28f2e2276199013b35dbcf0aedab6c5e8b89362b",
                  id="reduced-4-2-1"),
     pytest.param(solve_commdelay_exact, lambda: _reduced(5, 2, 2), SolveLimits(max_jobs=12),
-                 "6", True, 10,
+                 "6", True, 9,
                  "3e7801cb2bec44cf0054742359cdb74cd420ef5d77d398115c3d4b3a34d97dd8",
                  id="reduced-5-2-2"),
     pytest.param(solve_commdelay_exact, lambda: _reduced(6, 2, 3), SolveLimits(max_jobs=12),
-                 "7", True, 11,
+                 "7", True, 10,
                  "9dd959b1bba51ad4928ae92c16d9ce3a5f77d5db9189d9e1f5c7028459277d33",
                  id="reduced-6-2-3"),
     pytest.param(solve_commdelay_exact, lambda: _reduced(5, 3, 4), SolveLimits(max_jobs=12),
-                 "5", True, 25,
+                 "5", True, 23,
                  "a822dfcfbeae381795fe030337715aabd68bee1ba29f7cadee9942faedf81de1",
                  id="reduced-5-3-4"),
     pytest.param(solve_commdelay_exact, lambda: _reduced(6, 2, 3), SolveLimits(max_jobs=12, max_states=5),
@@ -338,23 +341,23 @@ PINNED = [
                  "061d7b1907e228ddee7c1b140442b4be0858346e253687abe2a3f8c6781932c6",
                  id="reduced-capped"),
     pytest.param(solve_commdelay_exact, lambda: _uniform(5, 1, 1, None), SolveLimits(),
-                 "7", True, 19,
+                 "7", True, 12,
                  "9c3a2801ce72f8b6f7cb0e976412194aa9205fb52b918e0d21922c3119e84a82",
                  id="uniform-5-1-1-None"),
     pytest.param(solve_commdelay_exact, lambda: _uniform(6, 2, 2, None), SolveLimits(),
-                 "9", True, 68,
+                 "9", True, 62,
                  "cee88fc0a721f04a6039a32fcbe230576d3052c6d5ee67ef5b0e9aa5d72d378a",
                  id="uniform-6-2-2-None"),
     pytest.param(solve_commdelay_exact, lambda: _uniform(5, 1, 3, 2), SolveLimits(),
-                 "6", True, 33,
+                 "6", True, 25,
                  "44031b90cd356a7a42ebb96a9ef1aa01204ceb47d6a723ff30d25e7dde2de526",
                  id="uniform-5-1-3-2"),
     pytest.param(solve_commdelay_exact, lambda: _uniform(6, 2, 4, 2), SolveLimits(),
-                 "11", True, 51,
+                 "11", True, 49,
                  "5f44d8c16b908f0ac5d54be8baee8674c7e68b9ac502daa4cc07fd0cb1147d68",
                  id="uniform-6-2-4-2"),
     pytest.param(solve_commdelay_exact, lambda: _uniform(6, 0, 5, 2), SolveLimits(),
-                 "7", True, 86,
+                 "7", True, 74,
                  "73fca7bc375ac1e6805f7de5cd31a9bcaa21ce3939791a086749e3955dee6ef7",
                  id="uniform-6-0-5-2"),
     pytest.param(solve_commdelay_exact, lambda: _uniform(6, 0, 5, 2), SolveLimits(max_states=20),
@@ -362,23 +365,23 @@ PINNED = [
                  "7923b25921c20e3d3101e41879d3a2cb093471f37ba3b891c3b7322a414b6965",
                  id="uniform-capped"),
     pytest.param(solve_related_exact, lambda: _related(4, (1, 2, 3), 1), SolveLimits(),
-                 "5/3", True, 36,
+                 "5/3", True, 29,
                  "0ccb4ce098822eadb45c018b959680021f60e235aa682452d52f93f7f28114b3",
                  id="related-4-1"),
     pytest.param(solve_related_exact, lambda: _related(5, (3, 1, 2), 2), SolveLimits(),
-                 "7/3", True, 52,
+                 "7/3", True, 38,
                  "58542bc40b984f0e3b66fc6b2aeb8fc22cbe33d7e4805394a2b8de2031152825",
                  id="related-5-2"),
     pytest.param(solve_related_exact, lambda: _related(5, (2, 2, 3), 3), SolveLimits(),
-                 "8/3", True, 56,
+                 "8/3", True, 38,
                  "dd6fd913d150cb411280604d2916c377aff4dac0f1b469244f9e3394dae8b2de",
                  id="related-5-3"),
     pytest.param(solve_related_exact, lambda: _related(6, (1, 2, 4), 4), SolveLimits(),
-                 "3", True, 238,
+                 "3", True, 210,
                  "d6a318836ba8ca4e4ecd77300027f0df8484fb06bb9e9efad7cff250982b2f21",
                  id="related-6-4"),
     pytest.param(solve_related_exact, lambda: _related(6, (1, 1, 2), 5), SolveLimits(),
-                 "4", True, 106,
+                 "4", True, 81,
                  "d948a98b12125de8f5d1ed4273ded32a86c962e83b06a21e762f1bee0578d5db",
                  id="related-6-5"),
     pytest.param(solve_related_exact, lambda: _related(6, (1, 2, 4), 4), SolveLimits(max_states=60),
@@ -438,6 +441,80 @@ def test_scaling_times_scales_only_the_optimum(solve, make, power, k):
         assert type(result.optimum) is Fraction
         assert all(type(t) is Fraction
                    for _, start, end in result.schedule.entries.values() for t in (start, end))
+
+
+# ---------------------------------------------------------------------------
+# symmetry breaking: equal-speed machines and twin jobs
+
+
+def _kappa2(homed, p, seed):
+    """The speed-scaling gadget at kappa = 2, materialized: ``homed[i]``
+    source jobs on home machine i + 1 become 4 * homed[0] + homed[1] flat
+    jobs on four speed-1 machines and one speed-2 machine."""
+    n = sum(homed)
+    base = gen_random_umps(n, 1, p, seed)
+    src = UmpsInstance(n=n, m=2, lengths=base.lengths,
+                       home={j: 1 if j <= homed[0] else 2 for j in range(1, n + 1)},
+                       dag=base.dag)
+    flat, _, _ = materialize_related(umps_to_related(src, kappa_override=2).output)
+    return flat
+
+
+def _with_twin(inst, k):
+    """``inst`` plus job n + 1, a twin of job k: same length, same neighbours."""
+    t = inst.n + 1
+    edges = list(inst.dag.edges)
+    edges += [(u, t) for u, v in inst.dag.edges if v == k]
+    edges += [(t, v) for u, v in inst.dag.edges if u == k]
+    return RelatedInstance(machines=inst.machines, jobs=inst.jobs + (inst.jobs[k - 1],),
+                           dag=PrecedenceDag(t, tuple(edges)))
+
+
+def _relabeled(inst, perm):
+    """``inst`` with job j renamed ``perm[j - 1]``."""
+    jobs = [0] * inst.n
+    for j, p in enumerate(inst.jobs, start=1):
+        jobs[perm[j - 1] - 1] = p
+    edges = tuple((perm[u - 1], perm[v - 1]) for u, v in inst.dag.edges)
+    return RelatedInstance(machines=inst.machines, jobs=tuple(jobs),
+                           dag=PrecedenceDag(inst.n, edges))
+
+
+REPEATED_SPEEDS = [(2, 1, 2), (2, 2, 1), (1, 1, 2), (3, 1, 3)]
+
+# at most 7 flat jobs: (jobs homed on machine 1, jobs homed on machine 2)
+kappa2_related = st.tuples(
+    st.sampled_from([(0, b) for b in range(2, 8)] + [(1, b) for b in range(1, 4)]),
+    st.sampled_from([F(1, 4), F(1, 2)]), st.integers(0, 10_000),
+).map(lambda t: _kappa2(*t))
+
+twinned_related = st.tuples(
+    st.integers(2, 5), st.sampled_from(REPEATED_SPEEDS), st.integers(0, 10_000),
+    st.integers(1, 5),
+).map(lambda t: _with_twin(_related(t[0], t[1], t[2]), min(t[3], t[0])))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(kappa2_related, twinned_related))
+def test_related_solver_agrees_with_speed_scaled_brute_force(inst):
+    result = solve_related_exact(inst)
+    assert result.proven_optimal
+    assert validate_related(inst, result.schedule).feasible
+    assert result.optimum == oracle_related_optimum(inst)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 10_000), st.integers(1, 5), st.randoms())
+def test_relabeling_machines_or_twins_keeps_the_optimum(n, seed, k, rnd):
+    inst = _with_twin(_related(n, (2, 1, 2), seed), min(k, n))
+    moved = RelatedInstance(machines=(2, 2, 1), jobs=inst.jobs, dag=inst.dag)
+    perm = list(range(1, inst.n + 1))
+    rnd.shuffle(perm)
+    base = solve_related_exact(inst)
+    for other in (moved, _relabeled(inst, perm)):
+        result = solve_related_exact(other)
+        assert (result.optimum, result.proven_optimal) == (base.optimum, base.proven_optimal)
+        assert validate_related(other, result.schedule).feasible
 
 
 # ---------------------------------------------------------------------------
