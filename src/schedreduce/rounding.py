@@ -22,10 +22,18 @@ In canonical form the leftover ("partial") mass on a machine grows by at
 most gamma per slot, so when gamma * horizon <= 1/(10 n) each slot hosts
 at most two jobs and doubling every slot yields an integral schedule of
 at most twice the horizon: :func:`extract_integral`.
+
+The arithmetic runs on an integer mass base, as the exact search runs on
+an integer time base: the property check, the rewrites, the greedy sweep
+and the partial-load bound scale every mass by the LCM of the mass
+denominators (times gamma's, where gamma enters) and work in ints.
+``Fraction`` appears only at the boundary: the ``y`` of a trace line and
+the masses of a returned schedule.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,7 +49,6 @@ from .errors import (
 from .model import Schedule, UmpsInstance, as_fraction, validate_grouped, validate_umps
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -62,9 +69,9 @@ class FractionalSchedule:
         norm = {}
         for (job, slot), x in self.mass.items():
             x = as_fraction(x)
-            if x < 0 or x > 1:
+            if not 0 <= x.numerator <= x.denominator:
                 raise PropertyViolated(f"mass x[{job},{slot}] = {x} outside [0, 1]")
-            if x > 0:
+            if x.numerator:
                 norm[(int(job), int(slot))] = x
         object.__setattr__(self, "mass", norm)
         object.__setattr__(self, "gamma", as_fraction(self.gamma))
@@ -105,27 +112,39 @@ def _windows(mass, n):
     return {job: (lo[job], hi[job]) for job in lo if 1 <= job <= n}
 
 
+def _units(x: Fraction, unit: int) -> int:
+    """``x`` in units of ``1/unit``; ``unit`` must be a multiple of its denominator."""
+    return x.numerator * (unit // x.denominator)
+
+
 def _check_properties(fs: FractionalSchedule):
+    # totals and loads are summed as ints in units of 1/unit, where unit is
+    # the LCM of the mass and gamma denominators
     inst = fs.umps_ref
-    totals = {l: ZERO for l in range(1, inst.n + 1)}
+    unit = math.lcm(fs.gamma.denominator, *(x.denominator for x in fs.mass.values()))
+    totals = {l: 0 for l in range(1, inst.n + 1)}
     loads = {}
     for (job, slot), x in fs.mass.items():
         if not 1 <= job <= inst.n:
             raise PropertyViolated(f"unknown job {job}")
         if not 1 <= slot <= fs.horizon:
             raise PropertyViolated(f"slot {slot} outside 1..{fs.horizon}")
-        totals[job] += x
+        units = _units(x, unit)
+        totals[job] += units
         key = (inst.home[job], slot)
-        loads[key] = loads.get(key, ZERO) + x
+        loads[key] = loads.get(key, 0) + units
+    low = unit - _units(fs.gamma, unit)
     for job, total in totals.items():
-        if total < 1 - fs.gamma or total > 1:
+        if total < low or total > unit:
             raise PropertyViolated(
-                f"job {job}: total mass {total} outside [1 - gamma, 1] = "
+                f"job {job}: total mass {Fraction(total, unit)} outside [1 - gamma, 1] = "
                 f"[{1 - fs.gamma}, 1]"
             )
     for (machine, slot), load in loads.items():
-        if load > 1:
-            raise PropertyViolated(f"machine {machine}, slot {slot}: load {load} > 1")
+        if load > unit:
+            raise PropertyViolated(
+                f"machine {machine}, slot {slot}: load {Fraction(load, unit)} > 1"
+            )
     win = _windows(fs.mass, inst.n)
     for u, v in inst.dag.edges:
         if win[u][1] >= win[v][0]:
@@ -196,79 +215,140 @@ def _trace_line(kind, machine, jobs, slot, y):
     return f"{kind} machine={machine} jobs={names} slot={slot} y={y.numerator}/{y.denominator}"
 
 
-def _find_swap(mass, windows, inst, horizon):
-    """Lexicographically first (slot, machine, l1, l2) where an
-    earlier-finishing l1 can still run at the slot but a later-finishing
-    l2 holds mass there.  Ties on finish slot go to the lower index."""
-    for t in range(1, horizon + 1):
-        for i in range(1, inst.m + 1):
-            jobs_i = inst.jobs_on(i)
-            for l1 in jobs_i:
-                if l1 not in windows:
+class _Rewrites:
+    """Working state that the swap and fill rewrites share.
+
+    Masses are ints in units of ``1/unit``, where ``unit`` is the LCM of
+    the input's mass denominators; both rewrites move the smaller of two
+    masses (or of a mass and a slack), so every mass stays on that grid.
+    ``slots`` maps each job to its {slot: units}, ``loads`` each (machine,
+    slot) to its units, and ``windows`` each job to its (first, last)
+    slot; every move updates all three in place.
+    """
+
+    def __init__(self, fs: FractionalSchedule):
+        inst = fs.umps_ref
+        self.fs = fs
+        self.unit = math.lcm(*(x.denominator for x in fs.mass.values()))
+        self.home = inst.home
+        self.jobs_on = [inst.jobs_on(i) for i in range(inst.m + 1)]
+        self.slots = {}
+        self.loads = {}
+        for (job, slot), x in fs.mass.items():
+            units = _units(x, self.unit)
+            self.slots.setdefault(job, {})[slot] = units
+            key = (inst.home[job], slot)
+            self.loads[key] = self.loads.get(key, 0) + units
+        self.windows = {job: (min(s), max(s)) for job, s in self.slots.items()}
+
+    def snapshot(self) -> dict:
+        return {job: dict(s) for job, s in self.slots.items()}
+
+    def schedule(self) -> FractionalSchedule:
+        """The current masses as a re-validated :class:`FractionalSchedule`."""
+        fs, unit = self.fs, self.unit
+        mass = {
+            (job, slot): Fraction(x, unit)
+            for job, s in self.slots.items()
+            for slot, x in s.items()
+        }
+        return FractionalSchedule(fs.horizon, mass, fs.gamma, fs.umps_ref)
+
+    def _move(self, job, slot_from, slot_to, y):
+        slots = self.slots[job]
+        if slots[slot_from] == y:
+            del slots[slot_from]
+        else:
+            slots[slot_from] -= y
+        slots[slot_to] = slots.get(slot_to, 0) + y
+        home = self.home[job]
+        self.loads[(home, slot_from)] -= y
+        self.loads[(home, slot_to)] = self.loads.get((home, slot_to), 0) + y
+        self.windows[job] = (min(slots), max(slots))
+
+    def _next_slot(self, job, t):
+        return min(s for s in self.slots[job] if s > t)
+
+    def _find_swap(self, first_slot):
+        """Lexicographically first (slot, machine, l1, l2) from
+        ``first_slot`` on where an earlier-finishing l1 can still run at
+        the slot but a later-finishing l2 holds mass there.  Ties on
+        finish slot go to the lower index."""
+        slots, windows = self.slots, self.windows
+        for t in range(first_slot, self.fs.horizon + 1):
+            for i in range(1, len(self.jobs_on)):
+                jobs_i = self.jobs_on[i]
+                # l1 has a partner iff it finishes before the latest
+                # finisher holding mass at t
+                latest = max(
+                    ((windows[l][1], l) for l in jobs_i if t in slots[l]), default=None
+                )
+                if latest is None:
                     continue
-                ts1, te1 = windows[l1]
-                if not ts1 <= t < te1:
+                for l1 in jobs_i:
+                    ts1, te1 = windows[l1]
+                    if ts1 <= t < te1 and (te1, l1) < latest:
+                        for l2 in jobs_i:
+                            if t in slots[l2] and (te1, l1) < (windows[l2][1], l2):
+                                return i, l1, l2, t
+        return None
+
+    def swaps(self, budget: int, trace: list = None) -> None:
+        """Apply swap steps until none applies.
+
+        A step at slot t cannot open a swap at an earlier slot unless it
+        moves l1's window end back; then only l1 gains partners, at
+        slots from its window start.  The scan resumes there.
+        """
+        steps, first_slot = 0, 1
+        while (found := self._find_swap(first_slot)) is not None:
+            steps += 1
+            if steps > budget:
+                raise IterationBudgetExceeded(f"swap pass exceeded {budget} steps")
+            i, l1, l2, t = found
+            end1 = self.windows[l1][1]
+            t2 = self._next_slot(l1, t)
+            y = min(self.slots[l1][t2], self.slots[l2][t])
+            self._move(l1, t2, t, y)
+            self._move(l2, t, t2, y)
+            ts1, te1 = self.windows[l1]
+            first_slot = ts1 if te1 < end1 else t
+            if trace is not None:
+                trace.append(_trace_line("swap", i, (l1, l2), t, Fraction(y, self.unit)))
+
+    def _find_fill(self, first_slot, first_machine):
+        """Lexicographically first (slot, machine, job) from (first_slot,
+        first_machine) on where the machine has idle capacity and the
+        job's window is still open past the slot."""
+        for t in range(first_slot, self.fs.horizon + 1):
+            for i in range(first_machine if t == first_slot else 1, len(self.jobs_on)):
+                slack = self.unit - self.loads.get((i, t), 0)
+                if slack <= 0:
                     continue
-                for l2 in jobs_i:
-                    if l2 == l1 or mass.get((l2, t), ZERO) <= 0:
-                        continue
-                    te2 = windows[l2][1]
-                    if (te1, l1) < (te2, l2):
-                        return i, l1, l2, t
-    return None
+                for l in self.jobs_on[i]:
+                    ts, te = self.windows[l]
+                    if ts <= t < te:
+                        return i, l, t, slack
+        return None
 
+    def fills(self, budget: int, trace: list = None) -> None:
+        """Apply fill steps until none applies.
 
-def _apply_swap(mass, windows, found):
-    i, l1, l2, t = found
-    t2 = min(s for (l, s) in mass if l == l1 and s > t)
-    y = min(mass[(l1, t2)], mass[(l2, t)])
-    _move(mass, l1, t2, t, y)
-    _move(mass, l2, t, t2, y)
-    _refresh_window(mass, windows, l1)
-    _refresh_window(mass, windows, l2)
-    return i, l1, l2, t, y
-
-
-def _find_fill(mass, windows, inst, horizon):
-    """Lexicographically first (slot, machine, job) where the machine has
-    idle capacity and the job's window is still open past the slot."""
-    for t in range(1, horizon + 1):
-        for i in range(1, inst.m + 1):
-            jobs_i = inst.jobs_on(i)
-            load = sum((mass.get((l, t), ZERO) for l in jobs_i), start=ZERO)
-            if load >= 1:
-                continue
-            for l in jobs_i:
-                if l not in windows:
-                    continue
-                ts, te = windows[l]
-                if ts <= t < te:
-                    return i, l, t, 1 - load
-    return None
-
-
-def _apply_fill(mass, windows, found):
-    i, l, t, slack = found
-    t2 = min(s for (job, s) in mass if job == l and s > t)
-    y = min(mass[(l, t2)], slack)
-    _move(mass, l, t2, t, y)
-    _refresh_window(mass, windows, l)
-    return i, l, t, y
-
-
-def _move(mass, job, slot_from, slot_to, y):
-    mass[(job, slot_from)] -= y
-    if mass[(job, slot_from)] == 0:
-        del mass[(job, slot_from)]
-    mass[(job, slot_to)] = mass.get((job, slot_to), ZERO) + y
-
-
-def _refresh_window(mass, windows, job):
-    slots = [s for (l, s) in mass if l == job]
-    if slots:
-        windows[job] = (min(slots), max(slots))
-    else:
-        windows.pop(job, None)
+        A fill at (slot t, machine i) changes no earlier load and only
+        narrows a window, so the scan resumes at (t, i).
+        """
+        steps, first_slot, first_machine = 0, 1, 1
+        while (found := self._find_fill(first_slot, first_machine)) is not None:
+            steps += 1
+            if steps > budget:
+                raise IterationBudgetExceeded(f"fill pass exceeded {budget} steps")
+            i, l, t, slack = found
+            t2 = self._next_slot(l, t)
+            y = min(self.slots[l][t2], slack)
+            self._move(l, t2, t, y)
+            first_slot, first_machine = t, i
+            if trace is not None:
+                trace.append(_trace_line("fill", i, (l,), t, Fraction(y, self.unit)))
 
 
 def _default_budget(fs: FractionalSchedule) -> int:
@@ -279,60 +359,39 @@ def _default_budget(fs: FractionalSchedule) -> int:
 def swap_pass(fs: FractionalSchedule, budget: int = None, trace: list = None) -> FractionalSchedule:
     """Apply swap steps until none applies.  Each step conserves every
     job's mass and every (machine, slot) load, and never widens a window."""
-    budget = _default_budget(fs) if budget is None else budget
-    mass = dict(fs.mass)
-    windows = _windows(mass, fs.umps_ref.n)
-    steps = 0
-    while True:
-        found = _find_swap(mass, windows, fs.umps_ref, fs.horizon)
-        if found is None:
-            break
-        steps += 1
-        if steps > budget:
-            raise IterationBudgetExceeded(f"swap pass exceeded {budget} steps")
-        i, l1, l2, t, y = _apply_swap(mass, windows, found)
-        if trace is not None:
-            trace.append(_trace_line("swap", i, (l1, l2), t, y))
-    return FractionalSchedule(fs.horizon, mass, fs.gamma, fs.umps_ref)
+    work = _Rewrites(fs)
+    work.swaps(_default_budget(fs) if budget is None else budget, trace)
+    return work.schedule()
 
 
 def fill_pass(fs: FractionalSchedule, budget: int = None, trace: list = None) -> FractionalSchedule:
     """Apply fill steps until none applies; pairs with :func:`swap_pass`
     inside :func:`canonicalize` until the joint fixpoint."""
-    budget = _default_budget(fs) if budget is None else budget
-    mass = dict(fs.mass)
-    windows = _windows(mass, fs.umps_ref.n)
-    steps = 0
-    while True:
-        found = _find_fill(mass, windows, fs.umps_ref, fs.horizon)
-        if found is None:
-            break
-        steps += 1
-        if steps > budget:
-            raise IterationBudgetExceeded(f"fill pass exceeded {budget} steps")
-        i, l, t, y = _apply_fill(mass, windows, found)
-        if trace is not None:
-            trace.append(_trace_line("fill", i, (l,), t, y))
-    return FractionalSchedule(fs.horizon, mass, fs.gamma, fs.umps_ref)
+    work = _Rewrites(fs)
+    work.fills(_default_budget(fs) if budget is None else budget, trace)
+    return work.schedule()
 
 
 def canonicalize(fs: FractionalSchedule, trace: list = None) -> FractionalSchedule:
     """Interleave swap and fill passes to their joint fixpoint.
 
+    The passes share one working state; each pass's result is re-validated.
     If the step budget trips before the fixpoint (never observed on
     generated inputs, and the local steps carry no termination proof),
     fall back to :func:`greedy_canonical`, which builds a packed fixpoint
     directly (usually, but not always, the one the passes reach).
     """
     budget = _default_budget(fs)
-    current = fs
+    work = _Rewrites(fs)
     try:
         while True:
-            after_swap = swap_pass(current, budget=budget, trace=trace)
-            after_fill = fill_pass(after_swap, budget=budget, trace=trace)
-            if after_fill.mass == current.mass:
-                return after_fill
-            current = after_fill
+            before = work.snapshot()
+            work.swaps(budget, trace)
+            work.schedule()
+            work.fills(budget, trace)
+            after = work.schedule()
+            if work.slots == before:
+                return after
     except IterationBudgetExceeded:
         return greedy_canonical(fs)
 
@@ -346,23 +405,22 @@ def greedy_canonical(fs: FractionalSchedule) -> FractionalSchedule:
     is left.  Classic deadline-first feasibility: since the input masses
     themselves fit, the sweep always drains every job within its window.
     """
-    inst = fs.umps_ref
-    windows = _windows(fs.mass, inst.n)
-    totals = {l: fs.job_total(l) for l in range(1, inst.n + 1)}
+    work = _Rewrites(fs)
+    windows, unit = work.windows, work.unit
     new_mass = {}
-    for i in range(1, inst.m + 1):
-        jobs_i = [l for l in inst.jobs_on(i) if l in windows]
-        remaining = {l: totals[l] for l in jobs_i}
+    for i in range(1, len(work.jobs_on)):
+        jobs_i = [l for l in work.jobs_on[i] if l in windows]
+        remaining = {l: sum(work.slots[l].values()) for l in jobs_i}
         for t in range(1, fs.horizon + 1):
             open_jobs = [l for l in jobs_i if windows[l][0] <= t <= windows[l][1]]
             open_jobs.sort(key=lambda l: (windows[l][1], l))
-            capacity = ONE
+            capacity = unit
             for l in open_jobs:
                 if capacity == 0:
                     break
                 give = min(remaining[l], capacity)
                 if give > 0:
-                    new_mass[(l, t)] = give
+                    new_mass[(l, t)] = Fraction(give, unit)
                     remaining[l] -= give
                     capacity -= give
         leftovers = [l for l in jobs_i if remaining[l] != 0]
@@ -393,10 +451,27 @@ def partial_load(fs: FractionalSchedule, machine: int, slot: int) -> Fraction:
 
 
 def partial_load_bound_holds(fs: FractionalSchedule) -> bool:
-    """Check partial_load(i, t) <= gamma * t for every machine and slot."""
-    for i in range(1, fs.umps_ref.m + 1):
-        for t in range(1, fs.horizon + 1):
-            if partial_load(fs, i, t) > fs.gamma * t:
+    """Check partial_load(i, t) <= gamma * t for every machine and slot.
+
+    One prefix sweep per machine, in ints on the LCM of the mass and gamma
+    denominators: each mass joins the partial load at its slot and leaves
+    it at its job's last slot.
+    """
+    inst, horizon = fs.umps_ref, fs.horizon
+    unit = math.lcm(fs.gamma.denominator, *(x.denominator for x in fs.mass.values()))
+    step = _units(fs.gamma, unit)
+    last = {job: te for job, (_, te) in _windows(fs.mass, inst.n).items()}
+    delta = [[0] * (horizon + 1) for _ in range(inst.m + 1)]
+    for (job, slot), x in fs.mass.items():
+        units = _units(x, unit)
+        row = delta[inst.home[job]]
+        row[slot] += units
+        row[last[job]] -= units
+    for row in delta[1:]:
+        load = 0
+        for t in range(1, horizon + 1):
+            load += row[t]
+            if load > step * t:
                 return False
     return True
 

@@ -1,8 +1,15 @@
+import hashlib
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import schedreduce
 from schedreduce import (
     FractionalSchedule,
     GroupedPlacement,
@@ -21,6 +28,7 @@ from schedreduce import (
     fill_pass,
     forward_map_related,
     gen_fractional,
+    gen_layered_umps,
     gen_random_umps,
     greedy_canonical,
     makespan,
@@ -33,6 +41,7 @@ from schedreduce import (
     validate_umps,
     window_table,
 )
+from schedreduce.serialize import dump_canonical, to_obj
 
 F = Fraction
 HALF = F(1, 2)
@@ -49,33 +58,56 @@ def one_machine(n, edges=()):
 # property validation on construction
 
 
+def exactly(text):
+    return f"^{re.escape(text)}$"
+
+
 def test_rejects_mass_outside_unit_interval():
-    with pytest.raises(PropertyViolated):
+    with pytest.raises(PropertyViolated, match=exactly("mass x[1,1] = 3/2 outside [0, 1]")):
         FractionalSchedule(horizon=1, mass={(1, 1): F(3, 2)}, gamma=0,
                            umps_ref=one_machine(1))
 
 
 def test_rejects_low_job_total():
-    with pytest.raises(PropertyViolated):
+    with pytest.raises(PropertyViolated, match=exactly(
+            "job 1: total mass 1/2 outside [1 - gamma, 1] = [9/10, 1]")):
         FractionalSchedule(horizon=2, mass={(1, 1): HALF}, gamma=F(1, 10),
                            umps_ref=one_machine(1))
 
 
+def test_rejects_high_job_total_on_mixed_denominators():
+    # 2/3 + 3/7 = 23/21: the total is summed exactly and printed reduced
+    with pytest.raises(PropertyViolated, match=exactly(
+            "job 1: total mass 23/21 outside [1 - gamma, 1] = [4/5, 1]")):
+        FractionalSchedule(horizon=2, mass={(1, 1): F(2, 3), (1, 2): F(3, 7)},
+                           gamma=F(1, 5), umps_ref=one_machine(1))
+
+
 def test_rejects_machine_overload():
     inst = one_machine(2)
-    with pytest.raises(PropertyViolated):
+    with pytest.raises(PropertyViolated, match=exactly("machine 1, slot 1: load 3/2 > 1")):
         FractionalSchedule(
             horizon=1, mass={(1, 1): F(1), (2, 1): HALF}, gamma=HALF, umps_ref=inst
         )
 
 
+def test_rejects_machine_overload_on_mixed_denominators():
+    inst = one_machine(2)
+    with pytest.raises(PropertyViolated, match=exactly("machine 1, slot 2: load 13/12 > 1")):
+        FractionalSchedule(
+            horizon=2, mass={(1, 2): F(3, 4), (2, 1): F(2, 3), (2, 2): F(1, 3)},
+            gamma=F(1, 4), umps_ref=inst,
+        )
+
+
 def test_rejects_overlapping_windows_across_edge():
     inst = one_machine(2, edges=((1, 2),))
-    with pytest.raises(PropertyViolated):
+    with pytest.raises(PropertyViolated, match=exactly(
+            "precedence 1 -> 2: windows (1, 2) and (2, 2) not separated")):
         FractionalSchedule(
             horizon=2,
-            mass={(1, 1): HALF, (1, 2): HALF, (2, 2): F(1)},
-            gamma=0,
+            mass={(1, 1): HALF, (1, 2): HALF, (2, 2): HALF},
+            gamma=HALF,
             umps_ref=inst,
         )
 
@@ -173,6 +205,79 @@ def test_canonicalize_equals_greedy_on_generated_schedules(seed):
     assert partial_load_bound_holds(canon)
 
 
+# pinned rewrites: the exact trace, canonical form and partial-load verdict
+# of canonicalize over a seeded grid
+
+
+def _fractional(inst, seed):
+    sched = solve_umps_exact(inst).schedule
+    return gen_fractional(inst, sched, F(1, 10 * inst.n * inst.n), HALF, seed)
+
+
+def _generated(seed):
+    """The construction the property tests draw from: n 2-5, m 1-3."""
+    return _fractional(gen_random_umps(2 + seed % 4, 1 + seed % 3, F(1, 3), seed), seed)
+
+
+def _grid_fractional(kind, a, b, seed):
+    if kind == "random":  # (n, m)
+        inst = gen_random_umps(a, b, F(1, 3), seed)
+    else:  # layered (layers, per_layer): one machine per layer
+        inst = gen_layered_umps(a, b, HALF, seed)
+    return _fractional(inst, seed)
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# name -> (sha256 prefix of the trace lines, of the canonical JSON of the
+# result, partial_load_bound_holds of the result)
+CANONICAL_PINS = {
+    "random-2-1-0": ("e3b0c44298fc1c14", "de7d9c9daf91aa79", True),
+    "random-3-2-1": ("e3b0c44298fc1c14", "c1745786c7baf215", True),
+    "random-4-3-2": ("e3b0c44298fc1c14", "911c9980af6755f0", True),
+    "random-5-1-3": ("e3b0c44298fc1c14", "39afcc374adab26e", True),
+    "random-5-3-1247": ("d567e2ddc5554fa8", "1adc1347827af2b0", True),
+    "random-5-3-3215": ("58905fbff4c90688", "c3f0ad5013aaf0f1", True),
+    "random-5-3-4451": ("10ac58d61e9e39b3", "f32e8f82256ced9f", True),
+    "random-5-2-5539": ("de0933d1cb6892ca", "b9ace2b145e167a3", True),
+    "random-5-2-7363": ("bf58119d48549f84", "716373560d9bb134", True),
+    "random-5-2-8407": ("d74fe43dc74e2757", "11d7a4c6350c8b9c", True),
+    "random-5-3-8483": ("10ac58d61e9e39b3", "f45fafebd3d7cf2d", True),
+    "random-8-1-1": ("e3b0c44298fc1c14", "dba966d2495e00eb", True),
+    "random-10-2-1": ("e3b0c44298fc1c14", "eefff97fdfa762a5", True),
+    "random-10-2-25": ("0c28c9ca61b16e44", "d4b3ed5a3b83cc2d", True),
+    "random-12-3-2": ("e446d91bb9e5d403", "8f4177bb9229d2b3", True),
+    "random-16-4-3": ("ad6a2d283fc236cd", "4b54462068c8f32b", True),
+    "random-16-4-28": ("ee627d9514699745", "a407149292d35df8", True),
+    "random-20-2-4": ("a09a38bbeb41d75c", "5b8b08dcae85f059", True),
+    "random-24-3-10": ("07b54a7d6d049f79", "767c25e20d7f4236", True),
+    "random-24-4-1": ("40f18fb59e25c7d3", "8c5bb0012aff680a", True),
+    "random-24-4-9": ("f60978c27897329e", "28548d888393e3a7", True),
+    "layered-1-6-1": ("e3b0c44298fc1c14", "1a7c4e287911b66c", True),
+    "layered-2-5-2": ("e3b0c44298fc1c14", "e099ea0e54534d88", True),
+    "layered-3-4-1": ("a1d949c64dc0c49d", "46e0f0b32a14f183", True),
+    "layered-3-4-18": ("ac6c03420b7c6c83", "e7b92ff64ca7cc97", True),
+    "layered-4-4-2": ("0ed6f24963617299", "5e1eacf89e1ef120", True),
+    "layered-4-4-29": ("9461b3e9fc49cd89", "33b20509be32f496", True),
+    "layered-2-8-4": ("0ed25d241934b334", "b183d89024395357", True),
+    "layered-3-8-2": ("163c8aee3a02900f", "5880d9ad63e58112", True),
+    "layered-3-8-7": ("fac335e19e89968b", "6c0cfc7dc868edca", True),
+}
+
+
+@pytest.mark.parametrize("name", list(CANONICAL_PINS))
+def test_canonicalize_is_pinned(name):
+    kind, a, b, seed = name.split("-")
+    fs = _grid_fractional(kind, int(a), int(b), int(seed))
+    trace = []
+    canon = canonicalize(fs, trace=trace)
+    got = (_digest("\n".join(trace)), _digest(dump_canonical(to_obj(canon))),
+           partial_load_bound_holds(canon))
+    assert got == CANONICAL_PINS[name]
+
+
 # ---------------------------------------------------------------------------
 # misplaced-mass stripping
 
@@ -259,6 +364,49 @@ def test_partial_load_counts_unfinished_mass_only():
     assert partial_load(fs, 1, 3) == 0
 
 
+def _bound_by_brute_force(fs):
+    return all(partial_load(fs, i, t) <= fs.gamma * t
+               for i in range(1, fs.umps_ref.m + 1) for t in range(1, fs.horizon + 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_partial_load_bound_matches_brute_force(seed, canonical):
+    fs = _generated(seed)
+    if canonical:
+        fs = canonicalize(fs)
+    assert partial_load_bound_holds(fs) == _bound_by_brute_force(fs)
+
+
+def test_partial_load_bound_draws_both_outcomes():
+    # raw perturbations break the bound on some seeds; canonical forms keep it
+    seen = {"raw": set(), "canonical": set()}
+    for seed in range(60):
+        fs = _generated(seed)
+        for key, candidate in (("raw", fs), ("canonical", canonicalize(fs))):
+            holds = partial_load_bound_holds(candidate)
+            assert holds == _bound_by_brute_force(candidate)
+            seen[key].add(holds)
+    assert seen == {"raw": {False, True}, "canonical": {True}}
+
+
+def test_partial_load_bound_fails_after_the_first_slot():
+    # jobs 2 and 3 both still have mass after slot 2: 1/2 > 2 gamma there,
+    # while slots 1, 3 and 4 keep the bound
+    inst = one_machine(3)
+    fs = FractionalSchedule(
+        horizon=4,
+        mass={(1, 1): F(1), (2, 2): F(1, 4), (2, 4): F(3, 4),
+              (3, 2): F(1, 4), (3, 3): F(3, 4)},
+        gamma=F(1, 8), umps_ref=inst,
+    )
+    assert [partial_load(fs, 1, t) for t in range(1, 5)] == [0, HALF, F(1, 4), 0]
+    assert not partial_load_bound_holds(fs)
+    assert not _bound_by_brute_force(fs)
+    wider = FractionalSchedule(fs.horizon, fs.mass, F(1, 4), inst)
+    assert partial_load_bound_holds(wider) and _bound_by_brute_force(wider)
+
+
 def test_extract_integral_doubles_slots_and_keeps_order():
     inst = one_machine(2, edges=((1, 2),))
     fs = FractionalSchedule(
@@ -322,3 +470,21 @@ def test_end_to_end_rounding_respects_2l(seed):
     sched = extract_integral(canonicalize(fs))
     assert validate_umps(inst, sched).feasible
     assert makespan(sched) <= 2 * makespan(opt.schedule)
+
+
+# ---------------------------------------------------------------------------
+# the demo script, end to end through the public trace format
+
+DEMO = Path(__file__).resolve().parents[1] / "scripts" / "rounding_demo.py"
+DEMO_STDOUT_SHA256 = "e1c50dde37c6f4b0502b4df90263c35f665c6af1ba6627affd5372638b9cc6e4"
+
+
+def test_rounding_demo_runs_with_defaults():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(schedreduce.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, str(DEMO)], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DEMO_STDOUT_SHA256
