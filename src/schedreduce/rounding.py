@@ -14,9 +14,9 @@ a *swap* moves mass of an earlier-finishing job to an earlier slot,
 displacing an equal mass of a later-finishing job from that slot, and a
 *fill* pulls mass of a job forward into machine idle capacity.
 :func:`greedy_canonical` builds an earliest-deadline packed fixpoint of
-both in one sweep.  The passes usually reach the same one, but not
-always: a swap can push a job into a later slot, fills then empty the
-slot before it, and the job's window no longer reaches back.
+both in one sweep, and the passes reach the same one: they take each
+job's window start from their input, so a job that a swap pushed into a
+later slot can still be pulled back once fills empty the slot before it.
 
 In canonical form the leftover ("partial") mass on a machine grows by at
 most gamma per slot, so when gamma * horizon <= 1/(10 n) each slot hosts
@@ -222,8 +222,14 @@ class _Rewrites:
     the input's mass denominators; both rewrites move the smaller of two
     masses (or of a mass and a slack), so every mass stays on that grid.
     ``slots`` maps each job to its {slot: units}, ``loads`` each (machine,
-    slot) to its units, and ``windows`` each job to its (first, last)
-    slot; every move updates all three in place.
+    slot) to its units, and ``windows`` each job to (its first slot in
+    the input, its last slot now); every move updates all three in place.
+
+    Keeping the input's window starts makes the rewrites confluent: a
+    swap can push a job's first mass into a later slot, and fills can
+    then empty the slot before it, but the job may still be pulled back
+    there.  Mass only ever moves inside a job's input window, and input
+    windows are separated, so property 3 holds throughout.
     """
 
     def __init__(self, fs: FractionalSchedule):
@@ -264,7 +270,7 @@ class _Rewrites:
         home = self.home[job]
         self.loads[(home, slot_from)] -= y
         self.loads[(home, slot_to)] = self.loads.get((home, slot_to), 0) + y
-        self.windows[job] = (min(slots), max(slots))
+        self.windows[job] = (self.windows[job][0], max(slots))
 
     def _next_slot(self, job, t):
         return min(s for s in self.slots[job] if s > t)
@@ -358,7 +364,8 @@ def _default_budget(fs: FractionalSchedule) -> int:
 
 def swap_pass(fs: FractionalSchedule, budget: int = None, trace: list = None) -> FractionalSchedule:
     """Apply swap steps until none applies.  Each step conserves every
-    job's mass and every (machine, slot) load, and never widens a window."""
+    job's mass and every (machine, slot) load, and keeps every job's mass
+    inside its window in ``fs``."""
     work = _Rewrites(fs)
     work.swaps(_default_budget(fs) if budget is None else budget, trace)
     return work.schedule()
@@ -375,11 +382,12 @@ def fill_pass(fs: FractionalSchedule, budget: int = None, trace: list = None) ->
 def canonicalize(fs: FractionalSchedule, trace: list = None) -> FractionalSchedule:
     """Interleave swap and fill passes to their joint fixpoint.
 
-    The passes share one working state; each pass's result is re-validated.
-    If the step budget trips before the fixpoint (never observed on
-    generated inputs, and the local steps carry no termination proof),
-    fall back to :func:`greedy_canonical`, which builds a packed fixpoint
-    directly (usually, but not always, the one the passes reach).
+    The passes share one working state, so each job's window start stays
+    the one of ``fs``; each pass's result is re-validated.  The fixpoint
+    equals :func:`greedy_canonical` (checked on generated inputs).  If the
+    step budget trips before it (never observed on generated inputs, and
+    the local steps carry no termination proof), fall back to
+    :func:`greedy_canonical`, which builds it directly.
     """
     budget = _default_budget(fs)
     work = _Rewrites(fs)
