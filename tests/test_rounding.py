@@ -154,6 +154,27 @@ def test_swap_resolves_even_split_in_one_step():
     assert trace == ["swap machine=1 jobs=1,2 slot=1 y=1/2"]
 
 
+def test_swap_reopens_an_earlier_slot_when_a_window_end_moves_back():
+    # the swap at slot 3 drains job 1's last slot, so job 1 now finishes
+    # before job 2 and a swap at slot 2 opens behind it; fills then pull
+    # each job back to the start of its input window
+    inst = one_machine(3)
+    fs = FractionalSchedule(
+        horizon=6,
+        mass={(1, 1): HALF, (1, 5): HALF, (2, 2): HALF, (2, 4): HALF,
+              (3, 3): HALF, (3, 6): HALF},
+        gamma=0, umps_ref=inst,
+    )
+    trace = []
+    out = swap_pass(fs, trace=trace)
+    assert trace == ["swap machine=1 jobs=1,3 slot=3 y=1/2",
+                     "swap machine=1 jobs=1,2 slot=2 y=1/2"]
+    assert out.mass == {(1, 1): HALF, (1, 2): HALF, (2, 3): HALF, (2, 4): HALF,
+                        (3, 5): HALF, (3, 6): HALF}
+    assert canonicalize(fs).mass == greedy_canonical(fs).mass == {
+        (1, 1): F(1), (2, 2): F(1), (3, 3): F(1)}
+
+
 def test_fill_pulls_later_mass_forward():
     inst = one_machine(1)
     fs = FractionalSchedule(
