@@ -247,9 +247,6 @@ class _Rewrites:
             self.loads[key] = self.loads.get(key, 0) + units
         self.windows = {job: (min(s), max(s)) for job, s in self.slots.items()}
 
-    def snapshot(self) -> dict:
-        return {job: dict(s) for job, s in self.slots.items()}
-
     def schedule(self) -> FractionalSchedule:
         """The current masses as a re-validated :class:`FractionalSchedule`."""
         fs, unit = self.fs, self.unit
@@ -393,7 +390,7 @@ def canonicalize(fs: FractionalSchedule, trace: list = None) -> FractionalSchedu
     work = _Rewrites(fs)
     try:
         while True:
-            before = work.snapshot()
+            before = {job: dict(s) for job, s in work.slots.items()}
             work.swaps(budget, trace)
             work.schedule()
             work.fills(budget, trace)
