@@ -1,8 +1,9 @@
 """Exact desk-scale solvers and list-scheduling heuristics.
 
 The three exact solvers share one branch-and-bound engine,
-``_exact_search``.  It seeds the incumbent with a serial schedule,
-enumerates machine assignments, then for each assignment enumerates
+``_exact_search``.  It seeds the incumbent with the better of a serial
+schedule and an earliest-finish list schedule, enumerates machine
+assignments, then for each assignment enumerates
 per-machine processing orders consistent with the precedence
 projection, scores each combination by the earliest-start longest path
 through the combined order graph, and keeps the first strictly best
@@ -28,7 +29,7 @@ delays, and a completed-set dynamic program for unit lengths) keeps
 desk-scale runs fast without changing any optimum.
 
 Every solver degrades gracefully: when a state budget or time budget is
-hit it returns the best schedule found so far with
+hit it returns the best schedule found so far (at worst the seed) with
 ``proven_optimal=False`` instead of raising.
 """
 
@@ -144,9 +145,11 @@ def _orders_dfs(search, groups, succ, dur, start, bound, labels):
     dag, ``start`` its earliest starts and ``bound`` its makespan.  Each
     order adds succession edges (weighted by the earlier job's time),
     relaxes the starts they raise, and prunes once an end reaches the
-    incumbent, which covers cycles too.  Every full set of orders offers
-    its makespan to ``search`` with a copy of ``labels``, each job's
-    machine.
+    incumbent, which covers cycles too.  A level stops trying orders once
+    the incumbent drops to the bound it was entered with: every later
+    order starts from that bound, so none can beat the incumbent.  Every
+    full set of orders offers its makespan to ``search`` with a copy of
+    ``labels``, each job's machine.
     """
 
     def level(k, bound):
@@ -155,6 +158,8 @@ def _orders_dfs(search, groups, succ, dur, start, bound, labels):
             return
         jobs, pred_sets = groups[k]
         for order in _extensions(jobs, pred_sets):
+            if bound >= search.best_ms:  # every later order starts from this bound
+                return
             search.tick()
             pending, changed = [], []
             for u, v in zip(order, order[1:]):
@@ -192,12 +197,16 @@ def trivial_serial_schedule(inst: UmpsInstance) -> Schedule:
     return _serial_schedule(inst.dag, inst.home, lambda j, i: inst.lengths[j])
 
 
-def _list_schedule(dag, priority, lengths, candidates, delays) -> Schedule:
-    """List scheduling: jobs in ``priority`` (a topological order, so each
-    job's predecessors are already placed when it is reached) go to the
-    machine among ``candidates(j)`` where they can start earliest, paying
-    the edge delay in ``delays`` when a predecessor sits on a different
-    machine.  Ties go to the earliest candidate."""
+def _list_schedule(dag, priority, duration, candidates, delays) -> dict:
+    """Earliest-finish list scheduling: jobs in ``priority`` (a topological
+    order, so each job's predecessors are already placed when it is
+    reached) go to the machine among ``candidates(j)`` where they finish
+    first, taking ``duration(j, i)`` there and paying the edge delay in
+    ``delays`` when a predecessor sits on a different machine.  Ties go to
+    the earliest candidate.  An idle candidate with the same time as an
+    earlier idle one would start and finish alike, so it is skipped.  With
+    equal times on every candidate this is earliest-start scheduling.
+    Returns the entries ``{job: (machine, start, end)}``."""
     if sorted(priority) != list(range(1, dag.node_count + 1)):
         raise ValueError("priority must be a permutation of all jobs")
     pos = {j: k for k, j in enumerate(priority)}
@@ -209,18 +218,23 @@ def _list_schedule(dag, priority, lengths, candidates, delays) -> Schedule:
     entries = {}
     for j in priority:
         best = None
+        idle = set()  # times of the idle candidates seen so far
         for i in candidates(j):
+            d = duration(j, i)
+            if i not in free:
+                if d in idle:
+                    continue
+                idle.add(d)
             est = free.get(i, 0)
             for u in preds[j]:
                 mu, _, eu = entries[u]
                 lag = delays.get((u, j), 0) if mu != i else 0
                 est = max(est, eu + lag)
-            if best is None or est < best[1]:
-                best = (i, est)
-        i, est = best
-        entries[j] = (i, est, est + lengths[j])
-        free[i] = est + lengths[j]
-    return Schedule(entries=entries)
+            if best is None or est + d < best[2]:
+                best = (i, est, est + d)
+        entries[j] = best
+        free[best[0]] = best[2]
+    return entries
 
 
 def _exact_search(dag, lim, serial, duration, delay=None, pinned=None, units=(), classes=()):
@@ -252,8 +266,16 @@ def _exact_search(dag, lim, serial, duration, delay=None, pinned=None, units=(),
     loads.  No child's bound is below its parent's, so once the incumbent
     drops to a node's bound its remaining children are skipped.  A full
     assignment hands its starts to :func:`_orders_dfs` without counting
-    another state.  The ``serial`` schedule seeds the incumbent and is
-    returned when nothing beats it.
+    another state.
+
+    The incumbent is seeded from the ``serial`` schedule, or from the
+    earliest-finish list schedule (jobs in topological order on their pin
+    or on any class machine, on the integer time base) when that one is
+    shorter.  A list makespan ``h`` seeds ``h + 1``, so a leaf that ties
+    it still wins and a proven search returns the same first optimal leaf
+    as with the serial seed; only the states explored fall.  The seed
+    schedule is returned when the search finds nothing better before its
+    budget trips.
     """
     n = dag.node_count
     if n > lim.max_jobs:
@@ -268,15 +290,25 @@ def _exact_search(dag, lim, serial, duration, delay=None, pinned=None, units=(),
     scale = math.lcm(*(t.denominator for t in itertools.chain(exact.values(), delay.values())))
     time_of = {key: int(t * scale) for key, t in exact.items()}
     delay = {e: int(c * scale) for e, c in delay.items()}
+    serial_ms = int(makespan(serial) * scale)
+    order = topological_order(dag)
+    anywhere = sorted(class_of)
+    hint = _list_schedule(dag, order, lambda j, i: time_of[j, i],
+                          lambda j: (pinned[j],) if j in pinned else anywhere, delay)
+    hint_ms = max((end for _, _, end in hint.values()), default=0)
     search = _Search(lim)
-    search.offer(int(makespan(serial) * scale), None)
+    if hint_ms < serial_ms:
+        search.offer(hint_ms + 1, None)  # + 1: a leaf that ties the hint still wins
+    else:
+        search.offer(serial_ms, None)
+        hint = None
 
     preds = [[] for _ in range(n + 1)]  # (u, delay) per job
     succs = [[] for _ in range(n + 1)]  # (v, delay) per job
     for u, v in dag.edges:
         preds[v].append((u, delay.get((u, v), 0)))
         succs[u].append((v, delay.get((u, v), 0)))
-    topo = [(v, preds[v]) for v in topological_order(dag)]
+    topo = [(v, preds[v]) for v in order]
     # mach[j] is job j's machine (0 until placed) and dur[j] its time
     # there, or its fastest time while unplaced
     fastest = [0] + [min(time_of[j, i] for i in machines) for j in jobs]
@@ -364,16 +396,16 @@ def _exact_search(dag, lim, serial, duration, delay=None, pinned=None, units=(),
         assign(0)
     except _Abort:
         proven = False
-    if search.best_payload is None:
+    if search.best_payload is not None:
+        labels, starts = search.best_payload
+        best, entries = search.best_ms, {
+            j: (labels[j], starts[j], starts[j] + time_of[j, labels[j]]) for j in jobs}
+    elif hint is not None:
+        best, entries = hint_ms, hint
+    else:
         return SolveResult(makespan(serial), serial, proven, search.states)
-    labels, starts = search.best_payload
-    entries = {
-        j: (labels[j], Fraction(starts[j], scale),
-            Fraction(starts[j] + time_of[j, labels[j]], scale))
-        for j in jobs
-    }
-    return SolveResult(Fraction(search.best_ms, scale), Schedule(entries=entries), proven,
-                       search.states)
+    entries = {j: (i, Fraction(s, scale), Fraction(e, scale)) for j, (i, s, e) in entries.items()}
+    return SolveResult(Fraction(best, scale), Schedule(entries=entries), proven, search.states)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +417,8 @@ def greedy_umps(inst: UmpsInstance, priority=None) -> Schedule:
     lowest-index topological order)."""
     if priority is None:
         priority = topological_order(inst.dag)
-    return _list_schedule(inst.dag, priority, inst.lengths, lambda j: (inst.home[j],), {})
+    return Schedule(entries=_list_schedule(
+        inst.dag, priority, lambda j, i: inst.lengths[j], lambda j: (inst.home[j],), {}))
 
 
 def solve_umps_exact(inst: UmpsInstance, lim: SolveLimits = None) -> SolveResult:
@@ -518,7 +551,8 @@ def list_schedule_commdelay(inst: CommDelayInstance, m: int, priority) -> Schedu
     if inst.machines is not None and m > inst.machines:
         raise ValueError(f"instance allows {inst.machines} machines, asked for {m}")
     machines = range(1, m + 1)
-    return _list_schedule(inst.dag, priority, inst.lengths, lambda j: machines, inst.delays)
+    return Schedule(entries=_list_schedule(
+        inst.dag, priority, lambda j, i: inst.lengths[j], lambda j: machines, inst.delays))
 
 
 # ---------------------------------------------------------------------------

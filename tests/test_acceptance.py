@@ -7,13 +7,13 @@ fixed by explicit seed grids, never by randomness at collection time.
 """
 
 import time
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from oracle import oracle_umps_optimum
+from oracle import oracle_commdelay_optimum, oracle_related_optimum, oracle_umps_optimum
 from schedreduce import (
     CommDelayInstance,
     SolveLimits,
@@ -37,6 +37,7 @@ from schedreduce import (
     materialize_related,
     partial_load,
     solve_commdelay_exact,
+    solve_related_exact,
     solve_umps_exact,
     topological_order,
     umps_to_commdelay,
@@ -316,29 +317,54 @@ def test_criterion_8_list_scheduling_bound(report):
 
 
 # ---------------------------------------------------------------------------
-# criterion 9: solver agrees with the exhaustive oracle
+# criterion 9: the exact solvers agree with the exhaustive oracles
 
 
 def test_criterion_9_oracle_equivalence(report):
-    insts = []
+    cases = []  # (solver, oracle, instance)
     for n in (2, 3, 4, 5, 6):
         for m in (1, 2, 3):
             for prob in (F(1, 4), F(1, 2)):
                 for seed in range(3):
-                    insts.append(gen_random_umps(n, m, prob, seed))
+                    cases.append((solve_umps_exact, oracle_umps_optimum,
+                                  gen_random_umps(n, m, prob, seed)))
     for n in (4, 5, 6):
         for seed in range(2):
-            insts.append(gen_random_umps(n, 2, F(1, 2), seed, max_length=3))
+            cases.append((solve_umps_exact, oracle_umps_optimum,
+                          gen_random_umps(n, 2, F(1, 2), seed, max_length=3)))
     for layers, per_layer in ((2, 2), (3, 2), (2, 3)):
         for seed in range(3):
-            insts.append(gen_layered_umps(layers, per_layer, F(1, 2), seed))
-    bad = sum(
-        1 for inst in insts
-        if solve_umps_exact(inst).optimum != oracle_umps_optimum(inst)
-    )
+            cases.append((solve_umps_exact, oracle_umps_optimum,
+                          gen_layered_umps(layers, per_layer, F(1, 2), seed)))
+    # uniform delays on unbounded and two-machine targets, then the delay gadget
+    for n in (2, 3, 4, 5):
+        for c in (0, 1, 2):
+            for machines in (None, 2):
+                for seed in range(3):
+                    base = gen_random_umps(n, 1, F(1, 2), seed, max_length=1 + seed % 2)
+                    cases.append((solve_commdelay_exact, oracle_commdelay_optimum,
+                                  CommDelayInstance(n_total=n, lengths=dict(base.lengths),
+                                                    delays={e: c for e in base.dag.edges},
+                                                    dag=base.dag, machines=machines)))
+    for n, m in ((2, 2), (3, 2), (3, 3)):
+        for seed in range(3):
+            cases.append((solve_commdelay_exact, oracle_commdelay_optimum,
+                          umps_to_commdelay(gen_random_umps(n, m, F(1, 2), seed)).output))
+    # the speed-scaling gadget at kappa = 2, materialized, up to 9 flat jobs
+    for n in (2, 3, 4, 5, 6):
+        for prob in (F(1, 4), F(1, 2)):
+            for seed in range(6):
+                src = gen_random_umps(n, 2, prob, seed)
+                if 3 * len(src.jobs_on(1)) + n <= 9:
+                    art = umps_to_related(src, kappa_override=2)
+                    cases.append((solve_related_exact, oracle_related_optimum,
+                                  materialize_related(art.output)[0]))
+    bad = sum(1 for solve, oracle, inst in cases if solve(inst).optimum != oracle(inst))
+    kinds = Counter(solve.__name__ for solve, _, _ in cases)
     report(9, bad == 0,
           f"solver optimum equals the exhaustive oracle on "
-          f"{len(insts) - bad}/{len(insts)} instances")
+          f"{len(cases) - bad}/{len(cases)} instances "
+          f"({', '.join(f'{k} {v}' for k, v in kinds.items())})")
 
 
 # ---------------------------------------------------------------------------

@@ -312,3 +312,26 @@ def test_bench_empty_dir(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == ",".join(cli.GAP_COLUMNS)
     assert out[-1] == "rows=0 bound_holds=0/0"
+
+
+# ---------------------------------------------------------------------------
+# the corpus and gap-table scripts, end to end
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def test_corpus_and_gap_table_scripts_run(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    corpus, table = tmp_path / "corpus", tmp_path / "gap.csv"
+    for argv in (["build_corpus.py", "--seeds", "1", "--out-dir", str(corpus)],
+                 ["run_gap_table.py", str(corpus), "--out", str(table)]):
+        proc = subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stdout + proc.stderr
+    assert table.read_text().splitlines()[0] == (
+        "instance_id,n,m,opt_source,opt_target,bound_kind,bound_holds,solver_states")
+    rows = read_rows(table)
+    assert len(rows) == 8
+    assert all(r["bound_holds"] == "true" for r in rows)

@@ -289,7 +289,8 @@ def test_trivial_serial_schedule_always_feasible(inst):
 
 # ---------------------------------------------------------------------------
 # pinned flat-model behaviour: every violation kind in report order, the
-# structural errors, and the exact bytes of the list and serial schedules
+# structural errors, and the exact bytes of the list and serial schedules,
+# including a non-default priority and idle machines to spare
 
 
 def _umps3():
@@ -320,13 +321,18 @@ def _flat_schedule_digest(kind, n, m, seed):
         inst = gen_random_umps(n, m, Fraction(1, 3), seed, max_length=3)
         if kind == "greedy":
             sched = greedy_umps(inst)
+        elif kind == "greedyprio":  # fewest ancestors first, then the highest index
+            reach = inst.dag.reachable()
+            sched = greedy_umps(inst, sorted(
+                reach, key=lambda v: (sum(v in after for after in reach.values()), -v)))
         elif kind == "serial":
             sched = trivial_serial_schedule(inst)
-        elif kind == "list":
+        elif kind in ("list", "listwide"):  # listwide: n + 2 machines, so some stay idle
             delays = {(u, v): (u + v) % 3 for u, v in inst.dag.edges}
             cd = CommDelayInstance(n_total=n, lengths=inst.lengths, delays=delays,
                                    dag=inst.dag)
-            sched = list_schedule_commdelay(cd, m, topological_order(cd.dag))
+            width = m if kind == "list" else n + 2
+            sched = list_schedule_commdelay(cd, width, topological_order(cd.dag))
         else:  # the reduced instance: anchors and huge delays
             cd = umps_to_commdelay(inst).output
             sched = list_schedule_commdelay(cd, m, topological_order(cd.dag))
@@ -398,6 +404,13 @@ FLAT_SCHEDULE_DIGESTS = {
     "reduced-5-2-1": "05ccafa5347203e5",
     "reduced-6-3-2": "d28f70cd2b4c1f70",
     "reduced-8-3-3": "1f09d1fe3badfd40",
+    "greedyprio-5-2-1": "8b8e0df51254425f",
+    "greedyprio-6-3-2": "da4a4c1cbe0ea6ae",
+    "greedyprio-8-3-3": "06784f65eea7a223",
+    "listwide-7-2-5": "0ab1597e27184feb",
+    "listwide-8-2-6": "563dbfda5f9d0b42",
+    "listwide-9-3-7": "a1622ada52230ebc",
+    "listwide-8-1-3": "7f5be7fcd1be3882",
 }
 for _name, _digest in FLAT_SCHEDULE_DIGESTS.items():
     _kind, _n, _m, _seed = _name.split("-")

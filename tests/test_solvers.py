@@ -283,49 +283,51 @@ def _related(n, speeds, seed):
 
 
 # (solver, instance, limits, optimum, proven_optimal, states_explored,
-#  sha256 of the canonical schedule JSON).  A refactor of the search must
-# keep every field, and a faster search may only lower the state count:
-# the hash pins tie-breaks, the state count pins the pruning order, and
-# the capped rows pin the best-so-far on a budget trip.
+#  sha256 of the canonical schedule JSON).  The hash pins tie-breaks, the
+# state count pins the pruning order, and the capped rows pin the
+# best-so-far on a budget trip.  A refactor of the search must keep every
+# field.  A faster search may change a proven row only by lowering its
+# state count.  A capped row may lower its optimum, change its hash or
+# become proven, and must never get worse.
 PINNED = [
     pytest.param(solve_umps_exact, lambda: _weighted(5, 2, 1), SolveLimits(),
-                 "6", True, 6,
+                 "6", True, 5,
                  "e4dbada5066595fcd25ef06402aa4cbc7c338bb0a89fe1b726d4f154312c439d",
                  id="umps-5-2-1"),
     pytest.param(solve_umps_exact, lambda: _weighted(6, 2, 2), SolveLimits(),
-                 "7", True, 8,
+                 "7", True, 3,
                  "7d1f4d43689ca1eec83c25b2542b1c291690b32325b7b29d046724d04e27673d",
                  id="umps-6-2-2"),
     pytest.param(solve_umps_exact, lambda: _weighted(6, 3, 3), SolveLimits(),
-                 "7", True, 9,
+                 "7", True, 7,
                  "fa35a52b56e2d9936cc9b7d568dc1958bc91794616fca538e4fca1d0e1341e8a",
                  id="umps-6-3-3"),
     pytest.param(solve_umps_exact, lambda: _weighted(7, 2, 4), SolveLimits(),
-                 "9", True, 11,
+                 "9", True, 3,
                  "fd8645e85f5cbb330826cb9d6b04316c7e032a94cb9584d72b11817994886245",
                  id="umps-7-2-4"),
     pytest.param(solve_umps_exact, lambda: _weighted(7, 3, 5), SolveLimits(),
-                 "8", True, 13,
+                 "8", True, 3,
                  "4585a1386a1e5756f153186143070b6f175b2a54997445bc17d6a23fda053c8a",
                  id="umps-7-3-5"),
     pytest.param(solve_umps_exact, lambda: _weighted(8, 3, 6), SolveLimits(),
-                 "9", True, 16,
+                 "9", True, 15,
                  "3d414fa2cc06f4683ead7ca54c403733d2801d29048c3ace72b8e8941bd0a1cf",
                  id="umps-8-3-6"),
     pytest.param(solve_umps_exact, lambda: _weighted(8, 3, 6), SolveLimits(max_states=1),
-                 "16", False, 2,
-                 "7d0343ced62f4490a4831af4a9510bdc7a3673914f818974146d197721d43cfc",
+                 "9", False, 2,
+                 "3d414fa2cc06f4683ead7ca54c403733d2801d29048c3ace72b8e8941bd0a1cf",
                  id="umps-capped1"),
     pytest.param(solve_umps_exact, lambda: _weighted(7, 3, 5), SolveLimits(max_states=6),
-                 "8", False, 7,
+                 "8", True, 3,
                  "4585a1386a1e5756f153186143070b6f175b2a54997445bc17d6a23fda053c8a",
                  id="umps-capped"),
     pytest.param(solve_commdelay_exact, lambda: _reduced(4, 2, 1), SolveLimits(max_jobs=12),
-                 "5", True, 10,
+                 "5", True, 9,
                  "2bdb52dd87668b9354772d9a28f2e2276199013b35dbcf0aedab6c5e8b89362b",
                  id="reduced-4-2-1"),
     pytest.param(solve_commdelay_exact, lambda: _reduced(5, 2, 2), SolveLimits(max_jobs=12),
-                 "6", True, 9,
+                 "6", True, 8,
                  "3e7801cb2bec44cf0054742359cdb74cd420ef5d77d398115c3d4b3a34d97dd8",
                  id="reduced-5-2-2"),
     pytest.param(solve_commdelay_exact, lambda: _reduced(6, 2, 3), SolveLimits(max_jobs=12),
@@ -333,7 +335,7 @@ PINNED = [
                  "9dd959b1bba51ad4928ae92c16d9ce3a5f77d5db9189d9e1f5c7028459277d33",
                  id="reduced-6-2-3"),
     pytest.param(solve_commdelay_exact, lambda: _reduced(5, 3, 4), SolveLimits(max_jobs=12),
-                 "5", True, 23,
+                 "5", True, 18,
                  "a822dfcfbeae381795fe030337715aabd68bee1ba29f7cadee9942faedf81de1",
                  id="reduced-5-3-4"),
     pytest.param(solve_commdelay_exact, lambda: _reduced(6, 2, 3), SolveLimits(max_jobs=12, max_states=5),
@@ -345,48 +347,48 @@ PINNED = [
                  "9c3a2801ce72f8b6f7cb0e976412194aa9205fb52b918e0d21922c3119e84a82",
                  id="uniform-5-1-1-None"),
     pytest.param(solve_commdelay_exact, lambda: _uniform(6, 2, 2, None), SolveLimits(),
-                 "9", True, 62,
+                 "9", True, 61,
                  "cee88fc0a721f04a6039a32fcbe230576d3052c6d5ee67ef5b0e9aa5d72d378a",
                  id="uniform-6-2-2-None"),
     pytest.param(solve_commdelay_exact, lambda: _uniform(5, 1, 3, 2), SolveLimits(),
-                 "6", True, 25,
+                 "6", True, 12,
                  "44031b90cd356a7a42ebb96a9ef1aa01204ceb47d6a723ff30d25e7dde2de526",
                  id="uniform-5-1-3-2"),
     pytest.param(solve_commdelay_exact, lambda: _uniform(6, 2, 4, 2), SolveLimits(),
-                 "11", True, 49,
+                 "11", True, 46,
                  "5f44d8c16b908f0ac5d54be8baee8674c7e68b9ac502daa4cc07fd0cb1147d68",
                  id="uniform-6-2-4-2"),
     pytest.param(solve_commdelay_exact, lambda: _uniform(6, 0, 5, 2), SolveLimits(),
-                 "7", True, 74,
+                 "7", True, 37,
                  "73fca7bc375ac1e6805f7de5cd31a9bcaa21ce3939791a086749e3955dee6ef7",
                  id="uniform-6-0-5-2"),
     pytest.param(solve_commdelay_exact, lambda: _uniform(6, 0, 5, 2), SolveLimits(max_states=20),
-                 "11", False, 21,
-                 "7923b25921c20e3d3101e41879d3a2cb093471f37ba3b891c3b7322a414b6965",
+                 "7", False, 21,
+                 "73fca7bc375ac1e6805f7de5cd31a9bcaa21ce3939791a086749e3955dee6ef7",
                  id="uniform-capped"),
     pytest.param(solve_related_exact, lambda: _related(4, (1, 2, 3), 1), SolveLimits(),
                  "5/3", True, 29,
                  "0ccb4ce098822eadb45c018b959680021f60e235aa682452d52f93f7f28114b3",
                  id="related-4-1"),
     pytest.param(solve_related_exact, lambda: _related(5, (3, 1, 2), 2), SolveLimits(),
-                 "7/3", True, 38,
+                 "7/3", True, 19,
                  "58542bc40b984f0e3b66fc6b2aeb8fc22cbe33d7e4805394a2b8de2031152825",
                  id="related-5-2"),
     pytest.param(solve_related_exact, lambda: _related(5, (2, 2, 3), 3), SolveLimits(),
-                 "8/3", True, 38,
+                 "8/3", True, 29,
                  "dd6fd913d150cb411280604d2916c377aff4dac0f1b469244f9e3394dae8b2de",
                  id="related-5-3"),
     pytest.param(solve_related_exact, lambda: _related(6, (1, 2, 4), 4), SolveLimits(),
-                 "3", True, 210,
+                 "3", True, 161,
                  "d6a318836ba8ca4e4ecd77300027f0df8484fb06bb9e9efad7cff250982b2f21",
                  id="related-6-4"),
     pytest.param(solve_related_exact, lambda: _related(6, (1, 1, 2), 5), SolveLimits(),
-                 "4", True, 81,
+                 "4", True, 60,
                  "d948a98b12125de8f5d1ed4273ded32a86c962e83b06a21e762f1bee0578d5db",
                  id="related-6-5"),
     pytest.param(solve_related_exact, lambda: _related(6, (1, 2, 4), 4), SolveLimits(max_states=60),
-                 "7/2", False, 61,
-                 "cb50593739102c6b466a696b3fb0bddde09fe021faf7614bec2a2380898a7b45",
+                 "3", False, 61,
+                 "9e8b0feb17baa1acfcab99dd79741a0240ddd57856a472253d3088ac59798fda",
                  id="related-capped"),
 ]
 
@@ -398,6 +400,45 @@ def test_exact_solvers_match_pinned_results(solve, make, lim, optimum, proven, s
     assert (str(result.optimum), result.proven_optimal, result.states_explored) == (
         optimum, proven, states)
     assert hashlib.sha256(schedule_json).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# a search capped before its first leaf returns the earliest-finish list
+# schedule when that beats the serial one
+
+
+def _related_list_beats_serial():
+    # speeds 2 and 3, three jobs of length 3, 1 -> 3.  Serially on machine 2
+    # they take 3.  Earliest finish: job 1 on machine 2 over [0, 1]; job 2 on
+    # machine 1 over [0, 3/2] (machine 2 would end it at 2); job 3 on machine
+    # 2 over [1, 2] (machine 1 would end it at 3).  Makespan 2.
+    inst = RelatedInstance(machines=(2, 3), jobs=(3, 3, 3), dag=PrecedenceDag(3, ((1, 3),)))
+    return inst, {1: (2, 0, 1), 2: (1, 0, F(3, 2)), 3: (2, 1, 2)}, validate_related
+
+
+def _commdelay_list_beats_serial():
+    # lengths 2, 1, 1, 1 on two machines, 1 -> 3 and 2 -> 4 each with delay 1.
+    # Serially they take 5.  Earliest finish: job 1 on machine 1 over [0, 2];
+    # job 2 on the idle machine 2 over [0, 1]; job 3 after job 1 on machine 1
+    # over [2, 3] (machine 2 would wait for the delay and end it at 4); job
+    # 4 after job 2 on machine 2 over [1, 2].  Makespan 3.
+    inst = CommDelayInstance(n_total=4, lengths={1: 2, 2: 1, 3: 1, 4: 1},
+                             delays={(1, 3): 1, (2, 4): 1},
+                             dag=PrecedenceDag(4, ((1, 3), (2, 4))), machines=2)
+    return inst, {1: (1, 0, 2), 2: (2, 0, 1), 3: (1, 2, 3), 4: (2, 1, 2)}, validate_commdelay
+
+
+@pytest.mark.parametrize("solve, make", [
+    pytest.param(solve_related_exact, _related_list_beats_serial, id="related"),
+    pytest.param(solve_commdelay_exact, _commdelay_list_beats_serial, id="commdelay"),
+])
+def test_capped_search_returns_the_list_schedule(solve, make):
+    inst, listed, validate = make()
+    result = solve(inst, SolveLimits(max_states=1))
+    assert not result.proven_optimal
+    assert result.optimum == makespan(result.schedule) == max(e for _, _, e in listed.values())
+    assert result.schedule.entries == listed
+    assert validate(inst, result.schedule).feasible
 
 
 # ---------------------------------------------------------------------------
