@@ -13,12 +13,15 @@ Conventions used throughout the package:
 Validators never raise on an infeasible schedule; they return a
 :class:`ValidationReport` listing every violation found.  Structural
 problems (wrong job set, machine index out of range) raise instead,
-because no report could be interpreted for them.
+because no report could be interpreted for them.  The validators check
+on an integer time base: every time is multiplied once by the LCM of the
+denominators, so the checks add and compare plain integers.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
@@ -149,6 +152,8 @@ class UmpsInstance:
     dag: PrecedenceDag
 
     def __post_init__(self):
+        if not isinstance(self.n, int) or not isinstance(self.m, int):
+            raise ValueError("job and machine counts must be integers")
         if self.n < 1 or self.m < 1:
             raise ValueError("need at least one job and one machine")
         jobs = set(range(1, self.n + 1))
@@ -158,8 +163,11 @@ class UmpsInstance:
             if int(p) != p or p < 1:
                 raise ValueError(f"job {l}: length {p} must be a positive integer")
         for l, i in self.home.items():
-            if not 1 <= i <= self.m:
+            if int(i) != i or not 1 <= i <= self.m:
                 raise ValueError(f"job {l}: home machine {i} outside 1..{self.m}")
+        # stored as ints, so solvers and validators can index and scale by them
+        object.__setattr__(self, "lengths", {l: int(p) for l, p in self.lengths.items()})
+        object.__setattr__(self, "home", {l: int(i) for l, i in self.home.items()})
         if self.dag.node_count != self.n:
             raise ValueError("dag node count must equal the job count")
 
@@ -228,14 +236,15 @@ class CommDelayInstance:
         for l, p in self.lengths.items():
             if int(p) != p or p < 1:
                 raise ValueError(f"job {l}: length {p} must be a positive integer")
+        object.__setattr__(self, "lengths", {l: int(p) for l, p in self.lengths.items()})
         if self.dag.node_count != self.n_total:
             raise ValueError("dag node count must equal n_total")
         if set(self.delays) != set(self.dag.edges):
             raise ValueError("delays must cover exactly the dag edges")
         if any(c < 0 for c in self.delays.values()):
             raise ValueError("delays must be nonnegative")
-        if self.machines is not None and self.machines < 1:
-            raise ValueError("machine count must be >= 1 (or None for unlimited)")
+        if self.machines is not None and (not isinstance(self.machines, int) or self.machines < 1):
+            raise ValueError("machine count must be an integer >= 1 (or None for unlimited)")
 
     def total_length(self) -> int:
         return sum(self.lengths.values())
@@ -280,6 +289,8 @@ class JobGroup:
     origin_job: int
 
     def __post_init__(self):
+        if not all(isinstance(x, int) for x in (self.multiplicity, self.length, self.origin_job)):
+            raise ValueError("multiplicity, length and origin job must be integers")
         if self.multiplicity < 1 or self.length < 1:
             raise ValueError("multiplicity and length must be >= 1")
 
@@ -290,6 +301,8 @@ class MachineGroup:
     speed: int
 
     def __post_init__(self):
+        if not isinstance(self.multiplicity, int) or not isinstance(self.speed, int):
+            raise ValueError("multiplicity and speed must be integers")
         if self.multiplicity < 1 or self.speed < 1:
             raise ValueError("multiplicity and speed must be >= 1")
 
@@ -417,6 +430,8 @@ class GroupedPlacement:
     def __post_init__(self):
         object.__setattr__(self, "start", as_fraction(self.start))
         object.__setattr__(self, "end", as_fraction(self.end))
+        if not all(isinstance(x, int) for x in (self.group, self.machine_group, self.count)):
+            raise ValueError("placement group, machine group and count must be integers")
         if self.count < 1:
             raise ValueError("placement count must be >= 1")
 
@@ -435,7 +450,8 @@ class GroupedSchedule:
 
 
 # ---------------------------------------------------------------------------
-# validation
+# validation, on an integer time base: each validator scales its times by
+# the LCM of their denominators once, then checks on ints
 
 
 @dataclass(frozen=True)
@@ -468,10 +484,11 @@ def _check_job_set(sched: Schedule, count: int):
         raise JobSetMismatch(f"missing jobs {missing}, unexpected jobs {extra}")
 
 
-def _overlaps(sched: Schedule):
-    """Same-machine pairs of jobs whose half-open intervals intersect."""
+def _overlaps(times):
+    """Same-machine pairs of jobs whose half-open intervals intersect;
+    ``times[j - 1]`` is job j's (machine, start, end, duration)."""
     by_machine = {}
-    for job, (machine, start, end) in sorted(sched.entries.items()):
+    for job, (machine, start, end, _) in enumerate(times, start=1):
         by_machine.setdefault(machine, []).append((start, end, job))
     out = []
     for machine in sorted(by_machine):
@@ -496,26 +513,32 @@ def _validate_flat(dag, sched, duration, home=None, machines=None, delays=None):
     machines; without it every edge is plain precedence.
     """
     _check_job_set(sched, dag.node_count)
-    violations = []
+    exact = []  # (machine, start, end, duration) per job, in job order
     for job in range(1, dag.node_count + 1):
         machine, start, end = sched.entries[job]
-        if home is not None:
-            if machine != home[job]:
-                violations.append(Violation("wrong_machine", (job, machine)))
-        elif machine < 1 or machines is not None and machine > machines:
+        if home is None and (machine < 1 or machines is not None and machine > machines):
             have = "" if machines is None else f", have {machines}"
             raise MachineOutOfRange(f"job {job} on machine {machine}{have}")
+        exact.append((machine, start, end, duration(job, machine)))
+    scale = math.lcm(*{t.denominator for row in exact for t in row[1:]})
+    times = [(machine, s.numerator * (scale // s.denominator),
+              e.numerator * (scale // e.denominator), d.numerator * (scale // d.denominator))
+             for machine, s, e, d in exact]
+    violations = []
+    for job, (machine, start, end, length) in enumerate(times, start=1):
+        if home is not None and machine != home[job]:
+            violations.append(Violation("wrong_machine", (job, machine)))
         if start < 0:
             violations.append(Violation("negative_time", (job,)))
-        if end - start != duration(job, machine):
+        if end - start != length:
             violations.append(Violation("duration", (job,)))
-    violations.extend(_overlaps(sched))
+    violations.extend(_overlaps(times))
     for u, v in dag.edges:
-        mu, _, eu = sched.entries[u]
-        mv, sv, _ = sched.entries[v]
+        mu, _, eu, _ = times[u - 1]
+        mv, sv, _, _ = times[v - 1]
         if sv < eu:
             violations.append(Violation("precedence", (u, v)))
-        elif delays and mu != mv and sv < eu + delays[(u, v)]:
+        elif delays and mu != mv and sv < eu + delays[(u, v)] * scale:
             violations.append(Violation("delay", (u, v)))
     return _report(violations)
 
@@ -545,50 +568,52 @@ def validate_grouped(
     """Group-level feasibility without expanding members.
 
     Checks per-placement durations, machine-group capacity at every time
-    (total active count <= group multiplicity), all-pairs precedence
-    between groups joined by a group edge, and -- when
-    ``require_complete`` -- that every member of every group is placed
-    exactly once.
+    (total active count <= group multiplicity), precedence between groups
+    joined by a group edge (gu, gv) as the last end of gu <= the first
+    start of gv, and -- when ``require_complete`` -- that every member of
+    every group is placed exactly once.
     """
+    job_groups, machine_groups = inst.job_groups, inst.machine_groups
+    scale = math.lcm(*{t.denominator for pl in gs.placements for t in (pl.start, pl.end)})
     violations = []
-    per_group_count = {g: 0 for g in range(1, len(inst.job_groups) + 1)}
+    per_group_count = [0] * (len(job_groups) + 1)
+    last_end, first_start = {}, {}
+    events = [[] for _ in range(len(machine_groups) + 1)]  # per machine group
     for idx, pl in enumerate(gs.placements):
-        if not 1 <= pl.group <= len(inst.job_groups):
-            raise JobSetMismatch(f"placement {idx}: unknown job group {pl.group}")
-        if not 1 <= pl.machine_group <= len(inst.machine_groups):
-            raise MachineOutOfRange(f"placement {idx}: unknown machine group {pl.machine_group}")
-        jg = inst.job_groups[pl.group - 1]
-        mg = inst.machine_groups[pl.machine_group - 1]
-        if pl.start < 0:
-            violations.append(Violation("negative_time", (pl.group,)))
-        if pl.end - pl.start != Fraction(jg.length, mg.speed):
-            violations.append(Violation("duration", (pl.group, pl.machine_group)))
-        per_group_count[pl.group] += pl.count
+        g, i = pl.group, pl.machine_group
+        if not 1 <= g <= len(job_groups):
+            raise JobSetMismatch(f"placement {idx}: unknown job group {g}")
+        if not 1 <= i <= len(machine_groups):
+            raise MachineOutOfRange(f"placement {idx}: unknown machine group {i}")
+        start = pl.start.numerator * (scale // pl.start.denominator)
+        end = pl.end.numerator * (scale // pl.end.denominator)
+        if start < 0:
+            violations.append(Violation("negative_time", (g,)))
+        # end - start == length / speed on the unscaled times
+        if (end - start) * machine_groups[i - 1].speed != job_groups[g - 1].length * scale:
+            violations.append(Violation("duration", (g, i)))
+        per_group_count[g] += pl.count
+        if g not in last_end or end > last_end[g]:
+            last_end[g] = end
+        if g not in first_start or start < first_start[g]:
+            first_start[g] = start
+        events[i].append((start, 1, pl.count))
+        events[i].append((end, 0, -pl.count))
 
-    for g, total in sorted(per_group_count.items()):
-        mult = inst.job_groups[g - 1].multiplicity
+    for g, jg in enumerate(job_groups, start=1):
+        total, mult = per_group_count[g], jg.multiplicity
         if total > mult or (require_complete and total != mult):
             violations.append(Violation("count", (g, total, mult)))
 
     # capacity sweep: ends before starts at equal times (half-open intervals)
-    for mg_idx in range(1, len(inst.machine_groups) + 1):
-        events = []
-        for pl in gs.placements:
-            if pl.machine_group == mg_idx:
-                events.append((pl.start, 1, pl.count))
-                events.append((pl.end, 0, -pl.count))
-        events.sort()
+    for mg_idx, mg in enumerate(machine_groups, start=1):
         active = 0
-        cap = inst.machine_groups[mg_idx - 1].multiplicity
-        flagged = False
-        for _, _, delta in events:
+        for _, _, delta in sorted(events[mg_idx]):
             active += delta
-            if active > cap and not flagged:
-                violations.append(Violation("overlap", (mg_idx, active, cap)))
-                flagged = True
+            if active > mg.multiplicity:
+                violations.append(Violation("overlap", (mg_idx, active, mg.multiplicity)))
+                break
     for gu, gv in inst.group_dag.edges:
-        ends = [pl.end for pl in gs.placements if pl.group == gu]
-        starts = [pl.start for pl in gs.placements if pl.group == gv]
-        if ends and starts and max(ends) > min(starts):
+        if gu in last_end and gv in first_start and last_end[gu] > first_start[gv]:
             violations.append(Violation("precedence", (gu, gv)))
     return _report(violations)

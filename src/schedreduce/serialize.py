@@ -282,13 +282,16 @@ def read_obj(path) -> dict:
 
 
 def read_file(path):
-    """Read a domain object; a file of the wrong shape (a missing field, a
-    list where an object belongs, a precedence cycle) raises
-    ``ValueError`` naming ``path``."""
-    obj = read_obj(path)
+    """Read a domain object; a file that does not parse or has the wrong
+    shape (a missing field, a list where an object belongs, a rational
+    such as ``"1/0"`` or ``"a/b"``, a precedence cycle) raises
+    ``ValueError`` naming ``path``.  An unreadable file raises ``OSError``,
+    and a well-formed fractional file that breaks one of its properties
+    raises ``PropertyViolated``."""
     try:
-        return from_obj(obj)
-    except (KeyError, TypeError, AttributeError, CycleDetected) as exc:
+        return from_obj(read_obj(path))
+    except (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError,
+            CycleDetected) as exc:
         raise ValueError(f"{path}: malformed file ({type(exc).__name__}: {exc})") from exc
 
 

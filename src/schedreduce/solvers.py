@@ -426,7 +426,10 @@ def solve_umps_exact(inst: UmpsInstance, lim: SolveLimits = None) -> SolveResult
 
     Unit-length instances use a breadth-first dynamic program over
     completed job sets (rounds process one available job per machine;
-    filling an idle machine never hurts, so maximal rounds suffice).
+    filling an idle machine never hurts, so maximal rounds suffice).  A
+    state is the bit mask of its done jobs and carries its ready mask: a
+    child's is its parent's minus the jobs just run, plus those of their
+    successors whose predecessors are now all done.
     General lengths enumerate per-machine orders as described in the
     module docstring.  Both paths return the same optima; the tests
     cross-check them against a time-indexed brute-force oracle.
@@ -447,34 +450,52 @@ def _solve_umps_unit(inst: UmpsInstance, lim: SolveLimits) -> SolveResult:
     n = inst.n
     full = (1 << n) - 1
     pred_mask = [0] * (n + 1)
+    succ = [[] for _ in range(n + 1)]  # (bit, pred_mask) per successor
     for u, v in inst.dag.edges:
         pred_mask[v] |= 1 << (u - 1)
-    homes = [sorted(inst.jobs_on(i)) for i in range(1, inst.m + 1)]
+    for u, v in inst.dag.edges:
+        succ[u].append((1 << (v - 1), pred_mask[v]))
+    home_mask = [0] * inst.m
+    for j in range(1, n + 1):
+        home_mask[inst.home[j] - 1] |= 1 << (j - 1)
+    ready0 = sum(1 << (j - 1) for j in range(1, n + 1) if not pred_mask[j])
     t0 = time.monotonic()
 
+    # a state is its done mask; its ready mask (jobs not done whose
+    # predecessors all are) rides along in the queue
     dist = {0: 0}
     parent = {0: None}
-    queue = deque([0])
+    queue = deque([(0, ready0)])
     while queue:
-        mask = queue.popleft()
+        mask, ready = queue.popleft()
         if mask == full:
             break
-        options = []
-        for jobs_i in homes:
-            avail = [
-                j for j in jobs_i
-                if not mask & (1 << (j - 1)) and pred_mask[j] & mask == pred_mask[j]
-            ]
+        # children: the done mask plus one ready job per machine, OR-ed in
+        # itertools.product order over the machines with a ready job
+        children = [mask]
+        for home in home_mask:
+            avail = ready & home
             if avail:
-                options.append(avail)
-        for choice in itertools.product(*options):
-            new = mask
-            for j in choice:
-                new |= 1 << (j - 1)
+                bits = []
+                while avail:
+                    low = avail & -avail
+                    bits.append(low)
+                    avail ^= low
+                children = [c | b for c in children for b in bits]
+        d = dist[mask] + 1
+        for new in children:
             if new not in dist:
-                dist[new] = dist[mask] + 1
-                parent[new] = (mask, choice)
-                queue.append(new)
+                dist[new] = d
+                parent[new] = mask
+                chosen = new ^ mask
+                next_ready = ready ^ chosen
+                while chosen:
+                    low = chosen & -chosen
+                    chosen ^= low
+                    for bit, pm in succ[low.bit_length()]:
+                        if pm & new == pm:
+                            next_ready |= bit
+                queue.append((new, next_ready))
         if len(dist) > lim.max_states or time.monotonic() - t0 > lim.time_budget:
             sched = greedy_umps(inst)
             return SolveResult(makespan(sched), sched, proven_optimal=False,
@@ -483,10 +504,13 @@ def _solve_umps_unit(inst: UmpsInstance, lim: SolveLimits) -> SolveResult:
     entries = {}
     mask = full
     while parent[mask] is not None:
-        prev, choice = parent[mask]
+        prev = parent[mask]
         r = dist[prev]
-        for j in choice:
-            entries[j] = (inst.home[j], Fraction(r), Fraction(r + 1))
+        chosen = mask & ~prev
+        for home in home_mask:  # machine order, as the round's choice
+            if chosen & home:
+                j = (chosen & home).bit_length()
+                entries[j] = (inst.home[j], Fraction(r), Fraction(r + 1))
         mask = prev
     sched = Schedule(entries=entries)
     return SolveResult(

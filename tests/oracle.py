@@ -9,12 +9,18 @@ left-shift every job to its earliest start: all starts become integral
 sums of processing times), so the integer grid is exhaustive.  Only the
 plain data fields of an instance are read; no package graph helpers are
 used.
+
+The validator oracles at the end keep the straightforward ``Fraction``
+form of the schedule checks: every comparison on exact rationals, and
+each group edge answered by rescanning the placements.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from schedreduce.errors import JobSetMismatch, MachineOutOfRange
 
 
 def _topo(n, edges):
@@ -174,3 +180,102 @@ def oracle_related_optimum(inst) -> Fraction:
         if fits(0, deadline):
             return Fraction(deadline, grid)
     raise AssertionError("serial schedule on a fastest machine always fits")
+
+
+# ---------------------------------------------------------------------------
+# schedule checks on Fraction times; violations are (kind, witness) pairs
+
+
+def _fraction_overlaps(sched):
+    """Same-machine pairs of jobs whose half-open intervals intersect."""
+    by_machine = {}
+    for job, (machine, start, end) in sorted(sched.entries.items()):
+        by_machine.setdefault(machine, []).append((start, end, job))
+    out = []
+    for machine in sorted(by_machine):
+        placed = sorted(by_machine[machine])
+        for a in range(len(placed)):
+            s1, e1, j1 = placed[a]
+            for b in range(a + 1, len(placed)):
+                s2, e2, j2 = placed[b]
+                if s2 >= e1:
+                    break  # sorted by start, nothing later can overlap j1
+                out.append(("overlap", (machine, min(j1, j2), max(j1, j2))))
+    return out
+
+
+def oracle_flat_violations(dag, sched, duration, home=None, machines=None, delays=None):
+    """The violations ``model._validate_flat`` reports, in its order."""
+    expected = set(range(1, dag.node_count + 1))
+    if set(sched.entries) != expected:
+        missing = sorted(expected - set(sched.entries))
+        extra = sorted(set(sched.entries) - expected)
+        raise JobSetMismatch(f"missing jobs {missing}, unexpected jobs {extra}")
+    violations = []
+    for job in range(1, dag.node_count + 1):
+        machine, start, end = sched.entries[job]
+        if home is not None:
+            if machine != home[job]:
+                violations.append(("wrong_machine", (job, machine)))
+        elif machine < 1 or machines is not None and machine > machines:
+            have = "" if machines is None else f", have {machines}"
+            raise MachineOutOfRange(f"job {job} on machine {machine}{have}")
+        if start < 0:
+            violations.append(("negative_time", (job,)))
+        if end - start != duration(job, machine):
+            violations.append(("duration", (job,)))
+    violations.extend(_fraction_overlaps(sched))
+    for u, v in dag.edges:
+        mu, _, eu = sched.entries[u]
+        mv, sv, _ = sched.entries[v]
+        if sv < eu:
+            violations.append(("precedence", (u, v)))
+        elif delays and mu != mv and sv < eu + delays[(u, v)]:
+            violations.append(("delay", (u, v)))
+    return violations
+
+
+def oracle_grouped_violations(inst, gs, require_complete=True):
+    """The violations ``model.validate_grouped`` reports, in its order."""
+    violations = []
+    per_group_count = {g: 0 for g in range(1, len(inst.job_groups) + 1)}
+    for idx, pl in enumerate(gs.placements):
+        if not 1 <= pl.group <= len(inst.job_groups):
+            raise JobSetMismatch(f"placement {idx}: unknown job group {pl.group}")
+        if not 1 <= pl.machine_group <= len(inst.machine_groups):
+            raise MachineOutOfRange(f"placement {idx}: unknown machine group {pl.machine_group}")
+        jg = inst.job_groups[pl.group - 1]
+        mg = inst.machine_groups[pl.machine_group - 1]
+        if pl.start < 0:
+            violations.append(("negative_time", (pl.group,)))
+        if pl.end - pl.start != Fraction(jg.length, mg.speed):
+            violations.append(("duration", (pl.group, pl.machine_group)))
+        per_group_count[pl.group] += pl.count
+
+    for g, total in sorted(per_group_count.items()):
+        mult = inst.job_groups[g - 1].multiplicity
+        if total > mult or (require_complete and total != mult):
+            violations.append(("count", (g, total, mult)))
+
+    # capacity sweep: ends before starts at equal times (half-open intervals)
+    for mg_idx in range(1, len(inst.machine_groups) + 1):
+        events = []
+        for pl in gs.placements:
+            if pl.machine_group == mg_idx:
+                events.append((pl.start, 1, pl.count))
+                events.append((pl.end, 0, -pl.count))
+        events.sort()
+        active = 0
+        cap = inst.machine_groups[mg_idx - 1].multiplicity
+        flagged = False
+        for _, _, delta in events:
+            active += delta
+            if active > cap and not flagged:
+                violations.append(("overlap", (mg_idx, active, cap)))
+                flagged = True
+    for gu, gv in inst.group_dag.edges:
+        ends = [pl.end for pl in gs.placements if pl.group == gu]
+        starts = [pl.start for pl in gs.placements if pl.group == gv]
+        if ends and starts and max(ends) > min(starts):
+            violations.append(("precedence", (gu, gv)))
+    return violations

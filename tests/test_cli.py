@@ -1,14 +1,23 @@
 import csv
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from schedreduce import cli
-from schedreduce.serialize import read_file, read_obj, sidecar_path, write_file
+from schedreduce import (
+    cli,
+    forward_map_related,
+    gen_fractional,
+    solve_umps_exact,
+    umps_to_commdelay,
+    umps_to_related,
+)
+from schedreduce.serialize import read_file, read_obj, sidecar_path, to_obj, write_file
 
 
 def run(*argv):
@@ -172,8 +181,26 @@ CYCLIC_UMPS = json.dumps({
 })
 
 
-@pytest.mark.parametrize("text", ['{"kind": "umps"}', "[1, 2]", CYCLIC_UMPS],
-                         ids=["missing-field", "list", "cycle"])
+def _schedule_text(entry):
+    return json.dumps({"kind": "schedule", "entries": {"1": entry}})
+
+
+FLOAT_HOME_UMPS = json.dumps({
+    "kind": "umps", "n": 2, "m": 2, "lengths": {"1": 1, "2": 1}, "home": {"1": 1, "2": 1.5},
+    "dag": {"node_count": 2, "edges": [[1, 2]]},
+})
+FLOAT_COUNT_COMMDELAY = json.dumps({
+    "kind": "commdelay", "n_total": 2, "lengths": {"1": 1, "2": 1}, "delays": [[1, 2, 1]],
+    "dag": {"node_count": 2, "edges": [[1, 2]]}, "machines": 1.5,
+})
+
+
+@pytest.mark.parametrize("text", [
+    '{"kind": "umps"}', "[1, 2]", CYCLIC_UMPS,
+    _schedule_text([1, "1/0", "1"]), _schedule_text([1, "a/b", "1"]),
+    _schedule_text([1, "0"]), '{"kind": "umps",', FLOAT_HOME_UMPS, FLOAT_COUNT_COMMDELAY,
+], ids=["missing-field", "list", "cycle", "zero-denominator", "bad-rational",
+        "short-entry", "not-json", "float-home", "float-machine-count"])
 def test_malformed_file_is_usage_error_without_traceback(tmp_path, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -186,6 +213,129 @@ def test_malformed_file_is_usage_error_without_traceback(tmp_path, text):
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and "bad.json" in proc.stderr
+
+
+def _fractional_obj(sample8):
+    sched = solve_umps_exact(sample8).schedule
+    return to_obj(gen_fractional(sample8, sched, Fraction(1, 640), Fraction(1, 2), 3))
+
+
+def test_zero_denominator_is_malformed_but_a_broken_property_is_infeasible(
+        tmp_path, sample8, sample8_file, capsys):
+    sched = to_obj(solve_umps_exact(sample8).schedule)
+    sched["entries"]["1"][1] = "1/0"
+    (tmp_path / "s.json").write_text(json.dumps(sched))
+    assert run("verify", sample8_file, str(tmp_path / "s.json")) == 2
+    assert "s.json" in capsys.readouterr().err
+
+    frac = _fractional_obj(sample8)
+    frac["gamma"] = "1/0"
+    (tmp_path / "f.json").write_text(json.dumps(frac))
+    assert run("solve", str(tmp_path / "f.json"), "--out", str(tmp_path / "o.json")) == 2
+    assert "f.json" in capsys.readouterr().err
+
+    frac["gamma"] = "2"  # parses, but gamma must lie in [0, 1)
+    (tmp_path / "f.json").write_text(json.dumps(frac))
+    assert run("solve", str(tmp_path / "f.json"), "--out", str(tmp_path / "o.json")) == 1
+    assert "infeasible" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# malformed-file fuzzer: seeded mutations of valid files of every kind must
+# end in an exit code, never in an exception
+
+
+FUZZ_SEEDS = 60
+FUZZ_SWAPS = [None, True, 1.5, 2.0, "2", -1, 0, "x", [], {}, [1], {"1": 1}]
+
+
+def _nodes(obj, path=()):
+    """Every (path, value) in a JSON tree, the root first."""
+    yield path, obj
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _mutate(obj, rnd):
+    """One or two of: drop a field, swap a value's type, put "1/0" or
+    "a/b" in place of a rational string, truncate a list."""
+    for _ in range(rnd.randint(1, 2)):
+        paths = [(p, v) for p, v in _nodes(obj) if p]
+        op = rnd.randrange(4)
+        if op == 0:
+            picks = [p for p, _ in paths if isinstance(_at(obj, p[:-1]), dict)]
+        elif op == 1:
+            picks = [p for p, _ in paths]
+        elif op == 2:
+            picks = [p for p, v in paths if isinstance(v, str) and p[-1] != "kind"]
+        else:
+            picks = [p for p, v in paths if isinstance(v, list) and v]
+        if not picks:
+            continue
+        path = rnd.choice(picks)
+        parent, key = _at(obj, path[:-1]), path[-1]
+        if op == 0:
+            del parent[key]
+        elif op == 1:
+            parent[key] = rnd.choice(FUZZ_SWAPS)
+        elif op == 2:
+            parent[key] = rnd.choice(["1/0", "a/b"])
+        else:
+            del parent[key][rnd.randrange(len(parent[key])):]
+    return obj
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+@pytest.mark.parametrize("kind", ["umps", "schedule", "commdelay", "commdelay_artifact",
+                                  "related_grouped", "grouped_schedule", "related_artifact",
+                                  "fractional"])
+def test_mutated_files_exit_cleanly(tmp_path, sample8, kind):
+    sched = solve_umps_exact(sample8).schedule
+    related = umps_to_related(sample8, kappa_override=2)
+    grouped = forward_map_related(related, sched)
+    base = {
+        "umps": lambda: to_obj(sample8),
+        "schedule": lambda: to_obj(sched),
+        "commdelay": lambda: to_obj(umps_to_commdelay(sample8).output),
+        "commdelay_artifact": lambda: to_obj(umps_to_commdelay(sample8)),
+        "related_grouped": lambda: to_obj(related.output),
+        "grouped_schedule": lambda: to_obj(grouped),
+        "related_artifact": lambda: to_obj(related),
+        "fractional": lambda: _fractional_obj(sample8),
+    }[kind]()
+    inst_path, sched_path = str(tmp_path / "u.json"), str(tmp_path / "s.json")
+    grouped_path, placements_path = str(tmp_path / "g.json"), str(tmp_path / "gs.json")
+    write_file(inst_path, sample8)
+    write_file(sched_path, sched)
+    write_file(grouped_path, related.output)
+    write_file(placements_path, grouped)
+    bad, out = str(tmp_path / "bad.json"), str(tmp_path / "out.json")
+    capped = ("--limits", "max_jobs=24,max_states=200")
+    commands = {
+        "umps": [("solve", bad, "--out", out), ("verify", bad, sched_path)],
+        "schedule": [("verify", inst_path, bad)],
+        "commdelay": [("solve", bad, "--out", out, *capped),
+                      ("solve", bad, "--solver", "greedy", "--out", out)],
+        "related_grouped": [("solve", bad, "--out", out, *capped),
+                            ("verify", bad, placements_path)],
+        "grouped_schedule": [("verify", grouped_path, bad)],
+    }.get(kind, [("solve", bad, "--out", out)])
+    for seed in range(FUZZ_SEEDS):
+        mutated = _mutate(json.loads(json.dumps(base)), random.Random(f"{kind}-{seed}"))
+        Path(bad).write_text(json.dumps(mutated))
+        for argv in commands:
+            try:
+                code = run(*argv)
+            except Exception as exc:  # any exception that escapes is the failure
+                pytest.fail(f"seed {seed}, {argv[0]}: {type(exc).__name__}: {exc}\n"
+                            f"{json.dumps(mutated)}")
+            assert code in (0, 1, 2, 3), (seed, argv[0], code)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from schedreduce import (
 )
 from schedreduce.serialize import dump_canonical, to_obj
 from conftest import SAMPLE8, make_sample8
+from oracle import oracle_flat_violations, oracle_grouped_violations
 
 # strategy: random dag via index-increasing edge choices
 dags = st.integers(2, 7).flatmap(
@@ -425,3 +426,142 @@ def test_flat_model_checks_and_schedules_are_pinned(name):
             compute()
     else:
         assert compute() == expected
+
+
+# ---------------------------------------------------------------------------
+# differential: the integer-time validators against the Fraction-time
+# oracles, on schedules built to sit on the edges of every check
+
+
+SPEEDS = (1, 2, 3, 5, 7)
+
+
+def _same_outcome(check, oracle):
+    """``oracle()`` gives the (kind, witness) list that ``check()``'s report
+    must hold, or raises the error type ``check()`` must raise."""
+    try:
+        expected = oracle()
+    except (JobSetMismatch, MachineOutOfRange) as exc:
+        with pytest.raises(type(exc)):
+            check()
+        return
+    assert [(v.kind, v.witness) for v in check().violations] == expected
+
+
+def _times(draw, seen):
+    """A start time: a time already used, a small integer (negative ones
+    included) or a multiple of 1/speed, then 0 to 3 later, so intervals
+    touch, start together, or wait out part or all of a delay."""
+    base = draw(st.sampled_from(seen)
+                | st.integers(-1, 2).map(Fraction)
+                | st.builds(Fraction, st.integers(-2, 7), st.sampled_from(SPEEDS)))
+    return base + draw(st.sampled_from((0, 0, 1, 2, 3)))
+
+
+def _nudge(draw):
+    return draw(st.sampled_from((0, 0, 1, -1))) * Fraction(1, draw(st.sampled_from(SPEEDS)))
+
+
+def _edges(draw, n):
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] < e[1])
+    return tuple(draw(st.lists(pairs, max_size=2 * n, unique=True)))
+
+
+@st.composite
+def flat_cases(draw):
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    dag = PrecedenceDag(n, _edges(draw, n))
+    lengths = {j: draw(st.integers(1, 3)) for j in range(1, n + 1)}
+    kind = draw(st.sampled_from(("umps", "commdelay", "related")))
+    if kind == "umps":
+        inst = UmpsInstance(n=n, m=m, lengths=lengths, dag=dag,
+                            home={j: draw(st.integers(1, m)) for j in range(1, n + 1)})
+        validate, duration, keys = validate_umps, lambda j, i: inst.lengths[j], {
+            "home": inst.home}
+    elif kind == "commdelay":
+        inst = CommDelayInstance(n_total=n, lengths=lengths, dag=dag,
+                                 delays={e: draw(st.integers(0, 3)) for e in dag.edges},
+                                 machines=draw(st.none() | st.just(m)))
+        validate, duration, keys = validate_commdelay, lambda j, i: inst.lengths[j], {
+            "machines": inst.machines, "delays": inst.delays}
+    else:
+        inst = RelatedInstance(machines=tuple(draw(st.sampled_from(SPEEDS)) for _ in range(m)),
+                               jobs=tuple(lengths.values()), dag=dag)
+        validate, duration, keys = validate_related, inst.duration, {"machines": m}
+    # aligned: each job starts 0 to 3 after its predecessors end, the way
+    # a list schedule places it; otherwise anywhere
+    aligned, preds = draw(st.booleans()), dag.predecessors()
+    seen, entries = [Fraction(0)], {}
+    for j in range(1, n + 1):
+        machine = draw(st.integers(1, m))
+        if aligned:
+            ready = max((entries[u][2] for u in preds[j]), default=Fraction(0))
+            start = ready + draw(st.sampled_from((0, 0, 1, 2, 3)))
+        else:
+            start = _times(draw, seen)
+        entries[j] = (machine, start, start + duration(j, machine) + _nudge(draw))
+        seen += entries[j][1:]
+    stray = draw(st.sampled_from((None,) * 4 + (0, m + 1)))  # a machine off every range
+    if stray is not None:
+        j = draw(st.integers(1, n))
+        entries[j] = (stray, *entries[j][1:])
+    job_set = draw(st.sampled_from(("exact",) * 8 + ("missing", "extra")))
+    if job_set == "missing":
+        del entries[n]
+    elif job_set == "extra":
+        entries[n + 1] = (1, Fraction(0), Fraction(1))
+    return inst, validate, duration, keys, Schedule(entries=entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(flat_cases())
+def test_flat_validators_match_the_fraction_oracle(case):
+    inst, validate, duration, keys, sched = case
+    _same_outcome(lambda: validate(inst, sched),
+                  lambda: oracle_flat_violations(inst.dag, sched, duration, **keys))
+
+
+@st.composite
+def grouped_cases(draw):
+    g_count, mg_count = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    inst = GroupedRelatedInstance(
+        job_groups=tuple(JobGroup(draw(st.integers(1, 3)), draw(st.integers(1, 3)), g)
+                         for g in range(1, g_count + 1)),
+        machine_groups=tuple(MachineGroup(draw(st.integers(1, 3)), draw(st.sampled_from(SPEEDS)))
+                             for _ in range(mg_count)),
+        group_dag=PrecedenceDag(g_count, _edges(draw, g_count)),
+    )
+    # aligned: placements in group order, each starting at or just after
+    # the last end of its placed predecessor groups; otherwise anywhere
+    aligned, preds = draw(st.booleans()), inst.group_dag.predecessors()
+    groups = draw(st.lists(st.integers(1, g_count), max_size=7))
+    seen, placements, last_end = [Fraction(0)], [], {}
+    for g in sorted(groups) if aligned else groups:
+        i = draw(st.integers(1, mg_count))
+        if aligned:
+            ready = max((last_end[u] for u in preds[g] if u in last_end), default=Fraction(0))
+            start = ready + draw(st.sampled_from((0, 0, 1)))
+        else:
+            start = _times(draw, seen)
+        exact = Fraction(inst.job_groups[g - 1].length, inst.machine_groups[i - 1].speed)
+        end = start + exact + _nudge(draw)
+        placements.append(GroupedPlacement(g, i, start, end, draw(st.integers(1, 3))))
+        last_end[g] = max(last_end.get(g, end), end)
+        seen += [start, end]
+    unknown = draw(st.sampled_from((None,) * 8 + ("group", "machine_group")))
+    if unknown and placements:
+        k = draw(st.integers(0, len(placements) - 1))
+        pl = placements[k]
+        placements[k] = GroupedPlacement(
+            g_count + 1 if unknown == "group" else pl.group,
+            mg_count + 1 if unknown == "machine_group" else pl.machine_group,
+            pl.start, pl.end, pl.count)
+    return inst, GroupedSchedule(placements=placements), draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(grouped_cases())
+def test_grouped_validator_matches_the_fraction_oracle(case):
+    inst, gs, require_complete = case
+    _same_outcome(lambda: validate_grouped(inst, gs, require_complete),
+                  lambda: oracle_grouped_violations(inst, gs, require_complete))

@@ -30,7 +30,7 @@ from schedreduce import (
     verify_no_property,
 )
 from schedreduce.serialize import dump_canonical, to_obj
-from conftest import SAMPLE8
+from conftest import SAMPLE8, make_sample8
 from oracle import oracle_commdelay_optimum, oracle_related_optimum, oracle_umps_optimum
 
 F = Fraction
@@ -400,6 +400,53 @@ def test_exact_solvers_match_pinned_results(solve, make, lim, optimum, proven, s
     assert (str(result.optimum), result.proven_optimal, result.states_explored) == (
         optimum, proven, states)
     assert hashlib.sha256(schedule_json).hexdigest() == digest
+
+
+# Pinned results of the unit-length dynamic program, in the same columns.
+# The rows run the shapes a rounding pass solves (n 24..64 under a
+# 20,000-state cap).  The layered 2x16 row trips the cap after the round
+# that crosses it, so its state count and greedy schedule pin where the
+# search stops.  Any change to the search must keep every field.
+UNIT_LIMITS = SolveLimits(max_jobs=64, max_states=20_000)
+
+UNIT_PINNED = [
+    pytest.param(lambda: gen_random_umps(24, 2, F(1, 4), 1), UNIT_LIMITS,
+                 "16", True, 51,
+                 "0891381c2e49d86a29ca9515697a273bfad36ee73e409af02c731c940d594c89",
+                 id="random-24-2"),
+    pytest.param(lambda: gen_random_umps(40, 4, F(1, 3), 2), UNIT_LIMITS,
+                 "19", True, 47,
+                 "1b1e7ffcec2eaf56a24c54e91e434442b650a6df6e024ebacd5188ab993bcb07",
+                 id="random-40-4"),
+    pytest.param(lambda: gen_random_umps(64, 4, F(1, 4), 3), UNIT_LIMITS,
+                 "32", True, 178,
+                 "a354bd9bc0d45d3b9d4f36ad2b781434d86d023c476ecebc71922220c6e4f462",
+                 id="random-64-4"),
+    pytest.param(lambda: gen_layered_umps(3, 8, F(1, 2), 4), UNIT_LIMITS,
+                 "15", True, 1541,
+                 "5cb2d99e7f660f446b43883b5b671aa38e73dba6f86fdd611f71383f0ab63e4d",
+                 id="layered-3-8"),
+    pytest.param(lambda: gen_layered_umps(4, 8, F(2, 3), 5), UNIT_LIMITS,
+                 "23", True, 1239,
+                 "a58b20d55d790b30feb3ecca62c0c03a24c6950ed3d14c68aa080128a52ba3ee",
+                 id="layered-4-8"),
+    pytest.param(lambda: gen_layered_umps(2, 16, F(1, 2), 6), UNIT_LIMITS,
+                 "32", False, 20002,
+                 "a18884e15d272aba518a90deb59f611db487f001d2750c22cb3434fa1bbd79e6",
+                 id="layered-2-16-capped"),
+    pytest.param(make_sample8, SolveLimits(max_states=1),
+                 "7", False, 2,
+                 "8551d6318883129248c49c9d157bafae5cc641db774f0056cbfe97181f20c1e5",
+                 id="sample8-capped"),
+]
+
+
+@pytest.mark.parametrize("make, lim, optimum, proven, states, digest", UNIT_PINNED)
+def test_unit_dp_matches_pinned_results(make, lim, optimum, proven, states, digest):
+    inst = make()
+    assert inst.unit_lengths
+    test_exact_solvers_match_pinned_results(
+        solve_umps_exact, lambda: inst, lim, optimum, proven, states, digest)
 
 
 # ---------------------------------------------------------------------------
