@@ -160,14 +160,11 @@ class UmpsInstance:
         if set(self.lengths) != jobs or set(self.home) != jobs:
             raise ValueError("lengths and home must cover exactly jobs 1..n")
         for l, p in self.lengths.items():
-            if int(p) != p or p < 1:
+            if not isinstance(p, int) or p < 1:
                 raise ValueError(f"job {l}: length {p} must be a positive integer")
         for l, i in self.home.items():
-            if int(i) != i or not 1 <= i <= self.m:
-                raise ValueError(f"job {l}: home machine {i} outside 1..{self.m}")
-        # stored as ints, so solvers and validators can index and scale by them
-        object.__setattr__(self, "lengths", {l: int(p) for l, p in self.lengths.items()})
-        object.__setattr__(self, "home", {l: int(i) for l, i in self.home.items()})
+            if not isinstance(i, int) or not 1 <= i <= self.m:
+                raise ValueError(f"job {l}: home machine {i} must be an integer in 1..{self.m}")
         if self.dag.node_count != self.n:
             raise ValueError("dag node count must equal the job count")
 
@@ -234,9 +231,8 @@ class CommDelayInstance:
         if set(self.lengths) != jobs:
             raise ValueError("lengths must cover exactly jobs 1..n_total")
         for l, p in self.lengths.items():
-            if int(p) != p or p < 1:
+            if not isinstance(p, int) or p < 1:
                 raise ValueError(f"job {l}: length {p} must be a positive integer")
-        object.__setattr__(self, "lengths", {l: int(p) for l, p in self.lengths.items()})
         if self.dag.node_count != self.n_total:
             raise ValueError("dag node count must equal n_total")
         if set(self.delays) != set(self.dag.edges):
@@ -289,7 +285,8 @@ class JobGroup:
     origin_job: int
 
     def __post_init__(self):
-        if not all(isinstance(x, int) for x in (self.multiplicity, self.length, self.origin_job)):
+        if not (isinstance(self.multiplicity, int) and isinstance(self.length, int)
+                and isinstance(self.origin_job, int)):
             raise ValueError("multiplicity, length and origin job must be integers")
         if self.multiplicity < 1 or self.length < 1:
             raise ValueError("multiplicity and length must be >= 1")
@@ -430,7 +427,8 @@ class GroupedPlacement:
     def __post_init__(self):
         object.__setattr__(self, "start", as_fraction(self.start))
         object.__setattr__(self, "end", as_fraction(self.end))
-        if not all(isinstance(x, int) for x in (self.group, self.machine_group, self.count)):
+        if not (isinstance(self.group, int) and isinstance(self.machine_group, int)
+                and isinstance(self.count, int)):
             raise ValueError("placement group, machine group and count must be integers")
         if self.count < 1:
             raise ValueError("placement count must be >= 1")
