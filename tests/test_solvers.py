@@ -393,13 +393,16 @@ PINNED = [
 ]
 
 
-@pytest.mark.parametrize("solve, make, lim, optimum, proven, states, digest", PINNED)
-def test_exact_solvers_match_pinned_results(solve, make, lim, optimum, proven, states, digest):
-    result = solve(make(), lim)
+def _assert_pinned(result, optimum, proven, states, digest):
     schedule_json = dump_canonical(to_obj(result.schedule)).encode()
     assert (str(result.optimum), result.proven_optimal, result.states_explored) == (
         optimum, proven, states)
     assert hashlib.sha256(schedule_json).hexdigest() == digest
+
+
+@pytest.mark.parametrize("solve, make, lim, optimum, proven, states, digest", PINNED)
+def test_exact_solvers_match_pinned_results(solve, make, lim, optimum, proven, states, digest):
+    _assert_pinned(solve(make(), lim), optimum, proven, states, digest)
 
 
 # Pinned results of the unit-length dynamic program, in the same columns.
@@ -445,8 +448,7 @@ UNIT_PINNED = [
 def test_unit_dp_matches_pinned_results(make, lim, optimum, proven, states, digest):
     inst = make()
     assert inst.unit_lengths
-    test_exact_solvers_match_pinned_results(
-        solve_umps_exact, lambda: inst, lim, optimum, proven, states, digest)
+    _assert_pinned(solve_umps_exact(inst, lim), optimum, proven, states, digest)
 
 
 # ---------------------------------------------------------------------------
