@@ -49,7 +49,10 @@ class PrecedenceDag:
     """Precedence constraints over nodes 1..node_count; (u, v) means u before v.
 
     Construction rejects out-of-range endpoints, self-loops, duplicate
-    edges and cycles, so a live instance is always a DAG.
+    edges and cycles, so a live instance is always a DAG.  When every edge
+    points forward (1 <= u < v <= node_count) and none repeats, index
+    order is already topological, so admission is one pass over the
+    sorted edges; any other edge set gets the full checks below.
     """
 
     node_count: int
@@ -57,11 +60,20 @@ class PrecedenceDag:
 
     def __post_init__(self):
         # stored sorted so equal edge sets compare (and serialize) equal
-        object.__setattr__(
-            self, "edges", tuple(sorted((int(u), int(v)) for u, v in self.edges))
-        )
-        if self.node_count < 0:
-            raise ValueError(f"node_count must be >= 0, got {self.node_count}")
+        edges = tuple(sorted((int(u), int(v)) for u, v in self.edges))
+        object.__setattr__(self, "edges", edges)
+        n = self.node_count
+        if n < 0:
+            raise ValueError(f"node_count must be >= 0, got {n}")
+        if isinstance(n, int):
+            prev = None
+            for edge in edges:
+                u, v = edge
+                if not 1 <= u < v <= n or edge == prev:
+                    break
+                prev = edge
+            else:
+                return
         seen = set()
         for u, v in self.edges:
             if not (1 <= u <= self.node_count and 1 <= v <= self.node_count):

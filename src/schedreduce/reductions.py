@@ -374,6 +374,8 @@ class KPartiteYesCertificate:
             "partition",
             tuple(tuple(tuple(cell) for cell in layer) for layer in self.partition),
         )
+        if not all(isinstance(v, int) for layer in self.partition for cell in layer for v in cell):
+            raise ValueError("certificate cells must hold integer vertex ids")
 
 
 def validate_certificate(g: KPartiteInstance, cert: KPartiteYesCertificate) -> None:

@@ -59,11 +59,12 @@ class Stream:
 
     def bernoulli(self, prob: Fraction) -> bool:
         """True with probability ``prob``; exact for dyadic probabilities."""
-        prob = Fraction(prob)
-        if not 0 <= prob <= 1:
+        if type(prob) is not Fraction:
+            prob = Fraction(prob)
+        num, den = prob.numerator, prob.denominator
+        if not 0 <= num <= den:
             raise ValueError(f"probability {prob} outside [0, 1]")
-        u = self.next_u64()
-        return u * prob.denominator < prob.numerator << 64
+        return self.next_u64() * den < num << 64
 
     def choice(self, seq):
         return seq[self.randrange(len(seq))]

@@ -1,10 +1,13 @@
 """Canonical JSON file formats.
 
 Every file is UTF-8 JSON with a top-level "kind" discriminator; rationals
-are "p/q" strings (plain "p" when the denominator is 1).  Writing uses
-sorted keys, two-space indent, and a trailing newline, so identical
-objects always produce byte-identical files and instances round-trip
-exactly: read(write(x)) == x.
+are "p/q" strings (plain "p" when the denominator is 1).  The writer
+emits exactly the bytes of ``json.dumps(obj, sort_keys=True, indent=2)``
+plus a trailing newline (ASCII-escaped strings, sorted keys, two-space
+indent), and only for JSON-native values: str-keyed dicts, lists,
+tuples, str, int, bool and None.  Identical objects therefore always
+produce byte-identical files, and instances round-trip exactly:
+read(write(x)) == x.
 
 Reduction artifacts and certificates are written the same way, as
 self-contained sidecar files (source and output instances embedded), so
@@ -14,6 +17,7 @@ the backward maps never recompute the reduction.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,19 +44,32 @@ from .rounding import FractionalSchedule
 
 
 def frac_str(value) -> str:
-    f = Fraction(value)
+    if type(value) is int:
+        return str(value)
+    f = value if type(value) is Fraction else Fraction(value)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_rational(text) -> Fraction:
+    """``Fraction(text)``, with the canonical "p" and "p/q" forms parsed
+    directly; anything else (and every error) is ``Fraction``'s own."""
+    match = _RATIONAL.fullmatch(text) if type(text) is str else None
+    if match is None:
+        return Fraction(text)
+    num, den = match.groups()
+    return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
+
+
 def _dag_obj(dag: PrecedenceDag) -> dict:
-    return {
-        "node_count": dag.node_count,
-        "edges": [list(e) for e in sorted(dag.edges)],
-    }
+    # PrecedenceDag stores its edges sorted
+    return {"node_count": dag.node_count, "edges": [[u, v] for u, v in dag.edges]}
 
 
 def _dag_from(obj) -> PrecedenceDag:
-    return PrecedenceDag(obj["node_count"], tuple(tuple(e) for e in obj["edges"]))
+    return PrecedenceDag(obj["node_count"], obj["edges"])
 
 
 def to_obj(value) -> dict:
@@ -204,8 +221,8 @@ def from_obj(obj):
             layers=tuple(tuple(layer) for layer in obj["layers"]),
             edges=tuple(tuple(tuple(e) for e in layer_edges) for layer_edges in obj["edges"]),
             Q=obj["Q"],
-            eps=Fraction(obj["eps"]),
-            delta=Fraction(obj["delta"]),
+            eps=parse_rational(obj["eps"]),
+            delta=parse_rational(obj["delta"]),
         )
     if kind == "schedule":
         if "placements" in obj:
@@ -214,8 +231,8 @@ def from_obj(obj):
                     GroupedPlacement(
                         group=pl["group"],
                         machine_group=pl["machine_group"],
-                        start=Fraction(pl["start"]),
-                        end=Fraction(pl["end"]),
+                        start=parse_rational(pl["start"]),
+                        end=parse_rational(pl["end"]),
                         count=pl["count"],
                     )
                     for pl in obj["placements"]
@@ -223,15 +240,15 @@ def from_obj(obj):
             )
         return Schedule(
             entries={
-                int(j): (machine, Fraction(s), Fraction(e))
+                int(j): (machine, parse_rational(s), parse_rational(e))
                 for j, (machine, s, e) in obj["entries"].items()
             }
         )
     if kind == "fractional":
         return FractionalSchedule(
             horizon=obj["horizon"],
-            mass={(job, slot): Fraction(x) for job, slot, x in obj["mass"]},
-            gamma=Fraction(obj["gamma"]),
+            mass={(job, slot): parse_rational(x) for job, slot, x in obj["mass"]},
+            gamma=parse_rational(obj["gamma"]),
             umps_ref=from_obj(obj["umps_ref"]),
         )
     if kind == "commdelay_artifact":
@@ -264,8 +281,85 @@ def from_obj(obj):
 # files
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_LEAF = {int: int.__repr__, str: _encode_str}
+
+
 def dump_canonical(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The canonical text of a JSON-native value: byte for byte
+    ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``.  Any other type
+    (a float, a Fraction, a non-str key) raises ``TypeError``."""
+    out = []
+    _emit(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _inline(value, newline: str):
+    """The text of an int, a str or a non-empty list of only those, the
+    bulk of every file, written without recursing; None for anything else."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is list and value:
+        try:
+            texts = [_LEAF[type(item)](item) for item in value]
+        except KeyError:
+            return None
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join(texts) + newline + "]"
+    return None
+
+
+def _emit(value, newline: str, out: list) -> None:
+    """Append the fragments of ``value`` to ``out``; ``newline`` is the
+    line break plus the indent of the line ``value`` starts on."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            text = _inline(item, inner)
+            if text is None:
+                out.append(f"{sep}{_encode_str(key)}: ")
+                _emit(item, inner, out)
+            else:
+                out.append(f"{sep}{_encode_str(key)}: {text}")
+            sep = comma
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in value:
+            text = _inline(item, inner)
+            if text is None:
+                out.append(sep)
+                _emit(item, inner, out)
+            else:
+                out.append(sep + text)
+            sep = comma
+        out.append(newline + "]")
+    elif isinstance(value, str):
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not canonical JSON")
 
 
 def write_file(path, value, extra: dict = None) -> None:

@@ -10,17 +10,22 @@ sums of processing times), so the integer grid is exhaustive.  Only the
 plain data fields of an instance are read; no package graph helpers are
 used.
 
-The validator oracles at the end keep the straightforward ``Fraction``
-form of the schedule checks: every comparison on exact rationals, and
-each group edge answered by rescanning the placements.
+The validator oracles keep the straightforward ``Fraction`` form of the
+schedule checks: every comparison on exact rationals, and each group edge
+answered by rescanning the placements.  The codec oracles at the end keep
+the writer as a ``json.dumps`` call and the precedence admission as the
+full range, self-loop, duplicate and cycle checks.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 from schedreduce.errors import JobSetMismatch, MachineOutOfRange
+from schedreduce.model import topological_order
 
 
 def _topo(n, edges):
@@ -279,3 +284,31 @@ def oracle_grouped_violations(inst, gs, require_complete=True):
         if ends and starts and max(ends) > min(starts):
             violations.append(("precedence", (gu, gv)))
     return violations
+
+
+# ---------------------------------------------------------------------------
+# canonical files and precedence admission
+
+
+def oracle_dump_canonical(obj) -> str:
+    """The canonical text ``serialize.dump_canonical`` writes."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def oracle_dag_edges(node_count, edges) -> tuple:
+    """The edges ``PrecedenceDag(node_count, edges)`` stores, or the error
+    it raises, by checking every edge and running Kahn's algorithm."""
+    edges = tuple(sorted((int(u), int(v)) for u, v in edges))
+    if node_count < 0:
+        raise ValueError(f"node_count must be >= 0, got {node_count}")
+    seen = set()
+    for u, v in edges:
+        if not (1 <= u <= node_count and 1 <= v <= node_count):
+            raise ValueError(f"edge ({u}, {v}) out of range 1..{node_count}")
+        if u == v:
+            raise ValueError(f"self-loop at node {u}")
+        if (u, v) in seen:
+            raise ValueError(f"duplicate edge ({u}, {v})")
+        seen.add((u, v))
+    topological_order(SimpleNamespace(node_count=node_count, edges=edges))
+    return edges

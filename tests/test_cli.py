@@ -13,6 +13,9 @@ from schedreduce import (
     cli,
     forward_map_related,
     gen_fractional,
+    gen_jobshop,
+    gen_kpartite_yes,
+    kpartite_yes_schedule,
     solve_umps_exact,
     umps_to_commdelay,
     umps_to_related,
@@ -294,11 +297,12 @@ def _at(obj, path):
 
 @pytest.mark.parametrize("kind", ["umps", "schedule", "commdelay", "commdelay_artifact",
                                   "related_grouped", "grouped_schedule", "related_artifact",
-                                  "fractional"])
+                                  "fractional", "jobshop", "kpartite", "kpartite_certificate"])
 def test_mutated_files_exit_cleanly(tmp_path, sample8, kind):
     sched = solve_umps_exact(sample8).schedule
     related = umps_to_related(sample8, kappa_override=2)
     grouped = forward_map_related(related, sched)
+    kpartite, cert = gen_kpartite_yes(4, 2, seed=2)
     base = {
         "umps": lambda: to_obj(sample8),
         "schedule": lambda: to_obj(sched),
@@ -308,14 +312,24 @@ def test_mutated_files_exit_cleanly(tmp_path, sample8, kind):
         "grouped_schedule": lambda: to_obj(grouped),
         "related_artifact": lambda: to_obj(related),
         "fractional": lambda: _fractional_obj(sample8),
+        "jobshop": lambda: to_obj(gen_jobshop(3, 2, 3, seed=4)),
+        "kpartite": lambda: to_obj(kpartite),
+        "kpartite_certificate": lambda: to_obj(cert),
     }[kind]()
     inst_path, sched_path = str(tmp_path / "u.json"), str(tmp_path / "s.json")
     grouped_path, placements_path = str(tmp_path / "g.json"), str(tmp_path / "gs.json")
+    kpartite_path, staircase_path = str(tmp_path / "k.json"), str(tmp_path / "ks.json")
     write_file(inst_path, sample8)
     write_file(sched_path, sched)
     write_file(grouped_path, related.output)
     write_file(placements_path, grouped)
+    write_file(kpartite_path, kpartite)
+    write_file(staircase_path, kpartite_yes_schedule(kpartite, cert))
     bad, out = str(tmp_path / "bad.json"), str(tmp_path / "out.json")
+    if kind == "kpartite":
+        write_file(sidecar_path(bad), cert)  # so roundtrip takes the certificate path
+    if kind == "kpartite_certificate":
+        bad = sidecar_path(kpartite_path)  # the certificate roundtrip reads
     capped = ("--limits", "max_jobs=24,max_states=200")
     commands = {
         "umps": [("solve", bad, "--out", out), ("verify", bad, sched_path)],
@@ -325,6 +339,12 @@ def test_mutated_files_exit_cleanly(tmp_path, sample8, kind):
         "related_grouped": [("solve", bad, "--out", out, *capped),
                             ("verify", bad, placements_path)],
         "grouped_schedule": [("verify", grouped_path, bad)],
+        "jobshop": [("reduce", bad, "--reduction", "umps", "--out", out)],
+        "kpartite": [("reduce", bad, "--reduction", "umps", "--out", out),
+                     ("verify", bad, staircase_path),
+                     ("roundtrip", bad, "--mode", "kpartite", "--out", out)],
+        "kpartite_certificate": [("roundtrip", kpartite_path, "--mode", "kpartite",
+                                  "--out", out)],
     }.get(kind, [("solve", bad, "--out", out)])
     for seed in range(FUZZ_SEEDS):
         mutated = _mutate(json.loads(json.dumps(base)), random.Random(f"{kind}-{seed}"))

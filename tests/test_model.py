@@ -35,7 +35,7 @@ from schedreduce import (
 )
 from schedreduce.serialize import dump_canonical, to_obj
 from conftest import SAMPLE8, make_sample8
-from oracle import oracle_flat_violations, oracle_grouped_violations
+from oracle import oracle_dag_edges, oracle_flat_violations, oracle_grouped_violations
 
 # strategy: random dag via index-increasing edge choices
 dags = st.integers(2, 7).flatmap(
@@ -91,6 +91,30 @@ def test_dag_rejects_self_loop_duplicate_and_range():
         PrecedenceDag(2, ((1, 2), (1, 2)))
     with pytest.raises(ValueError):
         PrecedenceDag(2, ((1, 3),))
+
+
+# endpoints in and out of range, also as "3" or 2.0, which int() accepts
+DAG_ENDPOINTS = st.integers(-1, 7).flatmap(
+    lambda v: st.sampled_from([v, str(v), float(v)]))
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.integers(-1, 7), st.just(3.0)),
+       st.lists(st.one_of(st.tuples(DAG_ENDPOINTS, DAG_ENDPOINTS),
+                          st.integers(1, 6).flatmap(lambda u: st.tuples(
+                              st.just(u), st.integers(u + 1, 7)))),
+                max_size=10),
+       st.booleans())
+def test_dag_admission_matches_full_checks(node_count, edges, doubled):
+    edges = edges + edges[:1] if doubled else edges
+    try:
+        expected = oracle_dag_edges(node_count, edges)
+    except Exception as exc:  # same type and message, cycle witness included
+        with pytest.raises(type(exc)) as err:
+            PrecedenceDag(node_count, edges)
+        assert str(err.value) == str(exc)
+    else:
+        assert PrecedenceDag(node_count, edges).edges == expected
 
 
 def test_edges_stored_sorted():

@@ -63,8 +63,18 @@ def test_bernoulli_endpoints_exact(seed):
 
 
 def test_bernoulli_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        Stream(0, "b").bernoulli(Fraction(3, 2))
+    for prob in (Fraction(3, 2), Fraction(-1, 3), 2, "-1/2"):
+        with pytest.raises(ValueError, match=f"probability {Fraction(prob)} outside"):
+            Stream(0, "b").bernoulli(prob)
+
+
+@given(SEEDS, st.integers(0, 64), st.integers(1, 64))
+def test_bernoulli_is_the_exact_test_for_any_spelling(seed, num, den):
+    prob = Fraction(min(num, den), den)
+    u = Stream(seed, "b").next_u64()
+    expected = u * prob.denominator < prob.numerator << 64
+    for spelling in (prob, str(prob)):
+        assert Stream(seed, "b").bernoulli(spelling) == expected
 
 
 @given(SEEDS, st.lists(st.integers(), min_size=1, max_size=30))

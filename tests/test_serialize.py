@@ -20,12 +20,14 @@ from schedreduce.serialize import (
     dump_canonical,
     frac_str,
     from_obj,
+    parse_rational,
     read_file,
     read_obj,
     sidecar_path,
     to_obj,
     write_file,
 )
+from oracle import oracle_dump_canonical
 
 F = Fraction
 
@@ -39,6 +41,46 @@ def test_frac_text_round_trips(num, den):
 def test_frac_text_plain_integer_form():
     assert frac_str(F(6, 3)) == "2"
     assert frac_str(F(-1, 2)) == "-1/2"
+    assert frac_str(-7) == "-7"
+    assert frac_str(True) == "1"
+    assert frac_str("6/4") == "3/2"
+
+
+# "p" and "p/q" with other signs, separators, spaces, decimals, exponents
+# and non-ASCII digits mixed in, which Fraction's own parser accepts or
+# rejects in its own way; plus arbitrary text
+RATIONAL_SIGN = st.sampled_from(["", "", "-", "+", " "])
+RATIONAL_DIGITS = st.one_of(
+    st.from_regex(r"[0-9]{1,4}", fullmatch=True),
+    st.lists(st.sampled_from(["0", "7", "_", ".", "e", "\u0663", "\uff11"]), max_size=4)
+    .map("".join),
+)
+RATIONAL_TEXT = st.one_of(
+    st.tuples(RATIONAL_SIGN, RATIONAL_DIGITS,
+              st.sampled_from(["", "/", "/"]), RATIONAL_SIGN, RATIONAL_DIGITS,
+              st.sampled_from(["", "", " ", "\n", "/"])).map("".join),
+    st.text(max_size=12),
+)
+
+
+@given(RATIONAL_TEXT)
+def test_parse_rational_agrees_with_fraction(text):
+    try:
+        expected = F(text)
+    except Exception as exc:  # the same exception type is the contract
+        with pytest.raises(type(exc)):
+            parse_rational(text)
+    else:
+        got = parse_rational(text)
+        assert type(got) is F and got == expected
+
+
+def test_parse_rational_names_bad_rationals_like_fraction():
+    with pytest.raises(ZeroDivisionError, match=r"Fraction\(1, 0\)"):
+        parse_rational("1/0")
+    with pytest.raises(ValueError, match="a/b"):
+        parse_rational("a/b")
+    assert parse_rational(3) == 3 and parse_rational("-0/5") == 0
 
 
 def roundtrip(value):
@@ -104,6 +146,29 @@ def test_reduction_artifacts_round_trip(sample8):
 
 # ---------------------------------------------------------------------------
 # files and canonical bytes
+
+# control characters, quotes, backslashes, non-ASCII and lone surrogates
+JSON_TEXT = st.text(st.one_of(st.characters(exclude_categories=()),
+                              st.sampled_from('\x00\x1f\x7f"\\/\u2028\ud800\udfff\xe9')),
+                    max_size=8)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**30, 10**30) | JSON_TEXT,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(JSON_TEXT, inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@given(JSON_VALUES)
+def test_writer_matches_json_dumps(value):
+    assert dump_canonical(value) == oracle_dump_canonical(value)
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, object(), F(1, 2), {"a": [1, 0.5]},
+                                   [{"b": object()}], {1: 2}])
+def test_writer_rejects_non_json_types(value):
+    with pytest.raises(TypeError):
+        dump_canonical(value)
 
 
 def test_write_read_file_and_canonical_bytes(tmp_path, sample8):
