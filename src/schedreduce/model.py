@@ -52,7 +52,8 @@ class PrecedenceDag:
     edges and cycles, so a live instance is always a DAG.  When every edge
     points forward (1 <= u < v <= node_count) and none repeats, index
     order is already topological, so admission is one pass over the
-    sorted edges; any other edge set gets the full checks below.
+    sorted edges; any other edge set gets the full range, self-loop,
+    duplicate and cycle checks, with the same errors.
     """
 
     node_count: int
@@ -75,9 +76,9 @@ class PrecedenceDag:
             else:
                 return
         seen = set()
-        for u, v in self.edges:
-            if not (1 <= u <= self.node_count and 1 <= v <= self.node_count):
-                raise ValueError(f"edge ({u}, {v}) out of range 1..{self.node_count}")
+        for u, v in edges:
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ValueError(f"edge ({u}, {v}) out of range 1..{n}")
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
             if (u, v) in seen:
