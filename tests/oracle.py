@@ -14,7 +14,9 @@ The validator oracles keep the straightforward ``Fraction`` form of the
 schedule checks: every comparison on exact rationals, and each group edge
 answered by rescanning the placements.  The codec oracles at the end keep
 the writer as a ``json.dumps`` call and the precedence admission as the
-full range, self-loop, duplicate and cycle checks.
+full range, self-loop, duplicate and cycle checks; for the cycle check and
+its witness they call the package's ``topological_order``, which the
+admission shortcut they are compared against skips.
 """
 
 from __future__ import annotations
