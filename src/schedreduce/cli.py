@@ -247,6 +247,8 @@ def cmd_solve(args) -> int:
             result = solve_commdelay_exact(inst, lim)
             sched = result.schedule
     elif isinstance(inst, GroupedRelatedInstance):
+        if args.solver == "greedy":
+            raise UsageError("no greedy solver for related_grouped; use --solver exact")
         flat, _, _ = materialize_related(inst)
         result = solve_related_exact(flat, lim)
         sched = result.schedule
@@ -262,7 +264,7 @@ def cmd_solve(args) -> int:
     write_file(args.out, sched, extra={"optimum": frac_str(result.optimum),
                                        "proven_optimal": result.proven_optimal,
                                        "solver_states": result.states_explored})
-    return 0 if (result.proven_optimal or args.solver == "greedy") else 3
+    return 0 if result.proven_optimal else 3
 
 
 def cmd_verify(args) -> int:
@@ -291,7 +293,7 @@ def cmd_verify(args) -> int:
     return 0 if report.feasible else 1
 
 
-def _roundtrip_row(in_path, mode, lim, kappa_override):
+def _roundtrip_row(in_path, mode, lim, kappa_override=None):
     """Returns (row, budget_hit, messages)."""
     instance_id = Path(in_path).stem
     inst = read_file(in_path)
@@ -429,9 +431,7 @@ def cmd_bench(args) -> int:
             continue
         t0 = time.monotonic()
         try:
-            row, budget_hit, messages = _roundtrip_row(
-                str(path), kind, lim, args.kappa_override
-            )
+            row, budget_hit, messages = _roundtrip_row(str(path), kind, lim)
         except _BUDGET_ERRORS as exc:
             print(f"{path.name}: budget exceeded ({exc})", file=sys.stderr)
             any_budget = True
@@ -507,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="roundtrip a corpus directory into a CSV table")
     b.add_argument("corpus_dir")
-    b.add_argument("--kappa-override", type=int, default=None)
     b.add_argument("--limits", default="")
     b.add_argument("--out", default=None)
     b.set_defaults(func=cmd_bench)

@@ -46,7 +46,6 @@ from .model import (
     RelatedInstance,
     Schedule,
     UmpsInstance,
-    as_fraction,
     makespan,
     validate_commdelay,
     validate_umps,
@@ -269,17 +268,17 @@ def forward_map_related(art: RelatedReductionArtifact, sched: Schedule) -> Group
     return GroupedSchedule(placements=tuple(placements))
 
 
-def materialize_related(ginst: GroupedRelatedInstance, job_cap: int = MATERIALIZE_JOB_CAP):
+def materialize_related(ginst: GroupedRelatedInstance):
     """Expand groups into a flat related-machines instance.
 
     Only sensible for small kappa; refuses when the expanded job count
-    exceeds ``job_cap``.  Returns ``(instance, job_base, machine_base)``
-    where members of job group g are jobs job_base[g]+1 .. job_base[g+1]
-    and likewise for machines.
+    exceeds ``MATERIALIZE_JOB_CAP``.  Returns ``(instance, job_base,
+    machine_base)`` where members of job group g are jobs job_base[g]+1
+    .. job_base[g+1] and likewise for machines.
     """
     total = ginst.total_jobs()
-    if total > job_cap:
-        raise MaterializationTooLarge(f"{total} expanded jobs exceed the cap {job_cap}")
+    if total > MATERIALIZE_JOB_CAP:
+        raise MaterializationTooLarge(f"{total} expanded jobs exceed the cap {MATERIALIZE_JOB_CAP}")
     job_base = [0]
     for jg in ginst.job_groups:
         job_base.append(job_base[-1] + jg.multiplicity)
@@ -304,13 +303,11 @@ def materialize_related(ginst: GroupedRelatedInstance, job_cap: int = MATERIALIZ
     return inst, tuple(job_base), tuple(machine_base)
 
 
-def materialize_grouped_schedule(
-    ginst: GroupedRelatedInstance, gs: GroupedSchedule, job_cap: int = MATERIALIZE_JOB_CAP
-) -> Schedule:
+def materialize_grouped_schedule(ginst: GroupedRelatedInstance, gs: GroupedSchedule) -> Schedule:
     """Expand a grouped schedule over the materialized instance: the k-th
     placed member of a group lands on the k-th machine used of its
     placement's machine group."""
-    _, job_base, machine_base = materialize_related(ginst, job_cap=job_cap)
+    _, job_base, machine_base = materialize_related(ginst)
     next_member = [job_base[g] for g in range(len(ginst.job_groups) + 1)]
     entries = {}
     # per machine group, hand out machine indices placement by placement;

@@ -24,15 +24,18 @@ at most two jobs and doubling every slot yields an integral schedule of
 at most twice the horizon: :func:`extract_integral`.
 
 The arithmetic runs on an integer mass base, as the exact search runs on
-an integer time base: the property check, the rewrites, the greedy sweep
-and the partial-load bound scale every mass by the LCM of the mass
-denominators (times gamma's, where gamma enters) and work in ints.
-``Fraction`` appears only at the boundary: the ``y`` of a trace line and
-the masses of a returned schedule.
+an integer time base.  Each schedule builds one grid when it is
+constructed: every mass as an int in units of the LCM of the mass and
+gamma denominators, per job and per (machine, slot).  The property
+check, the rewrites, the greedy sweep, the partial-load bound and the
+extraction all read that grid; the rewrites work on a copy of it, which
+is checked once per pass.  ``Fraction`` appears only at the boundary:
+the ``y`` of a trace line and the masses of a returned schedule.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,9 +58,9 @@ ZERO = Fraction(0)
 class FractionalSchedule:
     """Mass per (job, slot) over unit slots 1..horizon of ``umps_ref``.
 
-    Only positive masses are stored; the constructor normalizes and then
-    verifies all three properties, raising :class:`PropertyViolated` with
-    the first offending witness.
+    Only positive masses are stored; the constructor normalizes, builds
+    the integer grid and verifies all three properties on it, raising
+    :class:`PropertyViolated` with the first offending witness.
     """
 
     horizon: int
@@ -79,78 +82,23 @@ class FractionalSchedule:
             raise PropertyViolated("horizon must be >= 1")
         if not 0 <= self.gamma < 1:
             raise PropertyViolated(f"gamma {self.gamma} outside [0, 1)")
-        _check_properties(self)
+        # not a field, so ==, repr and to_obj see the masses only
+        grid = _Grid(norm, self.gamma, self.horizon, self.umps_ref)
+        grid.check()
+        object.__setattr__(self, "_grid", grid)
 
     def job_total(self, job: int) -> Fraction:
-        return sum(
-            (x for (l, _), x in self.mass.items() if l == job),
-            start=ZERO,
-        )
+        grid = self._grid
+        return Fraction(sum(grid.slots.get(job, {}).values()), grid.unit)
 
     def machine_slot_load(self, machine: int, slot: int) -> Fraction:
-        return sum(
-            (
-                self.mass.get((l, slot), ZERO)
-                for l in self.umps_ref.jobs_on(machine)
-            ),
-            start=ZERO,
-        )
+        grid = self._grid
+        return Fraction(grid.loads.get((machine, slot), 0), grid.unit)
 
 
 def window_table(fs: FractionalSchedule) -> dict:
     """Job -> (first slot with mass, last slot with mass)."""
-    return _windows(fs.mass, fs.umps_ref.n)
-
-
-def _windows(mass, n):
-    lo, hi = {}, {}
-    for (job, slot) in mass:
-        if job not in lo or slot < lo[job]:
-            lo[job] = slot
-        if job not in hi or slot > hi[job]:
-            hi[job] = slot
-    return {job: (lo[job], hi[job]) for job in lo if 1 <= job <= n}
-
-
-def _units(x: Fraction, unit: int) -> int:
-    """``x`` in units of ``1/unit``; ``unit`` must be a multiple of its denominator."""
-    return x.numerator * (unit // x.denominator)
-
-
-def _check_properties(fs: FractionalSchedule):
-    # totals and loads are summed as ints in units of 1/unit, where unit is
-    # the LCM of the mass and gamma denominators
-    inst = fs.umps_ref
-    unit = math.lcm(fs.gamma.denominator, *(x.denominator for x in fs.mass.values()))
-    totals = {l: 0 for l in range(1, inst.n + 1)}
-    loads = {}
-    for (job, slot), x in fs.mass.items():
-        if not 1 <= job <= inst.n:
-            raise PropertyViolated(f"unknown job {job}")
-        if not 1 <= slot <= fs.horizon:
-            raise PropertyViolated(f"slot {slot} outside 1..{fs.horizon}")
-        units = _units(x, unit)
-        totals[job] += units
-        key = (inst.home[job], slot)
-        loads[key] = loads.get(key, 0) + units
-    low = unit - _units(fs.gamma, unit)
-    for job, total in totals.items():
-        if total < low or total > unit:
-            raise PropertyViolated(
-                f"job {job}: total mass {Fraction(total, unit)} outside [1 - gamma, 1] = "
-                f"[{1 - fs.gamma}, 1]"
-            )
-    for (machine, slot), load in loads.items():
-        if load > unit:
-            raise PropertyViolated(
-                f"machine {machine}, slot {slot}: load {Fraction(load, unit)} > 1"
-            )
-    win = _windows(fs.mass, inst.n)
-    for u, v in inst.dag.edges:
-        if win[u][1] >= win[v][0]:
-            raise PropertyViolated(
-                f"precedence {u} -> {v}: windows {win[u]} and {win[v]} not separated"
-            )
+    return dict(fs._grid.windows)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +155,7 @@ def strip_misplaced(art, gs) -> FractionalSchedule:
 
 
 # ---------------------------------------------------------------------------
-# local rewrites
+# the integer grid and the local rewrites
 
 
 def _trace_line(kind, machine, jobs, slot, y):
@@ -215,47 +163,87 @@ def _trace_line(kind, machine, jobs, slot, y):
     return f"{kind} machine={machine} jobs={names} slot={slot} y={y.numerator}/{y.denominator}"
 
 
-class _Rewrites:
-    """Working state that the swap and fill rewrites share.
+class _Grid:
+    """A fractional schedule's masses as ints, and the rewrites on them.
 
-    Masses are ints in units of ``1/unit``, where ``unit`` is the LCM of
-    the input's mass denominators; both rewrites move the smaller of two
-    masses (or of a mass and a slack), so every mass stays on that grid.
-    ``slots`` maps each job to its {slot: units}, ``loads`` each (machine,
-    slot) to its units, and ``windows`` each job to (its first slot in
-    the input, its last slot now); every move updates all three in place.
+    Masses are ints in units of ``1/unit``, the LCM of the mass and gamma
+    denominators; both rewrites move the smaller of two masses (or of a
+    mass and a slack), so every mass stays on that grid.  ``slots`` maps
+    each job to its {slot: units}, ``loads`` each (machine, slot) to its
+    units, and ``windows`` each job to its (first, last) slot.  A
+    schedule's own grid never changes: the rewrites run on a
+    :meth:`copy`, and every move updates all three in place.
 
-    Keeping the input's window starts makes the rewrites confluent: a
-    swap can push a job's first mass into a later slot, and fills can
-    then empty the slot before it, but the job may still be pulled back
-    there.  Mass only ever moves inside a job's input window, and input
-    windows are separated, so property 3 holds throughout.
+    A copy keeps each job's window start from when it was made, which
+    makes the rewrites confluent: a swap can push a job's first mass into
+    a later slot, and fills can then empty the slot before it, but the
+    job may still be pulled back there.  Mass only ever moves inside a
+    job's input window, and input windows are separated, so property 3
+    holds throughout.
     """
 
-    def __init__(self, fs: FractionalSchedule):
-        inst = fs.umps_ref
-        self.fs = fs
-        self.unit = math.lcm(*(x.denominator for x in fs.mass.values()))
-        self.home = inst.home
-        self.jobs_on = [inst.jobs_on(i) for i in range(inst.m + 1)]
+    def __init__(self, mass: dict, gamma: Fraction, horizon: int, inst: UmpsInstance):
+        self.unit = unit = math.lcm(gamma.denominator, *(x.denominator for x in mass.values()))
+        self.gamma, self.horizon, self.inst = gamma, horizon, inst
+        self.home = home = inst.home
+        self.jobs_on = [[] for _ in range(inst.m + 1)]
+        for l in range(1, inst.n + 1):
+            self.jobs_on[home[l]].append(l)
         self.slots = {}
         self.loads = {}
-        for (job, slot), x in fs.mass.items():
-            units = _units(x, self.unit)
+        for (job, slot), x in mass.items():
+            if not 1 <= job <= inst.n:
+                raise PropertyViolated(f"unknown job {job}")
+            if not 1 <= slot <= horizon:
+                raise PropertyViolated(f"slot {slot} outside 1..{horizon}")
+            units = x.numerator * (unit // x.denominator)
             self.slots.setdefault(job, {})[slot] = units
-            key = (inst.home[job], slot)
+            key = (home[job], slot)
             self.loads[key] = self.loads.get(key, 0) + units
         self.windows = {job: (min(s), max(s)) for job, s in self.slots.items()}
 
+    def copy(self) -> _Grid:
+        """A working copy with its own slots, loads and windows."""
+        work = copy.copy(self)
+        work.slots = {job: dict(s) for job, s in self.slots.items()}
+        work.loads = dict(self.loads)
+        work.windows = dict(self.windows)
+        return work
+
+    def check(self) -> None:
+        """Raise :class:`PropertyViolated` for the first broken property:
+        job totals, then machine loads, then window separation."""
+        unit, gamma = self.unit, self.gamma
+        low = unit - gamma.numerator * (unit // gamma.denominator)
+        for job in range(1, self.inst.n + 1):
+            total = sum(self.slots.get(job, {}).values())
+            if total < low or total > unit:
+                raise PropertyViolated(
+                    f"job {job}: total mass {Fraction(total, unit)} outside [1 - gamma, 1] = "
+                    f"[{1 - gamma}, 1]"
+                )
+        for (machine, slot), load in self.loads.items():
+            if load > unit:
+                raise PropertyViolated(
+                    f"machine {machine}, slot {slot}: load {Fraction(load, unit)} > 1"
+                )
+        win = {job: (min(s), max(s)) for job, s in self.slots.items()}
+        for u, v in self.inst.dag.edges:
+            if win[u][1] >= win[v][0]:
+                raise PropertyViolated(
+                    f"precedence {u} -> {v}: windows {win[u]} and {win[v]} not separated"
+                )
+
     def schedule(self) -> FractionalSchedule:
-        """The current masses as a re-validated :class:`FractionalSchedule`."""
-        fs, unit = self.fs, self.unit
+        """The current masses as a :class:`FractionalSchedule`, which
+        builds and checks its own grid."""
+        unit = self.unit
         mass = {
             (job, slot): Fraction(x, unit)
             for job, s in self.slots.items()
             for slot, x in s.items()
         }
-        return FractionalSchedule(fs.horizon, mass, fs.gamma, fs.umps_ref)
+        return FractionalSchedule(self.horizon, mass, self.gamma, self.inst)
 
     def _move(self, job, slot_from, slot_to, y):
         slots = self.slots[job]
@@ -278,7 +266,7 @@ class _Rewrites:
         the slot but a later-finishing l2 holds mass there.  Ties on
         finish slot go to the lower index."""
         slots, windows = self.slots, self.windows
-        for t in range(first_slot, self.fs.horizon + 1):
+        for t in range(first_slot, self.horizon + 1):
             for i in range(1, len(self.jobs_on)):
                 jobs_i = self.jobs_on[i]
                 # l1 has a partner iff it finishes before the latest
@@ -323,7 +311,7 @@ class _Rewrites:
         """Lexicographically first (slot, machine, job) from (first_slot,
         first_machine) on where the machine has idle capacity and the
         job's window is still open past the slot."""
-        for t in range(first_slot, self.fs.horizon + 1):
+        for t in range(first_slot, self.horizon + 1):
             for i in range(first_machine if t == first_slot else 1, len(self.jobs_on)):
                 slack = self.unit - self.loads.get((i, t), 0)
                 if slack <= 0:
@@ -363,7 +351,7 @@ def swap_pass(fs: FractionalSchedule, budget: int = None, trace: list = None) ->
     """Apply swap steps until none applies.  Each step conserves every
     job's mass and every (machine, slot) load, and keeps every job's mass
     inside its window in ``fs``."""
-    work = _Rewrites(fs)
+    work = fs._grid.copy()
     work.swaps(_default_budget(fs) if budget is None else budget, trace)
     return work.schedule()
 
@@ -371,7 +359,7 @@ def swap_pass(fs: FractionalSchedule, budget: int = None, trace: list = None) ->
 def fill_pass(fs: FractionalSchedule, budget: int = None, trace: list = None) -> FractionalSchedule:
     """Apply fill steps until none applies; pairs with :func:`swap_pass`
     inside :func:`canonicalize` until the joint fixpoint."""
-    work = _Rewrites(fs)
+    work = fs._grid.copy()
     work.fills(_default_budget(fs) if budget is None else budget, trace)
     return work.schedule()
 
@@ -379,24 +367,25 @@ def fill_pass(fs: FractionalSchedule, budget: int = None, trace: list = None) ->
 def canonicalize(fs: FractionalSchedule, trace: list = None) -> FractionalSchedule:
     """Interleave swap and fill passes to their joint fixpoint.
 
-    The passes share one working state, so each job's window start stays
-    the one of ``fs``; each pass's result is re-validated.  The fixpoint
+    The passes share one copy of ``fs``'s grid, so each job's window
+    start stays the one of ``fs``; the copy is checked after each pass,
+    and only the fixpoint becomes a :class:`FractionalSchedule`.  It
     equals :func:`greedy_canonical` (checked on generated inputs).  If the
     step budget trips before it (never observed on generated inputs, and
     the local steps carry no termination proof), fall back to
     :func:`greedy_canonical`, which builds it directly.
     """
     budget = _default_budget(fs)
-    work = _Rewrites(fs)
+    work = fs._grid.copy()
     try:
         while True:
             before = {job: dict(s) for job, s in work.slots.items()}
             work.swaps(budget, trace)
-            work.schedule()
+            work.check()
             work.fills(budget, trace)
-            after = work.schedule()
+            work.check()
             if work.slots == before:
-                return after
+                return work.schedule()
     except IterationBudgetExceeded:
         return greedy_canonical(fs)
 
@@ -410,12 +399,12 @@ def greedy_canonical(fs: FractionalSchedule) -> FractionalSchedule:
     is left.  Classic deadline-first feasibility: since the input masses
     themselves fit, the sweep always drains every job within its window.
     """
-    work = _Rewrites(fs)
-    windows, unit = work.windows, work.unit
+    grid = fs._grid
+    windows, unit = grid.windows, grid.unit
     new_mass = {}
-    for i in range(1, len(work.jobs_on)):
-        jobs_i = [l for l in work.jobs_on[i] if l in windows]
-        remaining = {l: sum(work.slots[l].values()) for l in jobs_i}
+    for i in range(1, len(grid.jobs_on)):
+        jobs_i = [l for l in grid.jobs_on[i] if l in windows]
+        remaining = {l: sum(grid.slots[l].values()) for l in jobs_i}
         for t in range(1, fs.horizon + 1):
             open_jobs = [l for l in jobs_i if windows[l][0] <= t <= windows[l][1]]
             open_jobs.sort(key=lambda l: (windows[l][1], l))
@@ -458,20 +447,18 @@ def partial_load(fs: FractionalSchedule, machine: int, slot: int) -> Fraction:
 def partial_load_bound_holds(fs: FractionalSchedule) -> bool:
     """Check partial_load(i, t) <= gamma * t for every machine and slot.
 
-    One prefix sweep per machine, in ints on the LCM of the mass and gamma
-    denominators: each mass joins the partial load at its slot and leaves
-    it at its job's last slot.
+    One prefix sweep per machine over the schedule's grid: each mass
+    joins the partial load at its slot and leaves it at its job's last
+    slot.
     """
-    inst, horizon = fs.umps_ref, fs.horizon
-    unit = math.lcm(fs.gamma.denominator, *(x.denominator for x in fs.mass.values()))
-    step = _units(fs.gamma, unit)
-    last = {job: te for job, (_, te) in _windows(fs.mass, inst.n).items()}
-    delta = [[0] * (horizon + 1) for _ in range(inst.m + 1)]
-    for (job, slot), x in fs.mass.items():
-        units = _units(x, unit)
-        row = delta[inst.home[job]]
-        row[slot] += units
-        row[last[job]] -= units
+    grid, horizon = fs._grid, fs.horizon
+    step = fs.gamma.numerator * (grid.unit // fs.gamma.denominator)
+    delta = [[0] * (horizon + 1) for _ in range(len(grid.jobs_on))]
+    for job, slots in grid.slots.items():
+        row, last = delta[grid.home[job]], grid.windows[job][1]
+        for slot, units in slots.items():
+            row[slot] += units
+            row[last] -= units
     for row in delta[1:]:
         load = 0
         for t in range(1, horizon + 1):
@@ -500,7 +487,7 @@ def extract_integral(fs: FractionalSchedule) -> Schedule:
             f"gamma * horizon = {fs.gamma * fs.horizon} > 1/(10 n) = "
             f"{Fraction(1, 10 * inst.n)}"
         )
-    win = window_table(fs)
+    win = fs._grid.windows
     by_slot = {}
     for (job, slot) in fs.mass:
         by_slot.setdefault((inst.home[job], slot), set()).add(job)

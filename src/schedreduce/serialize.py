@@ -371,17 +371,24 @@ def write_file(path, value, extra: dict = None) -> None:
     Path(path).write_text(dump_canonical(obj), encoding="utf-8")
 
 
+def _not_an_integer(text):
+    raise ValueError(f"number {text} is not an integer")
+
+
 def read_obj(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """The JSON value in ``path``; a number that is not an integer (``2.5``,
+    ``2.0``, ``1e3``, ``Infinity``, ``NaN``) raises ``ValueError``."""
+    return json.loads(Path(path).read_text(encoding="utf-8"),
+                      parse_float=_not_an_integer, parse_constant=_not_an_integer)
 
 
 def read_file(path):
     """Read a domain object; a file that does not parse or has the wrong
-    shape (a missing field, a list where an object belongs, a rational
-    such as ``"1/0"`` or ``"a/b"``, a precedence cycle) raises
-    ``ValueError`` naming ``path``.  An unreadable file raises ``OSError``,
-    and a well-formed fractional file that breaks one of its properties
-    raises ``PropertyViolated``."""
+    shape (a missing field, a list where an object belongs, a number that
+    is not an integer, a rational such as ``"1/0"`` or ``"a/b"``, a
+    precedence cycle) raises ``ValueError`` naming ``path``.  An
+    unreadable file raises ``OSError``, and a well-formed fractional file
+    that breaks one of its properties raises ``PropertyViolated``."""
     try:
         return from_obj(read_obj(path))
     except (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError,

@@ -161,6 +161,31 @@ def test_solve_greedy_exits_zero(tmp_path, sample8_file):
     assert run("verify", sample8_file, out) == 0
 
 
+def test_solve_greedy_on_grouped_related_is_usage_error(tmp_path, sample8_file, capsys):
+    # there is no greedy related solver; the exact search must not stand in
+    # for it and exit 0 on a capped search
+    grouped = str(tmp_path / "grouped.json")
+    assert run("reduce", sample8_file, "--reduction", "related",
+               "--kappa-override", "2", "--out", grouped) == 0
+    out = tmp_path / "sched.json"
+    assert run("solve", grouped, "--solver", "greedy", "--limits", "max_states=5",
+               "--out", str(out)) == 2
+    assert "greedy" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_rejects_a_non_integer_machine(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "kind": "umps", "n": 1, "m": 2, "lengths": {"1": 1}, "home": {"1": 1},
+        "dag": {"node_count": 1, "edges": []},
+    }))
+    (tmp_path / "sched.json").write_text(_schedule_text([1.5, "0", "1"]))
+    assert run("verify", str(inst), str(tmp_path / "sched.json")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "sched.json" in captured.err
+
+
 def test_verify_reports_violations(tmp_path, sample8_file, capsys):
     out = str(tmp_path / "sched.json")
     run("solve", sample8_file, "--out", out)
@@ -196,14 +221,26 @@ FLOAT_COUNT_COMMDELAY = json.dumps({
     "kind": "commdelay", "n_total": 2, "lengths": {"1": 1, "2": 1}, "delays": [[1, 2, 1]],
     "dag": {"node_count": 2, "edges": [[1, 2]]}, "machines": 1.5,
 })
+FLOAT_DELAY_COMMDELAY = json.dumps({
+    "kind": "commdelay", "n_total": 2, "lengths": {"1": 1, "2": 1}, "delays": [[1, 2, 1.5]],
+    "dag": {"node_count": 2, "edges": [[1, 2]]}, "machines": 1,
+})
+
+
+def _umps_with_edge(edge_text):
+    return ('{"kind": "umps", "n": 3, "m": 1, "lengths": {"1": 1, "2": 1, "3": 1}, '
+            '"home": {"1": 1, "2": 1, "3": 1}, '
+            f'"dag": {{"node_count": 3, "edges": [{edge_text}]}}}}')
 
 
 @pytest.mark.parametrize("text", [
     '{"kind": "umps"}', "[1, 2]", CYCLIC_UMPS,
     _schedule_text([1, "1/0", "1"]), _schedule_text([1, "a/b", "1"]),
     _schedule_text([1, "0"]), '{"kind": "umps",', FLOAT_HOME_UMPS, FLOAT_COUNT_COMMDELAY,
+    _umps_with_edge("[2.9, 3]"), _umps_with_edge("[Infinity, 3]"), FLOAT_DELAY_COMMDELAY,
 ], ids=["missing-field", "list", "cycle", "zero-denominator", "bad-rational",
-        "short-entry", "not-json", "float-home", "float-machine-count"])
+        "short-entry", "not-json", "float-home", "float-machine-count",
+        "float-edge", "infinity-edge", "float-delay"])
 def test_malformed_file_is_usage_error_without_traceback(tmp_path, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)

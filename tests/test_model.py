@@ -14,7 +14,6 @@ from schedreduce import (
     JobGroup,
     JobSetMismatch,
     JobShopInstance,
-    KPartiteInstance,
     MachineGroup,
     MachineOutOfRange,
     PrecedenceDag,
@@ -34,7 +33,7 @@ from schedreduce import (
     validate_umps,
 )
 from schedreduce.serialize import dump_canonical, to_obj
-from conftest import SAMPLE8, make_sample8
+from conftest import SAMPLE8
 from oracle import oracle_dag_edges, oracle_flat_violations, oracle_grouped_violations
 
 # strategy: random dag via index-increasing edge choices

@@ -39,7 +39,7 @@ from schedreduce import (
     yes_schedule_offsets,
 )
 from schedreduce.generators import gen_jobshop
-from conftest import SAMPLE8, make_sample8
+from conftest import SAMPLE8
 
 
 def sample8_schedule():

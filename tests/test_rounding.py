@@ -20,7 +20,6 @@ from schedreduce import (
     PreconditionGamma,
     PrecedenceDag,
     PropertyViolated,
-    Schedule,
     TooManyJobsPerSlot,
     UmpsInstance,
     canonicalize,
@@ -309,6 +308,54 @@ def test_canonicalize_is_pinned(name):
     got = (_digest("\n".join(trace)), _digest(dump_canonical(to_obj(canon))),
            partial_load_bound_holds(canon))
     assert got == CANONICAL_PINS[name]
+
+
+# ---------------------------------------------------------------------------
+# the integer grid: each schedule builds its own, and the rewrites work on
+# a copy of it
+
+
+def staggered_three_jobs():
+    """Three jobs split across six slots on one machine: a swap pass, a
+    fill pass and canonicalize each move mass."""
+    return FractionalSchedule(
+        horizon=6,
+        mass={(1, 1): HALF, (1, 5): HALF, (2, 2): HALF, (2, 4): HALF,
+              (3, 3): HALF, (3, 6): HALF},
+        gamma=0, umps_ref=one_machine(3),
+    )
+
+
+def _readings(fs):
+    inst = fs.umps_ref
+    return (
+        dict(fs.mass), window_table(fs),
+        [fs.job_total(l) for l in range(1, inst.n + 1)],
+        [fs.machine_slot_load(i, t)
+         for i in range(1, inst.m + 1) for t in range(1, fs.horizon + 1)],
+        {job: dict(slots) for job, slots in fs._grid.slots.items()},
+    )
+
+
+@pytest.mark.parametrize("rewrite", [swap_pass, fill_pass, canonicalize])
+@pytest.mark.parametrize("make", [staggered_three_jobs, lambda: _generated(3215)],
+                         ids=["staggered", "generated-3215"])
+def test_rewrites_leave_their_input_unchanged(rewrite, make):
+    fs = make()
+    before = _readings(fs)
+    out = rewrite(fs)
+    assert out.mass != fs.mass  # the rewrite moved mass
+    assert _readings(fs) == before
+    assert _readings(make()) == before
+
+
+@pytest.mark.parametrize("rewrite", [swap_pass, fill_pass, canonicalize, greedy_canonical])
+def test_rewritten_schedule_equals_one_built_from_its_masses(rewrite):
+    out = rewrite(staggered_three_jobs())
+    rebuilt = FractionalSchedule(out.horizon, out.mass, out.gamma, out.umps_ref)
+    assert out == rebuilt
+    assert repr(out) == repr(rebuilt)
+    assert _readings(out) == _readings(rebuilt)
 
 
 # ---------------------------------------------------------------------------
