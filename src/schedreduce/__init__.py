@@ -18,7 +18,6 @@ from .errors import (
     EmptySchedule,
     InfeasibleInput,
     InvalidCertificate,
-    IterationBudgetExceeded,
     JobSetMismatch,
     MachineOutOfRange,
     MakespanTooLarge,

@@ -19,7 +19,6 @@ from pathlib import Path
 
 from .errors import (
     BudgetExceeded,
-    IterationBudgetExceeded,
     MaterializationTooLarge,
     SchedReduceError,
 )
@@ -81,7 +80,7 @@ class UsageError(Exception):
     pass
 
 
-_BUDGET_ERRORS = (BudgetExceeded, IterationBudgetExceeded, MaterializationTooLarge)
+_BUDGET_ERRORS = (BudgetExceeded, MaterializationTooLarge)
 
 
 @dataclass
@@ -177,6 +176,10 @@ def cmd_gen(args) -> int:
     elif family == "fractional":
         base = read_file(params.get("instance") or _missing("instance"))
         sched = read_file(params.get("schedule") or _missing("schedule"))
+        if not isinstance(base, UmpsInstance):
+            raise UsageError("fractional generation needs a umps instance")
+        if not isinstance(sched, Schedule):
+            raise UsageError("fractional generation needs a flat schedule")
         inst = gen_fractional(
             base, sched,
             gamma=_frac(params, "gamma", "0"),

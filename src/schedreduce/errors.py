@@ -76,10 +76,6 @@ class PropertyViolated(SchedReduceError):
     """A fractional schedule breaks one of its defining properties."""
 
 
-class IterationBudgetExceeded(SchedReduceError):
-    """A local-rewrite pass did not reach a fixpoint within its step budget."""
-
-
 class TooManyJobsPerSlot(SchedReduceError):
     """A canonical fractional schedule packed more than two jobs into one slot."""
 

@@ -255,9 +255,6 @@ class CommDelayInstance:
         if self.machines is not None and (not isinstance(self.machines, int) or self.machines < 1):
             raise ValueError("machine count must be an integer >= 1 (or None for unlimited)")
 
-    def total_length(self) -> int:
-        return sum(self.lengths.values())
-
 
 @dataclass(frozen=True)
 class RelatedInstance:
@@ -341,9 +338,6 @@ class GroupedRelatedInstance:
 
     def total_jobs(self) -> int:
         return sum(g.multiplicity for g in self.job_groups)
-
-    def total_machines(self) -> int:
-        return sum(g.multiplicity for g in self.machine_groups)
 
 
 @dataclass(frozen=True)

@@ -310,9 +310,9 @@ def materialize_grouped_schedule(ginst: GroupedRelatedInstance, gs: GroupedSched
     _, job_base, machine_base = materialize_related(ginst)
     next_member = [job_base[g] for g in range(len(ginst.job_groups) + 1)]
     entries = {}
-    # per machine group, hand out machine indices placement by placement;
-    # placements of one group never overlap in time with each other only if
-    # the grouped schedule says so, so reuse machines greedily per interval.
+    # placements go in (start, group) order, and each takes the
+    # lowest-numbered machines of its machine group that are free by its
+    # start; a machine is free once its last placement has ended.
     busy_until = {}  # machine index -> end time of its last placement
     for pl in sorted(gs.placements, key=lambda p: (p.start, p.group)):
         base = machine_base[pl.machine_group - 1]

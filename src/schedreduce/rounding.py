@@ -18,6 +18,16 @@ both in one sweep, and the passes reach the same one: they take each
 job's window start from their input, so a job that a swap pushed into a
 later slot can still be pulled back once fills empty the slot before it.
 
+The rewrites terminate.  Window ends never grow: a fill moves mass
+earlier, and a swap moves l2's mass to t2, a slot of l1, with
+t2 <= end(l1) <= end(l2).  Rank each machine's jobs by (window end,
+index) and give earlier ranks larger integer weights w; let
+Phi = sum_l w(l) * sum_t t * units(l, t).  While no window end moves, a
+fill moves y >= 1 units earlier, and a swap moves y units of l1 earlier
+and y units of l2 later by the same distance with w(l1) > w(l2), so Phi
+falls by at least 1.  The pair (sum of window ends, Phi) of non-negative
+ints thus falls lexicographically on every step.
+
 In canonical form the leftover ("partial") mass on a machine grows by at
 most gamma per slot, so when gamma * horizon <= 1/(10 n) each slot hosts
 at most two jobs and doubling every slot yields an integral schedule of
@@ -42,7 +52,6 @@ from fractions import Fraction
 
 from .errors import (
     InfeasibleInput,
-    IterationBudgetExceeded,
     MisplacedFractionExceeded,
     NonUnitLengths,
     PreconditionGamma,
@@ -284,8 +293,8 @@ class _Grid:
                                 return i, l1, l2, t
         return None
 
-    def swaps(self, budget: int, trace: list = None) -> None:
-        """Apply swap steps until none applies.
+    def swaps(self, trace: list = None) -> int:
+        """Apply swap steps until none applies; return how many ran.
 
         A step at slot t cannot open a swap at an earlier slot unless it
         moves l1's window end back; then only l1 gains partners, at
@@ -294,8 +303,6 @@ class _Grid:
         steps, first_slot = 0, 1
         while (found := self._find_swap(first_slot)) is not None:
             steps += 1
-            if steps > budget:
-                raise IterationBudgetExceeded(f"swap pass exceeded {budget} steps")
             i, l1, l2, t = found
             end1 = self.windows[l1][1]
             t2 = self._next_slot(l1, t)
@@ -306,6 +313,7 @@ class _Grid:
             first_slot = ts1 if te1 < end1 else t
             if trace is not None:
                 trace.append(_trace_line("swap", i, (l1, l2), t, Fraction(y, self.unit)))
+        return steps
 
     def _find_fill(self, first_slot, first_machine):
         """Lexicographically first (slot, machine, job) from (first_slot,
@@ -322,8 +330,8 @@ class _Grid:
                         return i, l, t, slack
         return None
 
-    def fills(self, budget: int, trace: list = None) -> None:
-        """Apply fill steps until none applies.
+    def fills(self, trace: list = None) -> int:
+        """Apply fill steps until none applies; return how many ran.
 
         A fill at (slot t, machine i) changes no earlier load and only
         narrows a window, so the scan resumes at (t, i).
@@ -331,8 +339,6 @@ class _Grid:
         steps, first_slot, first_machine = 0, 1, 1
         while (found := self._find_fill(first_slot, first_machine)) is not None:
             steps += 1
-            if steps > budget:
-                raise IterationBudgetExceeded(f"fill pass exceeded {budget} steps")
             i, l, t, slack = found
             t2 = self._next_slot(l, t)
             y = min(self.slots[l][t2], slack)
@@ -340,27 +346,23 @@ class _Grid:
             first_slot, first_machine = t, i
             if trace is not None:
                 trace.append(_trace_line("fill", i, (l,), t, Fraction(y, self.unit)))
+        return steps
 
 
-def _default_budget(fs: FractionalSchedule) -> int:
-    n, ln = fs.umps_ref.n, fs.horizon
-    return fs.umps_ref.m * n * n * ln * ln + 16
-
-
-def swap_pass(fs: FractionalSchedule, budget: int = None, trace: list = None) -> FractionalSchedule:
+def swap_pass(fs: FractionalSchedule, trace: list = None) -> FractionalSchedule:
     """Apply swap steps until none applies.  Each step conserves every
     job's mass and every (machine, slot) load, and keeps every job's mass
     inside its window in ``fs``."""
     work = fs._grid.copy()
-    work.swaps(_default_budget(fs) if budget is None else budget, trace)
+    work.swaps(trace)
     return work.schedule()
 
 
-def fill_pass(fs: FractionalSchedule, budget: int = None, trace: list = None) -> FractionalSchedule:
+def fill_pass(fs: FractionalSchedule, trace: list = None) -> FractionalSchedule:
     """Apply fill steps until none applies; pairs with :func:`swap_pass`
     inside :func:`canonicalize` until the joint fixpoint."""
     work = fs._grid.copy()
-    work.fills(_default_budget(fs) if budget is None else budget, trace)
+    work.fills(trace)
     return work.schedule()
 
 
@@ -369,25 +371,20 @@ def canonicalize(fs: FractionalSchedule, trace: list = None) -> FractionalSchedu
 
     The passes share one copy of ``fs``'s grid, so each job's window
     start stays the one of ``fs``; the copy is checked after each pass,
-    and only the fixpoint becomes a :class:`FractionalSchedule`.  It
-    equals :func:`greedy_canonical` (checked on generated inputs).  If the
-    step budget trips before it (never observed on generated inputs, and
-    the local steps carry no termination proof), fall back to
-    :func:`greedy_canonical`, which builds it directly.
+    and the first round in which neither pass takes a step ends the
+    loop.  Every step lowers the measure of the module docstring, so the
+    loop ends, and only the fixpoint becomes a
+    :class:`FractionalSchedule`.  It equals :func:`greedy_canonical`
+    (checked on generated inputs).
     """
-    budget = _default_budget(fs)
     work = fs._grid.copy()
-    try:
-        while True:
-            before = {job: dict(s) for job, s in work.slots.items()}
-            work.swaps(budget, trace)
-            work.check()
-            work.fills(budget, trace)
-            work.check()
-            if work.slots == before:
-                return work.schedule()
-    except IterationBudgetExceeded:
-        return greedy_canonical(fs)
+    while True:
+        steps = work.swaps(trace)
+        work.check()
+        steps += work.fills(trace)
+        work.check()
+        if not steps:
+            return work.schedule()
 
 
 def greedy_canonical(fs: FractionalSchedule) -> FractionalSchedule:
@@ -403,7 +400,7 @@ def greedy_canonical(fs: FractionalSchedule) -> FractionalSchedule:
     windows, unit = grid.windows, grid.unit
     new_mass = {}
     for i in range(1, len(grid.jobs_on)):
-        jobs_i = [l for l in grid.jobs_on[i] if l in windows]
+        jobs_i = grid.jobs_on[i]
         remaining = {l: sum(grid.slots[l].values()) for l in jobs_i}
         for t in range(1, fs.horizon + 1):
             open_jobs = [l for l in jobs_i if windows[l][0] <= t <= windows[l][1]]

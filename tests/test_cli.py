@@ -78,6 +78,21 @@ def test_gen_rejects_bad_input(tmp_path):
     assert run("gen", "fractional", "--out", str(tmp_path / "x.json")) == 2
 
 
+@pytest.mark.parametrize("instance,schedule", [
+    ("commdelay", "schedule"), ("schedule", "schedule"), ("umps", "umps"),
+], ids=["commdelay-instance", "schedule-instance", "umps-schedule"])
+def test_gen_fractional_rejects_inputs_of_the_wrong_kind(tmp_path, sample8, capsys,
+                                                         instance, schedule):
+    files = {"umps": sample8, "commdelay": umps_to_commdelay(sample8).output,
+             "schedule": solve_umps_exact(sample8).schedule}
+    for kind, value in files.items():
+        write_file(tmp_path / f"{kind}.json", value)
+    params = f"instance={tmp_path / instance}.json,schedule={tmp_path / schedule}.json"
+    assert run("gen", "fractional", "--params", params,
+               "--out", str(tmp_path / "x.json")) == 2
+    assert capsys.readouterr().err.startswith("error: fractional generation needs")
+
+
 # ---------------------------------------------------------------------------
 # reduce
 
