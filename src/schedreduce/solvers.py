@@ -8,6 +8,8 @@ per-machine processing orders consistent with the precedence
 projection, scores each combination by the earliest-start longest path
 through the combined order graph, and keeps the first strictly best
 result, so ties resolve to the lexicographically earliest combination.
+The longest paths are kept incrementally: each placement and each order
+raises only the starts it moves, and backtracking undoes them.
 Interchangeable machines are opened in label order and twin jobs are
 kept in job order; these rules skip symmetric copies of a schedule but
 keep the lexicographically earliest member of each class, so optima and
@@ -83,8 +85,8 @@ class _Search:
         self.best_ms = None
         self.best_payload = None
 
-    def tick(self, count: int = 1):
-        self.states += count
+    def tick(self):
+        self.states += 1
         if self.states > self.lim.max_states:
             raise _Abort
         if self.states % 4096 == 0 and time.monotonic() - self.t0 > self.lim.time_budget:
@@ -117,63 +119,28 @@ def _extensions(jobs, pred_sets):
     yield from rec()
 
 
-def _relax(pending, start, succ, dur, limit, changed):
-    """Raise earliest starts along ``succ`` from the ``(job, start)``
-    candidates in ``pending``, logging each overwritten start in
-    ``changed``.  Returns the latest end raised, or None as soon as an end
-    reaches ``limit``.  Every edge weight is positive, so a cycle raises
-    its ends without bound and always ends in None."""
-    top = 0
-    while pending:
-        v, t = pending.pop()
-        if t > start[v]:
-            changed.append((v, start[v]))
-            start[v] = t
-            if t + dur[v] >= limit:
-                return None
-            if t + dur[v] > top:
-                top = t + dur[v]
-            pending.extend([(w, t + c) for w, c in succ[v]])
-    return top
+class _Orders:
+    """The linear extensions of one machine's jobs, generated lazily and
+    kept: each iteration replays the orders generated so far, in
+    :func:`_extensions` order, and generates the next one only when the
+    caller asks for it, so the underlying generator yields each order
+    once however often the group recurs.  The search asks for an order
+    only to try it, so the memo holds at most one order per state."""
 
+    def __init__(self, jobs, pred_sets):
+        self.seen = []
+        self.rest = _extensions(jobs, pred_sets)
 
-def _orders_dfs(search, groups, succ, dur, start, bound, labels):
-    """Enumerate per-machine orders with incremental longest paths.
-
-    ``groups`` lists, machine by machine, the jobs and the poset their
-    order must extend; ``succ`` holds the weighted edges of the assigned
-    dag, ``start`` its earliest starts and ``bound`` its makespan.  Each
-    order adds succession edges (weighted by the earlier job's time),
-    relaxes the starts they raise, and prunes once an end reaches the
-    incumbent, which covers cycles too.  A level stops trying orders once
-    the incumbent drops to the bound it was entered with: every later
-    order starts from that bound, so none can beat the incumbent.  Every
-    full set of orders offers its makespan to ``search`` with a copy of
-    ``labels``, each job's machine.
-    """
-
-    def level(k, bound):
-        if k == len(groups):
-            search.offer(bound, (list(labels), list(start)))
-            return
-        jobs, pred_sets = groups[k]
-        for order in _extensions(jobs, pred_sets):
-            if bound >= search.best_ms:  # every later order starts from this bound
-                return
-            search.tick()
-            pending, changed = [], []
-            for u, v in zip(order, order[1:]):
-                succ[u].append((v, dur[u]))
-                pending.append((v, start[u] + dur[u]))
-            top = _relax(pending, start, succ, dur, search.best_ms, changed)
-            if top is not None and max(bound, top) < search.best_ms:
-                level(k + 1, max(bound, top))
-            for v, old in reversed(changed):
-                start[v] = old
-            for u in order[:-1]:
-                succ[u].pop()
-
-    level(0, bound)
+    def __iter__(self):
+        k = 0
+        while True:
+            if k == len(self.seen):
+                order = next(self.rest, None)
+                if order is None:
+                    return
+                self.seen.append(order)
+            yield self.seen[k]
+            k += 1
 
 
 def _serial_schedule(dag, machine_of, duration) -> Schedule:
@@ -260,13 +227,24 @@ def _exact_search(dag, lim, serial, duration, delay=None, pinned=None, units=(),
     the rules change the states explored but neither the optimum nor the
     schedule returned.
 
-    Every assignment level computes earliest starts in one pass over a
-    topological order and prunes on an admissible bound: unplaced jobs at
-    their fastest time, delays on edges already placed apart, and machine
-    loads.  No child's bound is below its parent's, so once the incumbent
-    drops to a node's bound its remaining children are skipped.  A full
-    assignment hands its starts to :func:`_orders_dfs` without counting
-    another state.
+    One array of earliest starts serves the whole search.  Edge weights
+    are computed as an edge is relaxed: the earlier job's time on its
+    machine (its fastest time while unplaced), plus the edge delay once
+    both ends are placed apart.  The root relaxes the whole dag; placing
+    a unit relaxes only from the ends its times lengthen and the delays
+    it newly pays; fixing a machine's order links each of its jobs to the
+    next one and relaxes from those links.  Every raised start is logged
+    and undone on backtrack.
+
+    A node's bound, its longest path or its largest machine load if that
+    is more, is admissible and never below its parent's, so it is the
+    largest of the parent's bound, the ends raised on the way and the
+    load of the machine just used.  Once the incumbent drops to a node's
+    bound its remaining children are skipped, and an end that reaches
+    the incumbent prunes a child at once, which also ends a cycle of
+    machine links.  Each machine's orders (the linear extensions of its
+    jobs under the dag and the twin rule) are generated once per search
+    and replayed when the same jobs share a machine again.
 
     The incumbent is seeded from the ``serial`` schedule, or from the
     earliest-finish list schedule (jobs in topological order on their pin
@@ -275,25 +253,26 @@ def _exact_search(dag, lim, serial, duration, delay=None, pinned=None, units=(),
     it still wins and a proven search returns the same first optimal leaf
     as with the serial seed; only the states explored fall.  The seed
     schedule is returned when the search finds nothing better before its
-    budget trips.
+    budget trips, and at once, unproven, when there are more than
+    ``lim.max_jobs`` jobs.
     """
     n = dag.node_count
-    if n > lim.max_jobs:
-        return SolveResult(makespan(serial), serial, proven_optimal=False, states_explored=0)
-    reach = dag.reachable()
     delay = delay or {}
     pinned = pinned or {}
     jobs = range(1, n + 1)
     class_of = {i: (c, slot) for c, cls in enumerate(classes) for slot, i in enumerate(cls)}
     machines = sorted(set(class_of) | set(pinned.values()))
-    exact = {(j, i): Fraction(duration(j, i)) for j in jobs for i in machines}
+    exact = {(j, i): duration(j, i) for j in jobs for i in machines}
     scale = math.lcm(*(t.denominator for t in itertools.chain(exact.values(), delay.values())))
-    time_of = {key: int(t * scale) for key, t in exact.items()}
-    delay = {e: int(c * scale) for e, c in delay.items()}
+    width = machines[-1] + 1 if machines else 1  # per-machine lists are indexed by label
+    time_on = [[0] * width for _ in range(n + 1)]  # job j's time on machine i, scaled
+    for (j, i), t in exact.items():
+        time_on[j][i] = t.numerator * (scale // t.denominator)
+    delay = {e: c.numerator * (scale // c.denominator) for e, c in delay.items()}
     serial_ms = int(makespan(serial) * scale)
     order = topological_order(dag)
     anywhere = sorted(class_of)
-    hint = _list_schedule(dag, order, lambda j, i: time_of[j, i],
+    hint = _list_schedule(dag, order, lambda j, i: time_on[j][i],
                           lambda j: (pinned[j],) if j in pinned else anywhere, delay)
     hint_ms = max((end for _, _, end in hint.values()), default=0)
     search = _Search(lim)
@@ -303,24 +282,48 @@ def _exact_search(dag, lim, serial, duration, delay=None, pinned=None, units=(),
         search.offer(serial_ms, None)
         hint = None
 
+    def result(proven):
+        if search.best_payload is not None:
+            labels, starts = search.best_payload
+            best, entries = search.best_ms, {
+                j: (labels[j], starts[j], starts[j] + time_on[j][labels[j]]) for j in jobs}
+        elif hint is not None:
+            best, entries = hint_ms, hint
+        else:
+            return SolveResult(makespan(serial), serial, proven, search.states)
+        entries = {j: (i, Fraction(s, scale), Fraction(e, scale))
+                   for j, (i, s, e) in entries.items()}
+        return SolveResult(Fraction(best, scale), Schedule(entries=entries), proven,
+                           search.states)
+
+    if n > lim.max_jobs:
+        return result(False)
+
+    reach = dag.reachable()
     preds = [[] for _ in range(n + 1)]  # (u, delay) per job
     succs = [[] for _ in range(n + 1)]  # (v, delay) per job
     for u, v in dag.edges:
         preds[v].append((u, delay.get((u, v), 0)))
         succs[u].append((v, delay.get((u, v), 0)))
-    topo = [(v, preds[v]) for v in order]
-    # mach[j] is job j's machine (0 until placed) and dur[j] its time
-    # there, or its fastest time while unplaced
-    fastest = [0] + [min(time_of[j, i] for i in machines) for j in jobs]
+    # mach[j] is job j's machine (0 until placed), dur[j] its time there
+    # (its fastest time while unplaced), start[j] its earliest start and
+    # nxt[j] the job after it on its machine (0 until an order is fixed);
+    # on[i] lists machine i's jobs in the order they were placed
+    fastest = [0] + [min(time_on[j][i] for i in machines) for j in jobs]
     mach = [0] + [pinned.get(j, 0) for j in jobs]
-    dur = [time_of[j, mach[j]] if mach[j] else fastest[j] for j in range(n + 1)]
-    loads = dict.fromkeys(machines, 0)
-    for j, i in pinned.items():
+    dur = [time_on[j][mach[j]] if mach[j] else fastest[j] for j in range(n + 1)]
+    start = [0] * (n + 1)
+    nxt = [0] * (n + 1)
+    loads = [0] * width
+    on = [[] for _ in range(width)]
+    for j, i in sorted(pinned.items()):
         loads[i] += dur[j]
+        on[i].append(j)
+    log = []  # (job, start it had) for every raised start, newest last
 
     first, twin = {}, {}  # twin[j]: the first job of j's twin class
     for j in jobs:
-        key = (tuple(time_of[j, i] for i in machines), tuple(sorted(preds[j])),
+        key = (tuple(time_on[j][i] for i in machines), tuple(sorted(preds[j])),
                tuple(sorted(succs[j])), pinned.get(j))
         twin[j] = first.setdefault(key, j)
     # before[v]: the jobs that must run before v when they share its machine
@@ -334,78 +337,145 @@ def _exact_search(dag, lim, serial, duration, delay=None, pinned=None, units=(),
             last[twin[unit[0]]] = unit[0]
     candidates = [(i, *class_of[i]) for i in sorted(class_of)]
     opened = [0] * len(classes)
+    memo = {}  # a machine's jobs, as placed -> their _Orders
 
-    def bound():
-        """Earliest starts of the dag as placed so far, and the bound."""
-        start = [0] * (n + 1)
-        path = max(loads.values())
-        for v, pv in topo:
-            s = 0
-            for u, c in pv:
-                t = start[u] + dur[u]
-                if c and mach[u] and mach[v] and mach[u] != mach[v]:
-                    t += c
-                if t > s:
-                    s = t
-            start[v] = s
-            if s + dur[v] > path:
-                path = s + dur[v]
-        return start, path
+    def relax(pending, limit):
+        """Raise earliest starts from the ``(job, start)`` candidates in
+        ``pending`` along the dag edges and the machine links, logging
+        each overwritten start.  Returns the latest end raised (0 if
+        none), or None as soon as an end reaches ``limit``.  Every time is
+        positive, so a cycle raises its ends without bound and always
+        ends in None."""
+        top = 0
+        while pending:
+            v, t = pending.pop()
+            if t > start[v]:
+                log.append((v, start[v]))
+                start[v] = t
+                t += dur[v]
+                if t >= limit:
+                    return None
+                if t > top:
+                    top = t
+                mv = mach[v]
+                for w, c in succs[v]:
+                    tw = t + c if c and mv and (mw := mach[w]) and mw != mv else t
+                    if tw > start[w]:
+                        pending.append((w, tw))
+                w = nxt[v]
+                if w and t > start[w]:
+                    pending.append((w, t))
+        return top
 
-    def leaf(start, path):
-        succ = [[(v, dur[u] + (c if mach[u] != mach[v] else 0)) for v, c in succs[u]]
-                for u in range(n + 1)]
-        by_machine = {}
-        for j in jobs:
-            by_machine.setdefault(mach[j], []).append(j)
-        groups = []
-        for _, group in sorted(by_machine.items()):
-            if len(group) > 1:  # a lone job has one order and adds no edge
-                members = set(group)
-                groups.append((group, {v: before[v] & members for v in group}))
-        _orders_dfs(search, groups, succ, dur, start, path, mach)
+    def raise_ends(group, top, limit):
+        """Relax from the ends of ``group``'s jobs, which have just been
+        placed (or, at the root, are all new), and from the delays they
+        newly pay.  Returns the latest end, ``top`` at least, or None as
+        soon as an end reaches ``limit``."""
+        if top >= limit:
+            return None
+        pending = []
+        for j in group:
+            t = start[j] + dur[j]
+            if t >= limit:
+                return None
+            if t > top:
+                top = t
+            mj = mach[j]
+            for w, c in succs[j]:
+                tw = t + c if c and mj and (mw := mach[w]) and mw != mj else t
+                if tw > start[w]:
+                    pending.append((w, tw))
+            for u, c in preds[j]:
+                if c and mj and (mu := mach[u]) and mu != mj:
+                    pending.append((j, start[u] + dur[u] + c))
+        raised = relax(pending, limit)
+        return None if raised is None else max(top, raised)
 
-    def assign(k):
-        search.tick()
-        start, path = bound()
-        if path >= search.best_ms:
+    def undo(mark):
+        while len(log) > mark:
+            v, old = log.pop()
+            start[v] = old
+
+    def orders(k, groups, bound):
+        """Try each order of ``groups[k]`` on top of the orders fixed for
+        the groups before it; a full set offers its makespan."""
+        if k == len(groups):
+            search.offer(bound, (list(mach), list(start)))
             return
+        group = iter(groups[k])
+        while bound < search.best_ms:  # every later order starts from this bound
+            order = next(group, None)
+            if order is None:
+                return
+            search.tick()
+            mark = len(log)
+            pending = []
+            u = order[0]
+            for v in order[1:]:
+                nxt[u] = v
+                t = start[u] + dur[u]
+                if t > start[v]:
+                    pending.append((v, t))
+                u = v
+            top = relax(pending, search.best_ms)
+            if top is not None:
+                orders(k + 1, groups, max(bound, top))
+            undo(mark)
+            for u in order:
+                nxt[u] = 0
+
+    def assign(k, path):
+        """Place units k, ... below a node whose bound ``path`` is below
+        the incumbent."""
         if k == len(units):
-            leaf(start, path)
+            groups = []
+            for i in machines:
+                held = on[i]
+                if len(held) > 1:  # a lone job has one order and adds no link
+                    key = tuple(held)
+                    if key not in memo:
+                        memo[key] = _Orders(key, {v: before[v] & set(key) for v in key})
+                    groups.append(memo[key])
+            orders(0, groups, path)
             return
         unit = units[k]
         low = mach[floor_of[k]] if k in floor_of else 0
         for i, c, slot in candidates:
             if slot > opened[c] or i < low:
                 continue
+            search.tick()
             fresh = slot == opened[c]  # opens the next machine of the class
             opened[c] += fresh
             for j in unit:
-                mach[j], dur[j] = i, time_of[j, i]
+                mach[j], dur[j] = i, time_on[j][i]
                 loads[i] += dur[j]
-            assign(k + 1)
+                on[i].append(j)
+            mark = len(log)
+            child = raise_ends(unit, loads[i], search.best_ms)
+            if child is not None:
+                assign(k + 1, max(path, child))
+            undo(mark)
             for j in unit:
                 loads[i] -= dur[j]
                 mach[j], dur[j] = 0, fastest[j]
+                on[i].pop()
             opened[c] -= fresh
             if path >= search.best_ms:  # every later child starts from this bound
                 return
 
     proven = True
     try:
-        assign(0)
+        search.tick()
+        path = raise_ends(jobs, max(loads), search.best_ms)
+        if path is not None:
+            assign(0, path)
     except _Abort:
         proven = False
-    if search.best_payload is not None:
-        labels, starts = search.best_payload
-        best, entries = search.best_ms, {
-            j: (labels[j], starts[j], starts[j] + time_of[j, labels[j]]) for j in jobs}
-    elif hint is not None:
-        best, entries = hint_ms, hint
-    else:
-        return SolveResult(makespan(serial), serial, proven, search.states)
-    entries = {j: (i, Fraction(s, scale), Fraction(e, scale)) for j, (i, s, e) in entries.items()}
-    return SolveResult(Fraction(best, scale), Schedule(entries=entries), proven, search.states)
+    # the nested functions refer to one another, so what they hold waits
+    # for the cycle collector; free the memo's orders and generators now
+    memo.clear()
+    return result(proven)
 
 
 # ---------------------------------------------------------------------------

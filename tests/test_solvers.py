@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from schedreduce import (
     validate_umps,
     verify_no_property,
 )
+from schedreduce import solvers
 from schedreduce.serialize import dump_canonical, to_obj
 from conftest import SAMPLE8, make_sample8
 from oracle import oracle_commdelay_optimum, oracle_related_optimum, oracle_umps_optimum
@@ -342,6 +344,11 @@ PINNED = [
                  "11", False, 6,
                  "061d7b1907e228ddee7c1b140442b4be0858346e253687abe2a3f8c6781932c6",
                  id="reduced-capped"),
+    pytest.param(solve_commdelay_exact, lambda: _reduced(8, 3, 2),
+                 SolveLimits(max_jobs=12, max_states=200),
+                 "7", True, 160,
+                 "33b5e1ac9f22a33b2960a692a170453f51019a7e3209a5b32ebdfd1489fa4a8d",
+                 id="reduced-8-3-2"),
     pytest.param(solve_commdelay_exact, lambda: _uniform(5, 1, 1, None), SolveLimits(),
                  "7", True, 12,
                  "9c3a2801ce72f8b6f7cb0e976412194aa9205fb52b918e0d21922c3119e84a82",
@@ -390,6 +397,17 @@ PINNED = [
                  "3", False, 61,
                  "9e8b0feb17baa1acfcab99dd79741a0240ddd57856a472253d3088ac59798fda",
                  id="related-capped"),
+    # the related bench's shape: kappa = 2 gadgets of 10 flat jobs under its cap
+    pytest.param(solve_related_exact, lambda: _kappa2((2, 2), F(1, 4), 3),
+                 SolveLimits(max_states=1500),
+                 "2", True, 922,
+                 "d12b73ebfa45c0c57edfd5927721a69f73c45f9b21914619244cd87c1717b0b8",
+                 id="kappa2-10-proven"),
+    pytest.param(solve_related_exact, lambda: _kappa2((1, 6), F(1, 4), 1),
+                 SolveLimits(max_states=1500),
+                 "6", False, 1501,
+                 "ba73447476bdebc8dcad44b77a26a23da8198384bdb5e5c9c3d22e459ec39a76",
+                 id="kappa2-10-capped"),
 ]
 
 
@@ -488,6 +506,42 @@ def test_capped_search_returns_the_list_schedule(solve, make):
     assert result.optimum == makespan(result.schedule) == max(e for _, _, e in listed.values())
     assert result.schedule.entries == listed
     assert validate(inst, result.schedule).feasible
+
+
+def test_oversized_search_returns_the_list_schedule():
+    # twelve independent length-2 jobs on speeds 1..6: serially on the
+    # speed-6 machine they take 4, earliest finish spreads them to 4/3
+    inst = RelatedInstance(machines=(1, 2, 3, 4, 5, 6), jobs=(2,) * 12,
+                           dag=PrecedenceDag(12, ()))
+    oversized = solve_related_exact(inst)
+    capped = solve_related_exact(inst, SolveLimits(max_jobs=12, max_states=1))
+    assert (oversized.optimum, oversized.proven_optimal, oversized.states_explored) == (
+        F(4, 3), False, 0)
+    assert oversized.schedule == capped.schedule
+    assert validate_related(inst, oversized.schedule).feasible
+
+
+# ---------------------------------------------------------------------------
+# the lazy memo of a machine's orders
+
+
+def test_orders_memo_generates_each_order_once(monkeypatch):
+    jobs, pred_sets = (1, 2, 3, 4), {1: set(), 2: {1}, 3: set(), 4: {3}}
+    expected = list(solvers._extensions(jobs, pred_sets))
+    generated = []
+
+    def counted(jobs, pred_sets):
+        for order in expected:
+            generated.append(order)
+            yield order
+
+    monkeypatch.setattr(solvers, "_extensions", counted)
+    memo = solvers._Orders(jobs, pred_sets)
+    assert list(itertools.islice(memo, 2)) == expected[:2]
+    assert generated == expected[:2]  # nothing past the orders asked for
+    assert list(memo) == expected
+    assert list(memo) == expected
+    assert generated == expected
 
 
 # ---------------------------------------------------------------------------
