@@ -13,7 +13,7 @@ import csv
 import io
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -363,9 +363,7 @@ def _roundtrip_row(in_path, mode, lim, kappa_override=None):
                 f"{instance_id}: instance is not dense; no soundness floor to assert"
             )
         reduced = kpartite_to_umps(inst)
-        wide = SolveLimits(max_jobs=max(lim.max_jobs, reduced.n),
-                           max_states=lim.max_states, time_budget=lim.time_budget)
-        src = solve_umps_exact(reduced, wide)
+        src = solve_umps_exact(reduced, replace(lim, max_jobs=max(lim.max_jobs, reduced.n)))
         budget_hit = not src.proven_optimal
         target = (1 - 2 * inst.delta) * inst.k * inst.n
         holds = src.optimum >= target
@@ -419,7 +417,6 @@ def cmd_bench(args) -> int:
     for path in sorted(corpus.glob("*.json")):
         if path.name.endswith(".sidecar.json"):
             continue
-        kind = None
         try:
             inst = read_file(path)
         except Exception as exc:  # unreadable corpus member: report, keep going

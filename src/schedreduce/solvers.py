@@ -1,13 +1,14 @@
 """Exact desk-scale solvers and list-scheduling heuristics.
 
 The three exact solvers share one branch-and-bound engine,
-``_exact_search``.  It seeds the incumbent with the better of a serial
-schedule and an earliest-finish list schedule, enumerates machine
-assignments, then for each assignment enumerates
-per-machine processing orders consistent with the precedence
-projection, scores each combination by the earliest-start longest path
-through the combined order graph, and keeps the first strictly best
-result, so ties resolve to the lexicographically earliest combination.
+``_exact_search``.  It builds its own two seed schedules, a serial one and
+an earliest-finish list schedule, on its integer time base and seeds the
+incumbent with the better one.  It then enumerates machine assignments,
+and for each assignment the per-machine processing orders consistent with
+the precedence projection, scores each combination by the earliest-start
+longest path through the combined order graph, and keeps the first
+strictly best result, so ties resolve to the lexicographically earliest
+combination.
 The longest paths are kept incrementally: each placement and each order
 raises only the starts it moves, and backtracking undoes them.
 Interchangeable machines are opened in label order and twin jobs are
@@ -143,25 +144,19 @@ class _Orders:
             k += 1
 
 
-def _serial_schedule(dag, machine_of, duration) -> Schedule:
-    """Every job back to back in topological order, job j on
-    ``machine_of[j]``: nothing ever overlaps and no delay is ever paid."""
-    entries = {}
-    cursor = Fraction(0)
-    for j in topological_order(dag):
-        d = duration(j, machine_of[j])
-        entries[j] = (machine_of[j], cursor, cursor + d)
-        cursor += d
-    return Schedule(entries=entries)
-
-
 def trivial_serial_schedule(inst: UmpsInstance) -> Schedule:
     """All jobs back-to-back in topological order on their home machines.
 
-    Always feasible; makespan equals the total processing time, which is
-    the easy upper bound every solver starts from.
+    Always feasible; makespan equals the total processing time, the easy
+    upper bound.  The exact search builds the same schedule as its serial
+    seed on its integer time base.
     """
-    return _serial_schedule(inst.dag, inst.home, lambda j, i: inst.lengths[j])
+    entries = {}
+    cursor = 0
+    for j in topological_order(inst.dag):
+        entries[j] = (inst.home[j], cursor, cursor + inst.lengths[j])
+        cursor += inst.lengths[j]
+    return Schedule(entries=entries)
 
 
 def _list_schedule(dag, priority, duration, candidates, delays) -> dict:
@@ -204,7 +199,7 @@ def _list_schedule(dag, priority, duration, candidates, delays) -> dict:
     return entries
 
 
-def _exact_search(dag, lim, serial, duration, delay=None, pinned=None, units=(), classes=()):
+def _exact_search(dag, lim, duration, delay=None, pinned=None, units=(), classes=()):
     """Branch and bound over machine assignments, then per-machine orders.
 
     ``duration(j, i)`` is job j's time on machine i, and ``delay`` maps a
@@ -246,15 +241,20 @@ def _exact_search(dag, lim, serial, duration, delay=None, pinned=None, units=(),
     jobs under the dag and the twin rule) are generated once per search
     and replayed when the same jobs share a machine again.
 
-    The incumbent is seeded from the ``serial`` schedule, or from the
-    earliest-finish list schedule (jobs in topological order on their pin
-    or on any class machine, on the integer time base) when that one is
-    shorter.  A list makespan ``h`` seeds ``h + 1``, so a leaf that ties
-    it still wins and a proven search returns the same first optimal leaf
-    as with the serial seed; only the states explored fall.  The seed
-    schedule is returned when the search finds nothing better before its
-    budget trips, and at once, unproven, when there are more than
-    ``lim.max_jobs`` jobs.
+    The engine builds two seed schedules from its integer tables, both in
+    topological order.  The serial one runs every job back to back on its
+    pin or else on the lowest-labelled class machine where it runs
+    fastest.  The callers' times are equal on every class machine
+    (communication delays) or scale with one speed per machine (related
+    machines), so every unpinned job shares that one machine and the
+    seed pays no delay.  The earliest-finish list schedule puts each job
+    on its pin or on any class machine.  The incumbent is seeded with the
+    serial makespan, or with ``h + 1`` when the list makespan ``h`` is
+    shorter, so a leaf that ties it still wins and a proven search
+    returns the same first optimal leaf as with the serial seed; only the
+    states explored fall.  The seed schedule is returned when the search
+    finds nothing better before its budget trips, and at once, unproven,
+    when there are more than ``lim.max_jobs`` jobs.
     """
     n = dag.node_count
     delay = delay or {}
@@ -269,28 +269,30 @@ def _exact_search(dag, lim, serial, duration, delay=None, pinned=None, units=(),
     for (j, i), t in exact.items():
         time_on[j][i] = t.numerator * (scale // t.denominator)
     delay = {e: c.numerator * (scale // c.denominator) for e, c in delay.items()}
-    serial_ms = int(makespan(serial) * scale)
     order = topological_order(dag)
     anywhere = sorted(class_of)
+    seed, seed_ms = {}, 0  # the serial seed; seed_ms runs as its cursor
+    for j in order:
+        i = pinned[j] if j in pinned else min(anywhere, key=time_on[j].__getitem__)
+        seed[j] = (i, seed_ms, seed_ms + time_on[j][i])
+        seed_ms += time_on[j][i]
     hint = _list_schedule(dag, order, lambda j, i: time_on[j][i],
                           lambda j: (pinned[j],) if j in pinned else anywhere, delay)
     hint_ms = max((end for _, _, end in hint.values()), default=0)
     search = _Search(lim)
-    if hint_ms < serial_ms:
+    if hint_ms < seed_ms:
+        seed, seed_ms = hint, hint_ms
         search.offer(hint_ms + 1, None)  # + 1: a leaf that ties the hint still wins
     else:
-        search.offer(serial_ms, None)
-        hint = None
+        search.offer(seed_ms, None)
 
     def result(proven):
-        if search.best_payload is not None:
+        if search.best_payload is None:
+            best, entries = seed_ms, seed
+        else:
             labels, starts = search.best_payload
             best, entries = search.best_ms, {
                 j: (labels[j], starts[j], starts[j] + time_on[j][labels[j]]) for j in jobs}
-        elif hint is not None:
-            best, entries = hint_ms, hint
-        else:
-            return SolveResult(makespan(serial), serial, proven, search.states)
         entries = {j: (i, Fraction(s, scale), Fraction(e, scale))
                    for j, (i, s, e) in entries.items()}
         return SolveResult(Fraction(best, scale), Schedule(entries=entries), proven,
@@ -500,20 +502,16 @@ def solve_umps_exact(inst: UmpsInstance, lim: SolveLimits = None) -> SolveResult
     state is the bit mask of its done jobs and carries its ready mask: a
     child's is its parent's minus the jobs just run, plus those of their
     successors whose predecessors are now all done.
-    General lengths enumerate per-machine orders as described in the
-    module docstring.  Both paths return the same optima; the tests
-    cross-check them against a time-indexed brute-force oracle.
+    General lengths, and any instance with more than ``lim.max_jobs``
+    jobs, go to the order-search engine; past ``max_jobs`` it returns its
+    seed, which with every job pinned is the ``greedy_umps`` schedule.
+    Both paths return the same optima; the tests cross-check them against
+    a time-indexed brute-force oracle.
     """
     lim = lim or SolveLimits()
-    if inst.n > lim.max_jobs:
-        sched = greedy_umps(inst)
-        return SolveResult(makespan(sched), sched, proven_optimal=False, states_explored=0)
-    if inst.unit_lengths:
+    if inst.unit_lengths and inst.n <= lim.max_jobs:
         return _solve_umps_unit(inst, lim)
-    return _exact_search(
-        inst.dag, lim, trivial_serial_schedule(inst), lambda j, i: inst.lengths[j],
-        pinned=inst.home,
-    )
+    return _exact_search(inst.dag, lim, lambda j, i: inst.lengths[j], pinned=inst.home)
 
 
 def _solve_umps_unit(inst: UmpsInstance, lim: SolveLimits) -> SolveResult:
@@ -608,9 +606,7 @@ def solve_commdelay_exact(inst: CommDelayInstance, lim: SolveLimits = None) -> S
     """
     lim = lim or SolveLimits()
     n = inst.n_total
-    serial = _serial_schedule(inst.dag, dict.fromkeys(range(1, n + 1), 1),
-                              lambda j, i: inst.lengths[j])
-    serial_ms = makespan(serial)
+    serial_ms = sum(inst.lengths.values())  # every job back to back on one machine
 
     # union-find over forced co-location pairs
     root = list(range(n + 1))
@@ -629,7 +625,7 @@ def solve_commdelay_exact(inst: CommDelayInstance, lim: SolveLimits = None) -> S
         units.setdefault(find(j), []).append(j)
     cap = inst.machines if inst.machines is not None else n
     return _exact_search(
-        inst.dag, lim, serial, lambda j, i: inst.lengths[j], delay=inst.delays,
+        inst.dag, lim, lambda j, i: inst.lengths[j], delay=inst.delays,
         units=sorted(units.values()),  # each sorted, ordered by first member
         classes=[tuple(range(1, cap + 1))],
     )
@@ -658,14 +654,11 @@ def solve_related_exact(inst: RelatedInstance, lim: SolveLimits = None) -> Solve
     grouped into one class per distinct speed (equal-speed machines are
     interchangeable), plus per-machine order enumeration."""
     lim = lim or SolveLimits()
-    fastest = max(range(1, inst.m + 1), key=lambda i: (inst.machines[i - 1], -i))
-    serial = _serial_schedule(inst.dag, dict.fromkeys(range(1, inst.n + 1), fastest),
-                              inst.duration)
     by_speed = {}
     for i, speed in enumerate(inst.machines, start=1):
         by_speed.setdefault(speed, []).append(i)
     return _exact_search(
-        inst.dag, lim, serial, inst.duration,
+        inst.dag, lim, inst.duration,
         units=[(j,) for j in range(1, inst.n + 1)],
         classes=[tuple(machines) for machines in by_speed.values()],
     )

@@ -102,10 +102,15 @@ def test_budget_capped_solve_degrades_to_greedy():
     assert validate_umps(inst, result.schedule).feasible
 
 
-def test_oversized_instance_falls_back():
-    inst = gen_random_umps(12, 3, F(1, 4), seed=8)
-    result = solve_umps_exact(inst, SolveLimits(max_jobs=10))
-    assert not result.proven_optimal
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(random_umps, random_umps_weighted))
+def test_oversized_instance_falls_back(inst):
+    # past max_jobs the search returns its seed, which with every job
+    # pinned is the greedy list schedule
+    result = solve_umps_exact(inst, SolveLimits(max_jobs=inst.n - 1))
+    assert result.schedule == greedy_umps(inst)
+    assert result.optimum == makespan(result.schedule)
+    assert (result.proven_optimal, result.states_explored) == (False, 0)
     assert validate_umps(inst, result.schedule).feasible
 
 
@@ -505,6 +510,40 @@ def test_capped_search_returns_the_list_schedule(solve, make):
     assert not result.proven_optimal
     assert result.optimum == makespan(result.schedule) == max(e for _, _, e in listed.values())
     assert result.schedule.entries == listed
+    assert validate(inst, result.schedule).feasible
+
+
+def _commdelay_serial_beats_list():
+    # three unit jobs, 1 -> 3 and 2 -> 3 each with delay 2, on two machines.
+    # Earliest finish runs jobs 1 and 2 side by side and job 3 over [3, 4];
+    # serially on machine 1 they take 3.
+    inst = CommDelayInstance(n_total=3, lengths={1: 1, 2: 1, 3: 1},
+                             delays={(1, 3): 2, (2, 3): 2},
+                             dag=PrecedenceDag(3, ((1, 3), (2, 3))), machines=2)
+    return inst, {1: (1, 0, 1), 2: (1, 1, 2), 3: (1, 2, 3)}, validate_commdelay
+
+
+def _related_serial_ties_list():
+    # speeds 1, 3 and 3, a chain of two length-3 jobs: both run on machine 2,
+    # the lowest-labelled fastest one
+    inst = RelatedInstance(machines=(1, 3, 3), jobs=(3, 3), dag=PrecedenceDag(2, ((1, 2),)))
+    return inst, {1: (2, 0, 1), 2: (2, 1, 2)}, validate_related
+
+
+@pytest.mark.parametrize("solve, make, lim", [
+    pytest.param(solve_commdelay_exact, _commdelay_serial_beats_list,
+                 SolveLimits(max_states=1), id="commdelay-capped"),
+    pytest.param(solve_commdelay_exact, _commdelay_serial_beats_list,
+                 SolveLimits(max_jobs=2), id="commdelay-oversized"),
+    pytest.param(solve_related_exact, _related_serial_ties_list,
+                 SolveLimits(max_jobs=1), id="related-oversized"),
+])
+def test_unbeaten_search_returns_the_serial_schedule(solve, make, lim):
+    inst, serial, validate = make()
+    result = solve(inst, lim)
+    assert not result.proven_optimal
+    assert result.optimum == makespan(result.schedule) == max(e for _, _, e in serial.values())
+    assert result.schedule.entries == serial
     assert validate(inst, result.schedule).feasible
 
 
