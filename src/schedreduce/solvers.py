@@ -159,44 +159,76 @@ def trivial_serial_schedule(inst: UmpsInstance) -> Schedule:
     return Schedule(entries=entries)
 
 
-def _list_schedule(dag, priority, duration, candidates, delays) -> dict:
-    """Earliest-finish list scheduling: jobs in ``priority`` (a topological
+def _list_schedule(order, preds, times, pinned, classes) -> dict:
+    """Earliest-finish list scheduling: jobs in ``order`` (a topological
     order, so each job's predecessors are already placed when it is
-    reached) go to the machine among ``candidates(j)`` where they finish
-    first, taking ``duration(j, i)`` there and paying the edge delay in
-    ``delays`` when a predecessor sits on a different machine.  Ties go to
-    the earliest candidate.  An idle candidate with the same time as an
-    earlier idle one would start and finish alike, so it is skipped.  With
-    equal times on every candidate this is earliest-start scheduling.
-    Returns the entries ``{job: (machine, start, end)}``."""
-    if sorted(priority) != list(range(1, dag.node_count + 1)):
-        raise ValueError("priority must be a permutation of all jobs")
-    pos = {j: k for k, j in enumerate(priority)}
-    for u, v in dag.edges:
-        if pos[u] >= pos[v]:
-            raise ValueError(f"priority is not topological: {u} -> {v}")
-    preds = dag.predecessors()
+    reached) go to the candidate machine where they finish first, ties to
+    the lowest label.  A pinned job's one candidate is its pin, where it
+    takes ``times[j][0]``; any other job may take a machine of
+    ``classes`` (tuples of machines with equal times, each in increasing
+    label order) and takes ``times[j][c]`` on class c.  ``preds[j]``
+    lists ``(u, lag)`` pairs: j starts ``lag`` after u ends when the two
+    sit on different machines.  With equal times on every candidate this
+    is earliest-start scheduling.  Returns the entries ``{job: (machine,
+    start, end)}``.  ``order`` is not checked: the engine passes its own
+    topological order, and :func:`_checked_list_schedule` checks a
+    caller's priority.
+
+    A predecessor on j's candidate machine ended by the time that machine
+    went free, so j starts there at the later of the machine's free time
+    and the latest ``end + lag`` of its predecessors on other machines.
+    That is ``far``, the latest over all predecessors, unless the machine
+    is ``far_on``, the one that predecessor sits on; then it is ``near``,
+    the latest over the other machines.  Every idle machine of a class
+    starts and ends j alike, and the machines of a class fill in label
+    order, so each class is scanned up to its first idle machine."""
     free = {}
+    used = [0] * len(classes)  # used[c]: how many of class c's machines hold a job
     entries = {}
-    for j in priority:
-        best = None
-        idle = set()  # times of the idle candidates seen so far
-        for i in candidates(j):
-            d = duration(j, i)
-            if i not in free:
-                if d in idle:
-                    continue
-                idle.add(d)
-            est = free.get(i, 0)
-            for u in preds[j]:
-                mu, _, eu = entries[u]
-                lag = delays.get((u, j), 0) if mu != i else 0
-                est = max(est, eu + lag)
-            if best is None or est + d < best[2]:
-                best = (i, est, est + d)
+    for j in order:
+        far = near = far_on = 0
+        for u, lag in preds[j]:
+            mu, _, t = entries[u]
+            t += lag
+            if mu == far_on:
+                if t > far:
+                    far = t
+            elif t > far:
+                far, far_on, near = t, mu, far
+            elif t > near:
+                near = t
+        if j in pinned:
+            i = pinned[j]
+            s = max(free.get(i, 0), near if i == far_on else far)
+            best = (i, s, s + times[j][0])
+        else:
+            best = None
+            for c, cls in enumerate(classes):
+                d = times[j][c]
+                for i in cls[:used[c] + 1]:
+                    s = max(free.get(i, 0), near if i == far_on else far)
+                    if best is None or s + d < best[2] or s + d == best[2] and i < best[0]:
+                        best, best_c = (i, s, s + d), c
+            used[best_c] += best[0] not in free
         entries[j] = best
         free[best[0]] = best[2]
     return entries
+
+
+def _checked_list_schedule(dag, priority, lengths, delays, pinned, classes) -> Schedule:
+    """:func:`_list_schedule` in a caller's ``priority``, which must list
+    every job of ``dag`` once, in topological order; job j takes
+    ``lengths[j]`` on every machine."""
+    if sorted(priority) != list(range(1, dag.node_count + 1)):
+        raise ValueError("priority must be a permutation of all jobs")
+    pos = {j: k for k, j in enumerate(priority)}
+    preds = [[] for _ in range(dag.node_count + 1)]
+    for u, v in dag.edges:
+        if pos[u] >= pos[v]:
+            raise ValueError(f"priority is not topological: {u} -> {v}")
+        preds[v].append((u, delays.get((u, v), 0)))
+    times = [()] + [(lengths[j],) for j in range(1, dag.node_count + 1)]
+    return Schedule(entries=_list_schedule(priority, preds, times, pinned, classes))
 
 
 def _exact_search(dag, lim, duration, delay=None, pinned=None, units=(), classes=()):
@@ -204,23 +236,30 @@ def _exact_search(dag, lim, duration, delay=None, pinned=None, units=(), classes
 
     ``duration(j, i)`` is job j's time on machine i, and ``delay`` maps a
     dag edge to the extra wait paid when its ends sit on different
-    machines.  Times are scaled by the LCM of their denominators, so the
-    search runs on plain ints and only the result converts back to
-    ``Fraction``.  ``pinned`` fixes jobs to machines up front; with no
+    machines.  ``pinned`` fixes jobs to machines up front; with no
     ``units`` the search goes straight to the order enumeration.
     Otherwise ``units`` (tuples of jobs that must share a machine) are
-    placed in order, each on the machines of ``classes`` (tuples of
-    interchangeable machines) in increasing label order, skipping any
-    machine past the first one not yet used in its class.
+    placed in order, each on the machines of ``classes`` in increasing
+    label order, skipping any machine past the first one not yet used in
+    its class.  A class is a tuple of interchangeable machines, listed in
+    increasing label order, on each of which a job takes the same time.
 
-    Twin jobs (the same time on every machine, the same predecessors,
-    successors and edge delays, the same pin) are interchangeable too: a
-    later single-job unit never takes a lower machine than its earlier
-    twin, and twins sharing a machine run in job order.  Each symmetry
-    rule keeps the lexicographically least member of every class of
-    equivalent schedules, the one an unrestricted search meets first, so
-    the rules change the states explored but neither the optimum nor the
-    schedule returned.
+    Set-up costs O(jobs x classes + machines + edges).  ``duration`` is
+    called once per job and class (on the class's first machine) or, for
+    a pinned job, once on its pin, and this table gives the scale, each
+    job's fastest time and the twin keys.  Times are scaled by the LCM of
+    their denominators, so the search runs on plain ints; the result
+    builds one ``Fraction`` per distinct time.  One topological pass
+    orders the seeds and gives each job's ancestors as a bit mask.
+
+    Twin jobs (the same time on every class, or on the same pin, and the
+    same predecessors, successors and edge delays) are interchangeable
+    too: a later single-job unit never takes a lower machine than its
+    earlier twin, and twins sharing a machine run in job order.  Each
+    symmetry rule keeps the lexicographically least member of every
+    class of equivalent schedules, the one an unrestricted search meets
+    first, so the rules change the states explored but neither the
+    optimum nor the schedule returned.
 
     One array of earliest starts serves the whole search.  Edge weights
     are computed as an edge is relaxed: the earlier job's time on its
@@ -259,25 +298,32 @@ def _exact_search(dag, lim, duration, delay=None, pinned=None, units=(), classes
     n = dag.node_count
     delay = delay or {}
     pinned = pinned or {}
+    classes = [cls for cls in classes if cls]  # no jobs on unbounded machines: an empty class
     jobs = range(1, n + 1)
     class_of = {i: (c, slot) for c, cls in enumerate(classes) for slot, i in enumerate(cls)}
     machines = sorted(set(class_of) | set(pinned.values()))
-    exact = {(j, i): duration(j, i) for j in jobs for i in machines}
-    scale = math.lcm(*(t.denominator for t in itertools.chain(exact.values(), delay.values())))
-    width = machines[-1] + 1 if machines else 1  # per-machine lists are indexed by label
-    time_on = [[0] * width for _ in range(n + 1)]  # job j's time on machine i, scaled
-    for (j, i), t in exact.items():
-        time_on[j][i] = t.numerator * (scale // t.denominator)
+    # job j's time on its pin, or on each class, whose first machine stands
+    # for all of them
+    exact = [()] + [(duration(j, pinned[j]),) if j in pinned
+                    else tuple(duration(j, cls[0]) for cls in classes) for j in jobs]
+    scale = math.lcm(*(t.denominator for row in exact for t in row),
+                     *(c.denominator for c in delay.values()))
+    times = [tuple(t.numerator * (scale // t.denominator) for t in row) for row in exact]
     delay = {e: c.numerator * (scale // c.denominator) for e, c in delay.items()}
+    preds = [[] for _ in range(n + 1)]  # (u, delay) per job
+    succs = [[] for _ in range(n + 1)]  # (v, delay) per job
+    for u, v in dag.edges:
+        c = delay.get((u, v), 0)
+        preds[v].append((u, c))
+        succs[u].append((v, c))
     order = topological_order(dag)
-    anywhere = sorted(class_of)
+    lowest = [cls[0] for cls in classes]
     seed, seed_ms = {}, 0  # the serial seed; seed_ms runs as its cursor
     for j in order:
-        i = pinned[j] if j in pinned else min(anywhere, key=time_on[j].__getitem__)
-        seed[j] = (i, seed_ms, seed_ms + time_on[j][i])
-        seed_ms += time_on[j][i]
-    hint = _list_schedule(dag, order, lambda j, i: time_on[j][i],
-                          lambda j: (pinned[j],) if j in pinned else anywhere, delay)
+        t, i = (times[j][0], pinned[j]) if j in pinned else min(zip(times[j], lowest))
+        seed[j] = (i, seed_ms, seed_ms + t)
+        seed_ms += t
+    hint = _list_schedule(order, preds, times, pinned, classes)
     hint_ms = max((end for _, _, end in hint.values()), default=0)
     search = _Search(lim)
     if hint_ms < seed_ms:
@@ -290,30 +336,24 @@ def _exact_search(dag, lim, duration, delay=None, pinned=None, units=(), classes
         if search.best_payload is None:
             best, entries = seed_ms, seed
         else:
-            labels, starts = search.best_payload
+            labels, starts, durs = search.best_payload
             best, entries = search.best_ms, {
-                j: (labels[j], starts[j], starts[j] + time_on[j][labels[j]]) for j in jobs}
-        entries = {j: (i, Fraction(s, scale), Fraction(e, scale))
-                   for j, (i, s, e) in entries.items()}
-        return SolveResult(Fraction(best, scale), Schedule(entries=entries), proven,
-                           search.states)
+                j: (labels[j], starts[j], starts[j] + durs[j]) for j in jobs}
+        frac = {t: Fraction(t, scale) for t in {best}.union(*(e[1:] for e in entries.values()))}
+        entries = {j: (i, frac[s], frac[e]) for j, (i, s, e) in entries.items()}
+        return SolveResult(frac[best], Schedule(entries=entries), proven, search.states)
 
     if n > lim.max_jobs:
         return result(False)
 
-    reach = dag.reachable()
-    preds = [[] for _ in range(n + 1)]  # (u, delay) per job
-    succs = [[] for _ in range(n + 1)]  # (v, delay) per job
-    for u, v in dag.edges:
-        preds[v].append((u, delay.get((u, v), 0)))
-        succs[u].append((v, delay.get((u, v), 0)))
     # mach[j] is job j's machine (0 until placed), dur[j] its time there
     # (its fastest time while unplaced), start[j] its earliest start and
     # nxt[j] the job after it on its machine (0 until an order is fixed);
     # on[i] lists machine i's jobs in the order they were placed
-    fastest = [0] + [min(time_on[j][i] for i in machines) for j in jobs]
+    fastest = [0] + [min(times[j]) for j in jobs]  # a pinned job has one time, on its pin
     mach = [0] + [pinned.get(j, 0) for j in jobs]
-    dur = [time_on[j][mach[j]] if mach[j] else fastest[j] for j in range(n + 1)]
+    dur = list(fastest)
+    width = machines[-1] + 1 if machines else 1  # per-machine lists are indexed by label
     start = [0] * (n + 1)
     nxt = [0] * (n + 1)
     loads = [0] * width
@@ -323,14 +363,20 @@ def _exact_search(dag, lim, duration, delay=None, pinned=None, units=(), classes
         on[i].append(j)
     log = []  # (job, start it had) for every raised start, newest last
 
+    # before[v]: bit mask of the jobs that must run before v when they
+    # share its machine: its ancestors, in one pass over the topological
+    # order, and its earlier twins
+    before = [0] * (n + 1)
+    for v in order:
+        for u, _ in preds[v]:
+            before[v] |= before[u] | 1 << u
     first, twin = {}, {}  # twin[j]: the first job of j's twin class
+    twins_so_far = {}
     for j in jobs:
-        key = (tuple(time_on[j][i] for i in machines), tuple(sorted(preds[j])),
-               tuple(sorted(succs[j])), pinned.get(j))
-        twin[j] = first.setdefault(key, j)
-    # before[v]: the jobs that must run before v when they share its machine
-    before = [set()] + [{u for u in jobs if v in reach[u] or u < v and twin[u] == twin[v]}
-                        for v in jobs]
+        key = (times[j], tuple(sorted(preds[j])), tuple(sorted(succs[j])), pinned.get(j))
+        t = twin[j] = first.setdefault(key, j)
+        before[j] |= twins_so_far.get(t, 0)
+        twins_so_far[t] = twins_so_far.get(t, 0) | 1 << j
     floor_of, last = {}, {}  # unit index -> the earlier single-job twin it may not undercut
     for k, unit in enumerate(units):
         if len(unit) == 1:
@@ -403,7 +449,7 @@ def _exact_search(dag, lim, duration, delay=None, pinned=None, units=(), classes
         """Try each order of ``groups[k]`` on top of the orders fixed for
         the groups before it; a full set offers its makespan."""
         if k == len(groups):
-            search.offer(bound, (list(mach), list(start)))
+            search.offer(bound, (list(mach), list(start), list(dur)))
             return
         group = iter(groups[k])
         while bound < search.best_ms:  # every later order starts from this bound
@@ -437,7 +483,8 @@ def _exact_search(dag, lim, duration, delay=None, pinned=None, units=(), classes
                 if len(held) > 1:  # a lone job has one order and adds no link
                     key = tuple(held)
                     if key not in memo:
-                        memo[key] = _Orders(key, {v: before[v] & set(key) for v in key})
+                        memo[key] = _Orders(key, {v: {u for u in key if before[v] >> u & 1}
+                                                  for v in key})
                     groups.append(memo[key])
             orders(0, groups, path)
             return
@@ -450,7 +497,7 @@ def _exact_search(dag, lim, duration, delay=None, pinned=None, units=(), classes
             fresh = slot == opened[c]  # opens the next machine of the class
             opened[c] += fresh
             for j in unit:
-                mach[j], dur[j] = i, time_on[j][i]
+                mach[j], dur[j] = i, times[j][c]
                 loads[i] += dur[j]
                 on[i].append(j)
             mark = len(log)
@@ -489,8 +536,7 @@ def greedy_umps(inst: UmpsInstance, priority=None) -> Schedule:
     lowest-index topological order)."""
     if priority is None:
         priority = topological_order(inst.dag)
-    return Schedule(entries=_list_schedule(
-        inst.dag, priority, lambda j, i: inst.lengths[j], lambda j: (inst.home[j],), {}))
+    return _checked_list_schedule(inst.dag, priority, inst.lengths, {}, inst.home, ())
 
 
 def solve_umps_exact(inst: UmpsInstance, lim: SolveLimits = None) -> SolveResult:
@@ -640,9 +686,8 @@ def list_schedule_commdelay(inst: CommDelayInstance, m: int, priority) -> Schedu
         raise ValueError("need at least one machine")
     if inst.machines is not None and m > inst.machines:
         raise ValueError(f"instance allows {inst.machines} machines, asked for {m}")
-    machines = range(1, m + 1)
-    return Schedule(entries=_list_schedule(
-        inst.dag, priority, lambda j, i: inst.lengths[j], lambda j: machines, inst.delays))
+    return _checked_list_schedule(inst.dag, priority, inst.lengths, inst.delays, {},
+                                  (range(1, m + 1),))
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,15 @@ def test_greedy_rejects_non_topological_priority(sample8):
         greedy_umps(sample8, priority=[1, 2, 3, 4, 5, 6, 7, 8])
 
 
+@pytest.mark.parametrize("priority", [
+    pytest.param([3, 6, 2, 7, 8, 4, 1, 1], id="repeated"),
+    pytest.param([3, 6, 2, 7, 8, 4, 1], id="missing"),
+])
+def test_greedy_rejects_priority_that_is_not_a_permutation(sample8, priority):
+    with pytest.raises(ValueError, match="permutation"):
+        greedy_umps(sample8, priority=priority)
+
+
 # ---------------------------------------------------------------------------
 # communication-delay exact solver
 
@@ -416,6 +425,42 @@ PINNED = [
 ]
 
 
+def _digest_calls():
+    """Seeded calls of the three exact solvers under several state caps."""
+    for n, m in ((5, 2), (6, 3), (7, 2), (8, 3)):
+        for seed in range(10):
+            inst = _reduced(n, m, seed)
+            for cap in (0, 1, 7, 200):
+                yield solve_commdelay_exact, inst, SolveLimits(max_jobs=12, max_states=cap)
+    for homed in ((0, 6), (1, 3), (2, 2), (1, 5)):
+        for p in (F(1, 4), F(1, 2)):
+            for seed in range(3):
+                inst = _kappa2(homed, p, seed)
+                for cap in (0, 20, 1500):
+                    yield solve_related_exact, inst, SolveLimits(max_states=cap)
+    for n, m in ((5, 2), (6, 3), (7, 3), (8, 3)):
+        for seed in range(10):
+            inst = _weighted(n, m, seed)
+            for cap in (1, 2_000_000):
+                yield solve_umps_exact, inst, SolveLimits(max_states=cap)
+
+
+def test_exact_solvers_match_pinned_digest():
+    # one sha256 over every call's optimum, proof flag, state count and
+    # canonical schedule JSON: it pins the states each search visits and
+    # every tie-break, on many more searches than the rows above
+    digest, calls = hashlib.sha256(), 0
+    for solve, inst, lim in _digest_calls():
+        result = solve(inst, lim)
+        digest.update(f"{result.optimum} {result.proven_optimal} {result.states_explored}\n"
+                      .encode())
+        digest.update(dump_canonical(to_obj(result.schedule)).encode())
+        calls += 1
+    assert calls == 312
+    assert digest.hexdigest() == (
+        "636eb8173cd868c61d850c8215d8e68e8179e24634337b7284b64fa410ad49cf")
+
+
 def _assert_pinned(result, optimum, proven, states, digest):
     schedule_json = dump_canonical(to_obj(result.schedule)).encode()
     assert (str(result.optimum), result.proven_optimal, result.states_explored) == (
@@ -581,6 +626,43 @@ def test_orders_memo_generates_each_order_once(monkeypatch):
     assert list(memo) == expected
     assert list(memo) == expected
     assert generated == expected
+
+
+# ---------------------------------------------------------------------------
+# the search's time table: one duration call per job and class, or per pin
+
+
+def _counted_search(inst, lim, duration, **kw):
+    calls = []
+
+    def counted(j, i):
+        calls.append((j, i))
+        return duration(j, i)
+
+    return solvers._exact_search(inst.dag, lim, counted, **kw), sorted(calls)
+
+
+def test_search_asks_one_time_per_job_and_class():
+    # ten jobs on one class of ten machines: ten calls, not a hundred
+    comm, lim = _uniform(10, 1, 3, None), SolveLimits(max_jobs=12, max_states=50)
+    result, calls = _counted_search(
+        comm, lim, lambda j, i: comm.lengths[j], delay=comm.delays,
+        units=[(j,) for j in range(1, 11)], classes=[tuple(range(1, 11))])
+    assert calls == [(j, 1) for j in range(1, 11)]
+    assert result == solve_commdelay_exact(comm, lim)
+    # speeds 2, 1, 2, 3, 1: three classes, first machines 1, 2 and 4
+    rel = _related(6, (2, 1, 2, 3, 1), 2)
+    result, calls = _counted_search(rel, SolveLimits(), rel.duration,
+                                    units=[(j,) for j in range(1, 7)],
+                                    classes=[(1, 3), (2, 5), (4,)])
+    assert calls == [(j, i) for j in range(1, 7) for i in (1, 2, 4)]
+    assert result == solve_related_exact(rel)
+    # a pinned job: one call, on its pin
+    umps = _weighted(8, 3, 6)
+    result, calls = _counted_search(umps, SolveLimits(), lambda j, i: umps.lengths[j],
+                                    pinned=umps.home)
+    assert calls == sorted(umps.home.items())
+    assert result == solve_umps_exact(umps)
 
 
 # ---------------------------------------------------------------------------
