@@ -33,7 +33,10 @@ desk-scale runs fast without changing any optimum.
 
 Every solver degrades gracefully: when a state budget or time budget is
 hit it returns the best schedule found so far (at worst the seed) with
-``proven_optimal=False`` instead of raising.
+``proven_optimal=False`` instead of raising.  A search that cannot run
+returns that fallback at once with ``states_explored = 0``: one with more
+than ``max_jobs`` jobs, and a unit-length dynamic program that a count of
+its early states shows must pass ``max_states`` before it can finish.
 """
 
 from __future__ import annotations
@@ -547,7 +550,15 @@ def solve_umps_exact(inst: UmpsInstance, lim: SolveLimits = None) -> SolveResult
     filling an idle machine never hurts, so maximal rounds suffice).  A
     state is the bit mask of its done jobs and carries its ready mask: a
     child's is its parent's minus the jobs just run, plus those of their
-    successors whose predecessors are now all done.
+    successors whose predecessors are now all done.  Past
+    ``lim.max_states`` states it returns the ``greedy_umps`` schedule
+    unproven, and it is not started when a count shows it must get there:
+    with f the most predecessor-free jobs on one machine and L the most
+    jobs on one machine, it inserts at least the sum of C(f, t) over
+    t = 0 .. min(L - 1, f) states before it can finish.  Such a search
+    returns the greedy schedule at once with ``states_explored = 0``: no
+    state was explored, and the optimum, schedule and proof flag are those
+    the capped search would return.
     General lengths, and any instance with more than ``lim.max_jobs``
     jobs, go to the order-search engine; past ``max_jobs`` it returns its
     seed, which with every job pinned is the ``greedy_umps`` schedule.
@@ -561,6 +572,22 @@ def solve_umps_exact(inst: UmpsInstance, lim: SolveLimits = None) -> SolveResult
 
 
 def _solve_umps_unit(inst: UmpsInstance, lim: SolveLimits) -> SolveResult:
+    """The breadth-first DP of :func:`solve_umps_exact`, which returns
+    ``greedy_umps(inst)`` unproven once more than ``lim.max_states``
+    states are inserted or ``lim.time_budget`` is spent.
+
+    A search that provably trips its cap is not started: the greedy
+    schedule comes back at once with ``states_explored = 0``.  Let f be
+    the most predecessor-free jobs on one machine and L the most jobs on
+    one machine, a lower bound on the optimum.  Every t-subset S of those
+    f jobs, t < L, is that machine's done set after t maximal rounds (run
+    S there and any ready job elsewhere).  These done masks are pairwise
+    distinct, and each lies at BFS depth at most t < L, below the full
+    mask's depth, so the BFS inserts all of them before it can pop the
+    full mask.  When the sum of C(f, t) over t = 0 .. min(L - 1, f)
+    exceeds the cap, the BFS would therefore trip its cap and return the
+    same greedy schedule; only ``states_explored`` differs.
+    """
     n = inst.n
     full = (1 << n) - 1
     pred_mask = [0] * (n + 1)
@@ -573,6 +600,19 @@ def _solve_umps_unit(inst: UmpsInstance, lim: SolveLimits) -> SolveResult:
     for j in range(1, n + 1):
         home_mask[inst.home[j] - 1] |= 1 << (j - 1)
     ready0 = sum(1 << (j - 1) for j in range(1, n + 1) if not pred_mask[j])
+
+    def capped(states):
+        sched = greedy_umps(inst)
+        return SolveResult(makespan(sched), sched, proven_optimal=False,
+                           states_explored=states)
+
+    widest = max((ready0 & home).bit_count() for home in home_mask)  # f
+    load = max(home.bit_count() for home in home_mask)  # L
+    inserted = 0  # a lower bound on the states the BFS inserts
+    for t in range(min(load - 1, widest) + 1):
+        inserted += math.comb(widest, t)
+        if inserted > lim.max_states:
+            return capped(0)
     t0 = time.monotonic()
 
     # a state is its done mask; its ready mask (jobs not done whose
@@ -611,9 +651,7 @@ def _solve_umps_unit(inst: UmpsInstance, lim: SolveLimits) -> SolveResult:
                             next_ready |= bit
                 queue.append((new, next_ready))
         if len(dist) > lim.max_states or time.monotonic() - t0 > lim.time_budget:
-            sched = greedy_umps(inst)
-            return SolveResult(makespan(sched), sched, proven_optimal=False,
-                               states_explored=len(dist))
+            return capped(len(dist))
 
     entries = {}
     mask = full

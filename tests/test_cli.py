@@ -15,6 +15,8 @@ from schedreduce import (
     gen_fractional,
     gen_jobshop,
     gen_kpartite_yes,
+    gen_layered_umps,
+    greedy_umps,
     kpartite_yes_schedule,
     solve_umps_exact,
     umps_to_commdelay,
@@ -167,6 +169,19 @@ def test_solve_size_cap_is_budget_exceeded(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("budget exceeded:") and "exceed the cap" in err
     assert "Traceback" not in err
+
+
+def test_solve_skips_a_unit_search_that_cannot_finish(tmp_path):
+    # 16 predecessor-free jobs on machine 1 put more than 20,000 done masks
+    # above depth 16, so the search is not started and greedy is returned
+    inst = gen_layered_umps(2, 16, Fraction(1, 2), 6)
+    inst_path, out = str(tmp_path / "layered.json"), str(tmp_path / "sched.json")
+    write_file(inst_path, inst)
+    assert run("solve", inst_path, "--limits", "max_jobs=64,max_states=20000",
+               "--out", out) == 3
+    obj = read_obj(out)
+    assert (obj["solver_states"], obj["proven_optimal"]) == (0, False)
+    assert read_file(out) == greedy_umps(inst)
 
 
 def test_solve_greedy_exits_zero(tmp_path, sample8_file):
@@ -408,6 +423,35 @@ def test_mutated_files_exit_cleanly(tmp_path, sample8, kind):
                 pytest.fail(f"seed {seed}, {argv[0]}: {type(exc).__name__}: {exc}\n"
                             f"{json.dumps(mutated)}")
             assert code in (0, 1, 2, 3), (seed, argv[0], code)
+
+
+def test_mutated_corpus_members_bench_cleanly(tmp_path, capsys):
+    base = tmp_path / "base"
+    base.mkdir()
+    run("gen", "random", "--params", "n=4,m=2", "--seed", "1", "--out", str(base / "r1.json"))
+    run("gen", "kpartite_yes", "--params", "n=4,k=2", "--seed", "3",
+        "--out", str(base / "k1.json"))
+    run("gen", "kpartite_dense", "--params", "n=4,k=2,density=1", "--seed", "0",
+        "--out", str(base / "k2.json"))
+    members = sorted(p.name for p in base.iterdir())  # the sidecar certificate too
+    capped = "max_jobs=24,max_states=200"
+    for seed in range(FUZZ_SEEDS):
+        rnd = random.Random(f"bench-{seed}")
+        corpus = tmp_path / f"corpus{seed}"
+        corpus.mkdir()
+        for name in members:
+            (corpus / name).write_bytes((base / name).read_bytes())
+        name = rnd.choice(members)
+        mutated = _mutate(json.loads((base / name).read_text()), rnd)
+        (corpus / name).write_text(json.dumps(mutated))
+        try:
+            code = run("bench", str(corpus), "--limits", capped,
+                       "--out", str(tmp_path / "gap.csv"))
+        except Exception as exc:  # any exception that escapes is the failure
+            pytest.fail(f"seed {seed}, {name}: {type(exc).__name__}: {exc}\n"
+                        f"{json.dumps(mutated)}")
+        assert code in (0, 1, 2, 3), (seed, name, code)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

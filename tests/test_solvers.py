@@ -96,9 +96,12 @@ def test_complete_chain_is_serial():
 
 def test_budget_capped_solve_degrades_to_greedy():
     inst = gen_random_umps(6, 2, F(1, 4), seed=8)
-    result = solve_umps_exact(inst, SolveLimits(max_states=1))
+    # f = 3 predecessor-free jobs on machine 2 and L = 3 count only
+    # 1 + 3 + 3 = 7 states before the finish, under the cap of 10, so the
+    # search runs and trips the cap
+    result = solve_umps_exact(inst, SolveLimits(max_states=10))
     assert not result.proven_optimal
-    assert result.states_explored > 0  # the capped DP still reports its work
+    assert result.states_explored > 10  # the capped DP reports its work
     assert validate_umps(inst, result.schedule).feasible
 
 
@@ -475,9 +478,11 @@ def test_exact_solvers_match_pinned_results(solve, make, lim, optimum, proven, s
 
 # Pinned results of the unit-length dynamic program, in the same columns.
 # The rows run the shapes a rounding pass solves (n 24..64 under a
-# 20,000-state cap).  The layered 2x16 row trips the cap after the round
-# that crosses it, so its state count and greedy schedule pin where the
-# search stops.  Any change to the search must keep every field.
+# 20,000-state cap).  The layered 4x8 row under a 500-state cap trips the
+# cap after the round that crosses it, so its state count and greedy
+# schedule pin where the search stops.  The layered 2x16 and capped sample8
+# rows provably cannot finish within their caps, so they are not searched
+# and report 0 states.  Any change to the search must keep every field.
 UNIT_LIMITS = SolveLimits(max_jobs=64, max_states=20_000)
 
 UNIT_PINNED = [
@@ -502,11 +507,16 @@ UNIT_PINNED = [
                  "a58b20d55d790b30feb3ecca62c0c03a24c6950ed3d14c68aa080128a52ba3ee",
                  id="layered-4-8"),
     pytest.param(lambda: gen_layered_umps(2, 16, F(1, 2), 6), UNIT_LIMITS,
-                 "32", False, 20002,
+                 "32", False, 0,
                  "a18884e15d272aba518a90deb59f611db487f001d2750c22cb3434fa1bbd79e6",
                  id="layered-2-16-capped"),
+    pytest.param(lambda: gen_layered_umps(4, 8, F(2, 3), 5),
+                 SolveLimits(max_jobs=64, max_states=500),
+                 "31", False, 501,
+                 "f3cfad36087452ed8c324d6fe1c1c6465c1422741361c2170c0156e8ed1269a4",
+                 id="layered-4-8-capped"),
     pytest.param(make_sample8, SolveLimits(max_states=1),
-                 "7", False, 2,
+                 "7", False, 0,
                  "8551d6318883129248c49c9d157bafae5cc641db774f0056cbfe97181f20c1e5",
                  id="sample8-capped"),
 ]
@@ -517,6 +527,33 @@ def test_unit_dp_matches_pinned_results(make, lim, optimum, proven, states, dige
     inst = make()
     assert inst.unit_lengths
     _assert_pinned(solve_umps_exact(inst, lim), optimum, proven, states, digest)
+
+
+small_unit_umps = st.one_of(
+    st.tuples(st.integers(2, 12), st.integers(1, 3), st.sampled_from([F(0), F(1, 4), F(1, 2)]),
+              st.integers(0, 10_000))
+    .map(lambda t: gen_random_umps(*t)),
+    st.integers(1, 3).flatmap(lambda layers: st.tuples(
+        st.just(layers), st.integers(1, 10 if layers < 3 else 7),
+        st.sampled_from([F(1, 4), F(1, 2), F(3, 4)]), st.integers(0, 10_000)))
+    .map(lambda t: gen_layered_umps(*t)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_unit_umps, st.integers(1, 2_000))
+def test_unit_dp_skips_only_searches_that_cannot_finish(inst, cap):
+    # a search that is not started must be one that trips its cap, and an
+    # unproven result is the greedy schedule whether the search ran or not
+    result = solve_umps_exact(inst, SolveLimits(max_jobs=64, max_states=cap))
+    if result.proven_optimal:
+        return
+    greedy = greedy_umps(inst)
+    assert (result.schedule, result.optimum) == (greedy, makespan(greedy))
+    if result.states_explored == 0:
+        uncapped = solve_umps_exact(inst, SolveLimits(max_jobs=64))
+        assert uncapped.proven_optimal
+        assert uncapped.states_explored > cap
 
 
 # ---------------------------------------------------------------------------
