@@ -16,7 +16,6 @@ from schedreduce import (
     gen_fractional,
     gen_random_umps,
     makespan,
-    partial_load,
     solve_umps_exact,
     validate_umps,
     window_table,
@@ -28,6 +27,19 @@ def show_windows(fs, label):
     print(f"{label}:")
     for job, (first, last) in sorted(window_table(fs).items()):
         print(f"  job {job}: slots [{first}, {last}]")
+
+
+def worst_partial_ratio(fs):
+    """The largest P_it / t, with its machine i and slot t (ties to the
+    larger i, then t), where P_it is the mass placed through slot t by
+    machine-i jobs that still have mass in a later slot."""
+    home, win = fs.umps_ref.home, window_table(fs)
+    return max(
+        (sum((x for (job, s), x in fs.mass.items()
+              if home[job] == i and s <= t < win[job][1]), start=Fraction(0)) / t, i, t)
+        for i in range(1, fs.umps_ref.m + 1)
+        for t in range(1, fs.horizon + 1)
+    )
 
 
 def main(argv=None) -> int:
@@ -52,11 +64,7 @@ def main(argv=None) -> int:
     for line in trace:
         print(f"  {line}")
     show_windows(canon, "windows after")
-    worst = max(
-        (partial_load(canon, i, t) / t, i, t)
-        for i in range(1, inst.m + 1)
-        for t in range(1, canon.horizon + 1)
-    )
+    worst = worst_partial_ratio(canon)
     print(f"max P_it/t = {frac_str(worst[0])} at machine {worst[1]}, "
           f"slot {worst[2]} (bound gamma={frac_str(gamma)})")
 

@@ -72,12 +72,9 @@ from .rounding import (
     FractionalSchedule,
     canonicalize,
     extract_integral,
-    fill_pass,
     greedy_canonical,
-    partial_load,
     partial_load_bound_holds,
     strip_misplaced,
-    swap_pass,
     window_table,
 )
 from .solvers import (
@@ -88,7 +85,6 @@ from .solvers import (
     solve_commdelay_exact,
     solve_related_exact,
     solve_umps_exact,
-    trivial_serial_schedule,
     verify_no_property,
 )
 from .generators import (
@@ -98,8 +94,6 @@ from .generators import (
     gen_kpartite_yes,
     gen_layered_umps,
     gen_random_umps,
-    is_flow_shop,
-    is_layered,
 )
 
 __version__ = "0.1.0"

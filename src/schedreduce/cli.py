@@ -46,6 +46,7 @@ from .model import (
     validate_umps,
 )
 from .reductions import (
+    KPartiteYesCertificate,
     backward_map_commdelay,
     forward_map_commdelay,
     forward_map_related,
@@ -296,10 +297,11 @@ def cmd_verify(args) -> int:
     return 0 if report.feasible else 1
 
 
-def _roundtrip_row(in_path, mode, lim, kappa_override=None):
-    """Returns (row, budget_hit, messages)."""
+def _roundtrip_row(inst, in_path, mode, lim, kappa_override=None):
+    """Returns (row, budget_hit, messages) for ``inst``, read from
+    ``in_path``.  A sidecar certificate that does not read as one raises
+    ``ValueError`` naming it."""
     instance_id = Path(in_path).stem
-    inst = read_file(in_path)
     budget_hit = False
     messages = []
 
@@ -347,6 +349,8 @@ def _roundtrip_row(in_path, mode, lim, kappa_override=None):
         side = Path(sidecar_path(in_path))
         if side.exists():
             cert = read_file(side)
+            if not isinstance(cert, KPartiteYesCertificate):
+                raise ValueError(f"{side}: not a kpartite_certificate")
             validate_certificate(inst, cert)
             sched = kpartite_yes_schedule(inst, cert)
             reduced = kpartite_to_umps(inst)
@@ -393,7 +397,7 @@ def _write_rows(rows, out):
 def cmd_roundtrip(args) -> int:
     lim = _parse_limits(args.limits)
     row, budget_hit, messages = _roundtrip_row(
-        args.in_path, args.mode, lim, args.kappa_override
+        read_file(args.in_path), args.in_path, args.mode, lim, args.kappa_override
     )
     _write_rows([row], args.out)
     for msg in messages:
@@ -431,12 +435,13 @@ def cmd_bench(args) -> int:
             continue
         t0 = time.monotonic()
         try:
-            row, budget_hit, messages = _roundtrip_row(str(path), kind, lim)
+            row, budget_hit, messages = _roundtrip_row(inst, str(path), kind, lim)
         except _BUDGET_ERRORS as exc:
             print(f"{path.name}: budget exceeded ({exc})", file=sys.stderr)
             any_budget = True
             continue
-        except SchedReduceError as exc:  # one bad corpus member: report, keep going
+        except (SchedReduceError, ValueError, OSError) as exc:
+            # one bad corpus member or sidecar certificate: report, keep going
             print(f"{path.name}: failed ({exc})", file=sys.stderr)
             any_failed = True
             continue

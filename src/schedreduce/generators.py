@@ -54,11 +54,6 @@ def gen_layered_umps(layers: int, per_layer: int, edge_prob, seed: int) -> UmpsI
     )
 
 
-def is_layered(inst: UmpsInstance) -> bool:
-    """True when every edge goes from a machine-i job to a machine-(i+1) job."""
-    return all(inst.home[v] == inst.home[u] + 1 for u, v in inst.dag.edges)
-
-
 def gen_random_umps(n: int, m: int, edge_prob, seed: int, max_length: int = 1) -> UmpsInstance:
     """Random instance: homes uniform over [m] ("homes" stream), each
     index-increasing pair (u, v) an edge with ``edge_prob`` ("edges"
@@ -95,12 +90,6 @@ def gen_jobshop(jobs: int, machines: int, ops_per_job: int, seed: int) -> JobSho
             tuple((m_rng.randint(1, machines), d_rng.randint(1, 4)) for _ in range(ops_per_job))
         )
     return JobShopInstance(jobs=tuple(chains))
-
-
-def is_flow_shop(js: JobShopInstance) -> bool:
-    """True when all chains visit the same machine sequence."""
-    sequences = {tuple(machine for machine, _ in chain) for chain in js.jobs}
-    return len(sequences) <= 1
 
 
 def _cells_for_layer(vertices, q, rng):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -91,24 +91,6 @@ class PrecedenceDag:
         for u, v in self.edges:
             out[u].append(v)
         return out
-
-    def predecessors(self) -> dict:
-        out = {u: [] for u in range(1, self.node_count + 1)}
-        for u, v in self.edges:
-            out[v].append(u)
-        return out
-
-    def reachable(self) -> dict:
-        """Map node -> set of nodes strictly after it (transitive closure)."""
-        succ = self.successors()
-        reach = {u: set() for u in range(1, self.node_count + 1)}
-        for u in reversed(topological_order(self)):
-            acc = set()
-            for v in succ[u]:
-                acc.add(v)
-                acc |= reach[v]
-            reach[u] = acc
-        return reach
 
 
 def topological_order(dag: PrecedenceDag) -> list:
@@ -214,10 +196,6 @@ class JobShopInstance:
     @property
     def machine_count(self) -> int:
         return max(mi for chain in self.jobs for mi, _ in chain)
-
-    @property
-    def operation_count(self) -> int:
-        return sum(len(chain) for chain in self.jobs)
 
 
 @dataclass(frozen=True)
@@ -398,20 +376,19 @@ class KPartiteInstance:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Job -> (machine, start, end); ``horizon`` is the largest end time."""
+    """Job -> (machine, start, end); ``horizon`` is the largest end time,
+    computed on construction."""
 
     entries: dict
-    horizon: Fraction = None
+    horizon: Fraction = field(init=False)
 
     def __post_init__(self):
         norm = {}
         for job, (machine, start, end) in self.entries.items():
             norm[int(job)] = (int(machine), as_fraction(start), as_fraction(end))
         object.__setattr__(self, "entries", norm)
-        computed = max((e for _, _, e in norm.values()), default=Fraction(0))
-        if self.horizon is not None and as_fraction(self.horizon) != computed:
-            raise ValueError(f"horizon {self.horizon} != max end {computed}")
-        object.__setattr__(self, "horizon", computed)
+        object.__setattr__(self, "horizon", max((e for _, _, e in norm.values()),
+                                                default=Fraction(0)))
 
 
 def makespan(sched: Schedule) -> Fraction:

@@ -66,9 +66,6 @@ class Stream:
             raise ValueError(f"probability {prob} outside [0, 1]")
         return self.next_u64() * den < num << 64
 
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
     def shuffle(self, items: list) -> list:
         """In-place Fisher-Yates shuffle; returns the same list."""
         for i in range(len(items) - 1, 0, -1):

@@ -13,10 +13,17 @@ Two local rewrites clean a schedule up without breaking the properties:
 a *swap* moves mass of an earlier-finishing job to an earlier slot,
 displacing an equal mass of a later-finishing job from that slot, and a
 *fill* pulls mass of a job forward into machine idle capacity.
+:func:`canonicalize` runs the two to a joint fixpoint, and
 :func:`greedy_canonical` builds an earliest-deadline packed fixpoint of
-both in one sweep, and the passes reach the same one: they take each
-job's window start from their input, so a job that a swap pushed into a
-later slot can still be pulled back once fills empty the slot before it.
+both in one sweep.  Both results are fixpoints that meet the
+partial-load bound below, and they agree on the schedules that
+:func:`~schedreduce.generators.gen_fractional` draws (checked by the
+tests and the benchmark).  They differ in general, because the rewrites
+are not confluent: a fill can move a window end back, which changes the
+job a later swap ranks first (the tests pin a four-job, one-machine
+case).  The passes take each job's
+window start from their input, so a job that a swap pushed into a later
+slot can still be pulled back once fills empty the slot before it.
 
 The rewrites terminate.  Window ends never grow: a fill moves mass
 earlier, and a swap moves l2's mass to t2, a slot of l1, with
@@ -95,14 +102,6 @@ class FractionalSchedule:
         grid = _Grid(norm, self.gamma, self.horizon, self.umps_ref)
         grid.check()
         object.__setattr__(self, "_grid", grid)
-
-    def job_total(self, job: int) -> Fraction:
-        grid = self._grid
-        return Fraction(sum(grid.slots.get(job, {}).values()), grid.unit)
-
-    def machine_slot_load(self, machine: int, slot: int) -> Fraction:
-        grid = self._grid
-        return Fraction(grid.loads.get((machine, slot), 0), grid.unit)
 
 
 def window_table(fs: FractionalSchedule) -> dict:
@@ -183,12 +182,11 @@ class _Grid:
     schedule's own grid never changes: the rewrites run on a
     :meth:`copy`, and every move updates all three in place.
 
-    A copy keeps each job's window start from when it was made, which
-    makes the rewrites confluent: a swap can push a job's first mass into
-    a later slot, and fills can then empty the slot before it, but the
-    job may still be pulled back there.  Mass only ever moves inside a
-    job's input window, and input windows are separated, so property 3
-    holds throughout.
+    A copy keeps each job's window start from when it was made: a swap
+    can push a job's first mass into a later slot, and fills can then
+    empty the slot before it, but the job may still be pulled back
+    there.  Mass only ever moves inside a job's input window, and input
+    windows are separated, so property 3 holds throughout.
     """
 
     def __init__(self, mass: dict, gamma: Fraction, horizon: int, inst: UmpsInstance):
@@ -349,23 +347,6 @@ class _Grid:
         return steps
 
 
-def swap_pass(fs: FractionalSchedule, trace: list = None) -> FractionalSchedule:
-    """Apply swap steps until none applies.  Each step conserves every
-    job's mass and every (machine, slot) load, and keeps every job's mass
-    inside its window in ``fs``."""
-    work = fs._grid.copy()
-    work.swaps(trace)
-    return work.schedule()
-
-
-def fill_pass(fs: FractionalSchedule, trace: list = None) -> FractionalSchedule:
-    """Apply fill steps until none applies; pairs with :func:`swap_pass`
-    inside :func:`canonicalize` until the joint fixpoint."""
-    work = fs._grid.copy()
-    work.fills(trace)
-    return work.schedule()
-
-
 def canonicalize(fs: FractionalSchedule, trace: list = None) -> FractionalSchedule:
     """Interleave swap and fill passes to their joint fixpoint.
 
@@ -374,8 +355,9 @@ def canonicalize(fs: FractionalSchedule, trace: list = None) -> FractionalSchedu
     and the first round in which neither pass takes a step ends the
     loop.  Every step lowers the measure of the module docstring, so the
     loop ends, and only the fixpoint becomes a
-    :class:`FractionalSchedule`.  It equals :func:`greedy_canonical`
-    (checked on generated inputs).
+    :class:`FractionalSchedule`.  On generated inputs it equals
+    :func:`greedy_canonical`; in general the two can end at different
+    fixpoints, both within the partial-load bound.
     """
     work = fs._grid.copy()
     while True:
@@ -426,23 +408,10 @@ def greedy_canonical(fs: FractionalSchedule) -> FractionalSchedule:
 # reading off bounds and the integral schedule
 
 
-def partial_load(fs: FractionalSchedule, machine: int, slot: int) -> Fraction:
-    """Mass accumulated through ``slot`` by jobs of ``machine`` that still
-    have mass in a later slot.  In canonical form this never exceeds
-    gamma * slot."""
-    win = window_table(fs)
-    total = ZERO
-    for l in fs.umps_ref.jobs_on(machine):
-        if l in win and win[l][1] > slot:
-            total += sum(
-                (x for (job, t), x in fs.mass.items() if job == l and t <= slot),
-                start=ZERO,
-            )
-    return total
-
-
 def partial_load_bound_holds(fs: FractionalSchedule) -> bool:
-    """Check partial_load(i, t) <= gamma * t for every machine and slot.
+    """Check that the partial load P(i, t), the mass placed through slot t
+    by jobs of machine i that still have mass in a later slot, is at most
+    gamma * t for every machine and slot.  Canonical forms meet it.
 
     One prefix sweep per machine over the schedule's grid: each mass
     joins the partial load at its slot and leaves it at its job's last

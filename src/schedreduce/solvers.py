@@ -147,21 +147,6 @@ class _Orders:
             k += 1
 
 
-def trivial_serial_schedule(inst: UmpsInstance) -> Schedule:
-    """All jobs back-to-back in topological order on their home machines.
-
-    Always feasible; makespan equals the total processing time, the easy
-    upper bound.  The exact search builds the same schedule as its serial
-    seed on its integer time base.
-    """
-    entries = {}
-    cursor = 0
-    for j in topological_order(inst.dag):
-        entries[j] = (inst.home[j], cursor, cursor + inst.lengths[j])
-        cursor += inst.lengths[j]
-    return Schedule(entries=entries)
-
-
 def _list_schedule(order, preds, times, pinned, classes) -> dict:
     """Earliest-finish list scheduling: jobs in ``order`` (a topological
     order, so each job's predecessors are already placed when it is
@@ -751,39 +736,31 @@ def solve_related_exact(inst: RelatedInstance, lim: SolveLimits = None) -> Solve
 # layered-graph spread check
 
 
-def verify_no_property(g: KPartiteInstance, max_pairs: int = 5_000_000) -> bool:
+def verify_no_property(g: KPartiteInstance, max_sets: int = 5_000_000) -> bool:
     """Exhaustively check the dense-instance condition: between every two
-    consecutive layers, all pairs of ceil(delta*n)-size vertex sets are
-    joined by at least one edge.  Returns False on the first missing
-    pair; raises :class:`BudgetExceeded` past ``max_pairs`` checks.
+    consecutive layers, every s-set of the lower layer and every s-set of
+    the upper one, s = ceil(delta*n), are joined by at least one edge.
+
+    That fails exactly when some lower s-set leaves s or more upper
+    vertices outside its neighbourhood (they form an unjoined upper
+    s-set), so each lower s-set costs one popcount.  Returns False on the
+    first such set; raises :class:`BudgetExceeded` past ``max_sets``
+    lower-layer sets.
     """
-    size = math.ceil(g.delta * g.n)
-    if size == 0:
-        return True
-    if size > g.n:
-        return False
+    size = math.ceil(g.delta * g.n)  # 1 <= size <= n, as 0 < delta < 1
     checked = 0
     for i in range(1, g.k):
-        lo = g.layers[i - 1]
-        hi = g.layers[i]
-        pos = {v: b for b, v in enumerate(hi)}
-        nb = {u: 0 for u in lo}
+        pos = {v: b for b, v in enumerate(g.layers[i])}
+        nb = {u: 0 for u in g.layers[i - 1]}
         for u, v in g.edges[i - 1]:
             nb[u] |= 1 << pos[v]
-        hi_masks = []
-        for combo in itertools.combinations(hi, size):
-            mask = 0
-            for v in combo:
-                mask |= 1 << pos[v]
-            hi_masks.append(mask)
-        for combo in itertools.combinations(lo, size):
-            reach_mask = 0
+        for combo in itertools.combinations(g.layers[i - 1], size):
+            checked += 1
+            if checked > max_sets:
+                raise BudgetExceeded(f"more than {max_sets} lower-layer sets")
+            reach = 0
             for u in combo:
-                reach_mask |= nb[u]
-            for mask in hi_masks:
-                checked += 1
-                if checked > max_pairs:
-                    raise BudgetExceeded(f"more than {max_pairs} set pairs")
-                if reach_mask & mask == 0:
-                    return False
+                reach |= nb[u]
+            if g.n - reach.bit_count() >= size:
+                return False
     return True

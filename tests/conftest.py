@@ -39,6 +39,11 @@ SAMPLE8 = {
 }
 
 
+def is_layered(inst: UmpsInstance) -> bool:
+    """True when every edge goes from a machine-i job to a machine-(i+1) job."""
+    return all(inst.home[v] == inst.home[u] + 1 for u, v in inst.dag.edges)
+
+
 def make_sample8() -> UmpsInstance:
     return UmpsInstance(
         n=8,

@@ -10,6 +10,11 @@ sums of processing times), so the integer grid is exhaustive.  Only the
 plain data fields of an instance are read; no package graph helpers are
 used.
 
+The partial-load oracle sums the rational masses of a fractional
+schedule directly, where ``rounding.partial_load_bound_holds`` sweeps its
+integer grid.  The no-property oracle tests every pair of vertex sets,
+where ``solvers.verify_no_property`` needs one popcount per lower set.
+
 The validator oracles keep the straightforward ``Fraction`` form of the
 schedule checks: every comparison on exact rationals, and each group edge
 answered by rescanning the placements.  The codec oracles at the end keep
@@ -21,6 +26,7 @@ admission shortcut they are compared against skips.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -187,6 +193,36 @@ def oracle_related_optimum(inst) -> Fraction:
         if fits(0, deadline):
             return Fraction(deadline, grid)
     raise AssertionError("serial schedule on a fastest machine always fits")
+
+
+# ---------------------------------------------------------------------------
+# fractional schedules and dense k-partite instances
+
+
+def oracle_partial_load(fs, machine: int, slot: int) -> Fraction:
+    """Mass placed through ``slot`` by jobs of ``machine`` that still have
+    mass in a later slot.  In canonical form this never exceeds
+    gamma * slot."""
+    last = {}
+    for job, t in fs.mass:
+        last[job] = max(last.get(job, t), t)
+    return sum((x for (job, t), x in fs.mass.items()
+                if fs.umps_ref.home[job] == machine and t <= slot < last[job]),
+               start=Fraction(0))
+
+
+def oracle_no_property(g) -> bool:
+    """True when between every two consecutive layers every pair of
+    ceil(delta*n)-size vertex sets, one set per layer, is joined by an
+    edge."""
+    size = math.ceil(g.delta * g.n)
+    for i in range(1, g.k):
+        edges = set(g.edges[i - 1])
+        for lo in itertools.combinations(g.layers[i - 1], size):
+            for hi in itertools.combinations(g.layers[i], size):
+                if not any((u, v) in edges for u in lo for v in hi):
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from oracle import oracle_commdelay_optimum, oracle_related_optimum, oracle_umps_optimum
+from oracle import (
+    oracle_commdelay_optimum,
+    oracle_partial_load,
+    oracle_related_optimum,
+    oracle_umps_optimum,
+)
 from schedreduce import (
     CommDelayInstance,
     SolveLimits,
@@ -35,7 +40,6 @@ from schedreduce import (
     makespan,
     materialize_grouped_schedule,
     materialize_related,
-    partial_load,
     solve_commdelay_exact,
     solve_related_exact,
     solve_umps_exact,
@@ -164,7 +168,7 @@ def test_criterion_4_rounding_lemma(report):
                         bad += 1
                         continue
                     if any(
-                        partial_load(canon, i, t) > gamma * t
+                        oracle_partial_load(canon, i, t) > gamma * t
                         for i in range(1, m + 1)
                         for t in range(1, canon.horizon + 1)
                     ):

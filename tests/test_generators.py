@@ -13,14 +13,13 @@ from schedreduce import (
     gen_kpartite_yes,
     gen_layered_umps,
     gen_random_umps,
-    is_flow_shop,
-    is_layered,
     kpartite_to_umps,
     makespan,
     solve_umps_exact,
     validate_certificate,
     window_table,
 )
+from conftest import is_layered
 
 F = Fraction
 SEEDS = st.integers(0, 2**64 - 1)
@@ -84,13 +83,6 @@ def test_jobshop_well_formed(jobs, machines, ops, seed):
     assert all(len(chain) == ops for chain in js.jobs)
     assert all(1 <= m_ <= machines and 1 <= d <= 4 for chain in js.jobs for m_, d in chain)
     assert js == gen_jobshop(jobs, machines, ops, seed)
-
-
-def test_flow_shop_predicate():
-    assert is_flow_shop(gen_jobshop(3, 1, 2, seed=0))  # one machine: trivially
-    mixed = gen_jobshop(4, 3, 3, seed=1)
-    sequences = {tuple(m for m, _ in chain) for chain in mixed.jobs}
-    assert is_flow_shop(mixed) == (len(sequences) <= 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Every package module uses each name it imports, and every exception
-class in ``errors.py`` is raised somewhere in the package."""
+"""Every package module uses each name it imports, every exception class
+in ``errors.py`` is raised somewhere in the package, and every public
+function or method has a caller outside the tests."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,11 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "schedreduce"
 # __init__.py imports names only to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = PACKAGE.parents[1]
+CALLER_DIRS = [ROOT / "src", ROOT / "scripts", ROOT / "perfbench"]
+# only tests call it: the acceptance cross-check of validate_grouped, and
+# it is the map the planned grouping of exact related optima inverts
+UNCALLED_ALLOWED = {"materialize_grouped_schedule"}
 
 
 def unused_imports(source: str) -> list:
@@ -60,3 +66,45 @@ def test_every_error_class_is_raised():
     sources = [p.read_text(encoding="utf-8") for p in MODULES]
     errors = (PACKAGE / "errors.py").read_text(encoding="utf-8")
     assert unraised_classes(errors, sources) == []
+
+
+def public_functions(source: str) -> list:
+    """Public module-level functions and methods of ``source``, as
+    ``name`` or ``Class.name``, in definition order."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            out.append(node.name)
+        elif isinstance(node, ast.ClassDef):
+            out.extend(f"{node.name}.{f.name}" for f in node.body
+                       if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"))
+    return out
+
+
+def named(sources: list) -> set:
+    """Every identifier that ``sources`` read as a name or an attribute."""
+    out = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+    return out
+
+
+def test_public_functions_and_named_find_definitions_and_uses():
+    source = ("def f():\n    pass\ndef _g():\n    pass\nclass C:\n"
+              "    def m(self):\n        return f\n    def __init__(self):\n"
+              "        self.h = obj.k\n")
+    assert public_functions(source) == ["f", "C.m"]
+    assert named([source]) == {"f", "self", "h", "obj", "k"}
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    used = named([p.read_text(encoding="utf-8")
+                  for folder in CALLER_DIRS for p in sorted(folder.rglob("*.py"))])
+    uncalled = [name for path in MODULES
+                for name in public_functions(path.read_text(encoding="utf-8"))
+                if name.rpartition(".")[2] not in used]
+    assert sorted(uncalled) == sorted(UNCALLED_ALLOWED)

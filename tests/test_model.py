@@ -25,7 +25,6 @@ from schedreduce import (
     list_schedule_commdelay,
     makespan,
     topological_order,
-    trivial_serial_schedule,
     umps_to_commdelay,
     validate_commdelay,
     validate_grouped,
@@ -48,28 +47,6 @@ dags = st.integers(2, 7).flatmap(
         ),
     )
 )
-
-
-def instances(n, m, max_len=1):
-    return st.builds(
-        lambda homes, lens, dag: UmpsInstance(
-            n=n, m=m,
-            lengths={j: lens[j - 1] for j in range(1, n + 1)},
-            home={j: homes[j - 1] for j in range(1, n + 1)},
-            dag=dag,
-        ),
-        st.lists(st.integers(1, m), min_size=n, max_size=n),
-        st.lists(st.integers(1, max_len), min_size=n, max_size=n),
-        st.builds(
-            lambda pairs: PrecedenceDag(n, tuple(sorted(set(pairs)))),
-            st.lists(
-                st.tuples(st.integers(1, n), st.integers(1, n)).filter(
-                    lambda e: e[0] < e[1]
-                ),
-                max_size=n * 2,
-            ),
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +110,26 @@ def test_topological_order_respects_edges(dag):
     assert all(pos[u] < pos[v] for u, v in dag.edges)
 
 
+def predecessors(dag) -> dict:
+    """Node -> its direct predecessors, in edge order."""
+    out = {v: [] for v in range(1, dag.node_count + 1)}
+    for u, v in dag.edges:
+        out[v].append(u)
+    return out
+
+
+def reachable(dag) -> dict:
+    """Node -> set of nodes strictly after it (transitive closure)."""
+    succ = dag.successors()
+    reach = {}
+    for u in reversed(topological_order(dag)):
+        reach[u] = set(succ[u]).union(*(reach[v] for v in succ[u]))
+    return reach
+
+
 @given(dags)
 def test_reachable_is_transitive_closure(dag):
-    reach = dag.reachable()
+    reach = reachable(dag)
     for u, v in dag.edges:
         assert v in reach[u]
     for u in reach:
@@ -163,7 +157,6 @@ def test_umps_instance_rejects_bad_fields():
 def test_jobshop_chain_accessors():
     js = JobShopInstance(jobs=(((1, 2), (2, 1)), ((2, 3),)))
     assert js.machine_count == 2
-    assert js.operation_count == 3
 
 
 def test_commdelay_delays_must_cover_edges():
@@ -180,7 +173,7 @@ def test_schedule_horizon_computed_and_checked():
     sched = Schedule(entries={1: (1, 0, 2), 2: (1, 2, 3)})
     assert sched.horizon == 3
     assert makespan(sched) == 3
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # computed, never passed in
         Schedule(entries={1: (1, 0, 2)}, horizon=5)
     with pytest.raises(EmptySchedule):
         makespan(Schedule(entries={}))
@@ -300,20 +293,8 @@ def test_validate_grouped_flags_capacity_duration_count_precedence():
 
 
 # ---------------------------------------------------------------------------
-# serial fallback schedule
-
-
-@settings(max_examples=60)
-@given(st.integers(2, 3).flatmap(lambda m: instances(6, m, max_len=3)))
-def test_trivial_serial_schedule_always_feasible(inst):
-    sched = trivial_serial_schedule(inst)
-    assert validate_umps(inst, sched).feasible
-    assert makespan(sched) == inst.total_length()
-
-
-# ---------------------------------------------------------------------------
 # pinned flat-model behaviour: every violation kind in report order, the
-# structural errors, and the exact bytes of the list and serial schedules,
+# structural errors, and the exact bytes of the list schedules,
 # including a non-default priority and idle machines to spare
 
 
@@ -346,11 +327,9 @@ def _flat_schedule_digest(kind, n, m, seed):
         if kind == "greedy":
             sched = greedy_umps(inst)
         elif kind == "greedyprio":  # fewest ancestors first, then the highest index
-            reach = inst.dag.reachable()
+            reach = reachable(inst.dag)
             sched = greedy_umps(inst, sorted(
                 reach, key=lambda v: (sum(v in after for after in reach.values()), -v)))
-        elif kind == "serial":
-            sched = trivial_serial_schedule(inst)
         elif kind in ("list", "listwide"):  # listwide: n + 2 machines, so some stay idle
             delays = {(u, v): (u + v) % 3 for u, v in inst.dag.edges}
             cd = CommDelayInstance(n_total=n, lengths=inst.lengths, delays=delays,
@@ -419,9 +398,6 @@ FLAT_SCHEDULE_DIGESTS = {
     "greedy-5-2-1": "05e6b28075c5842d",
     "greedy-6-3-2": "ad09caf40afcdbd4",
     "greedy-8-3-3": "0ab3ea4ef1deb923",
-    "serial-5-2-1": "79e669e1882eba5d",
-    "serial-6-3-2": "15bf5d1a81f0e083",
-    "serial-8-3-3": "f88c066184e01d1b",
     "list-5-2-1": "9c3a2801ce72f8b6",
     "list-6-3-2": "261be738b3eade99",
     "list-8-3-3": "7f5be7fcd1be3882",
@@ -513,7 +489,7 @@ def flat_cases(draw):
         validate, duration, keys = validate_related, inst.duration, {"machines": m}
     # aligned: each job starts 0 to 3 after its predecessors end, the way
     # a list schedule places it; otherwise anywhere
-    aligned, preds = draw(st.booleans()), dag.predecessors()
+    aligned, preds = draw(st.booleans()), predecessors(dag)
     seen, entries = [Fraction(0)], {}
     for j in range(1, n + 1):
         machine = draw(st.integers(1, m))
@@ -556,7 +532,7 @@ def grouped_cases(draw):
     )
     # aligned: placements in group order, each starting at or just after
     # the last end of its placed predecessor groups; otherwise anywhere
-    aligned, preds = draw(st.booleans()), inst.group_dag.predecessors()
+    aligned, preds = draw(st.booleans()), predecessors(inst.group_dag)
     groups = draw(st.lists(st.integers(1, g_count), max_size=7))
     seen, placements, last_end = [Fraction(0)], [], {}
     for g in sorted(groups) if aligned else groups:

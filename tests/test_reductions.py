@@ -21,7 +21,6 @@ from schedreduce import (
     forward_map_related,
     gen_kpartite_yes,
     gen_random_umps,
-    is_layered,
     jobshop_to_umps,
     kpartite_to_umps,
     kpartite_yes_schedule,
@@ -39,7 +38,7 @@ from schedreduce import (
     yes_schedule_offsets,
 )
 from schedreduce.generators import gen_jobshop
-from conftest import SAMPLE8
+from conftest import SAMPLE8, is_layered
 
 
 def sample8_schedule():
@@ -162,13 +161,13 @@ def test_backward_of_forward_identity_on_random_instances(inst):
 def test_jobshop_embedding_one_job_per_operation():
     js = gen_jobshop(2, 2, 2, seed=3)
     inst, origin = jobshop_to_umps(js)
-    assert inst.n == js.operation_count == 4
+    assert inst.n == 4  # one job per operation
     assert len(inst.dag.edges) == 2  # one chain edge per job
     assert origin == {1: (1, 1), 2: (1, 2), 3: (2, 1), 4: (2, 2)}
     # chains: every node has in- and out-degree at most 1
     succ = inst.dag.successors()
-    pred = inst.dag.predecessors()
-    assert all(len(succ[v]) <= 1 and len(pred[v]) <= 1 for v in range(1, 5))
+    indegree = [v for _, v in inst.dag.edges]
+    assert all(len(succ[v]) <= 1 and indegree.count(v) <= 1 for v in range(1, 5))
 
 
 def test_jobshop_single_operation():
@@ -182,7 +181,7 @@ def test_jobshop_single_operation():
 def test_jobshop_embedding_preserves_durations(jobs, machines, ops, seed):
     js = gen_jobshop(jobs, machines, ops, seed)
     inst, origin = jobshop_to_umps(js)
-    assert inst.n == js.operation_count
+    assert inst.n == sum(len(chain) for chain in js.jobs)
     for job, (chain_idx, op_idx) in origin.items():
         machine, duration = js.jobs[chain_idx - 1][op_idx - 1]
         assert inst.home[job] == machine

@@ -23,26 +23,42 @@ from schedreduce import (
     UmpsInstance,
     canonicalize,
     extract_integral,
-    fill_pass,
     forward_map_related,
     gen_fractional,
     gen_layered_umps,
     gen_random_umps,
     greedy_canonical,
     makespan,
-    partial_load,
     partial_load_bound_holds,
     solve_umps_exact,
     strip_misplaced,
-    swap_pass,
     umps_to_related,
     validate_umps,
     window_table,
 )
 from schedreduce.serialize import dump_canonical, to_obj
+from oracle import oracle_partial_load
 
 F = Fraction
 HALF = F(1, 2)
+
+
+def swap_pass(fs, trace=None):
+    """Swap steps on a copy of ``fs``'s grid until none applies."""
+    work = fs._grid.copy()
+    work.swaps(trace)
+    return work.schedule()
+
+
+def fill_pass(fs, trace=None):
+    """Fill steps on a copy of ``fs``'s grid until none applies."""
+    work = fs._grid.copy()
+    work.fills(trace)
+    return work.schedule()
+
+
+def job_total(fs, job):
+    return sum((x for (l, _), x in fs.mass.items() if l == job), start=F(0))
 
 
 def one_machine(n, edges=()):
@@ -116,8 +132,7 @@ def test_accepts_separated_windows_and_reports_them():
         horizon=2, mass={(1, 1): F(1), (2, 2): F(1)}, gamma=0, umps_ref=inst
     )
     assert window_table(fs) == {1: (1, 1), 2: (2, 2)}
-    assert fs.job_total(1) == 1
-    assert fs.machine_slot_load(1, 2) == 1
+    assert job_total(fs, 1) == job_total(fs, 2) == 1
 
 
 def test_zero_masses_are_dropped():
@@ -205,6 +220,32 @@ def test_greedy_orders_by_window_end_then_index():
     )
     out = greedy_canonical(fs)
     assert out.mass == {(2, 1): F(1), (1, 2): F(1)}
+
+
+def test_canonicalize_and_greedy_can_reach_different_fixpoints():
+    # the rewrites are not confluent: the fills cut job 3's window end from
+    # 5 to 3, which ties job 4's, and the last swap moves job 3 back ahead
+    # of job 4 on the lower index; the sweep keeps job 4 first
+    fs = FractionalSchedule(
+        horizon=5,
+        mass={(1, 4): F(1, 3), (1, 5): F(2, 3), (2, 1): F(5, 6), (2, 3): F(1, 6),
+              (3, 2): F(5, 6), (3, 5): F(1, 6), (4, 1): F(1, 6), (4, 3): F(5, 6)},
+        gamma=0, umps_ref=one_machine(4),
+    )
+    trace = []
+    canon = canonicalize(fs, trace=trace)
+    assert canon.mass == {(2, 1): F(1), (3, 2): F(1), (4, 3): F(1), (1, 4): F(1)}
+    assert trace == ["swap machine=1 jobs=2,4 slot=1 y=1/6",
+                     "swap machine=1 jobs=4,3 slot=2 y=5/6",
+                     "fill machine=1 jobs=3 slot=2 y=1/6",
+                     "fill machine=1 jobs=3 slot=3 y=1/6",
+                     "fill machine=1 jobs=1 slot=4 y=2/3",
+                     "swap machine=1 jobs=3,4 slot=2 y=5/6"]
+    greedy = greedy_canonical(fs)
+    assert greedy.mass == {(2, 1): F(1), (4, 2): F(1), (3, 3): F(1), (1, 4): F(1)}
+    for out in (canon, greedy):
+        assert canonicalize(out).mass == out.mass
+        assert partial_load_bound_holds(out)
 
 
 @settings(max_examples=60, deadline=None)
@@ -325,12 +366,8 @@ def staggered_three_jobs():
 
 
 def _readings(fs):
-    inst = fs.umps_ref
     return (
-        dict(fs.mass), window_table(fs),
-        [fs.job_total(l) for l in range(1, inst.n + 1)],
-        [fs.machine_slot_load(i, t)
-         for i in range(1, inst.m + 1) for t in range(1, fs.horizon + 1)],
+        dict(fs.mass), window_table(fs), dict(fs._grid.loads),
         {job: dict(slots) for job, slots in fs._grid.slots.items()},
     )
 
@@ -457,8 +494,8 @@ def test_strip_misplaced_deletes_offhome_mass():
         GroupedPlacement(2, 2, 0, 1, 1),             # group 2: one member, length 30
     ))
     fs = strip_misplaced(art, gs)
-    assert fs.job_total(1) == F(890, 900)
-    assert fs.job_total(2) == 1
+    assert job_total(fs, 1) == F(890, 900)
+    assert job_total(fs, 2) == 1
 
 
 def test_strip_misplaced_rejects_excess_deletion():
@@ -506,13 +543,13 @@ def test_partial_load_counts_unfinished_mass_only():
     )
     # at slot 1: job 1's window runs to slot 3, job 2's to slot 2, so both
     # slot-1 masses are partial
-    assert partial_load(fs, 1, 1) == 1
-    assert partial_load(fs, 1, 2) == HALF
-    assert partial_load(fs, 1, 3) == 0
+    assert oracle_partial_load(fs, 1, 1) == 1
+    assert oracle_partial_load(fs, 1, 2) == HALF
+    assert oracle_partial_load(fs, 1, 3) == 0
 
 
 def _bound_by_brute_force(fs):
-    return all(partial_load(fs, i, t) <= fs.gamma * t
+    return all(oracle_partial_load(fs, i, t) <= fs.gamma * t
                for i in range(1, fs.umps_ref.m + 1) for t in range(1, fs.horizon + 1))
 
 
@@ -547,7 +584,7 @@ def test_partial_load_bound_fails_after_the_first_slot():
               (3, 2): F(1, 4), (3, 3): F(3, 4)},
         gamma=F(1, 8), umps_ref=inst,
     )
-    assert [partial_load(fs, 1, t) for t in range(1, 5)] == [0, HALF, F(1, 4), 0]
+    assert [oracle_partial_load(fs, 1, t) for t in range(1, 5)] == [0, HALF, F(1, 4), 0]
     assert not partial_load_bound_holds(fs)
     assert not _bound_by_brute_force(fs)
     wider = FractionalSchedule(fs.horizon, fs.mass, F(1, 4), inst)

@@ -33,7 +33,12 @@ from schedreduce import (
 from schedreduce import solvers
 from schedreduce.serialize import dump_canonical, to_obj
 from conftest import SAMPLE8, make_sample8
-from oracle import oracle_commdelay_optimum, oracle_related_optimum, oracle_umps_optimum
+from oracle import (
+    oracle_commdelay_optimum,
+    oracle_no_property,
+    oracle_related_optimum,
+    oracle_umps_optimum,
+)
 
 F = Fraction
 
@@ -846,5 +851,27 @@ def test_verify_no_property_finds_missing_pair():
 
 
 def test_verify_no_property_budget():
+    # s = 2: each of the two layer pairs has C(6, 2) = 15 lower-layer sets
+    dense = gen_kpartite_dense(6, 3, F(9, 10), seed=1)
     with pytest.raises(BudgetExceeded):
-        verify_no_property(gen_kpartite_dense(6, 3, F(9, 10), seed=1), max_pairs=3)
+        verify_no_property(dense, max_sets=29)
+    assert verify_no_property(dense, max_sets=30)
+
+
+def test_verify_no_property_matches_the_pair_oracle():
+    outcomes = set()
+    for n in range(3, 10):
+        for k in range(2, 6):
+            for density in (F(1, 2), F(3, 4), F(7, 8)):
+                for seed in (1, 2, 3):
+                    inst = gen_kpartite_dense(n, k, density, seed)
+                    got = verify_no_property(inst)
+                    assert got == oracle_no_property(inst), (n, k, density, seed)
+                    outcomes.add(got)
+    assert outcomes == {False, True}
+
+
+def test_verify_no_property_certifies_sixteen_by_four():
+    # s = 4: 3 * C(16, 4) = 5,460 lower-layer sets, where the pairs of
+    # s-sets number 3 * C(16, 4)^2, about 9.9 million
+    assert verify_no_property(gen_kpartite_dense(16, 4, F(7, 8), seed=1), max_sets=5_460)
