@@ -377,7 +377,7 @@ class KPartiteInstance:
 @dataclass(frozen=True)
 class Schedule:
     """Job -> (machine, start, end); ``horizon`` is the largest end time,
-    computed on construction."""
+    computed on construction on the ends' integer time base."""
 
     entries: dict
     horizon: Fraction = field(init=False)
@@ -387,8 +387,11 @@ class Schedule:
         for job, (machine, start, end) in self.entries.items():
             norm[int(job)] = (int(machine), as_fraction(start), as_fraction(end))
         object.__setattr__(self, "entries", norm)
-        object.__setattr__(self, "horizon", max((e for _, _, e in norm.values()),
-                                                default=Fraction(0)))
+        ends = [e for _, _, e in norm.values()]
+        scale = math.lcm(*{e.denominator for e in ends})
+        base = [e.numerator * (scale // e.denominator) for e in ends]
+        horizon = ends[base.index(max(base))] if ends else Fraction(0)
+        object.__setattr__(self, "horizon", horizon)
 
 
 def makespan(sched: Schedule) -> Fraction:

@@ -29,7 +29,15 @@ only in how they parameterize it:
 
 Sound pruning (admissible lower bounds, forced co-location under huge
 delays, and a completed-set dynamic program for unit lengths) keeps
-desk-scale runs fast without changing any optimum.
+desk-scale runs fast without changing any optimum.  A node's lower bound
+is its longest path, raised by the one-machine relaxation of each machine
+whose job set the node changes: over each head threshold r, r plus the
+total time of the machine's jobs that start no earlier than r plus the
+least of their tails.  Every ancestor of a leaf that improves the
+incumbent has a bound at most that leaf's makespan, so pruning keeps
+every improving leaf and meets them in the same order.  A proven search
+therefore returns the same schedule as one without the bound, and a
+capped one returns what that search would return under a larger cap.
 
 Every solver degrades gracefully: when a state budget or time budget is
 hit it returns the best schedule found so far (at worst the seed) with
@@ -103,24 +111,24 @@ class _Search:
 
 
 def _extensions(jobs, pred_sets):
-    """Yield the linear extensions of a tiny poset in lexicographic order."""
-    jobs = sorted(jobs)
-    acc = []
-    placed = set()
+    """The linear extensions of a tiny poset, generated lazily in
+    lexicographic order."""
+    return _extend(sorted(jobs), pred_sets, [], set())
 
-    def rec():
-        if len(acc) == len(jobs):
-            yield tuple(acc)
-            return
-        for j in jobs:
-            if j not in placed and pred_sets[j] <= placed:
-                placed.add(j)
-                acc.append(j)
-                yield from rec()
-                acc.pop()
-                placed.remove(j)
 
-    yield from rec()
+def _extend(jobs, pred_sets, acc, placed):
+    """The extensions that continue ``acc``, whose jobs are ``placed``.
+    A module-level recursion, so no closure cycle outlives the search."""
+    if len(acc) == len(jobs):
+        yield tuple(acc)
+        return
+    for j in jobs:
+        if j not in placed and pred_sets[j] <= placed:
+            placed.add(j)
+            acc.append(j)
+            yield from _extend(jobs, pred_sets, acc, placed)
+            acc.pop()
+            placed.remove(j)
 
 
 class _Orders:
@@ -219,6 +227,22 @@ def _checked_list_schedule(dag, priority, lengths, delays, pinned, classes) -> S
     return Schedule(entries=_list_schedule(priority, preds, times, pinned, classes))
 
 
+def _machine_bound(held, start, dur, tail):
+    """The head-volume-tail bound of one machine's jobs ``held`` (see
+    :func:`_exact_search`): over the prefixes of the jobs in falling
+    order of start, the largest last start plus total time plus least
+    tail."""
+    bound = volume = 0
+    low = None
+    for j in sorted(held, key=start.__getitem__, reverse=True):
+        volume += dur[j]
+        if low is None or tail[j] < low:
+            low = tail[j]
+        if start[j] + volume + low > bound:
+            bound = start[j] + volume + low
+    return bound
+
+
 def _exact_search(dag, lim, duration, delay=None, pinned=None, units=(), classes=()):
     """Branch and bound over machine assignments, then per-machine orders.
 
@@ -238,7 +262,9 @@ def _exact_search(dag, lim, duration, delay=None, pinned=None, units=(), classes
     job's fastest time and the twin keys.  Times are scaled by the LCM of
     their denominators, so the search runs on plain ints; the result
     builds one ``Fraction`` per distinct time.  One topological pass
-    orders the seeds and gives each job's ancestors as a bit mask.
+    orders the seeds and gives each job's ancestors as a bit mask, and a
+    pass back over it gives each job's tail: the longest path after the
+    job ends, at fastest times and with no edge delay.
 
     Twin jobs (the same time on every class, or on the same pin, and the
     same predecessors, successors and edge delays) are interchangeable
@@ -258,15 +284,34 @@ def _exact_search(dag, lim, duration, delay=None, pinned=None, units=(), classes
     next one and relaxes from those links.  Every raised start is logged
     and undone on backtrack.
 
-    A node's bound, its longest path or its largest machine load if that
-    is more, is admissible and never below its parent's, so it is the
+    A node's bound is admissible and never below its parent's: it is the
     largest of the parent's bound, the ends raised on the way and the
-    load of the machine just used.  Once the incumbent drops to a node's
-    bound its remaining children are skipped, and an end that reaches
-    the incumbent prunes a child at once, which also ends a cycle of
-    machine links.  Each machine's orders (the linear extensions of its
-    jobs under the dag and the twin rule) are generated once per search
-    and replayed when the same jobs share a machine again.
+    one-machine head-volume-tail bound of each machine whose job set the
+    node changes and that holds two or more jobs (a lone job's start,
+    time and tail never pass the longest path): every pinned machine at
+    the root, and the machine just used at an assignment node.  A job's
+    head is its earliest start.  Taken in falling order of head, each
+    prefix of a machine's jobs runs one job at a time from its last head
+    on, so the prefix's last job to finish ends no earlier than that head
+    plus the prefix's total time and is followed by at least the prefix's
+    least tail.  The machine bound, the largest of these sums, covers
+    every head threshold r, and at the lowest r the machine's load.  It is
+    admissible: down a branch no head falls (a placement lengthens a job
+    from its fastest time and adds delays, and an order adds links), a
+    placed job's time is final, tails are floors, and a machine runs its
+    jobs one at a time.  Pruning keeps the tie-breaks: every ancestor of a
+    leaf that improves the incumbent has a bound at most that leaf's
+    makespan, below the incumbent of the moment, so the search meets the
+    same improving leaves in the same order, in fewer states.  A proven
+    search returns the same first optimal leaf, and a capped one what the
+    search without the machine bound returns under some larger cap.
+
+    Once the incumbent drops to a node's bound its remaining children are
+    skipped, and an end that reaches the incumbent prunes a child at once,
+    which also ends a cycle of machine links.  Each machine's orders (the
+    linear extensions of its jobs under the dag and the twin rule) are
+    generated once per search and replayed when the same jobs share a
+    machine again.
 
     The engine builds two seed schedules from its integer tables, both in
     topological order.  The serial one runs every job back to back on its
@@ -339,15 +384,16 @@ def _exact_search(dag, lim, duration, delay=None, pinned=None, units=(), classes
     # nxt[j] the job after it on its machine (0 until an order is fixed);
     # on[i] lists machine i's jobs in the order they were placed
     fastest = [0] + [min(times[j]) for j in jobs]  # a pinned job has one time, on its pin
+    tail = [0] * (n + 1)  # tail[u]: the longest path after u ends, at fastest times, no delay
+    for u in reversed(order):
+        tail[u] = max((fastest[v] + tail[v] for v, _ in succs[u]), default=0)
     mach = [0] + [pinned.get(j, 0) for j in jobs]
     dur = list(fastest)
     width = machines[-1] + 1 if machines else 1  # per-machine lists are indexed by label
     start = [0] * (n + 1)
     nxt = [0] * (n + 1)
-    loads = [0] * width
     on = [[] for _ in range(width)]
     for j, i in sorted(pinned.items()):
-        loads[i] += dur[j]
         on[i].append(j)
     log = []  # (job, start it had) for every raised start, newest last
 
@@ -486,15 +532,15 @@ def _exact_search(dag, lim, duration, delay=None, pinned=None, units=(), classes
             opened[c] += fresh
             for j in unit:
                 mach[j], dur[j] = i, times[j][c]
-                loads[i] += dur[j]
                 on[i].append(j)
             mark = len(log)
-            child = raise_ends(unit, loads[i], search.best_ms)
-            if child is not None:
-                assign(k + 1, max(path, child))
+            child = raise_ends(unit, path, search.best_ms)
+            if child is not None and len(on[i]) > 1:
+                child = max(child, _machine_bound(on[i], start, dur, tail))
+            if child is not None and child < search.best_ms:
+                assign(k + 1, child)
             undo(mark)
             for j in unit:
-                loads[i] -= dur[j]
                 mach[j], dur[j] = 0, fastest[j]
                 on[i].pop()
             opened[c] -= fresh
@@ -504,14 +550,17 @@ def _exact_search(dag, lim, duration, delay=None, pinned=None, units=(), classes
     proven = True
     try:
         search.tick()
-        path = raise_ends(jobs, max(loads), search.best_ms)
+        path = raise_ends(jobs, 0, search.best_ms)
         if path is not None:
-            assign(0, path)
+            path = max([path] + [_machine_bound(on[i], start, dur, tail)
+                                 for i in machines if len(on[i]) > 1])
+            if path < search.best_ms:
+                assign(0, path)
     except _Abort:
         proven = False
-    # the nested functions refer to one another, so what they hold waits
-    # for the cycle collector; free the memo's orders and generators now
-    memo.clear()
+    # assign and orders call themselves, so their closures are cycles:
+    # break them, and what the search holds is freed now
+    assign = orders = None
     return result(proven)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 from fractions import Fraction
@@ -335,7 +336,7 @@ PINNED = [
                  "4585a1386a1e5756f153186143070b6f175b2a54997445bc17d6a23fda053c8a",
                  id="umps-7-3-5"),
     pytest.param(solve_umps_exact, lambda: _weighted(8, 3, 6), SolveLimits(),
-                 "9", True, 15,
+                 "9", True, 4,
                  "3d414fa2cc06f4683ead7ca54c403733d2801d29048c3ace72b8e8941bd0a1cf",
                  id="umps-8-3-6"),
     pytest.param(solve_umps_exact, lambda: _weighted(8, 3, 6), SolveLimits(max_states=1),
@@ -347,7 +348,7 @@ PINNED = [
                  "4585a1386a1e5756f153186143070b6f175b2a54997445bc17d6a23fda053c8a",
                  id="umps-capped"),
     pytest.param(solve_commdelay_exact, lambda: _reduced(4, 2, 1), SolveLimits(max_jobs=12),
-                 "5", True, 9,
+                 "5", True, 6,
                  "2bdb52dd87668b9354772d9a28f2e2276199013b35dbcf0aedab6c5e8b89362b",
                  id="reduced-4-2-1"),
     pytest.param(solve_commdelay_exact, lambda: _reduced(5, 2, 2), SolveLimits(max_jobs=12),
@@ -355,7 +356,7 @@ PINNED = [
                  "3e7801cb2bec44cf0054742359cdb74cd420ef5d77d398115c3d4b3a34d97dd8",
                  id="reduced-5-2-2"),
     pytest.param(solve_commdelay_exact, lambda: _reduced(6, 2, 3), SolveLimits(max_jobs=12),
-                 "7", True, 10,
+                 "7", True, 7,
                  "9dd959b1bba51ad4928ae92c16d9ce3a5f77d5db9189d9e1f5c7028459277d33",
                  id="reduced-6-2-3"),
     pytest.param(solve_commdelay_exact, lambda: _reduced(5, 3, 4), SolveLimits(max_jobs=12),
@@ -368,27 +369,27 @@ PINNED = [
                  id="reduced-capped"),
     pytest.param(solve_commdelay_exact, lambda: _reduced(8, 3, 2),
                  SolveLimits(max_jobs=12, max_states=200),
-                 "7", True, 160,
+                 "7", True, 60,
                  "33b5e1ac9f22a33b2960a692a170453f51019a7e3209a5b32ebdfd1489fa4a8d",
                  id="reduced-8-3-2"),
     pytest.param(solve_commdelay_exact, lambda: _uniform(5, 1, 1, None), SolveLimits(),
-                 "7", True, 12,
+                 "7", True, 8,
                  "9c3a2801ce72f8b6f7cb0e976412194aa9205fb52b918e0d21922c3119e84a82",
                  id="uniform-5-1-1-None"),
     pytest.param(solve_commdelay_exact, lambda: _uniform(6, 2, 2, None), SolveLimits(),
-                 "9", True, 61,
+                 "9", True, 39,
                  "cee88fc0a721f04a6039a32fcbe230576d3052c6d5ee67ef5b0e9aa5d72d378a",
                  id="uniform-6-2-2-None"),
     pytest.param(solve_commdelay_exact, lambda: _uniform(5, 1, 3, 2), SolveLimits(),
-                 "6", True, 12,
+                 "6", True, 10,
                  "44031b90cd356a7a42ebb96a9ef1aa01204ceb47d6a723ff30d25e7dde2de526",
                  id="uniform-5-1-3-2"),
     pytest.param(solve_commdelay_exact, lambda: _uniform(6, 2, 4, 2), SolveLimits(),
-                 "11", True, 46,
+                 "11", True, 44,
                  "5f44d8c16b908f0ac5d54be8baee8674c7e68b9ac502daa4cc07fd0cb1147d68",
                  id="uniform-6-2-4-2"),
     pytest.param(solve_commdelay_exact, lambda: _uniform(6, 0, 5, 2), SolveLimits(),
-                 "7", True, 37,
+                 "7", True, 27,
                  "73fca7bc375ac1e6805f7de5cd31a9bcaa21ce3939791a086749e3955dee6ef7",
                  id="uniform-6-0-5-2"),
     pytest.param(solve_commdelay_exact, lambda: _uniform(6, 0, 5, 2), SolveLimits(max_states=20),
@@ -404,25 +405,25 @@ PINNED = [
                  "58542bc40b984f0e3b66fc6b2aeb8fc22cbe33d7e4805394a2b8de2031152825",
                  id="related-5-2"),
     pytest.param(solve_related_exact, lambda: _related(5, (2, 2, 3), 3), SolveLimits(),
-                 "8/3", True, 29,
+                 "8/3", True, 17,
                  "dd6fd913d150cb411280604d2916c377aff4dac0f1b469244f9e3394dae8b2de",
                  id="related-5-3"),
     pytest.param(solve_related_exact, lambda: _related(6, (1, 2, 4), 4), SolveLimits(),
-                 "3", True, 161,
+                 "3", True, 69,
                  "d6a318836ba8ca4e4ecd77300027f0df8484fb06bb9e9efad7cff250982b2f21",
                  id="related-6-4"),
     pytest.param(solve_related_exact, lambda: _related(6, (1, 1, 2), 5), SolveLimits(),
-                 "4", True, 60,
+                 "4", True, 28,
                  "d948a98b12125de8f5d1ed4273ded32a86c962e83b06a21e762f1bee0578d5db",
                  id="related-6-5"),
     pytest.param(solve_related_exact, lambda: _related(6, (1, 2, 4), 4), SolveLimits(max_states=60),
                  "3", False, 61,
-                 "9e8b0feb17baa1acfcab99dd79741a0240ddd57856a472253d3088ac59798fda",
+                 "d6a318836ba8ca4e4ecd77300027f0df8484fb06bb9e9efad7cff250982b2f21",
                  id="related-capped"),
     # the related bench's shape: kappa = 2 gadgets of 10 flat jobs under its cap
     pytest.param(solve_related_exact, lambda: _kappa2((2, 2), F(1, 4), 3),
                  SolveLimits(max_states=1500),
-                 "2", True, 922,
+                 "2", True, 530,
                  "d12b73ebfa45c0c57edfd5927721a69f73c45f9b21914619244cd87c1717b0b8",
                  id="kappa2-10-proven"),
     pytest.param(solve_related_exact, lambda: _kappa2((1, 6), F(1, 4), 1),
@@ -466,7 +467,21 @@ def test_exact_solvers_match_pinned_digest():
         calls += 1
     assert calls == 312
     assert digest.hexdigest() == (
-        "636eb8173cd868c61d850c8215d8e68e8179e24634337b7284b64fa410ad49cf")
+        "3dd5be468b6221c5eae7898147d4a993e9afc0597fa0bc407b7efbb9a7b99f45")
+
+
+def test_exact_solvers_match_pinned_uncapped_outputs():
+    # the same instances searched to the end: one sha256 over every
+    # optimum and canonical schedule JSON, with no state counts, so a
+    # change to the pruning may change the states but must keep it
+    digest = hashlib.sha256()
+    for solve, inst, lim in _digest_calls():
+        result = solve(inst, dataclasses.replace(lim, max_states=10**8))
+        assert result.proven_optimal
+        digest.update(f"{result.optimum}\n".encode())
+        digest.update(dump_canonical(to_obj(result.schedule)).encode())
+    assert digest.hexdigest() == (
+        "af9c19b844a20fb0cff4c442895d15956eec2b680d98931b7befe2887a25fe76")
 
 
 def _assert_pinned(result, optimum, proven, states, digest):
@@ -822,6 +837,61 @@ def test_relabeling_machines_or_twins_keeps_the_optimum(n, seed, k, rnd):
         result = solve_related_exact(other)
         assert (result.optimum, result.proven_optimal) == (base.optimum, base.proven_optimal)
         assert validate_related(other, result.schedule).feasible
+
+
+# ---------------------------------------------------------------------------
+# the one-machine bound, and what pruning must keep
+
+
+def test_machine_bound_prunes_jobs_crowding_the_fast_machine():
+    # four length-2 jobs feed one length-8 job on speeds 1, 1 and 2.  A
+    # feeder takes 1 on the fast machine 3 and 2 on a slow one; the join
+    # takes 4 there and 8 on a slow one.  The optimum 6 runs one feeder on
+    # each slow machine and two on machine 3, then the join on machine 3
+    # over [2, 6].  Three feeders on machine 3 end no earlier than 3 and
+    # the join takes at least 4 after them, so the machine bound 7 prunes
+    # that assignment as it is made, where the longest path alone sees the
+    # crowding only once their order is fixed (56 states without the bound)
+    inst = RelatedInstance(machines=(1, 1, 2), jobs=(2, 2, 2, 2, 8),
+                           dag=PrecedenceDag(5, ((1, 5), (2, 5), (3, 5), (4, 5))))
+    result = solve_related_exact(inst)
+    assert (result.optimum, result.proven_optimal, result.states_explored) == (6, True, 13)
+    assert result.schedule.entries == {1: (1, 0, 2), 2: (2, 0, 2), 3: (3, 0, 1), 4: (3, 1, 2),
+                                       5: (3, 2, 6)}
+    assert validate_related(inst, result.schedule).feasible
+
+
+# (solver, instance, validator) of the three engine callers, small enough
+# that the caps drawn below fall on both sides of the search's end
+capped_searches = st.one_of(
+    kappa2_related.map(lambda inst: (solve_related_exact, inst, validate_related)),
+    st.tuples(st.integers(3, 6), st.sampled_from(REPEATED_SPEEDS + [(1, 2, 4), (1, 1, 3)]),
+              st.integers(0, 10_000))
+    .map(lambda t: (solve_related_exact, _related(*t), validate_related)),
+    st.tuples(st.integers(4, 8), st.integers(2, 3), st.integers(0, 10_000))
+    .map(lambda t: (solve_commdelay_exact, _reduced(*t), validate_commdelay)),
+    st.tuples(st.integers(5, 8), st.integers(2, 3), st.integers(0, 10_000))
+    .map(lambda t: (solve_umps_exact, _weighted(*t), validate_umps)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(capped_searches, st.integers(0, 100), st.integers(1, 200))
+def test_a_larger_cap_never_returns_a_worse_schedule(search, cap, more):
+    # pruning may only skip states: a search proven under a cap returns
+    # the uncapped result, and a larger cap never returns a longer schedule
+    solve, inst, validate = search
+    capped, larger, full = (solve(inst, SolveLimits(max_jobs=12, max_states=c))
+                            for c in (cap, cap + more, 10**8))
+    assert full.proven_optimal
+    for result in (capped, larger, full):
+        assert validate(inst, result.schedule).feasible
+        assert makespan(result.schedule) == result.optimum
+        if result.proven_optimal:
+            assert result.optimum == full.optimum
+            assert dump_canonical(to_obj(result.schedule)) == dump_canonical(
+                to_obj(full.schedule))
+    assert larger.optimum <= capped.optimum
 
 
 # ---------------------------------------------------------------------------
