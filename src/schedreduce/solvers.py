@@ -233,10 +233,10 @@ def _machine_bound(held, start, dur, tail):
     order of start, the largest last start plus total time plus least
     tail."""
     bound = volume = 0
-    low = None
+    low = math.inf
     for j in sorted(held, key=start.__getitem__, reverse=True):
         volume += dur[j]
-        if low is None or tail[j] < low:
+        if tail[j] < low:
             low = tail[j]
         if start[j] + volume + low > bound:
             bound = start[j] + volume + low
