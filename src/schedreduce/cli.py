@@ -68,6 +68,7 @@ from .serialize import (
 )
 from .solvers import (
     SolveLimits,
+    SolveResult,
     greedy_umps,
     list_schedule_commdelay,
     solve_commdelay_exact,
@@ -129,12 +130,17 @@ def _parse_limits(text) -> SolveLimits:
     return SolveLimits(**kwargs)
 
 
+def _param(params, key):
+    """The value of a required parameter; an empty value is missing too."""
+    if not params.get(key):
+        raise UsageError(f"missing required parameter {key!r}")
+    return params[key]
+
+
 def _int(params, key, default=None):
-    if key not in params:
-        if default is None:
-            raise UsageError(f"missing required parameter {key!r}")
+    if default is not None and key not in params:
         return default
-    return int(params[key])
+    return int(_param(params, key))
 
 
 def _frac(params, key, default):
@@ -175,8 +181,8 @@ def cmd_gen(args) -> int:
             _frac(params, "density", "9/10"), args.seed,
         )
     elif family == "fractional":
-        base = read_file(params.get("instance") or _missing("instance"))
-        sched = read_file(params.get("schedule") or _missing("schedule"))
+        base = read_file(_param(params, "instance"))
+        sched = read_file(_param(params, "schedule"))
         if not isinstance(base, UmpsInstance):
             raise UsageError("fractional generation needs a umps instance")
         if not isinstance(sched, Schedule):
@@ -194,10 +200,6 @@ def cmd_gen(args) -> int:
         )
     write_file(args.out, inst)
     return 0
-
-
-def _missing(key):
-    raise UsageError(f"missing required parameter {key!r}")
 
 
 def cmd_reduce(args) -> int:
@@ -235,40 +237,30 @@ def cmd_reduce(args) -> int:
 def cmd_solve(args) -> int:
     inst = read_file(args.in_path)
     lim = _parse_limits(args.limits)
+    greedy = args.solver == "greedy"
     if isinstance(inst, UmpsInstance):
-        if args.solver == "greedy":
-            sched = greedy_umps(inst)
-            result = None
-        else:
-            result = solve_umps_exact(inst, lim)
-            sched = result.schedule
+        result = greedy_umps(inst) if greedy else solve_umps_exact(inst, lim)
     elif isinstance(inst, CommDelayInstance):
-        if args.solver == "greedy":
+        if greedy:
             m = inst.machines if inst.machines is not None else inst.n_total
-            sched = list_schedule_commdelay(inst, m, topological_order(inst.dag))
-            result = None
+            result = list_schedule_commdelay(inst, m, topological_order(inst.dag))
         else:
             result = solve_commdelay_exact(inst, lim)
-            sched = result.schedule
     elif isinstance(inst, GroupedRelatedInstance):
-        if args.solver == "greedy":
+        if greedy:
             raise UsageError("no greedy solver for related_grouped; use --solver exact")
         flat, _, _ = materialize_related(inst)
         result = solve_related_exact(flat, lim)
-        sched = result.schedule
     else:
         raise UsageError(
             "no solver for this instance kind; reduce jobshop/kpartite to umps first"
         )
-    if result is None:
-        write_file(args.out, sched, extra={"optimum": frac_str(makespan(sched)),
-                                           "proven_optimal": False,
-                                           "solver_states": 0})
-        return 0
-    write_file(args.out, sched, extra={"optimum": frac_str(result.optimum),
-                                       "proven_optimal": result.proven_optimal,
-                                       "solver_states": result.states_explored})
-    return 0 if result.proven_optimal else 3
+    if greedy:  # the greedy solvers return a bare schedule: an upper bound, never a proof
+        result = SolveResult(makespan(result), result, proven_optimal=False, states_explored=0)
+    write_file(args.out, result.schedule, extra={"optimum": frac_str(result.optimum),
+                                                 "proven_optimal": result.proven_optimal,
+                                                 "solver_states": result.states_explored})
+    return 0 if greedy or result.proven_optimal else 3
 
 
 def cmd_verify(args) -> int:

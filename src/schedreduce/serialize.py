@@ -9,6 +9,12 @@ tuples, str, int, bool and None.  Identical objects therefore always
 produce byte-identical files, and instances round-trip exactly:
 read(write(x)) == x.
 
+Each kind is declared once, in ``FORMATS``: its class and, per field, an
+(encode, decode) pair.  ``to_obj`` and ``from_obj`` walk the same field
+list, and a decoder reads only the fields its kind declares, so extra
+fields are ignored.  Integers are strict: where the format has an
+integer, a string or a boolean is an error, never coerced.
+
 Reduction artifacts and certificates are written the same way, as
 self-contained sidecar files (source and output instances embedded), so
 the backward maps never recompute the reduction.
@@ -19,6 +25,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from .errors import CycleDetected
@@ -63,218 +70,130 @@ def parse_rational(text) -> Fraction:
     return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
 
 
-def _dag_obj(dag: PrecedenceDag) -> dict:
-    # PrecedenceDag stores its edges sorted
-    return {"node_count": dag.node_count, "edges": [[u, v] for u, v in dag.edges]}
+# ---------------------------------------------------------------------------
+# field codecs: (encode, decode) pairs
 
 
-def _dag_from(obj) -> PrecedenceDag:
-    return PrecedenceDag(obj["node_count"], obj["edges"])
+def _same(value):
+    return value
+
+
+def _int(value) -> int:
+    # bool is a subclass of int, and the constructors int()-coerce strings
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
+def _ints(values, items=_same):
+    """``values`` itself, once every int in ``items(values)`` is checked:
+    one pass over their types, so the bulk of a file costs no call per int."""
+    if not set(map(type, items(values))) <= {int}:
+        for value in items(values):
+            _int(value)
+    return values
+
+
+def _bool(value) -> bool:
+    if type(value) is not bool:
+        raise TypeError(f"{value!r} is not a boolean")
+    return value
+
+
+def _list_of(codec):
+    encode, decode = codec
+    return (lambda values: [encode(v) for v in values],
+            lambda values: [decode(v) for v in values])
+
+
+def _record(cls, fields):
+    """An untagged object: a dict of ``fields``, raised as ``cls``."""
+    return (lambda value: _encode(value, fields), lambda obj: _decode(obj, cls, fields))
+
+
+def _encode(value, fields) -> dict:
+    return {name: encode(getattr(value, name)) for name, (encode, _) in fields.items()}
+
+
+def _decode(obj, cls, fields):
+    return cls(**{name: decode(obj[name]) for name, (_, decode) in fields.items()})
+
+
+_INT = (_same, _int)
+_BOOL = (_same, _bool)
+_OPT_INT = (_same, lambda value: None if value is None else _int(value))
+_INT_MAP = (lambda d: {str(k): v for k, v in d.items()},
+            lambda d: {int(k): _int(v) for k, v in d.items()})
+_FRAC = (frac_str, parse_rational)
+_OBJ = (lambda value: to_obj(value), lambda obj: from_obj(obj))
+_ROWS = (lambda rows: [list(row) for row in rows],
+         lambda rows: _ints(rows, chain.from_iterable))
+_DAG = _record(PrecedenceDag, {"node_count": _INT, "edges": _ROWS})
+_DELAYS = (lambda d: [[u, v, c] for (u, v), c in sorted(d.items())],
+           lambda rows: {(u, v): c for u, v, c in _ints(rows, chain.from_iterable)})
+_MASS = (lambda d: [[job, slot, frac_str(x)] for (job, slot), x in sorted(d.items())],
+         lambda rows: {(_int(job), _int(slot)): parse_rational(x) for job, slot, x in rows})
+_ENTRIES = (lambda d: {str(j): [machine, frac_str(s), frac_str(e)]
+                       for j, (machine, s, e) in d.items()},
+            lambda d: {int(j): (_int(machine), parse_rational(s), parse_rational(e))
+                       for j, (machine, s, e) in d.items()})
+
+FORMATS = {  # kind -> (class, {field: (encode, decode)})
+    "umps": (UmpsInstance, {
+        "n": _INT, "m": _INT, "lengths": _INT_MAP, "home": _INT_MAP, "dag": _DAG}),
+    "jobshop": (JobShopInstance, {"jobs": _list_of(_ROWS)}),
+    "commdelay": (CommDelayInstance, {
+        "n_total": _INT, "lengths": _INT_MAP, "delays": _DELAYS, "dag": _DAG,
+        "machines": _OPT_INT}),
+    "related_grouped": (GroupedRelatedInstance, {
+        "job_groups": _list_of(_record(JobGroup, {
+            "multiplicity": _INT, "length": _INT, "origin_job": _INT})),
+        "machine_groups": _list_of(_record(MachineGroup, {"multiplicity": _INT, "speed": _INT})),
+        "group_dag": _DAG}),
+    "kpartite": (KPartiteInstance, {
+        "k": _INT, "n": _INT, "layers": _ROWS, "edges": _list_of(_ROWS),
+        "Q": _INT, "eps": _FRAC, "delta": _FRAC}),
+    "schedule": (Schedule, {"entries": _ENTRIES}),
+    "fractional": (FractionalSchedule, {
+        "horizon": _INT, "gamma": _FRAC, "mass": _MASS, "umps_ref": _OBJ}),
+    "commdelay_artifact": (CommDelayReductionArtifact, {
+        "c_infinity": _INT, "dummy_ids": (list, lambda ids: tuple(_ints(ids))),
+        "origin": _INT_MAP, "source": _OBJ, "output": _OBJ}),
+    "related_artifact": (RelatedReductionArtifact, {
+        "kappa": _INT, "kappa_meets_bound": _BOOL, "origin": _INT_MAP,
+        "machine_group_of": _INT_MAP, "source": _OBJ, "output": _OBJ}),
+    "kpartite_certificate": (KPartiteYesCertificate, {
+        "partition": _list_of(_ROWS)}),
+}
+# the one shape outside the table: a "schedule" file with "placements"
+_GROUPED = (GroupedSchedule, {"placements": _list_of(_record(GroupedPlacement, {
+    "group": _INT, "machine_group": _INT, "start": _FRAC, "end": _FRAC,
+    "count": _INT}))})
+_KIND_OF = {cls: (kind, fields) for kind, (cls, fields) in FORMATS.items()}
+_KIND_OF[GroupedSchedule] = ("schedule", _GROUPED[1])
 
 
 def to_obj(value) -> dict:
     """Lower a domain object to its JSON form (adds the "kind" tag)."""
-    if isinstance(value, UmpsInstance):
-        return {
-            "kind": "umps",
-            "n": value.n,
-            "m": value.m,
-            "lengths": {str(j): p for j, p in value.lengths.items()},
-            "home": {str(j): i for j, i in value.home.items()},
-            "dag": _dag_obj(value.dag),
-        }
-    if isinstance(value, JobShopInstance):
-        return {
-            "kind": "jobshop",
-            "jobs": [[[machine, dur] for machine, dur in chain] for chain in value.jobs],
-        }
-    if isinstance(value, CommDelayInstance):
-        return {
-            "kind": "commdelay",
-            "n_total": value.n_total,
-            "lengths": {str(j): p for j, p in value.lengths.items()},
-            "delays": [[u, v, c] for (u, v), c in sorted(value.delays.items())],
-            "dag": _dag_obj(value.dag),
-            "machines": value.machines,
-        }
-    if isinstance(value, GroupedRelatedInstance):
-        return {
-            "kind": "related_grouped",
-            "job_groups": [
-                {"multiplicity": g.multiplicity, "length": g.length, "origin_job": g.origin_job}
-                for g in value.job_groups
-            ],
-            "machine_groups": [
-                {"multiplicity": g.multiplicity, "speed": g.speed}
-                for g in value.machine_groups
-            ],
-            "group_dag": _dag_obj(value.group_dag),
-        }
-    if isinstance(value, KPartiteInstance):
-        return {
-            "kind": "kpartite",
-            "k": value.k,
-            "n": value.n,
-            "layers": [list(layer) for layer in value.layers],
-            "edges": [[list(e) for e in layer_edges] for layer_edges in value.edges],
-            "Q": value.Q,
-            "eps": frac_str(value.eps),
-            "delta": frac_str(value.delta),
-        }
-    if isinstance(value, Schedule):
-        return {
-            "kind": "schedule",
-            "entries": {
-                str(j): [machine, frac_str(s), frac_str(e)]
-                for j, (machine, s, e) in value.entries.items()
-            },
-        }
-    if isinstance(value, GroupedSchedule):
-        return {
-            "kind": "schedule",
-            "placements": [
-                {
-                    "group": pl.group,
-                    "machine_group": pl.machine_group,
-                    "start": frac_str(pl.start),
-                    "end": frac_str(pl.end),
-                    "count": pl.count,
-                }
-                for pl in value.placements
-            ],
-        }
-    if isinstance(value, FractionalSchedule):
-        return {
-            "kind": "fractional",
-            "horizon": value.horizon,
-            "gamma": frac_str(value.gamma),
-            "mass": [
-                [job, slot, frac_str(x)] for (job, slot), x in sorted(value.mass.items())
-            ],
-            "umps_ref": to_obj(value.umps_ref),
-        }
-    if isinstance(value, CommDelayReductionArtifact):
-        return {
-            "kind": "commdelay_artifact",
-            "c_infinity": value.c_infinity,
-            "dummy_ids": list(value.dummy_ids),
-            "origin": {str(j): o for j, o in value.origin.items()},
-            "source": to_obj(value.source),
-            "output": to_obj(value.output),
-        }
-    if isinstance(value, RelatedReductionArtifact):
-        return {
-            "kind": "related_artifact",
-            "kappa": value.kappa,
-            "kappa_meets_bound": value.kappa_meets_bound,
-            "origin": {str(g): j for g, j in value.origin.items()},
-            "machine_group_of": {str(i): g for i, g in value.machine_group_of.items()},
-            "source": to_obj(value.source),
-            "output": to_obj(value.output),
-        }
-    if isinstance(value, KPartiteYesCertificate):
-        return {
-            "kind": "kpartite_certificate",
-            "partition": [[list(cell) for cell in layer] for layer in value.partition],
-        }
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    try:
+        kind, fields = _KIND_OF[type(value)]
+    except KeyError:
+        raise TypeError(f"cannot serialize {type(value).__name__}") from None
+    obj = _encode(value, fields)
+    obj["kind"] = kind
+    return obj
 
 
 def from_obj(obj):
     """Raise a domain object from its JSON form, dispatching on "kind"."""
     kind = obj.get("kind")
-    if kind == "umps":
-        return UmpsInstance(
-            n=obj["n"],
-            m=obj["m"],
-            lengths={int(j): p for j, p in obj["lengths"].items()},
-            home={int(j): i for j, i in obj["home"].items()},
-            dag=_dag_from(obj["dag"]),
-        )
-    if kind == "jobshop":
-        return JobShopInstance(
-            jobs=tuple(tuple((m, d) for m, d in chain) for chain in obj["jobs"])
-        )
-    if kind == "commdelay":
-        return CommDelayInstance(
-            n_total=obj["n_total"],
-            lengths={int(j): p for j, p in obj["lengths"].items()},
-            delays={(u, v): c for u, v, c in obj["delays"]},
-            dag=_dag_from(obj["dag"]),
-            machines=obj["machines"],
-        )
-    if kind == "related_grouped":
-        return GroupedRelatedInstance(
-            job_groups=tuple(
-                JobGroup(g["multiplicity"], g["length"], g["origin_job"])
-                for g in obj["job_groups"]
-            ),
-            machine_groups=tuple(
-                MachineGroup(g["multiplicity"], g["speed"]) for g in obj["machine_groups"]
-            ),
-            group_dag=_dag_from(obj["group_dag"]),
-        )
-    if kind == "kpartite":
-        return KPartiteInstance(
-            k=obj["k"],
-            n=obj["n"],
-            layers=tuple(tuple(layer) for layer in obj["layers"]),
-            edges=tuple(tuple(tuple(e) for e in layer_edges) for layer_edges in obj["edges"]),
-            Q=obj["Q"],
-            eps=parse_rational(obj["eps"]),
-            delta=parse_rational(obj["delta"]),
-        )
-    if kind == "schedule":
-        if "placements" in obj:
-            return GroupedSchedule(
-                placements=tuple(
-                    GroupedPlacement(
-                        group=pl["group"],
-                        machine_group=pl["machine_group"],
-                        start=parse_rational(pl["start"]),
-                        end=parse_rational(pl["end"]),
-                        count=pl["count"],
-                    )
-                    for pl in obj["placements"]
-                )
-            )
-        return Schedule(
-            entries={
-                int(j): (machine, parse_rational(s), parse_rational(e))
-                for j, (machine, s, e) in obj["entries"].items()
-            }
-        )
-    if kind == "fractional":
-        return FractionalSchedule(
-            horizon=obj["horizon"],
-            mass={(job, slot): parse_rational(x) for job, slot, x in obj["mass"]},
-            gamma=parse_rational(obj["gamma"]),
-            umps_ref=from_obj(obj["umps_ref"]),
-        )
-    if kind == "commdelay_artifact":
-        return CommDelayReductionArtifact(
-            output=from_obj(obj["output"]),
-            c_infinity=obj["c_infinity"],
-            dummy_ids=tuple(obj["dummy_ids"]),
-            origin={int(j): o for j, o in obj["origin"].items()},
-            source=from_obj(obj["source"]),
-        )
-    if kind == "related_artifact":
-        return RelatedReductionArtifact(
-            output=from_obj(obj["output"]),
-            kappa=obj["kappa"],
-            origin={int(g): j for g, j in obj["origin"].items()},
-            machine_group_of={int(i): g for i, g in obj["machine_group_of"].items()},
-            kappa_meets_bound=obj["kappa_meets_bound"],
-            source=from_obj(obj["source"]),
-        )
-    if kind == "kpartite_certificate":
-        return KPartiteYesCertificate(
-            partition=tuple(
-                tuple(tuple(cell) for cell in layer) for layer in obj["partition"]
-            )
-        )
-    raise ValueError(f"unknown kind {kind!r}")
+    if kind == "schedule" and "placements" in obj:
+        return _decode(obj, *_GROUPED)
+    try:
+        cls, fields = FORMATS[kind]
+    except KeyError:
+        raise ValueError(f"unknown kind {kind!r}") from None
+    return _decode(obj, cls, fields)
 
 
 # ---------------------------------------------------------------------------

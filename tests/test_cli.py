@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import make_sample8
 from schedreduce import (
     cli,
     forward_map_related,
@@ -22,7 +23,14 @@ from schedreduce import (
     umps_to_commdelay,
     umps_to_related,
 )
-from schedreduce.serialize import read_file, read_obj, sidecar_path, to_obj, write_file
+from schedreduce.serialize import (
+    FORMATS,
+    read_file,
+    read_obj,
+    sidecar_path,
+    to_obj,
+    write_file,
+)
 
 
 def run(*argv):
@@ -263,14 +271,42 @@ def _umps_with_edge(edge_text):
             f'"dag": {{"node_count": 3, "edges": [{edge_text}]}}}}')
 
 
+def _with(obj, path, value):
+    """The JSON text of ``obj`` with the value at ``path`` replaced."""
+    obj = json.loads(json.dumps(obj))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return json.dumps(obj)
+
+
+# strings and booleans where the format has an integer: the constructors
+# would int()-coerce them, and bool is an int subclass
+UMPS3 = json.loads(_umps_with_edge("[1, 2]"))
+COMMDELAY2 = json.loads(FLOAT_DELAY_COMMDELAY)
+STRICT_INT_CASES = {
+    "str-machine": _schedule_text(["1", "0", "1"]),
+    "bool-machine": _schedule_text([True, "0", "1"]),
+    "str-edge": _umps_with_edge('["1", 2]'),
+    "bool-length": _with(UMPS3, ("lengths", "2"), True),
+    "bool-home": _with(UMPS3, ("home", "3"), True),
+    "str-delay": _with(COMMDELAY2, ("delays", 0), [1, 2, "3"]),
+    "str-operation": json.dumps({"kind": "jobshop", "jobs": [[["1", "2"]]]}),
+    "int-kappa-flag": _with(to_obj(umps_to_related(make_sample8(), kappa_override=2)),
+                            ("kappa_meets_bound",), 1),
+}
+
+
 @pytest.mark.parametrize("text", [
     '{"kind": "umps"}', "[1, 2]", CYCLIC_UMPS,
     _schedule_text([1, "1/0", "1"]), _schedule_text([1, "a/b", "1"]),
     _schedule_text([1, "0"]), '{"kind": "umps",', FLOAT_HOME_UMPS, FLOAT_COUNT_COMMDELAY,
     _umps_with_edge("[2.9, 3]"), _umps_with_edge("[Infinity, 3]"), FLOAT_DELAY_COMMDELAY,
+    *STRICT_INT_CASES.values(),
 ], ids=["missing-field", "list", "cycle", "zero-denominator", "bad-rational",
         "short-entry", "not-json", "float-home", "float-machine-count",
-        "float-edge", "infinity-edge", "float-delay"])
+        "float-edge", "infinity-edge", "float-delay", *STRICT_INT_CASES])
 def test_malformed_file_is_usage_error_without_traceback(tmp_path, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -362,9 +398,16 @@ def _at(obj, path):
     return obj
 
 
-@pytest.mark.parametrize("kind", ["umps", "schedule", "commdelay", "commdelay_artifact",
-                                  "related_grouped", "grouped_schedule", "related_artifact",
-                                  "fractional", "jobshop", "kpartite", "kpartite_certificate"])
+FUZZ_KINDS = ["umps", "schedule", "commdelay", "commdelay_artifact", "related_grouped",
+              "grouped_schedule", "related_artifact", "fractional", "jobshop", "kpartite",
+              "kpartite_certificate"]
+
+
+def test_fuzzer_covers_every_kind_in_the_codec_table():
+    assert sorted(FUZZ_KINDS) == sorted([*FORMATS, "grouped_schedule"])
+
+
+@pytest.mark.parametrize("kind", FUZZ_KINDS)
 def test_mutated_files_exit_cleanly(tmp_path, sample8, kind):
     sched = solve_umps_exact(sample8).schedule
     related = umps_to_related(sample8, kappa_override=2)

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 from fractions import Fraction
 
@@ -142,6 +144,59 @@ def test_fractional_round_trip():
 def test_reduction_artifacts_round_trip(sample8):
     for art in (umps_to_commdelay(sample8), umps_to_related(sample8, kappa_override=2)):
         roundtrip(art)
+
+
+def _pinned_values(sample8):
+    """One fixed value of every shape the codec writes: the values the
+    round-trip tests above build."""
+    kpartite, cert = gen_kpartite_yes(6, 3, seed=8)
+    small = gen_random_umps(4, 2, F(1, 3), seed=6)
+    commdelay = umps_to_commdelay(sample8).output
+    return {
+        "umps": sample8,
+        "jobshop": gen_jobshop(3, 2, 3, seed=4),
+        "commdelay": commdelay,
+        "commdelay_machines": dataclasses.replace(commdelay, machines=3),
+        "related_grouped": umps_to_related(sample8, kappa_override=2).output,
+        "kpartite": kpartite,
+        "kpartite_certificate": cert,
+        "schedule": Schedule(entries={1: (1, F(0), F(1, 2)), 2: (2, F(1, 2), F(3, 2))}),
+        "grouped_schedule": GroupedSchedule(placements=(
+            GroupedPlacement(group=1, machine_group=1, start=F(0), end=F(1), count=2),
+            GroupedPlacement(group=2, machine_group=2, start=F(1), end=F(2), count=1),
+        )),
+        "fractional": gen_fractional(small, solve_umps_exact(small).schedule,
+                                     F(1, 160), F(1, 2), seed=6),
+        "commdelay_artifact": umps_to_commdelay(sample8),
+        "related_artifact": umps_to_related(sample8, kappa_override=2),
+    }
+
+
+# sha256 of dump_canonical(to_obj(value)) for each pinned value: a field
+# renamed on both the write and the read side still round-trips, but
+# changes these bytes
+PINNED_SHA256 = {
+    "umps": "9f0850d0628b1c13393f3234ee30d94534071e73a610b3a2c71858029c6612bd",
+    "jobshop": "53a3a046e472b882d033b6b27b16212a98ef584a10782dfee1f3ea19fa750b8a",
+    "commdelay": "62598e9528c3e9c2bbda0dae22d47ceef2abc925fe78221195fe6a1eed3410a4",
+    "commdelay_machines": "8ef84d494121a8c652fb0b696769e2ae8feae7f1c02fe0df8bde0d68551e8076",
+    "related_grouped": "8b557818b59ddf61cc95522963fca4c3edd636bed7314976d8a4c0f971d88c09",
+    "kpartite": "ae09c3d8a8d9acb64a8e274f90c815453737331ab5bd7cc73aa1355542e313af",
+    "kpartite_certificate": "5e93378665e1cd879a5acc4f3e7b293b6f8bb3011841fa536d10a39859f2ca28",
+    "schedule": "236eb87773fe558006cf9494595112ce7eb5eb80ad01280f5cb0e2422689bf33",
+    "grouped_schedule": "359b1f3029dfc28b27d04f0f43713f6439992ba6de54f0d43b531c9db349c25e",
+    "fractional": "7010241a9798cf69c0356ddf8a83a1e13e36dc3738baba4ee858d84464e82652",
+    "commdelay_artifact": "4301a24203a2dceb2aa46fc4010ac4771dd903f65ab31f4f860a758e2ba895a2",
+    "related_artifact": "0aba9fd3a1ab1044dc9659a02f6ee7bfe12e2530893217b3b1c05e6d9a69c33e",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PINNED_SHA256))
+def test_canonical_bytes_pinned_per_shape(sample8, shape):
+    value = _pinned_values(sample8)[shape]
+    text = dump_canonical(to_obj(value))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_SHA256[shape]
+    assert from_obj(json.loads(text)) == value
 
 
 # ---------------------------------------------------------------------------
