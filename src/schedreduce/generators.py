@@ -9,6 +9,8 @@ identical inputs produce bit-identical instances on any platform.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, islice
+from math import lcm
 
 from .errors import DivisibilityError
 from .model import (
@@ -38,13 +40,9 @@ def gen_layered_umps(layers: int, per_layer: int, edge_prob, seed: int) -> UmpsI
         raise ValueError("need layers >= 1 and per_layer >= 1")
     prob = as_fraction(edge_prob)
     n = m * w
-    rng = Stream(seed, "edges")
-    edges = []
-    for i in range(1, m):
-        for a in range(1, w + 1):
-            for b in range(1, w + 1):
-                if rng.bernoulli(prob):
-                    edges.append(((i - 1) * w + a, i * w + b))
+    pairs = [((i - 1) * w + a, i * w + b)
+             for i in range(1, m) for a in range(1, w + 1) for b in range(1, w + 1)]
+    edges = list(compress(pairs, Stream(seed, "edges").bernoullis(prob, len(pairs))))
     return UmpsInstance(
         n=n,
         m=m,
@@ -58,21 +56,16 @@ def gen_random_umps(n: int, m: int, edge_prob, seed: int, max_length: int = 1) -
     """Random instance: homes uniform over [m] ("homes" stream), each
     index-increasing pair (u, v) an edge with ``edge_prob`` ("edges"
     stream, (u, v) order), lengths uniform in [1, max_length] ("lengths"
-    stream).  Acyclic by construction."""
+    stream; at max_length 1 it is not drawn, as every length is 1 whatever
+    the word).  Acyclic by construction."""
     if n < 1 or m < 1 or max_length < 1:
         raise ValueError("need n, m, max_length >= 1")
     prob = as_fraction(edge_prob)
-    homes_rng = Stream(seed, "homes")
-    home = {j: homes_rng.randint(1, m) for j in range(1, n + 1)}
-    edges_rng = Stream(seed, "edges")
-    edges = [
-        (u, v)
-        for u in range(1, n + 1)
-        for v in range(u + 1, n + 1)
-        if edges_rng.bernoulli(prob)
-    ]
-    lengths_rng = Stream(seed, "lengths")
-    lengths = {j: lengths_rng.randint(1, max_length) for j in range(1, n + 1)}
+    jobs = range(1, n + 1)
+    home = dict(zip(jobs, Stream(seed, "homes").randints(1, m, n)))
+    pairs = [(u, v) for u in jobs for v in range(u + 1, n + 1)]
+    edges = list(compress(pairs, Stream(seed, "edges").bernoullis(prob, len(pairs))))
+    lengths = dict(zip(jobs, Stream(seed, "lengths").randints(1, max_length, n)))
     return UmpsInstance(n=n, m=m, lengths=lengths, home=home, dag=PrecedenceDag(n, tuple(edges)))
 
 
@@ -82,13 +75,10 @@ def gen_jobshop(jobs: int, machines: int, ops_per_job: int, seed: int) -> JobSho
     uniform in [1, 4] ("durations" stream), drawn job-major."""
     if jobs < 1 or machines < 1 or ops_per_job < 1:
         raise ValueError("need jobs, machines, ops_per_job >= 1")
-    m_rng = Stream(seed, "machines")
-    d_rng = Stream(seed, "durations")
-    chains = []
-    for _ in range(jobs):
-        chains.append(
-            tuple((m_rng.randint(1, machines), d_rng.randint(1, 4)) for _ in range(ops_per_job))
-        )
+    count = jobs * ops_per_job
+    ops = list(zip(Stream(seed, "machines").randints(1, machines, count),
+                   Stream(seed, "durations").randints(1, 4, count)))
+    chains = (tuple(ops[k:k + ops_per_job]) for k in range(0, count, ops_per_job))
     return JobShopInstance(jobs=tuple(chains))
 
 
@@ -118,18 +108,11 @@ def gen_kpartite_yes(n: int, k: int, seed: int):
     for i in range(1, k + 1):
         layer = range((i - 1) * n + 1, i * n + 1)
         partition.append(tuple(_cells_for_layer(layer, q, cells_rng)))
-    edges_rng = Stream(seed, "edges")
-    half = Fraction(1, 2)
-    all_edges = []
-    for i in range(k - 1):
-        layer_edges = []
-        for j1 in range(q):
-            for j2 in range(j1, q):
-                for u in partition[i][j1]:
-                    for v in partition[i + 1][j2]:
-                        if edges_rng.bernoulli(half):
-                            layer_edges.append((u, v))
-        all_edges.append(tuple(sorted(layer_edges)))
+    pairs = [[(u, v) for j1 in range(q) for j2 in range(j1, q)
+              for u in partition[i][j1] for v in partition[i + 1][j2]]
+             for i in range(k - 1)]
+    hits = iter(Stream(seed, "edges").bernoullis(Fraction(1, 2), sum(map(len, pairs))))
+    all_edges = [tuple(sorted(compress(layer, islice(hits, len(layer))))) for layer in pairs]
     inst = KPartiteInstance(
         k=k,
         n=n,
@@ -151,16 +134,11 @@ def gen_kpartite_dense(n: int, k: int, density, seed: int) -> KPartiteInstance:
     if k < 1 or n < 1:
         raise ValueError("need n, k >= 1")
     prob = as_fraction(density)
-    rng = Stream(seed, "edges")
-    all_edges = []
-    for i in range(1, k):
-        layer_edges = [
-            (u, v)
-            for u in range((i - 1) * n + 1, i * n + 1)
-            for v in range(i * n + 1, (i + 1) * n + 1)
-            if rng.bernoulli(prob)
-        ]
-        all_edges.append(tuple(layer_edges))
+    pairs = [[(u, v) for u in range((i - 1) * n + 1, i * n + 1)
+              for v in range(i * n + 1, (i + 1) * n + 1)]
+             for i in range(1, k)]
+    hits = iter(Stream(seed, "edges").bernoullis(prob, sum(map(len, pairs))))
+    all_edges = [tuple(compress(layer, islice(hits, len(layer)))) for layer in pairs]
     return KPartiteInstance(
         k=k,
         n=n,
@@ -172,7 +150,7 @@ def gen_kpartite_dense(n: int, k: int, density, seed: int) -> KPartiteInstance:
     )
 
 
-_SPLIT_FRACTIONS = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 3))
+_SPLIT_TWELFTHS = (6, 4, 3, 8)  # 1/2, 1/3, 1/4 and 2/3 of a slot
 
 
 def gen_fractional(
@@ -187,7 +165,9 @@ def gen_fractional(
     (slot and fraction chosen by further "split" draws); jobs with no
     admissible slot are simply left integral.  Afterwards each job loses
     gamma * j / (2n) mass from its first slot on a "delete" coin flip.
-    The result is re-validated on construction.
+    Masses and loads are kept as integers in units of 1 / lcm(24, 2n *
+    denominator(gamma)), which holds every split (twelfths of a slot) and
+    every deletion exactly.  The result is re-validated on construction.
     """
     gamma = as_fraction(gamma)
     split_prob = as_fraction(split_prob)
@@ -206,37 +186,44 @@ def gen_fractional(
             raise ValueError("input schedule must be slot-aligned")
         slot_of[job] = int(start) + 1
 
+    n = inst.n
+    one = lcm(24, 2 * n * gamma.denominator)
+    splits = [one // 12 * t for t in _SPLIT_TWELFTHS]
     succ = inst.dag.successors()
-    mass = {(j, slot_of[j]): Fraction(1) for j in range(1, inst.n + 1)}
+    mass = {(j, slot_of[j]): one for j in range(1, n + 1)}
     load = {}
     for j, s in slot_of.items():
-        load[(inst.home[j], s)] = load.get((inst.home[j], s), Fraction(0)) + 1
+        load[(inst.home[j], s)] = load.get((inst.home[j], s), 0) + one
 
     rng = Stream(seed, "split")
-    for j in range(1, inst.n + 1):
+    for j in range(1, n + 1):
         if not rng.bernoulli(split_prob):
             continue
         limit = min((slot_of[v] for v in succ[j]), default=horizon + 1)
         home = inst.home[j]
         slots = [
             t for t in range(slot_of[j] + 1, min(limit, horizon + 1))
-            if load.get((home, t), Fraction(0)) < 1
+            if load.get((home, t), 0) < one
         ]
         if not slots:
             continue  # nothing admissible: leave the job integral
         target = slots[rng.randrange(len(slots))]
-        slack = 1 - load.get((home, target), Fraction(0))
-        choices = [f for f in _SPLIT_FRACTIONS if f <= slack]
+        slack = one - load.get((home, target), 0)
+        choices = [y for y in splits if y <= slack]
         y = choices[rng.randrange(len(choices))] if choices else slack
         mass[(j, slot_of[j])] -= y
         mass[(j, target)] = y
         load[(home, slot_of[j])] -= y
-        load[(home, target)] = load.get((home, target), Fraction(0)) + y
+        load[(home, target)] = load.get((home, target), 0) + y
 
-    del_rng = Stream(seed, "delete")
-    for j in range(1, inst.n + 1):
-        if gamma > 0 and del_rng.bernoulli(Fraction(1, 2)):
-            amount = min(gamma * Fraction(j, 2 * inst.n), mass[(j, slot_of[j])] / 2)
-            mass[(j, slot_of[j])] -= amount
+    if gamma > 0:
+        # gamma * j / (2n) of a slot, in units
+        step = gamma.numerator * (one // (2 * n * gamma.denominator))
+        coins = Stream(seed, "delete").bernoullis(Fraction(1, 2), n)
+        for j, coin in zip(range(1, n + 1), coins):
+            if coin:
+                first = (j, slot_of[j])
+                mass[first] -= min(step * j, mass[first] // 2)
 
+    mass = {key: Fraction(x, one) for key, x in mass.items()}
     return FractionalSchedule(horizon=horizon, mass=mass, gamma=gamma, umps_ref=inst)

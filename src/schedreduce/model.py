@@ -24,6 +24,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Union
 
 from .errors import (
@@ -60,8 +61,16 @@ class PrecedenceDag:
     edges: tuple = ()
 
     def __post_init__(self):
+        # endpoints that are all ints (by type, so not bools) need no int()
+        rows = tuple(self.edges)
+        try:
+            edges = [(u, v) for u, v in rows]
+        except (TypeError, ValueError):
+            edges = None  # a malformed row: the conversion below raises
+        if edges is None or not set(map(type, chain.from_iterable(edges))) <= {int}:
+            edges = [(int(u), int(v)) for u, v in rows]
         # stored sorted so equal edge sets compare (and serialize) equal
-        edges = tuple(sorted((int(u), int(v)) for u, v in self.edges))
+        edges = tuple(sorted(edges))
         object.__setattr__(self, "edges", edges)
         n = self.node_count
         if n < 0:
@@ -154,12 +163,17 @@ class UmpsInstance:
         jobs = set(range(1, self.n + 1))
         if set(self.lengths) != jobs or set(self.home) != jobs:
             raise ValueError("lengths and home must cover exactly jobs 1..n")
-        for l, p in self.lengths.items():
-            if not isinstance(p, int) or p < 1:
-                raise ValueError(f"job {l}: length {p} must be a positive integer")
-        for l, i in self.home.items():
-            if not isinstance(i, int) or not 1 <= i <= self.m:
-                raise ValueError(f"job {l}: home machine {i} must be an integer in 1..{self.m}")
+        lengths, homes = self.lengths.values(), self.home.values()
+        # one type pass and min/max; the per-job loops only name the culprit
+        if not ({*map(type, lengths), *map(type, homes)} == {int}
+                and min(lengths) >= 1 and 1 <= min(homes) and max(homes) <= self.m):
+            for l, p in self.lengths.items():
+                if not isinstance(p, int) or p < 1:
+                    raise ValueError(f"job {l}: length {p} must be a positive integer")
+            for l, i in self.home.items():
+                if not isinstance(i, int) or not 1 <= i <= self.m:
+                    raise ValueError(
+                        f"job {l}: home machine {i} must be an integer in 1..{self.m}")
         if self.dag.node_count != self.n:
             raise ValueError("dag node count must equal the job count")
 

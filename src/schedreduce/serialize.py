@@ -16,8 +16,9 @@ fields are ignored.  Integers are strict: where the format has an
 integer, a string or a boolean is an error, never coerced.
 
 Reduction artifacts and certificates are written the same way, as
-self-contained sidecar files (source and output instances embedded), so
-the backward maps never recompute the reduction.
+self-contained sidecar files (source and output instances embedded).  No
+command reads a reduction artifact back (``roundtrip`` recomputes the
+reduction); the k-partite certificate is the one sidecar that is read.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from schedreduce import (
     validate_certificate,
     window_table,
 )
+from schedreduce.serialize import dump_canonical, to_obj
 from conftest import is_layered
 
 F = Fraction
@@ -185,3 +187,60 @@ def test_fractional_splits_do_occur_somewhere():
         if len(fs.mass) > inst.n:
             hits += 1
     assert hits >= 10  # the family genuinely produces fractional cases
+
+
+# ---------------------------------------------------------------------------
+# byte pins: the sha256 of each generator's canonical output over three
+# seeds, so any change to a draw, its order or its mapping shows here
+
+PIN_SEEDS = (0, 7, 2**64 - 3)
+
+
+def _random(p, length):
+    return lambda seed: [gen_random_umps(12, 3, F(p), seed, max_length=length)]
+
+
+def _fractional(gamma):
+    def make(seed):
+        inst = gen_random_umps(16, 4, F(1, 8), seed)
+        g = F(1, 10 * inst.n**2) if gamma is None else gamma
+        return [gen_fractional(inst, solve_umps_exact(inst).schedule, g, F(1, 2), seed)]
+    return make
+
+
+GENERATOR_CASES = {
+    **{f"random_p{p}_L{length}": _random(p, length)
+       for p in ("0", "1/3", "1") for length in (1, 3)},
+    "layered": lambda seed: [gen_layered_umps(3, 4, F(1, 2), seed)],
+    "jobshop": lambda seed: [gen_jobshop(4, 3, 3, seed)],
+    "kpartite_dense": lambda seed: [gen_kpartite_dense(4, 3, F(1, 2), seed)],
+    "kpartite_yes": lambda seed: list(gen_kpartite_yes(6, 3, seed)),  # instance, certificate
+    "fractional_gamma_1/(10n^2)": _fractional(None),
+    "fractional_gamma_9/10": _fractional(F(9, 10)),  # some deletions take half the mass
+    "fractional_gamma_0": _fractional(F(0)),
+}
+
+GENERATOR_PINS = {
+    "fractional_gamma_0": "0a31b166936891e9e02e4496c24a3b28b26270eef6cadbbc0c12c31a404a531a",
+    "fractional_gamma_9/10": "1f905b81cb842a5b65e1e91a14e287ced1d563944af5601595532125507d8720",
+    "fractional_gamma_1/(10n^2)": "191451c6fead708ccfa6346a180c294cd73790814f4bee866ba35e28534e8653",
+    "jobshop": "35d72e0ab4377c8ed6e69a1363adf87429f49aff6cecf91a535138f68c9e3993",
+    "kpartite_dense": "9d4c0693a717e932d9b7839f89f471a345ef6e2d4b721f50b6c87a76db85b63e",
+    "kpartite_yes": "3d667ef7b51e80c0f9048d31e5b254a9d7403a25e49b315f1645426c1c8040cc",
+    "layered": "18de747c630fd00aee597756743305bbb5dcd1036ced9ca31a16eb77f0451253",
+    "random_p0_L1": "0629228f0ba5e57a4ffabf975651f1a4c82d1805db769eea75d7e67afc4f68f3",
+    "random_p0_L3": "629b82f9b28729711fc900a88da70a5aef148b019cf8f4a16d6bd038425de51e",
+    "random_p1/3_L1": "fee91e70738795bebc3459e89f244494f346e46b94f1d36b01e93e3177923b4c",
+    "random_p1/3_L3": "ff22deae36bc4adff942bb29b70fccfac44400433056a3dabb62065ca4cfa893",
+    "random_p1_L1": "a81ea83f0a83fbccfbf9d64600995dee5259cf8ec58b8929e6a319b126011711",
+    "random_p1_L3": "b6f62721343c5d74bd8eb2ba78958a2ca2861ea48f367876e3e7418cddbecf30",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GENERATOR_CASES))
+def test_generator_output_is_pinned(case):
+    h = hashlib.sha256()
+    for seed in PIN_SEEDS:
+        for value in GENERATOR_CASES[case](seed):
+            h.update(dump_canonical(to_obj(value)).encode())
+    assert h.hexdigest() == GENERATOR_PINS[case]

@@ -6,13 +6,27 @@ from hypothesis import given, strategies as st
 from schedreduce.rng import Stream, fnv1a64
 
 SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
+LABELS = st.sampled_from(["", "edges", "homes", "lengths"]) | st.text(max_size=8)
+COUNTS = st.integers(0, 40) | st.integers(0, 300)  # both sides of the lane cut-over
+
+
+def reference_words(seed, label, count):
+    """SplitMix64 as published, one word at a time."""
+    mask = 2**64 - 1
+    state = (seed ^ fnv1a64(label)) & mask
+    out = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+        out.append(z ^ (z >> 31))
+    return out
 
 
 def test_known_vector_matches_reference_splitmix64():
     # seeding with fnv1a64("") cancels the empty-label offset, so the
     # internal state starts at 0: the published seed-0 output sequence.
-    s = Stream(fnv1a64(""), "")
-    assert [s.next_u64() for _ in range(5)] == [
+    assert Stream(fnv1a64(""), "").words(5) == [
         0xE220A8397B1DCDAF,
         0x6E789E6AA1B965F4,
         0x06C45D188009454F,
@@ -25,13 +39,13 @@ def test_known_vector_matches_reference_splitmix64():
 def test_streams_are_reproducible(seed):
     a = Stream(seed, "edges")
     b = Stream(seed, "edges")
-    assert [a.next_u64() for _ in range(4)] == [b.next_u64() for _ in range(4)]
+    assert a.words(4) == b.words(4)
 
 
 def test_labels_split_streams():
     a = Stream(12345, "edges")
     b = Stream(12345, "homes")
-    assert [a.next_u64() for _ in range(4)] != [b.next_u64() for _ in range(4)]
+    assert a.words(4) != b.words(4)
 
 
 @given(SEEDS, st.integers(min_value=1, max_value=1000))
@@ -71,7 +85,7 @@ def test_bernoulli_rejects_out_of_range():
 @given(SEEDS, st.integers(0, 64), st.integers(1, 64))
 def test_bernoulli_is_the_exact_test_for_any_spelling(seed, num, den):
     prob = Fraction(min(num, den), den)
-    u = Stream(seed, "b").next_u64()
+    u = Stream(seed, "b").words(1)[0]
     expected = u * prob.denominator < prob.numerator << 64
     for spelling in (prob, str(prob)):
         assert Stream(seed, "b").bernoulli(spelling) == expected
@@ -93,3 +107,58 @@ def test_shuffle_depends_on_seed():
 @given(st.text(max_size=40))
 def test_fnv1a64_is_64_bit(text):
     assert 0 <= fnv1a64(text) < 2**64
+
+
+# ---------------------------------------------------------------------------
+# block draws
+
+
+@given(SEEDS, LABELS, COUNTS)
+def test_word_block_equals_single_words_and_leaves_the_same_state(seed, label, count):
+    block, single = Stream(seed, label), Stream(seed, label)
+    assert block.words(count) == [single.words(1)[0] for _ in range(count)]
+    assert block.words(count) == reference_words(seed, label, 2 * count)[count:]
+    assert block.words(3) == single.words(count + 3)[count:]
+
+
+@given(SEEDS, LABELS, COUNTS, st.integers(-5, 5), st.integers(-1, 70))
+def test_randint_block_equals_single_draws(seed, label, count, lo, width):
+    hi = lo + width
+    block, single = Stream(seed, label), Stream(seed, label)
+    if hi < lo:
+        with pytest.raises(ValueError, match=rf"empty range \[{lo}, {hi}\]"):
+            block.randints(lo, hi, count)
+        with pytest.raises(ValueError, match=rf"empty range \[{lo}, {hi}\]"):
+            single.randint(lo, hi)
+        return
+    drawn = block.randints(lo, hi, count)
+    assert drawn == [single.randint(lo, hi) for _ in range(count)]
+    assert drawn == [lo + (w * (width + 1) >> 64) for w in reference_words(seed, label, count)]
+    assert block.words(2) == single.words(2)
+
+
+@given(SEEDS, LABELS, COUNTS, st.integers(-2, 66), st.integers(1, 64))
+def test_bernoulli_block_equals_single_draws(seed, label, count, num, den):
+    prob = Fraction(num, den)
+    block, single = Stream(seed, label), Stream(seed, label)
+    if not 0 <= prob <= 1:
+        for draw in (lambda: block.bernoullis(prob, count), lambda: single.bernoulli(prob)):
+            with pytest.raises(ValueError, match=f"probability {prob} outside"):
+                draw()
+        return
+    drawn = block.bernoullis(prob, count)
+    assert drawn == [single.bernoulli(prob) for _ in range(count)]
+    limit = prob.numerator << 64
+    assert drawn == [w * prob.denominator < limit for w in reference_words(seed, label, count)]
+    assert block.words(2) == single.words(2)
+
+
+@given(SEEDS, st.integers(0, 30))
+def test_shuffle_takes_its_words_in_one_block(seed, size):
+    items = list(range(size))
+    for i, w in zip(range(size - 1, 0, -1), reference_words(seed, "s", size - 1)):
+        j = (w * (i + 1)) >> 64
+        items[i], items[j] = items[j], items[i]
+    stream = Stream(seed, "s")
+    assert stream.shuffle(list(range(size))) == items
+    assert stream.words(1) == reference_words(seed, "s", max(size - 1, 0) + 1)[-1:]
