@@ -9,11 +9,27 @@ tuples, str, int, bool and None.  Identical objects therefore always
 produce byte-identical files, and instances round-trip exactly:
 read(write(x)) == x.
 
+The writer hands the two shapes that make up most of the bytes to the
+stdlib's C encoder, with its item separator set to the line break and
+indent: a row block (a non-empty list of non-empty lists of only ints
+and strs, such as dag edges, delays and fractional masses) and a leaf
+dict of at least 16 items (str keys, int or str values, such as the
+lengths and homes of a larger instance).  The C encoder escapes strings,
+writes ints and sorts keys as the writer does; a row block's row
+boundaries are then re-indented by one replacement of ``"],"`` plus the
+separator plus ``"["``.  That pattern holds a line break, and an encoded
+string never does, so it matches only between rows.  Every other value
+is written in Python.
+
 Each kind is declared once, in ``FORMATS``: its class and, per field, an
 (encode, decode) pair.  ``to_obj`` and ``from_obj`` walk the same field
 list, and a decoder reads only the fields its kind declares, so extra
 fields are ignored.  Integers are strict: where the format has an
-integer, a string or a boolean is an error, never coerced.
+integer, a string or a boolean is an error, never coerced, and a map
+key must be a canonical decimal integer (``"1"``, never ``"01"``).
+Rational texts are read through one bounded table shared by every read,
+so a text read again costs one dict lookup and gives the same
+``Fraction``.
 
 Reduction artifacts and certificates are written the same way, as
 self-contained sidecar files (source and output instances embedded).  No
@@ -27,6 +43,7 @@ import json
 import re
 from fractions import Fraction
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import CycleDetected
@@ -51,11 +68,12 @@ from .reductions import (
 from .rounding import FractionalSchedule
 
 
+_EXACT = frozenset({int, Fraction})
+
+
 def frac_str(value) -> str:
-    if type(value) is int:
-        return str(value)
-    f = value if type(value) is Fraction else Fraction(value)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    # str of a Fraction is "p/q" in lowest terms, or "p" when q is 1
+    return str(value if type(value) in _EXACT else Fraction(value))
 
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -69,6 +87,26 @@ def parse_rational(text) -> Fraction:
         return Fraction(text)
     num, den = match.groups()
     return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
+
+
+class _RationalTable(dict):
+    """Rational texts read so far, each with its ``Fraction``; a miss
+    parses with ``parse_rational``.  Only str keys are kept, and the table
+    is emptied when it is full, so it stays bounded."""
+
+    __slots__ = ()
+    SIZE = 4096
+
+    def __missing__(self, text):
+        value = parse_rational(text)
+        if type(text) is str:
+            if len(self) >= self.SIZE:
+                self.clear()
+            self[text] = value
+        return value
+
+
+_rational = _RationalTable().__getitem__
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +131,16 @@ def _ints(values, items=_same):
         for value in items(values):
             _int(value)
     return values
+
+
+def _int_keys(obj) -> list:
+    """The keys of ``obj`` as ints; each must be a canonical decimal
+    integer, so no two keys (``"1"`` and ``"01"``) name the same int."""
+    keys = list(map(int, obj))
+    if list(map(str, keys)) != list(obj):
+        bad = next(key for key, k in zip(obj, keys) if key != str(k))
+        raise ValueError(f"key {bad!r} is not a canonical integer")
+    return keys
 
 
 def _bool(value) -> bool:
@@ -120,12 +168,26 @@ def _decode(obj, cls, fields):
     return cls(**{name: decode(obj[name]) for name, (_, decode) in fields.items()})
 
 
+def _read_mass(rows) -> dict:
+    # the jobs and slots are checked once every row has unpacked
+    mass = {(job, slot): _rational(x) for job, slot, x in rows}
+    _ints(rows, lambda rows: chain.from_iterable(map(itemgetter(0, 1), rows)))
+    return mass
+
+
+def _read_entries(obj) -> dict:
+    entries = {j: (machine, _rational(s), _rational(e))
+               for j, (machine, s, e) in zip(_int_keys(obj), obj.values())}
+    _ints(entries.values(), lambda entries: map(itemgetter(0), entries))
+    return entries
+
+
 _INT = (_same, _int)
 _BOOL = (_same, _bool)
 _OPT_INT = (_same, lambda value: None if value is None else _int(value))
 _INT_MAP = (lambda d: {str(k): v for k, v in d.items()},
-            lambda d: {int(k): _int(v) for k, v in d.items()})
-_FRAC = (frac_str, parse_rational)
+            lambda d: dict(zip(_int_keys(d), _ints(d.values()))))
+_FRAC = (frac_str, _rational)
 _OBJ = (lambda value: to_obj(value), lambda obj: from_obj(obj))
 _ROWS = (lambda rows: [list(row) for row in rows],
          lambda rows: _ints(rows, chain.from_iterable))
@@ -133,11 +195,10 @@ _DAG = _record(PrecedenceDag, {"node_count": _INT, "edges": _ROWS})
 _DELAYS = (lambda d: [[u, v, c] for (u, v), c in sorted(d.items())],
            lambda rows: {(u, v): c for u, v, c in _ints(rows, chain.from_iterable)})
 _MASS = (lambda d: [[job, slot, frac_str(x)] for (job, slot), x in sorted(d.items())],
-         lambda rows: {(_int(job), _int(slot)): parse_rational(x) for job, slot, x in rows})
+         _read_mass)
 _ENTRIES = (lambda d: {str(j): [machine, frac_str(s), frac_str(e)]
                        for j, (machine, s, e) in d.items()},
-            lambda d: {int(j): (_int(machine), parse_rational(s), parse_rational(e))
-                       for j, (machine, s, e) in d.items()})
+            _read_entries)
 
 FORMATS = {  # kind -> (class, {field: (encode, decode)})
     "umps": (UmpsInstance, {
@@ -203,6 +264,11 @@ def from_obj(obj):
 
 _encode_str = json.encoder.encode_basestring_ascii
 _LEAF = {int: int.__repr__, str: _encode_str}
+_LEAF_TYPES = frozenset(_LEAF)
+_ENCODERS = {}  # line break plus indent -> _encoder's encode
+# a smaller leaf dict, such as a record, is written faster in Python: a
+# call to the C encoder costs a few microseconds before its first item
+_C_DICT_MIN = 16
 
 
 def dump_canonical(obj: dict) -> str:
@@ -215,21 +281,49 @@ def dump_canonical(obj: dict) -> str:
     return "".join(out)
 
 
+def _encoder(newline: str):
+    """``encode`` of the C encoder whose item separator is a comma and
+    ``newline``, so it writes one item of a list or dict a line.  It is
+    given only row blocks and leaf dicts, which cannot hold a cycle."""
+    encode = _ENCODERS.get(newline)
+    if encode is None:
+        encode = _ENCODERS[newline] = json.JSONEncoder(
+            separators=("," + newline, ": "), sort_keys=True, check_circular=False).encode
+    return encode
+
+
 def _inline(value, newline: str):
-    """The text of an int, a str or a non-empty list of only those, the
-    bulk of every file, written without recursing; None for anything else."""
+    """The text of an int, a str, a non-empty list of only those, a row
+    block or a leaf dict of ``_C_DICT_MIN`` or more items, the bulk of
+    every file, written without recursing; None for anything else.  Row
+    blocks and leaf dicts are written by the C encoder.  A row block is
+    then re-indented at its row boundaries, whose pattern holds a line
+    break, and an encoded str never does, so it matches nothing else."""
     kind = type(value)
     if kind is int:
         return int.__repr__(value)
     if kind is str:
         return _encode_str(value)
+    inner = newline + "  "
     if kind is list and value:
-        try:
-            texts = [_LEAF[type(item)](item) for item in value]
-        except KeyError:
+        if type(value[0]) is not list:
+            try:
+                texts = [_LEAF[type(item)](item) for item in value]
+            except KeyError:
+                return None
+            return "[" + inner + ("," + inner).join(texts) + newline + "]"
+        if not (set(map(type, value)) == {list} and all(value)
+                and set(map(type, chain.from_iterable(value))) <= _LEAF_TYPES):
             return None
-        inner = newline + "  "
-        return "[" + inner + ("," + inner).join(texts) + newline + "]"
+        inner2 = inner + "  "
+        # "[[a,<inner2>b],<inner2>[c]]" less its outer brackets
+        text = _encoder(inner2)(value)[2:-2]
+        return ("[" + inner + "[" + inner2
+                + text.replace("]," + inner2 + "[", inner + "]," + inner + "[" + inner2)
+                + inner + "]" + newline + "]")
+    if (kind is dict and len(value) >= _C_DICT_MIN and set(map(type, value)) == {str}
+            and set(map(type, value.values())) <= _LEAF_TYPES):
+        return "{" + inner + _encoder(inner)(value)[1:-1] + newline + "}"
     return None
 
 

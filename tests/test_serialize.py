@@ -19,6 +19,8 @@ from schedreduce import (
     umps_to_related,
 )
 from schedreduce.serialize import (
+    _rational,
+    _RationalTable,
     dump_canonical,
     frac_str,
     from_obj,
@@ -219,8 +221,32 @@ def test_writer_matches_json_dumps(value):
     assert dump_canonical(value) == oracle_dump_canonical(value)
 
 
+# row blocks (lists of non-empty leaf lists) and leaf dicts (str keys, int
+# or str values), which the writer hands to the C encoder, nested one to
+# three deep; their strings hold the patterns the writer re-indents, and
+# an empty row makes a list that is not a row block
+SHAPE_TEXT = JSON_TEXT | st.sampled_from(
+    ["],\n  [", "],\n    [", "],\n      [", '": [', "\n", "\\", "]", "[", "],", '"'])
+SHAPE_LEAF = st.integers(-10**30, 10**30) | SHAPE_TEXT
+ROW_BLOCKS = st.lists(st.lists(SHAPE_LEAF, max_size=5), min_size=1, max_size=5)
+# sizes on both sides of the 16 items from which a leaf dict is C-encoded
+LEAF_DICTS = st.dictionaries(SHAPE_TEXT, SHAPE_LEAF, min_size=1, max_size=20)
+
+
+@given(ROW_BLOCKS | LEAF_DICTS, st.lists(st.sampled_from([dict, list]), min_size=1,
+                                         max_size=3))
+def test_writer_matches_json_dumps_on_row_blocks_and_leaf_dicts(block, nesting):
+    value = block
+    for kind in nesting:
+        value = {"a": 0, "k": value} if kind is dict else [value, [0]]
+    assert dump_canonical(value) == oracle_dump_canonical(value)
+
+
 @pytest.mark.parametrize("value", [1.5, 2.0, object(), F(1, 2), {"a": [1, 0.5]},
-                                   [{"b": object()}], {1: 2}])
+                                   [{"b": object()}], {1: 2},
+                                   {"a": [[1, 2], [3, 0.5]]}, {"a": {2: 3}}, {"a": {"b": 1, 2: 3}},
+                                   {"a": {"b": 1, "c": 0.5}}, {"a": dict.fromkeys(range(20), 1)},
+                                   {"a": dict.fromkeys(map(str, range(20)), 1) | {"c": 0.5}}])
 def test_writer_rejects_non_json_types(value):
     with pytest.raises(TypeError):
         dump_canonical(value)
@@ -267,3 +293,61 @@ def test_unknown_kind_rejected():
 def test_unserializable_value_rejected():
     with pytest.raises(TypeError):
         to_obj(object())
+
+
+# ---------------------------------------------------------------------------
+# rational texts and integer keys on reading
+
+
+def _schedule_obj(times):
+    """A schedule object with job k on machine 1 from times[k - 1][0] to
+    times[k - 1][1]."""
+    return {"kind": "schedule",
+            "entries": {str(k): [1, s, e] for k, (s, e) in enumerate(times, 1)}}
+
+
+def test_rational_texts_read_past_the_shared_table_size(tmp_path):
+    count = 10_000
+    times = [(f"{k}/10007", f"{k + 1}/10007") for k in range(count)]
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(_schedule_obj(times)))
+    for _ in range(2):  # the second read meets a table the first one filled
+        entries = read_file(p).entries
+        assert len(entries) == count
+        for k, (machine, start, end) in entries.items():
+            assert machine == 1 and start == F(k - 1, 10007) and end == F(k, 10007)
+            assert type(start) is F and type(end) is F
+    assert len(_rational.__self__) <= _RationalTable.SIZE
+
+
+def test_rational_texts_read_in_lowest_terms():
+    for times in ([("2/4", "3/3")], [("1/2", "1")], [("2/4", "-0/5")]):
+        (_, start, end), = from_obj(_schedule_obj(times)).entries.values()
+        assert start == F(1, 2) and type(start) is F and type(end) is F
+    gs = from_obj({"kind": "schedule", "placements": [{
+        "group": 1, "machine_group": 1, "start": "0/4", "end": "6/4", "count": 1}]})
+    assert gs.placements[0].end == F(3, 2) and type(gs.placements[0].start) is F
+
+
+@pytest.mark.parametrize("bad", ["1/0", "a/b", [1, 2], {"p": 1}, None])
+def test_bad_rational_is_a_value_error_naming_the_file_every_time(tmp_path, bad):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(_schedule_obj([(bad, "1")])))
+    for _ in range(2):  # a failed text is never remembered
+        with pytest.raises(ValueError, match="bad.json"):
+            read_file(p)
+
+
+@pytest.mark.parametrize("key", ["01", "+1", " 1", "1 ", "1_0", "\u0661", "-0", "1.0", ""])
+def test_map_keys_must_be_canonical_integers(sample8, key):
+    for obj, field in ((to_obj(sample8), "lengths"), (to_obj(sample8), "home"),
+                       (_schedule_obj([("0", "1")]), "entries"),
+                       (to_obj(umps_to_related(sample8, kappa_override=2)), "origin")):
+        obj[field][key] = obj[field]["1"]
+        with pytest.raises(ValueError):
+            from_obj(obj)
+
+
+def test_canonical_negative_key_is_read_as_its_integer():
+    (job,) = from_obj({"kind": "schedule", "entries": {"-3": [1, "0", "1"]}}).entries
+    assert job == -3
