@@ -42,6 +42,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -265,7 +266,6 @@ def from_obj(obj):
 _encode_str = json.encoder.encode_basestring_ascii
 _LEAF = {int: int.__repr__, str: _encode_str}
 _LEAF_TYPES = frozenset(_LEAF)
-_ENCODERS = {}  # line break plus indent -> _encoder's encode
 # a smaller leaf dict, such as a record, is written faster in Python: a
 # call to the C encoder costs a few microseconds before its first item
 _C_DICT_MIN = 16
@@ -281,15 +281,13 @@ def dump_canonical(obj: dict) -> str:
     return "".join(out)
 
 
+@cache  # one per nesting depth
 def _encoder(newline: str):
     """``encode`` of the C encoder whose item separator is a comma and
     ``newline``, so it writes one item of a list or dict a line.  It is
     given only row blocks and leaf dicts, which cannot hold a cycle."""
-    encode = _ENCODERS.get(newline)
-    if encode is None:
-        encode = _ENCODERS[newline] = json.JSONEncoder(
-            separators=("," + newline, ": "), sort_keys=True, check_circular=False).encode
-    return encode
+    return json.JSONEncoder(
+        separators=("," + newline, ": "), sort_keys=True, check_circular=False).encode
 
 
 def _inline(value, newline: str):
