@@ -295,8 +295,8 @@ STRICT_INT_CASES = {
     "str-operation": json.dumps({"kind": "jobshop", "jobs": [[["1", "2"]]]}),
     "int-kappa-flag": _with(to_obj(umps_to_related(make_sample8(), kappa_override=2)),
                             ("kappa_meets_bound",), 1),
-    # map keys other than canonical decimal integers: int() would read each
-    # as another spelling of a job and merge it into that job
+    # map keys other than canonical decimal integers, which int() would read
+    # as another spelling of a job number ("01" and "+1" as 1, "1_0" as 10)
     "zero-padded-length-key": _with(UMPS3, ("lengths", "01"), 7),
     "plus-home-key": _with(UMPS3, ("home", "+1"), 1),
     "space-length-key": _with(UMPS3, ("lengths", " 1"), 1),
