@@ -311,7 +311,9 @@ def _roundtrip_row(inst, in_path, mode, lim, kappa_override=None):
         if makespan(back) > tgt.optimum:
             messages.append(f"{instance_id}: backward image exceeds target optimum")
         if src.proven_optimal and tgt.proven_optimal:
-            sandwich = src.optimum <= tgt.optimum <= src.optimum + 1
+            # the gadget's exact +1: the last source job to end is followed
+            # by its machine's anchor, and the forward image reaches L + 1
+            sandwich = tgt.optimum == src.optimum + 1
         else:
             # unproven optima are only upper bounds: the sandwich is falsified
             # solely by a feasible target schedule beating the proven source floor

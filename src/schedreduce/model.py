@@ -397,9 +397,22 @@ class Schedule:
     horizon: Fraction = field(init=False)
 
     def __post_init__(self):
-        norm = {}
-        for job, (machine, start, end) in self.entries.items():
-            norm[int(job)] = (int(machine), as_fraction(start), as_fraction(end))
+        # one type pass: entries with int jobs and machines and Fraction
+        # times (by type, so not bools or subclasses) are copied as they are
+        entries = self.entries
+        try:
+            exact = (set(map(type, entries)) <= {int}
+                     and set(map(type, entries.values())) <= {tuple}
+                     and {(type(i), type(s), type(e)) for i, s, e in entries.values()}
+                     <= {(int, Fraction, Fraction)})
+        except (AttributeError, TypeError, ValueError):
+            exact = False  # a malformed entry: the rebuild below raises
+        if exact:
+            norm = dict(entries)
+        else:
+            norm = {}
+            for job, (machine, start, end) in entries.items():
+                norm[int(job)] = (int(machine), as_fraction(start), as_fraction(end))
         object.__setattr__(self, "entries", norm)
         ends = [e for _, _, e in norm.values()]
         scale = math.lcm(*{e.denominator for e in ends})

@@ -23,7 +23,11 @@ only in how they parameterize it:
   the order enumeration alone;
 - communication delays place forced co-location units on one class of
   interchangeable machines (set partitions, capped at the machine count)
-  and pay the edge delay between machines;
+  and pay the edge delay between machines.  An instance whose edges
+  between units all have delay 0, with a machine to spare for every
+  unit, is solved as a fixed-home instance instead, one machine per unit:
+  giving each unit a machine of its own keeps every start and pays no
+  delay, so it loses nothing (see ``solve_commdelay_exact``);
 - related machines place single jobs on machines grouped into one class
   per distinct speed, with speed-scaled durations.
 
@@ -718,16 +722,49 @@ def solve_commdelay_exact(inst: CommDelayInstance, lim: SolveLimits = None) -> S
     partitions of the jobs (capped at the machine count when bounded).
     Before searching, any edge whose delay is too large to ever pay in a
     schedule better than the serial one forces its endpoints into the
-    same part; the forced parts collapse huge-delay instances to a
-    handful of partitions.  Each surviving full assignment runs the
-    per-machine order enumeration with delay-aware edge weights.
+    same part (:func:`_forced_units`); the forced parts collapse
+    huge-delay instances to a handful of partitions.  Each surviving full
+    assignment runs the per-machine order enumeration with delay-aware
+    edge weights.
+
+    When every edge between two different units has delay 0 and the
+    instance allows at least as many machines as there are units, the
+    instance is solved as a fixed-home one instead: one machine per unit,
+    each job homed on its unit's machine, by :func:`solve_umps_exact`
+    (the unit-length dynamic program when every length is 1, the engine
+    with every job pinned otherwise).  Both give the same optimum.  The
+    search above only meets schedules that keep each unit on one machine,
+    and moving each unit to an empty machine of its own keeps every start
+    and pays no new delay, since its edges to other units are free; it
+    only drops the order constraints between units that shared a machine.
+    So the best schedule with one unit per machine is an optimal one.
+    Such a call reports the fixed-home solver's ``states_explored``, which
+    is 0 when the dynamic program is skipped as unable to finish.  Delay
+    gadget outputs take this path: the source edges keep delay 0, and each
+    unit is one source machine's jobs and its anchor, which the anchor
+    delay forces together unless the source has more than n^2 - n + 2
+    machines for its n jobs.
     """
     lim = lim or SolveLimits()
     n = inst.n_total
-    serial_ms = sum(inst.lengths.values())  # every job back to back on one machine
+    units = _forced_units(inst)
+    home = {j: k for k, unit in enumerate(units, start=1) for j in unit}
+    cap = inst.machines if inst.machines is not None else n
+    if 0 < len(units) <= cap and all(not c or home[u] == home[v]
+                                     for (u, v), c in inst.delays.items()):
+        return solve_umps_exact(UmpsInstance(n, len(units), inst.lengths, home, inst.dag), lim)
+    return _exact_search(
+        inst.dag, lim, lambda j, i: inst.lengths[j], delay=inst.delays,
+        units=units, classes=[tuple(range(1, cap + 1))],
+    )
 
-    # union-find over forced co-location pairs
-    root = list(range(n + 1))
+
+def _forced_units(inst: CommDelayInstance) -> list:
+    """The jobs that every schedule better than the serial one keeps on one
+    machine: the classes of the edges whose delay is too large to pay
+    there, each sorted, ordered by first member."""
+    serial_ms = sum(inst.lengths.values())  # every job back to back on one machine
+    root = list(range(inst.n_total + 1))  # union-find over forced co-location pairs
 
     def find(a):
         while root[a] != a:
@@ -739,14 +776,9 @@ def solve_commdelay_exact(inst: CommDelayInstance, lim: SolveLimits = None) -> S
         if inst.lengths[u] + c + inst.lengths[v] >= serial_ms:
             root[find(u)] = find(v)
     units = {}
-    for j in range(1, n + 1):
+    for j in range(1, inst.n_total + 1):
         units.setdefault(find(j), []).append(j)
-    cap = inst.machines if inst.machines is not None else n
-    return _exact_search(
-        inst.dag, lim, lambda j, i: inst.lengths[j], delay=inst.delays,
-        units=sorted(units.values()),  # each sorted, ordered by first member
-        classes=[tuple(range(1, cap + 1))],
-    )
+    return sorted(units.values())
 
 
 def list_schedule_commdelay(inst: CommDelayInstance, m: int, priority) -> Schedule:

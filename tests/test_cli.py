@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from schedreduce import (
     gen_layered_umps,
     greedy_umps,
     kpartite_yes_schedule,
+    solve_commdelay_exact,
     solve_umps_exact,
     umps_to_commdelay,
     umps_to_related,
@@ -527,6 +529,21 @@ def test_roundtrip_commdelay_row(tmp_path, sample8_file):
         "solver_states": row["solver_states"],
     }
     assert int(row["solver_states"]) > 0
+
+
+def test_roundtrip_requires_the_gadget_exact_plus_one(tmp_path, sample8_file, monkeypatch):
+    # a proven target optimum equal to the source's lies in [L, L + 1] but
+    # is not the delay gadget's exact L + 1, so the bound fails
+    def one_short(inst, lim):
+        result = solve_commdelay_exact(inst, lim)
+        return replace(result, optimum=result.optimum - 1)
+
+    monkeypatch.setattr(cli, "solve_commdelay_exact", one_short)
+    out = str(tmp_path / "gap.csv")
+    assert run("roundtrip", sample8_file, "--mode", "commdelay",
+               "--limits", "max_jobs=12", "--out", out) == 1
+    (row,) = read_rows(out)
+    assert (row["opt_source"], row["opt_target"], row["bound_holds"]) == ("5", "5", "false")
 
 
 def test_roundtrip_budget_flagged_but_row_kept(tmp_path, sample8_file, capsys):

@@ -203,6 +203,80 @@ def test_commdelay_solver_agrees_with_brute_force(n, c, seed, machines):
 
 
 # ---------------------------------------------------------------------------
+# delay-free units: the fixed-home route of the communication-delay solver
+
+
+def _engine_commdelay(inst, lim):
+    """The exact-search engine called as the delay solver calls it on an
+    instance that does not take the fixed-home route."""
+    cap = inst.machines if inst.machines is not None else inst.n_total
+    return solvers._exact_search(
+        inst.dag, lim, lambda j, i: inst.lengths[j], delay=inst.delays,
+        units=solvers._forced_units(inst), classes=[tuple(range(1, cap + 1))])
+
+
+def _fixed_home(inst):
+    """``inst`` as a fixed-home instance: machine k holds forced unit k."""
+    units = solvers._forced_units(inst)
+    home = {j: k for k, unit in enumerate(units, start=1) for j in unit}
+    return UmpsInstance(inst.n_total, len(units), inst.lengths, home, inst.dag)
+
+
+# delay gadget outputs of unit and weighted random sources and of layered
+# sources, and zero-delay instances on unbounded machines or one per job
+delay_free = st.one_of(
+    st.tuples(st.integers(2, 6), st.integers(1, 3), st.integers(0, 10_000),
+              st.sampled_from([1, 3]))
+    .map(lambda t: umps_to_commdelay(
+        gen_random_umps(t[0], t[1], F(1, 3), t[2], max_length=t[3])).output),
+    st.tuples(st.integers(2, 3), st.integers(1, 2), st.sampled_from([F(1, 4), F(1, 2)]),
+              st.integers(0, 10_000))
+    .map(lambda t: umps_to_commdelay(gen_layered_umps(*t)).output),
+    st.tuples(st.integers(2, 7), st.integers(0, 10_000), st.booleans())
+    .map(lambda t: _uniform(t[0], 0, t[1], None if t[2] else t[0])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(delay_free)
+def test_delay_free_units_solve_as_fixed_home(inst):
+    # every edge between two units is free and each unit can have a
+    # machine of its own, so the fixed-home solver answers, with the
+    # optimum of the engine's search over set partitions
+    lim = SolveLimits(max_jobs=12, max_states=100_000)
+    routed, engine = solve_commdelay_exact(inst, lim), _engine_commdelay(inst, lim)
+    assert routed == solve_umps_exact(_fixed_home(inst), lim)
+    for result in (routed, engine):
+        assert validate_commdelay(inst, result.schedule).feasible
+        assert makespan(result.schedule) == result.optimum
+    if routed.proven_optimal and engine.proven_optimal:
+        assert routed.optimum == engine.optimum
+
+
+def _one_paid_delay():
+    # a gadget output whose source edge 1 -> 3, between the units of
+    # machines 2 and 1, costs 1 when its ends sit apart
+    art = umps_to_commdelay(_weighted(6, 2, 5))
+    assert (art.source.home[1], art.source.home[3]) == (2, 1)
+    return dataclasses.replace(art.output, delays={**art.output.delays, (1, 3): 1})
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(_one_paid_delay, id="delay-between-units"),
+    pytest.param(lambda: _short(_reduced(6, 3, 3)), id="fewer-machines-than-units"),
+    pytest.param(lambda: CommDelayInstance(n_total=0, lengths={}, delays={},
+                                           dag=PrecedenceDag(0)), id="no-jobs"),
+])
+@pytest.mark.parametrize("cap", [5, 10**6])
+def test_other_delay_instances_keep_the_engine(make, cap):
+    inst = make()
+    lim = SolveLimits(max_jobs=12, max_states=cap)
+    result = solve_commdelay_exact(inst, lim)
+    assert result == _engine_commdelay(inst, lim)
+    assert validate_commdelay(inst, result.schedule).feasible
+
+
+# ---------------------------------------------------------------------------
 # delay-aware list scheduling
 
 
@@ -291,6 +365,15 @@ def _reduced(n, m, seed):
     return umps_to_commdelay(gen_random_umps(n, m, F(1, 3), seed, max_length=2)).output
 
 
+def _reduced_unit(n, m, seed):
+    return umps_to_commdelay(gen_random_umps(n, m, F(1, 3), seed)).output
+
+
+def _short(inst):
+    """A gadget output allowed one machine fewer than it has units."""
+    return dataclasses.replace(inst, machines=len(solvers._forced_units(inst)) - 1)
+
+
 def _uniform(n, c, seed, machines):
     base = gen_random_umps(n, 1, F(1, 3), seed, max_length=3)
     return CommDelayInstance(
@@ -313,7 +396,9 @@ def _related(n, speeds, seed):
 # best-so-far on a budget trip.  A refactor of the search must keep every
 # field.  A faster search may change a proven row only by lowering its
 # state count.  A capped row may lower its optimum, change its hash or
-# become proven, and must never get worse.
+# become proven, and must never get worse.  The ``reduced-*`` gadget
+# outputs have delay-free units and take the fixed-home route; the
+# ``reduced-short-*`` and ``uniform-*`` rows run the engine's delay search.
 PINNED = [
     pytest.param(solve_umps_exact, lambda: _weighted(5, 2, 1), SolveLimits(),
                  "6", True, 5,
@@ -348,30 +433,49 @@ PINNED = [
                  "4585a1386a1e5756f153186143070b6f175b2a54997445bc17d6a23fda053c8a",
                  id="umps-capped"),
     pytest.param(solve_commdelay_exact, lambda: _reduced(4, 2, 1), SolveLimits(max_jobs=12),
-                 "5", True, 6,
+                 "5", True, 3,
                  "2bdb52dd87668b9354772d9a28f2e2276199013b35dbcf0aedab6c5e8b89362b",
                  id="reduced-4-2-1"),
     pytest.param(solve_commdelay_exact, lambda: _reduced(5, 2, 2), SolveLimits(max_jobs=12),
-                 "6", True, 8,
+                 "6", True, 5,
                  "3e7801cb2bec44cf0054742359cdb74cd420ef5d77d398115c3d4b3a34d97dd8",
                  id="reduced-5-2-2"),
     pytest.param(solve_commdelay_exact, lambda: _reduced(6, 2, 3), SolveLimits(max_jobs=12),
-                 "7", True, 7,
+                 "7", True, 4,
                  "9dd959b1bba51ad4928ae92c16d9ce3a5f77d5db9189d9e1f5c7028459277d33",
                  id="reduced-6-2-3"),
     pytest.param(solve_commdelay_exact, lambda: _reduced(5, 3, 4), SolveLimits(max_jobs=12),
-                 "5", True, 18,
+                 "5", True, 4,
                  "a822dfcfbeae381795fe030337715aabd68bee1ba29f7cadee9942faedf81de1",
                  id="reduced-5-3-4"),
     pytest.param(solve_commdelay_exact, lambda: _reduced(6, 2, 3), SolveLimits(max_jobs=12, max_states=5),
-                 "11", False, 6,
-                 "061d7b1907e228ddee7c1b140442b4be0858346e253687abe2a3f8c6781932c6",
+                 "7", True, 4,
+                 "9dd959b1bba51ad4928ae92c16d9ce3a5f77d5db9189d9e1f5c7028459277d33",
                  id="reduced-capped"),
+    pytest.param(solve_commdelay_exact, lambda: _reduced(6, 2, 3), SolveLimits(max_jobs=12, max_states=2),
+                 "8", False, 3,
+                 "0f4a40960237d2ac7b61b312d7df7f7535aec65a8633c4e0ad05a98bd2b42c69",
+                 id="reduced-capped2"),
     pytest.param(solve_commdelay_exact, lambda: _reduced(8, 3, 2),
                  SolveLimits(max_jobs=12, max_states=200),
-                 "7", True, 60,
+                 "7", True, 8,
                  "33b5e1ac9f22a33b2960a692a170453f51019a7e3209a5b32ebdfd1489fa4a8d",
                  id="reduced-8-3-2"),
+    pytest.param(solve_commdelay_exact, lambda: _reduced_unit(7, 3, 1), SolveLimits(max_jobs=12),
+                 "8", True, 11,
+                 "0f8aa912a7af5f505b496d74bc26c6b5d2f2fe42bc1b1922a65b95e4d688071d",
+                 id="reduced-unit-7-3-1"),
+    # gadget outputs on fewer machines than units: the engine's delay search
+    pytest.param(solve_commdelay_exact, lambda: _short(_reduced(8, 3, 2)),
+                 SolveLimits(max_jobs=12),
+                 "9", True, 52,
+                 "dc01d5ca9b9361d4e25d29ed0e9b4beb1bbf6acb6187c52dfa1b958ee532be18",
+                 id="reduced-short-8-3-2"),
+    pytest.param(solve_commdelay_exact, lambda: _short(_reduced(8, 3, 2)),
+                 SolveLimits(max_jobs=12, max_states=20),
+                 "10", False, 21,
+                 "6a44cb11fa4906013f78cf8d1e6f6df4055f464bec40294bd4081aca3e1c5746",
+                 id="reduced-short-capped"),
     pytest.param(solve_commdelay_exact, lambda: _uniform(5, 1, 1, None), SolveLimits(),
                  "7", True, 8,
                  "9c3a2801ce72f8b6f7cb0e976412194aa9205fb52b918e0d21922c3119e84a82",
@@ -435,12 +539,19 @@ PINNED = [
 
 
 def _digest_calls():
-    """Seeded calls of the three exact solvers under several state caps."""
-    for n, m in ((5, 2), (6, 3), (7, 2), (8, 3)):
-        for seed in range(10):
-            inst = _reduced(n, m, seed)
-            for cap in (0, 1, 7, 200):
-                yield solve_commdelay_exact, inst, SolveLimits(max_jobs=12, max_states=cap)
+    """Seeded calls of the three exact solvers under several state caps.
+    The gadget outputs take the delay solver's fixed-home route; uniform
+    delays of 1 or more and gadget outputs on fewer machines than units
+    run the engine's delay search."""
+    commdelay = [_reduced(n, m, seed) for n, m in ((5, 2), (6, 3), (7, 2), (8, 3))
+                 for seed in range(10)]
+    commdelay += [_uniform(n, c, seed, machines)
+                  for n, c, machines in ((5, 1, None), (6, 2, 2), (7, 1, 3)) for seed in range(5)]
+    commdelay += [_short(_reduced(n, m, seed)) for n, m in ((5, 2), (6, 3), (7, 3))
+                  for seed in range(5)]
+    for inst in commdelay:
+        for cap in (0, 1, 7, 200):
+            yield solve_commdelay_exact, inst, SolveLimits(max_jobs=12, max_states=cap)
     for homed in ((0, 6), (1, 3), (2, 2), (1, 5)):
         for p in (F(1, 4), F(1, 2)):
             for seed in range(3):
@@ -465,9 +576,9 @@ def test_exact_solvers_match_pinned_digest():
                       .encode())
         digest.update(dump_canonical(to_obj(result.schedule)).encode())
         calls += 1
-    assert calls == 312
+    assert calls == 432
     assert digest.hexdigest() == (
-        "3dd5be468b6221c5eae7898147d4a993e9afc0597fa0bc407b7efbb9a7b99f45")
+        "013c8eb5a4da0d08a580153fcbd833b67d882fec7f960c53798e1072f8a0ceea")
 
 
 def test_exact_solvers_match_pinned_uncapped_outputs():
@@ -481,7 +592,7 @@ def test_exact_solvers_match_pinned_uncapped_outputs():
         digest.update(f"{result.optimum}\n".encode())
         digest.update(dump_canonical(to_obj(result.schedule)).encode())
     assert digest.hexdigest() == (
-        "af9c19b844a20fb0cff4c442895d15956eec2b680d98931b7befe2887a25fe76")
+        "5c5f264148464db99b8fdeccb6f664bd23713de26972df9d747666e32dbbf51c")
 
 
 def _assert_pinned(result, optimum, proven, states, digest):
@@ -862,7 +973,9 @@ def test_machine_bound_prunes_jobs_crowding_the_fast_machine():
 
 
 # (solver, instance, validator) of the three engine callers, small enough
-# that the caps drawn below fall on both sides of the search's end
+# that the caps drawn below fall on both sides of the search's end; of the
+# delay instances, the gadget outputs take the fixed-home route and the
+# short and uniform ones the engine's delay search
 capped_searches = st.one_of(
     kappa2_related.map(lambda inst: (solve_related_exact, inst, validate_related)),
     st.tuples(st.integers(3, 6), st.sampled_from(REPEATED_SPEEDS + [(1, 2, 4), (1, 1, 3)]),
@@ -870,6 +983,11 @@ capped_searches = st.one_of(
     .map(lambda t: (solve_related_exact, _related(*t), validate_related)),
     st.tuples(st.integers(4, 8), st.integers(2, 3), st.integers(0, 10_000))
     .map(lambda t: (solve_commdelay_exact, _reduced(*t), validate_commdelay)),
+    st.tuples(st.integers(4, 8), st.integers(2, 3), st.integers(0, 10_000))
+    .map(lambda t: (solve_commdelay_exact, _short(_reduced(*t)), validate_commdelay)),
+    st.tuples(st.integers(4, 7), st.integers(1, 2), st.integers(0, 10_000),
+              st.sampled_from([None, 2, 3]))
+    .map(lambda t: (solve_commdelay_exact, _uniform(*t), validate_commdelay)),
     st.tuples(st.integers(5, 8), st.integers(2, 3), st.integers(0, 10_000))
     .map(lambda t: (solve_umps_exact, _weighted(*t), validate_umps)),
 )
