@@ -167,7 +167,8 @@ def gen_fractional(
     gamma * j / (2n) mass from its first slot on a "delete" coin flip.
     Masses and loads are kept as integers in units of 1 / lcm(24, 2n *
     denominator(gamma)), which holds every split (twelfths of a slot) and
-    every deletion exactly.  The result is re-validated on construction.
+    every deletion exactly.  The result's grid is built from those units
+    and validated once.
     """
     gamma = as_fraction(gamma)
     split_prob = as_fraction(split_prob)
@@ -225,5 +226,4 @@ def gen_fractional(
                 first = (j, slot_of[j])
                 mass[first] -= min(step * j, mass[first] // 2)
 
-    mass = {key: Fraction(x, one) for key, x in mass.items()}
-    return FractionalSchedule(horizon=horizon, mass=mass, gamma=gamma, umps_ref=inst)
+    return FractionalSchedule._of_units(horizon, mass, one, gamma, inst)

@@ -41,13 +41,19 @@ at most two jobs and doubling every slot yields an integral schedule of
 at most twice the horizon: :func:`extract_integral`.
 
 The arithmetic runs on an integer mass base, as the exact search runs on
-an integer time base.  Each schedule builds one grid when it is
-constructed: every mass as an int in units of the LCM of the mass and
-gamma denominators, per job and per (machine, slot).  The property
-check, the rewrites, the greedy sweep, the partial-load bound and the
-extraction all read that grid; the rewrites work on a copy of it, which
-is checked once per pass.  ``Fraction`` appears only at the boundary:
-the ``y`` of a trace line and the masses of a returned schedule.
+an integer time base.  Each schedule is built on one grid, once, and
+the grid is checked once: every mass as an int in units of the LCM of
+the mass and gamma denominators, per job and per (machine, slot).  The
+constructor builds it from rational masses; :func:`strip_misplaced`,
+:func:`greedy_canonical` and :func:`~schedreduce.generators.gen_fractional`
+build it from ints, and :func:`canonicalize` returns its working copy,
+checked after each pass that moved mass.  The property check, the
+rewrites and their scans, the greedy sweep, the partial-load bound, the
+extraction and ``==`` all read the grid.  ``Fraction`` appears only at
+the boundary: the ``y`` of a trace line, and the ``mass`` of a schedule,
+read off its grid on first use.  The swap and fill scans read only the
+jobs whose window spans two or more slots, the only ones a step can
+move.
 """
 
 from __future__ import annotations
@@ -67,16 +73,21 @@ from .errors import (
 )
 from .model import Schedule, UmpsInstance, as_fraction, validate_grouped, validate_umps
 
-ZERO = Fraction(0)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FractionalSchedule:
     """Mass per (job, slot) over unit slots 1..horizon of ``umps_ref``.
 
     Only positive masses are stored; the constructor normalizes, builds
     the integer grid and verifies all three properties on it, raising
-    :class:`PropertyViolated` with the first offending witness.
+    :class:`PropertyViolated` with the first offending witness.  A job or
+    slot that is not an int (a bool included) is rejected, not truncated.
+
+    The module's producers build their grid directly, check it once and
+    wrap it (:meth:`_of_units`, :meth:`_Grid.schedule`); the ``mass`` of
+    such a schedule is read off its grid on first use.  Two schedules are
+    equal when their horizon, gamma, instance and grid masses are; a
+    schedule is unhashable.
     """
 
     horizon: int
@@ -86,22 +97,77 @@ class FractionalSchedule:
 
     def __post_init__(self):
         norm = {}
-        for (job, slot), x in self.mass.items():
+        for key, x in self.mass.items():
+            job, slot = key
+            if type(job) is not int or type(slot) is not int:
+                key = _int_key(job, slot)
             x = as_fraction(x)
             if not 0 <= x.numerator <= x.denominator:
                 raise PropertyViolated(f"mass x[{job},{slot}] = {x} outside [0, 1]")
             if x.numerator:
-                norm[(int(job), int(slot))] = x
+                norm[key] = x
         object.__setattr__(self, "mass", norm)
-        object.__setattr__(self, "gamma", as_fraction(self.gamma))
-        if self.horizon < 1:
-            raise PropertyViolated("horizon must be >= 1")
-        if not 0 <= self.gamma < 1:
-            raise PropertyViolated(f"gamma {self.gamma} outside [0, 1)")
-        # not a field, so ==, repr and to_obj see the masses only
-        grid = _Grid(norm, self.gamma, self.horizon, self.umps_ref)
+        gamma = as_fraction(self.gamma)
+        object.__setattr__(self, "gamma", gamma)
+        _check_frame(self.horizon, gamma)
+        unit = math.lcm(gamma.denominator, *(x.denominator for x in norm.values()))
+        units = {key: x.numerator * (unit // x.denominator) for key, x in norm.items()}
+        grid = _Grid(units, unit, gamma, self.horizon, self.umps_ref)
         grid.check()
+        # not a field, so repr and to_obj see the masses only
         object.__setattr__(self, "_grid", grid)
+
+    @classmethod
+    def _of_grid(cls, grid: _Grid, keys=None) -> FractionalSchedule:
+        """Wrap ``grid``, which the caller has checked, without building
+        or checking it again.  ``mass`` is read off the grid on first use,
+        in the order of ``keys`` (by default job by job, as the grid
+        holds them)."""
+        fs = object.__new__(cls)
+        vars(fs).update(horizon=grid.horizon, gamma=grid.gamma, umps_ref=grid.inst,
+                        _grid=grid, _keys=keys)
+        return fs
+
+    @classmethod
+    def _of_units(cls, horizon, units: dict, unit: int, gamma: Fraction,
+                  inst: UmpsInstance) -> FractionalSchedule:
+        """The schedule of ``units``, {(job, slot): positive int} in units
+        of ``1/unit``: its grid is built and checked once, and ``mass``
+        keeps the order of ``units``."""
+        _check_frame(horizon, gamma)
+        grid = _Grid(units, unit, gamma, horizon, inst)
+        grid.check()
+        return cls._of_grid(grid, units)
+
+    def __getattr__(self, name):
+        # reached only when the normal lookup fails: the mass of a wrapped
+        # grid before its first read
+        state = vars(self)
+        if name != "mass" or "_grid" not in state:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        mass = state["mass"] = state["_grid"].masses(state.pop("_keys"))
+        return mass
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine, theirs = self._grid, other._grid
+        return ((self.horizon, self.gamma, self.umps_ref, mine.unit, mine.slots)
+                == (other.horizon, other.gamma, other.umps_ref, theirs.unit, theirs.slots))
+
+
+def _int_key(job, slot) -> tuple:
+    for value in (job, slot):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise PropertyViolated(f"mass key ({job!r}, {slot!r}): job and slot must be ints")
+    return int(job), int(slot)
+
+
+def _check_frame(horizon, gamma: Fraction) -> None:
+    if horizon < 1:
+        raise PropertyViolated("horizon must be >= 1")
+    if not 0 <= gamma < 1:
+        raise PropertyViolated(f"gamma {gamma} outside [0, 1)")
 
 
 def window_table(fs: FractionalSchedule) -> dict:
@@ -136,7 +202,11 @@ def strip_misplaced(art, gs) -> FractionalSchedule:
         raise InfeasibleInput(f"grouped makespan {ms} exceeds the job count {n}")
     horizon = int(ms) if ms.denominator == 1 else int(ms) + 1
 
-    mass = {}
+    # masses as ints in units of 1/unit, the LCM of the denominators of
+    # gamma and of every member's share
+    groups = inst.job_groups
+    unit = math.lcm(gamma.denominator, *(jg.multiplicity for jg in groups))
+    units = {}
     placed_home = {l: 0 for l in range(1, n + 1)}
     for pl in gs.placements:
         job = art.origin[pl.group]
@@ -147,19 +217,16 @@ def strip_misplaced(art, gs) -> FractionalSchedule:
             raise InfeasibleInput(
                 f"home placement of group {pl.group} at {pl.start} is not slot-aligned"
             )
-        slot = int(pl.start) + 1
-        mult = inst.job_groups[pl.group - 1].multiplicity
-        key = (job, slot)
-        mass[key] = mass.get(key, ZERO) + Fraction(pl.count, mult)
+        key = (job, int(pl.start) + 1)
+        units[key] = units.get(key, 0) + pl.count * (unit // groups[pl.group - 1].multiplicity)
         placed_home[job] += pl.count
 
     if art.kappa_meets_bound:
         for l in range(1, n + 1):
-            mult = inst.job_groups[l - 1].multiplicity
-            deleted = 1 - Fraction(placed_home[l], mult)
+            deleted = 1 - Fraction(placed_home[l], groups[l - 1].multiplicity)
             if deleted > gamma:
                 raise MisplacedFractionExceeded(l, deleted)
-    return FractionalSchedule(horizon=horizon, mass=mass, gamma=gamma, umps_ref=source)
+    return FractionalSchedule._of_units(horizon, units, unit, gamma, source)
 
 
 # ---------------------------------------------------------------------------
@@ -178,19 +245,33 @@ class _Grid:
     denominators; both rewrites move the smaller of two masses (or of a
     mass and a slack), so every mass stays on that grid.  ``slots`` maps
     each job to its {slot: units}, ``loads`` each (machine, slot) to its
-    units, and ``windows`` each job to its (first, last) slot.  A
-    schedule's own grid never changes: the rewrites run on a
+    units, and ``windows`` each job to its (first, last) slot with mass.
+    A schedule's own grid never changes: the rewrites run on a
     :meth:`copy`, and every move updates all three in place.
 
-    A copy keeps each job's window start from when it was made: a swap
-    can push a job's first mass into a later slot, and fills can then
-    empty the slot before it, but the job may still be pulled back
+    Only a *split* job, one whose window spans two or more slots when the
+    copy is made, can take part in a step: a fill pulls forward mass of a
+    job whose window runs past the slot, a swap's l1 runs past the slot,
+    and its l2 holds mass at the slot and finishes no earlier than l1.
+    No window end ever grows, so no other job becomes split.  A copy
+    lists each machine's split jobs by index in ``split_on``, and keeps
+    in ``starts`` each split job's window start from when it was made: a
+    swap can push a job's first mass into a later slot, and fills can
+    then empty the slot before it, but the job may still be pulled back
     there.  Mass only ever moves inside a job's input window, and input
     windows are separated, so property 3 holds throughout.
     """
 
-    def __init__(self, mass: dict, gamma: Fraction, horizon: int, inst: UmpsInstance):
-        self.unit = unit = math.lcm(gamma.denominator, *(x.denominator for x in mass.values()))
+    def __init__(self, units: dict, unit: int, gamma: Fraction, horizon: int,
+                 inst: UmpsInstance):
+        """Build the grid of ``units``, {(job, slot): positive int} in
+        units of ``1/unit``, on the smallest unit that holds them and
+        gamma."""
+        reduce = math.gcd(unit // gamma.denominator, *units.values())
+        if reduce > 1:
+            unit //= reduce
+            units = {key: x // reduce for key, x in units.items()}
+        self.unit = unit
         self.gamma, self.horizon, self.inst = gamma, horizon, inst
         self.home = home = inst.home
         self.jobs_on = [[] for _ in range(inst.m + 1)]
@@ -198,59 +279,89 @@ class _Grid:
             self.jobs_on[home[l]].append(l)
         self.slots = {}
         self.loads = {}
-        for (job, slot), x in mass.items():
+        for (job, slot), x in units.items():
             if not 1 <= job <= inst.n:
                 raise PropertyViolated(f"unknown job {job}")
             if not 1 <= slot <= horizon:
                 raise PropertyViolated(f"slot {slot} outside 1..{horizon}")
-            units = x.numerator * (unit // x.denominator)
-            self.slots.setdefault(job, {})[slot] = units
+            self.slots.setdefault(job, {})[slot] = x
             key = (home[job], slot)
-            self.loads[key] = self.loads.get(key, 0) + units
+            self.loads[key] = self.loads.get(key, 0) + x
         self.windows = {job: (min(s), max(s)) for job, s in self.slots.items()}
 
     def copy(self) -> _Grid:
-        """A working copy with its own slots, loads and windows."""
+        """A working copy with its own slots, loads and windows, and the
+        split jobs with their window starts."""
         work = copy.copy(self)
         work.slots = {job: dict(s) for job, s in self.slots.items()}
         work.loads = dict(self.loads)
         work.windows = dict(self.windows)
+        work.starts = starts = {l: ts for l, (ts, te) in self.windows.items() if ts < te}
+        work.split_on = [[l for l in jobs if l in starts] for jobs in self.jobs_on]
         return work
 
     def check(self) -> None:
         """Raise :class:`PropertyViolated` for the first broken property:
         job totals, then machine loads, then window separation."""
-        unit, gamma = self.unit, self.gamma
+        slots, unit, gamma, n = self.slots, self.unit, self.gamma, self.inst.n
         low = unit - gamma.numerator * (unit // gamma.denominator)
-        for job in range(1, self.inst.n + 1):
-            total = sum(self.slots.get(job, {}).values())
-            if total < low or total > unit:
-                raise PropertyViolated(
-                    f"job {job}: total mass {Fraction(total, unit)} outside [1 - gamma, 1] = "
-                    f"[{1 - gamma}, 1]"
-                )
-        for (machine, slot), load in self.loads.items():
-            if load > unit:
-                raise PropertyViolated(
-                    f"machine {machine}, slot {slot}: load {Fraction(load, unit)} > 1"
-                )
-        win = {job: (min(s), max(s)) for job, s in self.slots.items()}
+        # one C-level pass when all is well; the loops find the witness
+        totals = list(map(sum, map(dict.values, slots.values())))
+        if len(totals) < n or min(totals, default=low) < low or max(totals, default=unit) > unit:
+            for job in range(1, n + 1):
+                total = sum(slots.get(job, {}).values())
+                if total < low or total > unit:
+                    raise PropertyViolated(
+                        f"job {job}: total mass {Fraction(total, unit)} outside [1 - gamma, 1] = "
+                        f"[{1 - gamma}, 1]"
+                    )
+        if max(self.loads.values(), default=0) > unit:
+            for (machine, slot), load in self.loads.items():
+                if load > unit:
+                    raise PropertyViolated(
+                        f"machine {machine}, slot {slot}: load {Fraction(load, unit)} > 1"
+                    )
+        win = self.windows
         for u, v in self.inst.dag.edges:
             if win[u][1] >= win[v][0]:
                 raise PropertyViolated(
                     f"precedence {u} -> {v}: windows {win[u]} and {win[v]} not separated"
                 )
 
+    def masses(self, keys=None) -> dict:
+        """The masses as {(job, slot): Fraction}, in the order of ``keys``
+        (by default job by job), with one ``Fraction`` per distinct unit
+        count."""
+        slots, unit = self.slots, self.unit
+        if keys is None:
+            pairs = (((job, slot), x) for job, s in slots.items() for slot, x in s.items())
+        else:
+            pairs = ((key, slots[key[0]][key[1]]) for key in keys)
+        fractions, mass = {}, {}
+        for key, x in pairs:
+            frac = fractions.get(x)
+            if frac is None:
+                frac = fractions[x] = Fraction(x, unit)
+            mass[key] = frac
+        return mass
+
     def schedule(self) -> FractionalSchedule:
-        """The current masses as a :class:`FractionalSchedule`, which
-        builds and checks its own grid."""
-        unit = self.unit
-        mass = {
-            (job, slot): Fraction(x, unit)
-            for job, s in self.slots.items()
-            for slot, x in s.items()
-        }
-        return FractionalSchedule(self.horizon, mass, self.gamma, self.inst)
+        """This copy, which the caller has checked, as a
+        :class:`FractionalSchedule`, without building or checking it again.
+
+        It first reads as the grid of a schedule built from its masses:
+        the unit drops to the LCM of the mass and gamma denominators, zero
+        loads are dropped, and so are the split jobs and their starts."""
+        slots = self.slots
+        reduce = math.gcd(self.unit // self.gamma.denominator,
+                          *(x for s in slots.values() for x in s.values()))
+        if reduce > 1:
+            self.unit //= reduce
+            self.slots = {job: {slot: x // reduce for slot, x in s.items()}
+                          for job, s in slots.items()}
+        self.loads = {key: x // reduce for key, x in self.loads.items() if x}
+        del self.starts, self.split_on
+        return FractionalSchedule._of_grid(self)
 
     def _move(self, job, slot_from, slot_to, y):
         slots = self.slots[job]
@@ -262,7 +373,7 @@ class _Grid:
         home = self.home[job]
         self.loads[(home, slot_from)] -= y
         self.loads[(home, slot_to)] = self.loads.get((home, slot_to), 0) + y
-        self.windows[job] = (self.windows[job][0], max(slots))
+        self.windows[job] = (min(slots), max(slots))
 
     def _next_slot(self, job, t):
         return min(s for s in self.slots[job] if s > t)
@@ -271,23 +382,23 @@ class _Grid:
         """Lexicographically first (slot, machine, l1, l2) from
         ``first_slot`` on where an earlier-finishing l1 can still run at
         the slot but a later-finishing l2 holds mass there.  Ties on
-        finish slot go to the lower index."""
-        slots, windows = self.slots, self.windows
+        finish slot go to the lower index.  Both jobs are split."""
+        slots, windows, starts = self.slots, self.windows, self.starts
         for t in range(first_slot, self.horizon + 1):
-            for i in range(1, len(self.jobs_on)):
-                jobs_i = self.jobs_on[i]
-                # l1 has a partner iff it finishes before the latest
-                # finisher holding mass at t
-                latest = max(
-                    ((windows[l][1], l) for l in jobs_i if t in slots[l]), default=None
-                )
-                if latest is None:
+            for i, split in enumerate(self.split_on):
+                holders = [l for l in split if t in slots[l]]
+                if not holders:
                     continue
-                for l1 in jobs_i:
-                    ts1, te1 = windows[l1]
-                    if ts1 <= t < te1 and (te1, l1) < latest:
-                        for l2 in jobs_i:
-                            if t in slots[l2] and (te1, l1) < (windows[l2][1], l2):
+                # l1 finishes past t, and has a partner iff it finishes
+                # before the latest finisher holding mass at t
+                latest = max((windows[l][1], l) for l in holders)
+                if latest[0] <= t:
+                    continue
+                for l1 in split:
+                    te1 = windows[l1][1]
+                    if starts[l1] <= t < te1 and (te1, l1) < latest:
+                        for l2 in holders:
+                            if (te1, l1) < (windows[l2][1], l2):
                                 return i, l1, l2, t
         return None
 
@@ -307,8 +418,7 @@ class _Grid:
             y = min(self.slots[l1][t2], self.slots[l2][t])
             self._move(l1, t2, t, y)
             self._move(l2, t, t2, y)
-            ts1, te1 = self.windows[l1]
-            first_slot = ts1 if te1 < end1 else t
+            first_slot = self.starts[l1] if self.windows[l1][1] < end1 else t
             if trace is not None:
                 trace.append(_trace_line("swap", i, (l1, l2), t, Fraction(y, self.unit)))
         return steps
@@ -316,15 +426,15 @@ class _Grid:
     def _find_fill(self, first_slot, first_machine):
         """Lexicographically first (slot, machine, job) from (first_slot,
         first_machine) on where the machine has idle capacity and the
-        job's window is still open past the slot."""
+        job's window is still open past the slot: a split job."""
+        windows, starts, loads, unit = self.windows, self.starts, self.loads, self.unit
         for t in range(first_slot, self.horizon + 1):
-            for i in range(first_machine if t == first_slot else 1, len(self.jobs_on)):
-                slack = self.unit - self.loads.get((i, t), 0)
-                if slack <= 0:
-                    continue
-                for l in self.jobs_on[i]:
-                    ts, te = self.windows[l]
-                    if ts <= t < te:
+            for i in range(first_machine if t == first_slot else 1, len(self.split_on)):
+                for l in self.split_on[i]:
+                    if starts[l] <= t < windows[l][1]:
+                        slack = unit - loads.get((i, t), 0)
+                        if slack <= 0:
+                            break
                         return i, l, t, slack
         return None
 
@@ -351,21 +461,24 @@ def canonicalize(fs: FractionalSchedule, trace: list = None) -> FractionalSchedu
     """Interleave swap and fill passes to their joint fixpoint.
 
     The passes share one copy of ``fs``'s grid, so each job's window
-    start stays the one of ``fs``; the copy is checked after each pass,
+    start stays the one of ``fs``; the copy is checked after each pass
+    that moved mass (one that did not leaves a grid already checked),
     and the first round in which neither pass takes a step ends the
     loop.  Every step lowers the measure of the module docstring, so the
     loop ends, and only the fixpoint becomes a
-    :class:`FractionalSchedule`.  On generated inputs it equals
-    :func:`greedy_canonical`; in general the two can end at different
-    fixpoints, both within the partial-load bound.
+    :class:`FractionalSchedule`, around the copy itself.  On generated
+    inputs it equals :func:`greedy_canonical`; in general the two can end
+    at different fixpoints, both within the partial-load bound.
     """
     work = fs._grid.copy()
     while True:
-        steps = work.swaps(trace)
-        work.check()
-        steps += work.fills(trace)
-        work.check()
-        if not steps:
+        swapped = work.swaps(trace)
+        if swapped:
+            work.check()
+        filled = work.fills(trace)
+        if filled:
+            work.check()
+        if not (swapped or filled):
             return work.schedule()
 
 
@@ -380,7 +493,7 @@ def greedy_canonical(fs: FractionalSchedule) -> FractionalSchedule:
     """
     grid = fs._grid
     windows, unit = grid.windows, grid.unit
-    new_mass = {}
+    units = {}
     for i in range(1, len(grid.jobs_on)):
         jobs_i = grid.jobs_on[i]
         remaining = {l: sum(grid.slots[l].values()) for l in jobs_i}
@@ -393,7 +506,7 @@ def greedy_canonical(fs: FractionalSchedule) -> FractionalSchedule:
                     break
                 give = min(remaining[l], capacity)
                 if give > 0:
-                    new_mass[(l, t)] = Fraction(give, unit)
+                    units[(l, t)] = give
                     remaining[l] -= give
                     capacity -= give
         leftovers = [l for l in jobs_i if remaining[l] != 0]
@@ -401,7 +514,7 @@ def greedy_canonical(fs: FractionalSchedule) -> FractionalSchedule:
             raise PropertyViolated(
                 f"machine {i}: jobs {leftovers} could not be packed inside their windows"
             )
-    return FractionalSchedule(fs.horizon, new_mass, fs.gamma, fs.umps_ref)
+    return FractionalSchedule._of_units(fs.horizon, units, unit, fs.gamma, fs.umps_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +566,12 @@ def extract_integral(fs: FractionalSchedule) -> Schedule:
             f"gamma * horizon = {fs.gamma * fs.horizon} > 1/(10 n) = "
             f"{Fraction(1, 10 * inst.n)}"
         )
-    win = fs._grid.windows
+    grid = fs._grid
+    win = grid.windows
     by_slot = {}
-    for (job, slot) in fs.mass:
-        by_slot.setdefault((inst.home[job], slot), set()).add(job)
+    for job, slots in grid.slots.items():
+        for slot in slots:
+            by_slot.setdefault((inst.home[job], slot), []).append(job)
     for (machine, slot), jobs in sorted(by_slot.items()):
         if len(jobs) > 2:
             raise TooManyJobsPerSlot(machine, slot, sorted(jobs))

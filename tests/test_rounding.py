@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,8 +37,9 @@ from schedreduce import (
     validate_umps,
     window_table,
 )
-from schedreduce.serialize import dump_canonical, to_obj
+from schedreduce.serialize import dump_canonical, from_obj, to_obj
 from oracle import oracle_partial_load
+from oracle_scans import oracle_canonicalize
 
 F = Fraction
 HALF = F(1, 2)
@@ -133,6 +135,15 @@ def test_accepts_separated_windows_and_reports_them():
     )
     assert window_table(fs) == {1: (1, 1), 2: (2, 2)}
     assert job_total(fs, 1) == job_total(fs, 2) == 1
+
+
+# int() once truncated (1.9, 1) and (2, 2.5) onto job 1, slot 1 and job 2, slot 2
+@pytest.mark.parametrize("key", [(F(19, 10), 1), (1.9, 1), (2, 2.5), (True, 1), (1, False),
+                                 ("1", 1)])
+def test_rejects_job_or_slot_that_is_not_an_int(key):
+    with pytest.raises(PropertyViolated, match=exactly(
+            f"mass key {key!r}: job and slot must be ints")):
+        FractionalSchedule(horizon=2, mass={key: F(1)}, gamma=0, umps_ref=one_machine(2))
 
 
 def test_zero_masses_are_dropped():
@@ -350,6 +361,98 @@ def test_canonicalize_is_pinned(name):
 
 
 # ---------------------------------------------------------------------------
+# the scans read only split jobs: the same steps as full scans
+
+
+def _steps_match_full_scans(fs):
+    """Run canonicalize and the full-scan reference on ``fs``; assert the
+    same trace and masses, and return the step count."""
+    trace, reference = [], []
+    canon = canonicalize(fs, trace=trace)
+    assert canon.mass == oracle_canonicalize(fs, reference)
+    assert trace == reference
+    return len(trace)
+
+
+@pytest.mark.parametrize("name", list(CANONICAL_PINS))
+def test_split_job_scans_match_full_scans_on_the_pinned_grid(name):
+    kind, a, b, seed = name.split("-")
+    _steps_match_full_scans(_grid_fractional(kind, int(a), int(b), int(seed)))
+
+
+@pytest.mark.parametrize("seed", [1247, 3215, 4451, 5539, 7363, 8407, 8483])
+def test_split_job_scans_match_full_scans_on_divergent_seeds(seed):
+    assert _steps_match_full_scans(_generated(seed)) > 0
+
+
+SPLIT_HEAVY = (st.integers(16, 40), st.integers(2, 4),
+               st.sampled_from([F(1, 8), F(1, 4), F(1, 3)]),
+               st.sampled_from([F(3, 4), F(1)]), st.integers(0, 10_000))
+
+
+def _split_heavy(n, m, edge_prob, split, seed):
+    """Larger draws than ``_generated``, where most jobs are split."""
+    return _fractional(gen_random_umps(n, m, edge_prob, seed), seed, split)
+
+
+@settings(max_examples=60, deadline=None)
+@given(*SPLIT_HEAVY)
+def test_split_job_scans_match_full_scans_on_split_heavy_draws(n, m, edge_prob, split, seed):
+    _steps_match_full_scans(_split_heavy(n, m, edge_prob, split, seed))
+
+
+def test_split_heavy_draws_take_steps():
+    # so the property test above compares many steps, not fixpoints
+    steps = [_steps_match_full_scans(_split_heavy(16 + k % 25, 2 + k % 3, F(1, 4), F(3, 4), k))
+             for k in range(30)]
+    assert sum(map(bool, steps)) >= 25 and sum(steps) >= 150
+
+
+@st.composite
+def crowded_schedules(draw):
+    """Schedules with no precedence where several jobs share most slots:
+    each job's mass, in twelfths, is dealt piece by piece to slots of its
+    machine with room left, over a horizon of at most two slots more
+    than the machine's job count."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(2, 10))
+    home = {j: draw(st.integers(1, m)) for j in range(1, n + 1)}
+    horizon = max(Counter(home.values()).values()) + draw(st.integers(0, 2))
+    room = {(i, t): 12 for i in range(1, m + 1) for t in range(1, horizon + 1)}
+    mass = {}
+    for job, i in home.items():
+        left = 12
+        while left:
+            t = draw(st.sampled_from([t for t in range(1, horizon + 1) if room[i, t]]))
+            y = draw(st.integers(1, min(left, room[i, t])))
+            mass[job, t] = mass.get((job, t), 0) + F(y, 12)
+            room[i, t] -= y
+            left -= y
+    inst = UmpsInstance(n=n, m=m, lengths={j: 1 for j in home}, home=home,
+                        dag=PrecedenceDag(n, ()))
+    return FractionalSchedule(horizon, mass, 0, inst)
+
+
+@settings(max_examples=150, deadline=None)
+@given(crowded_schedules())
+def test_split_job_scans_match_full_scans_on_crowded_slots(fs):
+    _steps_match_full_scans(fs)
+
+
+def test_swap_partner_is_the_lowest_index_later_finisher():
+    # jobs 2 and 3 both finish after job 1 and hold mass at slot 1
+    fs = FractionalSchedule(
+        horizon=4,
+        mass={(1, 1): F(1, 3), (1, 2): F(2, 3), (2, 1): F(1, 3), (2, 3): F(2, 3),
+              (3, 1): F(1, 3), (3, 4): F(2, 3)},
+        gamma=0, umps_ref=one_machine(3),
+    )
+    trace = []
+    swap_pass(fs, trace=trace)
+    assert trace[0] == "swap machine=1 jobs=1,2 slot=1 y=1/3"
+    assert _steps_match_full_scans(fs) > 1
+
+
+# ---------------------------------------------------------------------------
 # the integer grid: each schedule builds its own, and the rewrites work on
 # a copy of it
 
@@ -384,13 +487,61 @@ def test_rewrites_leave_their_input_unchanged(rewrite, make):
     assert _readings(make()) == before
 
 
-@pytest.mark.parametrize("rewrite", [swap_pass, fill_pass, canonicalize, greedy_canonical])
-def test_rewritten_schedule_equals_one_built_from_its_masses(rewrite):
-    out = rewrite(staggered_three_jobs())
+def stripped_offhome():
+    """``strip_misplaced`` on a schedule that loses 10 of 900 members of
+    job 1, so its masses have the denominator 90."""
+    inst = UmpsInstance(n=2, m=2, lengths={1: 1, 2: 1}, home={1: 1, 2: 2},
+                        dag=PrecedenceDag(2, ()))
+    art = umps_to_related(inst, kappa_override=30)
+    gs = GroupedSchedule(placements=(
+        GroupedPlacement(1, 1, 0, 1, 890),
+        GroupedPlacement(1, 2, 1, 1 + F(1, 30), 1),
+        GroupedPlacement(2, 2, 0, 1, 1),
+    ))
+    return strip_misplaced(art, gs)
+
+
+# every producer of a schedule that builds its grid without the constructor
+PRODUCERS = {
+    "swap_pass": lambda: swap_pass(staggered_three_jobs()),
+    "fill_pass": lambda: fill_pass(staggered_three_jobs()),
+    "canonicalize": lambda: canonicalize(staggered_three_jobs()),
+    "greedy_canonical": lambda: greedy_canonical(staggered_three_jobs()),
+    "canonicalize-generated": lambda: canonicalize(_generated(3215)),
+    "canonicalize-fixpoint": lambda: canonicalize(canonicalize(_generated(3215))),
+    "strip_misplaced": stripped_offhome,
+    "strip_misplaced-canonicalize": lambda: canonicalize(stripped_offhome()),
+    "gen_fractional": lambda: _generated(3215),
+    "from_obj": lambda: from_obj(to_obj(canonicalize(_generated(3215)))),
+}
+
+
+@pytest.mark.parametrize("name", list(PRODUCERS))
+def test_rewritten_schedule_equals_one_built_from_its_masses(name):
+    out = PRODUCERS[name]()
     rebuilt = FractionalSchedule(out.horizon, out.mass, out.gamma, out.umps_ref)
     assert out == rebuilt
     assert repr(out) == repr(rebuilt)
     assert _readings(out) == _readings(rebuilt)
+    assert vars(out._grid) == vars(rebuilt._grid)
+
+
+def test_equality_reads_the_grids():
+    fs = _generated(3215)
+    canon, greedy = canonicalize(fs), greedy_canonical(fs)
+    assert canon == greedy
+    # neither side's masses were read off its grid
+    assert "mass" not in vars(canon) and "mass" not in vars(greedy)
+    assert canon != fs
+    assert canon != FractionalSchedule(canon.horizon + 1, canon.mass, canon.gamma, canon.umps_ref)
+    assert canon != FractionalSchedule(canon.horizon, canon.mass, canon.gamma / 2, canon.umps_ref)
+    assert canon.mass == greedy.mass
+
+
+def test_schedules_are_unhashable():
+    for fs in (staggered_three_jobs(), canonicalize(staggered_three_jobs())):
+        with pytest.raises(TypeError):
+            hash(fs)
 
 
 # ---------------------------------------------------------------------------
