@@ -177,15 +177,10 @@ def gen_fractional(
     report = validate_umps(inst, sched)
     if not report.feasible:
         raise ValueError(f"input schedule infeasible: {report.violations[0]}")
-    horizon = makespan(sched)
-    if horizon.denominator != 1:
+    if sched._scale != 1:  # some time is not an integer
         raise ValueError("input schedule must be slot-aligned")
-    horizon = int(horizon)
-    slot_of = {}
-    for job, (_, start, _) in sched.entries.items():
-        if start.denominator != 1:
-            raise ValueError("input schedule must be slot-aligned")
-        slot_of[job] = int(start) + 1
+    horizon = int(makespan(sched))
+    slot_of = {job: start + 1 for job, (_, start, _) in sched._rows.items()}
 
     n = inst.n
     one = lcm(24, 2 * n * gamma.denominator)

@@ -3,8 +3,10 @@
 Conventions used throughout the package:
 
 * jobs, machines, layers and slots are 1-based dense integer indices;
-* all times are exact ``fractions.Fraction`` values (integer data stays
-  integral along every arithmetic path, so there are no tolerances);
+* all times are exact rationals (integer data stays integral along every
+  arithmetic path, so there are no tolerances): a :class:`Schedule`
+  keeps its times as ints on its own time base, in units of the LCM of
+  their denominators, and shows them as ``fractions.Fraction`` values;
 * job intervals are half-open ``[start, end)``, so touching intervals do
   not overlap and a successor may start exactly when its predecessor ends;
 * instances and schedules are frozen dataclasses, treated as immutable
@@ -14,8 +16,10 @@ Validators never raise on an infeasible schedule; they return a
 :class:`ValidationReport` listing every violation found.  Structural
 problems (wrong job set, machine index out of range) raise instead,
 because no report could be interpreted for them.  The validators check
-on an integer time base: every time is multiplied once by the LCM of the
-denominators, so the checks add and compare plain integers.
+on an integer time base, so they add and compare plain integers: the
+flat ones read a schedule's own int times and put only the durations on
+its base, and the grouped one multiplies every time once by the LCM of
+the denominators.
 """
 
 from __future__ import annotations
@@ -388,41 +392,77 @@ class KPartiteInstance:
 # schedules
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
-    """Job -> (machine, start, end); ``horizon`` is the largest end time,
-    computed on construction on the ends' integer time base."""
+    """Job -> (machine, start, end), kept on the schedule's own integer
+    time base: a ``scale``, the LCM of the reduced denominators of its
+    times, and int rows ``{job: (machine, start * scale, end * scale)}``.
+    Two schedules are equal when their scales and rows are, which is
+    equality of their exact times; a schedule is unhashable.
+
+    The public constructor takes ``entries`` with int jobs and machines
+    (a bool is rejected, not truncated) and int or ``Fraction`` times.
+    The package's producers hand over their int rows and scale instead
+    (:meth:`_of_rows`).  ``entries``, the times as ``Fraction`` values,
+    and ``horizon``, the largest end time (0 when there is none), are
+    built from the rows on first read, one ``Fraction`` per distinct time.
+    """
 
     entries: dict
     horizon: Fraction = field(init=False)
 
     def __post_init__(self):
-        # one type pass: entries with int jobs and machines and Fraction
-        # times (by type, so not bools or subclasses) are copied as they are
-        entries = self.entries
-        try:
-            exact = (set(map(type, entries)) <= {int}
-                     and set(map(type, entries.values())) <= {tuple}
-                     and {(type(i), type(s), type(e)) for i, s, e in entries.values()}
-                     <= {(int, Fraction, Fraction)})
-        except (AttributeError, TypeError, ValueError):
-            exact = False  # a malformed entry: the rebuild below raises
-        if exact:
-            norm = dict(entries)
+        rows = {}
+        for job, (machine, start, end) in vars(self).pop("entries").items():
+            for index in (job, machine):
+                if not isinstance(index, int) or isinstance(index, bool):
+                    raise TypeError(f"job {job!r}: job and machine must be ints, not {index!r}")
+            for t in (start, end):
+                if not isinstance(t, (int, Fraction)) or isinstance(t, bool):
+                    raise TypeError(f"job {job!r}: time {t!r} is not an int or a Fraction")
+            rows[int(job)] = (int(machine), start, end)
+        scale = math.lcm(*{t.denominator for _, s, e in rows.values() for t in (s, e)})
+        vars(self).update(_scale=scale, _rows={
+            j: (i, s.numerator * (scale // s.denominator), e.numerator * (scale // e.denominator))
+            for j, (i, s, e) in rows.items()})
+
+    @classmethod
+    def _of_rows(cls, rows: dict, scale: int = 1) -> Schedule:
+        """The schedule of ``rows``, {job: (machine, start, end)} with int
+        times in units of ``1/scale``, taken as they are; the scale is
+        reduced to the LCM of the times' reduced denominators."""
+        if scale != 1:
+            common = math.gcd(scale, *(t for _, s, e in rows.values() for t in (s, e)))
+            if common != 1:
+                scale //= common
+                rows = {j: (i, s // common, e // common) for j, (i, s, e) in rows.items()}
+        sched = object.__new__(cls)
+        vars(sched).update(_scale=scale, _rows=rows)
+        return sched
+
+    def __getattr__(self, name):
+        # reached only when the normal lookup fails: entries or horizon
+        # before its first read
+        state = vars(self)
+        if name not in ("entries", "horizon") or "_rows" not in state:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rows, scale = state["_rows"], state["_scale"]
+        if name == "horizon":
+            value = Fraction(max((e for _, _, e in rows.values()), default=0), scale)
         else:
-            norm = {}
-            for job, (machine, start, end) in entries.items():
-                norm[int(job)] = (int(machine), as_fraction(start), as_fraction(end))
-        object.__setattr__(self, "entries", norm)
-        ends = [e for _, _, e in norm.values()]
-        scale = math.lcm(*{e.denominator for e in ends})
-        base = [e.numerator * (scale // e.denominator) for e in ends]
-        horizon = ends[base.index(max(base))] if ends else Fraction(0)
-        object.__setattr__(self, "horizon", horizon)
+            frac = {t: Fraction(t, scale) for t in {t for _, s, e in rows.values() for t in (s, e)}}
+            value = {j: (i, frac[s], frac[e]) for j, (i, s, e) in rows.items()}
+        state[name] = value
+        return value
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._scale == other._scale and self._rows == other._rows
 
 
 def makespan(sched: Schedule) -> Fraction:
-    if not sched.entries:
+    if not sched._rows:
         raise EmptySchedule("schedule has no entries")
     return sched.horizon
 
@@ -462,8 +502,8 @@ class GroupedSchedule:
 
 
 # ---------------------------------------------------------------------------
-# validation, on an integer time base: each validator scales its times by
-# the LCM of their denominators once, then checks on ints
+# validation, on an integer time base: the flat validators check on a
+# schedule's own, the grouped one scales its times once, then checks on ints
 
 
 @dataclass(frozen=True)
@@ -490,17 +530,17 @@ def _report(violations) -> ValidationReport:
 
 def _check_job_set(sched: Schedule, count: int):
     expected = set(range(1, count + 1))
-    if set(sched.entries) != expected:
-        missing = sorted(expected - set(sched.entries))
-        extra = sorted(set(sched.entries) - expected)
+    if set(sched._rows) != expected:
+        missing = sorted(expected - set(sched._rows))
+        extra = sorted(set(sched._rows) - expected)
         raise JobSetMismatch(f"missing jobs {missing}, unexpected jobs {extra}")
 
 
-def _overlaps(times):
+def _overlaps(rows):
     """Same-machine pairs of jobs whose half-open intervals intersect;
-    ``times[j - 1]`` is job j's (machine, start, end, duration)."""
+    ``rows`` maps each job to its (machine, start, end)."""
     by_machine = {}
-    for job, (machine, start, end, _) in enumerate(times, start=1):
+    for job, (machine, start, end) in rows.items():
         by_machine.setdefault(machine, []).append((start, end, job))
     out = []
     for machine in sorted(by_machine):
@@ -523,31 +563,30 @@ def _validate_flat(dag, sched, duration, home=None, machines=None, delays=None):
     machine below 1 or above ``machines`` (when given) raises.  ``delays``
     maps each edge to the extra wait paid when its ends run on different
     machines; without it every edge is plain precedence.
+
+    The checks read the schedule's int rows; only a duration is put on
+    their time base, and not even that when it is an int on scale 1.
     """
     _check_job_set(sched, dag.node_count)
-    exact = []  # (machine, start, end, duration) per job, in job order
+    rows, scale = sched._rows, sched._scale
+    violations = []
     for job in range(1, dag.node_count + 1):
-        machine, start, end = sched.entries[job]
+        machine, start, end = rows[job]
         if home is None and (machine < 1 or machines is not None and machine > machines):
             have = "" if machines is None else f", have {machines}"
             raise MachineOutOfRange(f"job {job} on machine {machine}{have}")
-        exact.append((machine, start, end, duration(job, machine)))
-    scale = math.lcm(*{t.denominator for row in exact for t in row[1:]})
-    times = [(machine, s.numerator * (scale // s.denominator),
-              e.numerator * (scale // e.denominator), d.numerator * (scale // d.denominator))
-             for machine, s, e, d in exact]
-    violations = []
-    for job, (machine, start, end, length) in enumerate(times, start=1):
         if home is not None and machine != home[job]:
             violations.append(Violation("wrong_machine", (job, machine)))
         if start < 0:
             violations.append(Violation("negative_time", (job,)))
-        if end - start != length:
+        length = duration(job, machine)
+        if (end - start != length if scale == 1 and type(length) is int
+                else (end - start) * length.denominator != length.numerator * scale):
             violations.append(Violation("duration", (job,)))
-    violations.extend(_overlaps(times))
+    violations.extend(_overlaps(rows))
     for u, v in dag.edges:
-        mu, _, eu, _ = times[u - 1]
-        mv, sv, _, _ = times[v - 1]
+        mu, _, eu = rows[u]
+        mv, sv, _ = rows[v]
         if sv < eu:
             violations.append(Violation("precedence", (u, v)))
         elif delays and mu != mv and sv < eu + delays[(u, v)] * scale:

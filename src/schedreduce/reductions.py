@@ -117,11 +117,12 @@ def forward_map_commdelay(art: CommDelayReductionArtifact, sched: Schedule) -> S
     report = validate_umps(art.source, sched)
     if not report.feasible:
         raise InfeasibleInput(f"input schedule infeasible: {report.violations[0]}")
-    ln = makespan(sched)
-    entries = {l: sched.entries[l] for l in range(1, art.source.n + 1)}
+    rows, scale = sched._rows, sched._scale
+    ln = max(end for _, _, end in rows.values())  # on the schedule's time base
+    entries = {l: rows[l] for l in range(1, art.source.n + 1)}
     for i, d in enumerate(art.dummy_ids, start=1):
-        entries[d] = (i, ln, ln + 1)
-    return Schedule(entries=entries)
+        entries[d] = (i, ln, ln + scale)
+    return Schedule._of_rows(entries, scale)
 
 
 def backward_map_commdelay(art: CommDelayReductionArtifact, sched: Schedule) -> Schedule:
@@ -137,16 +138,17 @@ def backward_map_commdelay(art: CommDelayReductionArtifact, sched: Schedule) -> 
     ln = makespan(sched)
     if ln >= art.c_infinity:
         raise MakespanTooLarge(f"makespan {ln} >= delay threshold {art.c_infinity}")
+    rows = sched._rows
     for i, d in enumerate(art.dummy_ids, start=1):
-        anchor_machine = sched.entries[d][0]
+        anchor_machine = rows[d][0]
         for l in range(1, art.source.n + 1):
-            if art.source.home[l] == i and sched.entries[l][0] != anchor_machine:
+            if art.source.home[l] == i and rows[l][0] != anchor_machine:
                 raise CoLocationViolated(i, (l, d))
     entries = {}
     for l in range(1, art.source.n + 1):
-        _, start, end = sched.entries[l]
+        _, start, end = rows[l]
         entries[l] = (art.source.home[l], start, end)
-    return Schedule(entries=entries)
+    return Schedule._of_rows(entries, sched._scale)
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +255,16 @@ def forward_map_related(art: RelatedReductionArtifact, sched: Schedule) -> Group
     if not report.feasible:
         raise InfeasibleInput(f"input schedule infeasible: {report.violations[0]}")
     placements = []
+    rows, scale = sched._rows, sched._scale
     for l in range(1, art.source.n + 1):
-        _, start, end = sched.entries[l]
+        _, start, end = rows[l]
         jg = art.output.job_groups[l - 1]
         placements.append(
             GroupedPlacement(
                 group=l,
                 machine_group=art.machine_group_of[art.source.home[l]],
-                start=start,
-                end=end,
+                start=Fraction(start, scale),
+                end=Fraction(end, scale),
                 count=jg.multiplicity,
             )
         )

@@ -583,10 +583,10 @@ def extract_integral(fs: FractionalSchedule) -> Schedule:
     for (machine, slot), jobs in sorted(finishers.items()):
         jobs.sort(key=lambda l: (win[l][1], l))
         for offset, job in enumerate(jobs):
-            start = Fraction(2 * slot - 2 + offset)
+            start = 2 * slot - 2 + offset
             entries[job] = (machine, start, start + 1)
 
-    sched = Schedule(entries=entries)
+    sched = Schedule._of_rows(entries)
     report = validate_umps(inst, sched)
     if not report.feasible:
         raise PropertyViolated(f"extracted schedule infeasible: {report.violations[0]}")

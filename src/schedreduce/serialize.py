@@ -21,15 +21,20 @@ separator plus ``"["``.  That pattern holds a line break, and an encoded
 string never does, so it matches only between rows.  Every other value
 is written in Python.
 
-Each kind is declared once, in ``FORMATS``: its class and, per field, an
-(encode, decode) pair.  ``to_obj`` and ``from_obj`` walk the same field
-list, and a decoder reads only the fields its kind declares, so extra
-fields are ignored.  Integers are strict: where the format has an
-integer, a string or a boolean is an error, never coerced, and a map
-key must be a canonical decimal integer (``"1"``, never ``"01"``).
-Rational texts are read through one bounded table shared by every read,
-so a text read again costs one dict lookup and gives the same
-``Fraction``.
+Each kind is declared once, in ``FORMATS``: its class and the (encode,
+decode) pair of its fields.  Most kinds build that pair from one (encode,
+decode) pair per field, so ``to_obj`` and ``from_obj`` walk the same
+field list.  A ``schedule`` is written from and read into its integer
+time base directly: a whole time costs no ``Fraction`` either way, and
+any other costs one per distinct time written or text read.  A
+decoder reads only the fields its kind declares, so extra fields are
+ignored.  Integers are strict: where the format has an integer, a
+string or a boolean is an error, never coerced, and a map key must be a
+canonical decimal integer (``"1"``, never ``"01"``).  Rationals are
+strict too: the format writes each one as a string, so a number or a
+boolean in its place is an error.  Rational texts are read through one
+bounded table shared by every read, so a text read again costs one dict
+lookup and gives the same ``Fraction``.
 
 Reduction artifacts and certificates are written the same way, as
 self-contained sidecar files (source and output instances embedded).  No
@@ -91,23 +96,40 @@ def parse_rational(text) -> Fraction:
 
 
 class _RationalTable(dict):
-    """Rational texts read so far, each with its ``Fraction``; a miss
-    parses with ``parse_rational``.  Only str keys are kept, and the table
-    is emptied when it is full, so it stays bounded."""
+    """Rational texts read so far, each with its value; a miss reads the
+    text with ``read``, and a key that is not a str raises ``TypeError``.
+    The table is emptied when it is full, so it stays bounded."""
 
     __slots__ = ()
     SIZE = 4096
+    read = staticmethod(parse_rational)
 
     def __missing__(self, text):
-        value = parse_rational(text)
-        if type(text) is str:
-            if len(self) >= self.SIZE:
-                self.clear()
-            self[text] = value
+        # the format writes every rational as a string: a JSON number or
+        # boolean is not read as one
+        if type(text) is not str:
+            raise TypeError(f"{text!r} is not a rational string")
+        value = self.read(text)
+        if len(self) >= self.SIZE:
+            self.clear()
+        self[text] = value
         return value
 
 
+class _TimeTable(_RationalTable):
+    """Schedule times: a whole number is read as an int, so a schedule
+    whose times are all whole is read without a ``Fraction``."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def read(text):
+        value = parse_rational(text)
+        return value.numerator if value.denominator == 1 else value
+
+
 _rational = _RationalTable().__getitem__
+_time = _TimeTable().__getitem__
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +183,11 @@ def _record(cls, fields):
     return (lambda value: _encode(value, fields), lambda obj: _decode(obj, cls, fields))
 
 
+def _kind(cls, fields):
+    """A kind whose class ``cls`` is written and read field by field."""
+    return cls, _record(cls, fields)
+
+
 def _encode(value, fields) -> dict:
     return {name: encode(getattr(value, name)) for name, (encode, _) in fields.items()}
 
@@ -176,11 +203,24 @@ def _read_mass(rows) -> dict:
     return mass
 
 
-def _read_entries(obj) -> dict:
-    entries = {j: (machine, _rational(s), _rational(e))
-               for j, (machine, s, e) in zip(_int_keys(obj), obj.values())}
-    _ints(entries.values(), lambda entries: map(itemgetter(0), entries))
-    return entries
+def _write_schedule(sched) -> dict:
+    """The fields of a :class:`Schedule`, written from its int rows: one
+    text per time on scale 1, else one per distinct time."""
+    rows, scale = sched._rows, sched._scale
+    text = str if scale == 1 else {
+        t: str(Fraction(t, scale)) for _, s, e in rows.values() for t in (s, e)}.__getitem__
+    return {"entries": {str(j): [i, text(s), text(e)] for j, (i, s, e) in rows.items()}}
+
+
+def _read_schedule(obj) -> Schedule:
+    """A :class:`Schedule` from its fields: on scale 1, as they are, when
+    every machine and time is an int, else through the constructor,
+    which checks the machines and puts the times on their LCM."""
+    entries = obj["entries"]
+    rows = {j: (i, _time(s), _time(e)) for j, (i, s, e) in zip(_int_keys(entries), entries.values())}
+    if set(map(type, chain.from_iterable(rows.values()))) == {int}:
+        return Schedule._of_rows(rows)
+    return Schedule(entries=rows)
 
 
 _INT = (_same, _int)
@@ -197,52 +237,50 @@ _DELAYS = (lambda d: [[u, v, c] for (u, v), c in sorted(d.items())],
            lambda rows: {(u, v): c for u, v, c in _ints(rows, chain.from_iterable)})
 _MASS = (lambda d: [[job, slot, frac_str(x)] for (job, slot), x in sorted(d.items())],
          _read_mass)
-_ENTRIES = (lambda d: {str(j): [machine, frac_str(s), frac_str(e)]
-                       for j, (machine, s, e) in d.items()},
-            _read_entries)
 
-FORMATS = {  # kind -> (class, {field: (encode, decode)})
-    "umps": (UmpsInstance, {
+FORMATS = {  # kind -> (class, (encode, decode) of its fields)
+    "umps": _kind(UmpsInstance, {
         "n": _INT, "m": _INT, "lengths": _INT_MAP, "home": _INT_MAP, "dag": _DAG}),
-    "jobshop": (JobShopInstance, {"jobs": _list_of(_ROWS)}),
-    "commdelay": (CommDelayInstance, {
+    "jobshop": _kind(JobShopInstance, {"jobs": _list_of(_ROWS)}),
+    "commdelay": _kind(CommDelayInstance, {
         "n_total": _INT, "lengths": _INT_MAP, "delays": _DELAYS, "dag": _DAG,
         "machines": _OPT_INT}),
-    "related_grouped": (GroupedRelatedInstance, {
+    "related_grouped": _kind(GroupedRelatedInstance, {
         "job_groups": _list_of(_record(JobGroup, {
             "multiplicity": _INT, "length": _INT, "origin_job": _INT})),
         "machine_groups": _list_of(_record(MachineGroup, {"multiplicity": _INT, "speed": _INT})),
         "group_dag": _DAG}),
-    "kpartite": (KPartiteInstance, {
+    "kpartite": _kind(KPartiteInstance, {
         "k": _INT, "n": _INT, "layers": _ROWS, "edges": _list_of(_ROWS),
         "Q": _INT, "eps": _FRAC, "delta": _FRAC}),
-    "schedule": (Schedule, {"entries": _ENTRIES}),
-    "fractional": (FractionalSchedule, {
+    # "entries": {job: [machine, start, end]}, from and to the int rows
+    "schedule": (Schedule, (_write_schedule, _read_schedule)),
+    "fractional": _kind(FractionalSchedule, {
         "horizon": _INT, "gamma": _FRAC, "mass": _MASS, "umps_ref": _OBJ}),
-    "commdelay_artifact": (CommDelayReductionArtifact, {
+    "commdelay_artifact": _kind(CommDelayReductionArtifact, {
         "c_infinity": _INT, "dummy_ids": (list, lambda ids: tuple(_ints(ids))),
         "origin": _INT_MAP, "source": _OBJ, "output": _OBJ}),
-    "related_artifact": (RelatedReductionArtifact, {
+    "related_artifact": _kind(RelatedReductionArtifact, {
         "kappa": _INT, "kappa_meets_bound": _BOOL, "origin": _INT_MAP,
         "machine_group_of": _INT_MAP, "source": _OBJ, "output": _OBJ}),
-    "kpartite_certificate": (KPartiteYesCertificate, {
+    "kpartite_certificate": _kind(KPartiteYesCertificate, {
         "partition": _list_of(_ROWS)}),
 }
 # the one shape outside the table: a "schedule" file with "placements"
-_GROUPED = (GroupedSchedule, {"placements": _list_of(_record(GroupedPlacement, {
+_GROUPED = _kind(GroupedSchedule, {"placements": _list_of(_record(GroupedPlacement, {
     "group": _INT, "machine_group": _INT, "start": _FRAC, "end": _FRAC,
     "count": _INT}))})
-_KIND_OF = {cls: (kind, fields) for kind, (cls, fields) in FORMATS.items()}
+_KIND_OF = {cls: (kind, codec) for kind, (cls, codec) in FORMATS.items()}
 _KIND_OF[GroupedSchedule] = ("schedule", _GROUPED[1])
 
 
 def to_obj(value) -> dict:
     """Lower a domain object to its JSON form (adds the "kind" tag)."""
     try:
-        kind, fields = _KIND_OF[type(value)]
+        kind, (encode, _) = _KIND_OF[type(value)]
     except KeyError:
         raise TypeError(f"cannot serialize {type(value).__name__}") from None
-    obj = _encode(value, fields)
+    obj = encode(value)
     obj["kind"] = kind
     return obj
 
@@ -250,13 +288,12 @@ def to_obj(value) -> dict:
 def from_obj(obj):
     """Raise a domain object from its JSON form, dispatching on "kind"."""
     kind = obj.get("kind")
-    if kind == "schedule" and "placements" in obj:
-        return _decode(obj, *_GROUPED)
     try:
-        cls, fields = FORMATS[kind]
+        _, (_, decode) = (_GROUPED if kind == "schedule" and "placements" in obj
+                          else FORMATS[kind])
     except KeyError:
         raise ValueError(f"unknown kind {kind!r}") from None
-    return _decode(obj, cls, fields)
+    return decode(obj)
 
 
 # ---------------------------------------------------------------------------

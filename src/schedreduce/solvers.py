@@ -15,9 +15,10 @@ Interchangeable machines are opened in label order and twin jobs are
 kept in job order; these rules skip symmetric copies of a schedule but
 keep the lexicographically earliest member of each class, so optima and
 tie-breaks are those of the unrestricted search.  Times are scaled to
-integers (by the LCM of their denominators) for the search and converted
-back to ``Fraction`` only in the ``SolveResult``.  The solvers differ
-only in how they parameterize it:
+integers (by the LCM of their denominators) for the search, and the
+result's schedule keeps them on that integer time base; only its
+``optimum`` is a ``Fraction``.  The solvers differ only in how they
+parameterize it:
 
 - fixed-home jobs pin every job to its home machine, so the search is
   the order enumeration alone;
@@ -228,7 +229,7 @@ def _checked_list_schedule(dag, priority, lengths, delays, pinned, classes) -> S
             raise ValueError(f"priority is not topological: {u} -> {v}")
         preds[v].append((u, delays.get((u, v), 0)))
     times = [()] + [(lengths[j],) for j in range(1, dag.node_count + 1)]
-    return Schedule(entries=_list_schedule(priority, preds, times, pinned, classes))
+    return Schedule._of_rows(_list_schedule(priority, preds, times, pinned, classes))
 
 
 def _machine_bound(held, start, dur, tail):
@@ -264,8 +265,8 @@ def _exact_search(dag, lim, duration, delay=None, pinned=None, units=(), classes
     called once per job and class (on the class's first machine) or, for
     a pinned job, once on its pin, and this table gives the scale, each
     job's fastest time and the twin keys.  Times are scaled by the LCM of
-    their denominators, so the search runs on plain ints; the result
-    builds one ``Fraction`` per distinct time.  One topological pass
+    their denominators, so the search runs on plain ints, and the result's
+    schedule keeps them on that base.  One topological pass
     orders the seeds and gives each job's ancestors as a bit mask, and a
     pass back over it gives each job's tail: the longest path after the
     job ends, at fastest times and with no edge delay.
@@ -376,9 +377,8 @@ def _exact_search(dag, lim, duration, delay=None, pinned=None, units=(), classes
             labels, starts, durs = search.best_payload
             best, entries = search.best_ms, {
                 j: (labels[j], starts[j], starts[j] + durs[j]) for j in jobs}
-        frac = {t: Fraction(t, scale) for t in {best}.union(*(e[1:] for e in entries.values()))}
-        entries = {j: (i, frac[s], frac[e]) for j, (i, s, e) in entries.items()}
-        return SolveResult(frac[best], Schedule(entries=entries), proven, search.states)
+        return SolveResult(Fraction(best, scale), Schedule._of_rows(entries, scale), proven,
+                           search.states)
 
     if n > lim.max_jobs:
         return result(False)
@@ -700,9 +700,9 @@ def _solve_umps_unit(inst: UmpsInstance, lim: SolveLimits) -> SolveResult:
         for home in home_mask:  # machine order, as the round's choice
             if chosen & home:
                 j = (chosen & home).bit_length()
-                entries[j] = (inst.home[j], Fraction(r), Fraction(r + 1))
+                entries[j] = (inst.home[j], r, r + 1)
         mask = prev
-    sched = Schedule(entries=entries)
+    sched = Schedule._of_rows(entries)
     return SolveResult(
         optimum=Fraction(dist[full]),
         schedule=sched,

@@ -283,8 +283,14 @@ def _with(obj, path, value):
     return json.dumps(obj)
 
 
+def _fractional_obj(sample8):
+    sched = solve_umps_exact(sample8).schedule
+    return to_obj(gen_fractional(sample8, sched, Fraction(1, 640), Fraction(1, 2), 3))
+
+
 # strings and booleans where the format has an integer: the constructors
-# would int()-coerce them, and bool is an int subclass
+# would int()-coerce them, and bool is an int subclass; numbers and
+# booleans where it has a rational, which it always writes as a string
 UMPS3 = json.loads(_umps_with_edge("[1, 2]"))
 COMMDELAY2 = json.loads(FLOAT_DELAY_COMMDELAY)
 STRICT_INT_CASES = {
@@ -306,6 +312,9 @@ STRICT_INT_CASES = {
     "arabic-indic-home-key": _with(UMPS3, ("home", "\u0661"), 1),
     "zero-padded-entry-key": json.dumps({"kind": "schedule", "entries": {
         "1": [1, "0", "1"], "01": [2, "5", "6"]}}),
+    "bool-start": _schedule_text([1, True, "2"]),
+    "int-end": _schedule_text([1, "0", 1]),
+    "bool-gamma": _with(_fractional_obj(make_sample8()), ("gamma",), False),
 }
 
 
@@ -330,11 +339,6 @@ def test_malformed_file_is_usage_error_without_traceback(tmp_path, text):
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and "bad.json" in proc.stderr
-
-
-def _fractional_obj(sample8):
-    sched = solve_umps_exact(sample8).schedule
-    return to_obj(gen_fractional(sample8, sched, Fraction(1, 640), Fraction(1, 2), 3))
 
 
 def test_zero_denominator_is_malformed_but_a_broken_property_is_infeasible(

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,18 +21,28 @@ from schedreduce import (
     RelatedInstance,
     Schedule,
     UmpsInstance,
+    backward_map_commdelay,
+    canonicalize,
+    extract_integral,
+    forward_map_commdelay,
+    forward_map_related,
+    gen_fractional,
     gen_random_umps,
     greedy_umps,
     list_schedule_commdelay,
     makespan,
+    solve_commdelay_exact,
+    solve_related_exact,
+    solve_umps_exact,
     topological_order,
     umps_to_commdelay,
+    umps_to_related,
     validate_commdelay,
     validate_grouped,
     validate_related,
     validate_umps,
 )
-from schedreduce.serialize import dump_canonical, to_obj
+from schedreduce.serialize import dump_canonical, from_obj, to_obj
 from conftest import SAMPLE8
 from oracle import oracle_dag_edges, oracle_flat_violations, oracle_grouped_violations
 
@@ -175,8 +186,29 @@ def test_schedule_horizon_computed_and_checked():
     assert makespan(sched) == 3
     with pytest.raises(TypeError):  # computed, never passed in
         Schedule(entries={1: (1, 0, 2)}, horizon=5)
+    empty = Schedule(entries={})
+    assert empty.horizon == 0 and empty == Schedule._of_rows({}, 6)
     with pytest.raises(EmptySchedule):
-        makespan(Schedule(entries={}))
+        makespan(empty)
+    with pytest.raises(TypeError):
+        hash(sched)
+    # 1/2 beside 1/3 puts the times on scale 6, written in lowest terms
+    mixed = Schedule(entries={1: (1, Fraction(1, 2), 1), 2: (2, Fraction(-1, 3), Fraction(1, 3))})
+    assert mixed == Schedule._of_rows({1: (1, 6, 12), 2: (2, -4, 4)}, 12)
+    assert to_obj(mixed)["entries"] == {"1": [1, "1/2", "1"], "2": [2, "-1/3", "1/3"]}
+    assert mixed != Schedule._of_rows({1: (1, 3, 6), 2: (2, -2, 3)}, 6)
+
+
+@pytest.mark.parametrize("entries", [
+    {1.5: (2, 0, 1)}, {True: (1, 0, 1)}, {"1": (1, 0, 1)},
+    {1: (2.7, 0, 1)}, {1: (False, 0, 1)}, {1: ("1", 0, 1)},
+    {1: (1, 0.1, 1)}, {1: (1, 0, True)}, {1: (1, "0", 1)}, {1: (1, None, 1)},
+])
+def test_schedule_rejects_a_non_int_index_or_a_non_rational_time(entries):
+    # int() would truncate 1.5 and 2.7 to job 1 on machine 2, and a float
+    # start would become its binary fraction
+    with pytest.raises(TypeError):
+        Schedule(entries=entries)
 
 
 def violation_kinds(report):
@@ -319,6 +351,35 @@ def _checked(validate, make, entries):
         report = validate(make(), Schedule(entries=entries))
         return [(v.kind, v.witness) for v in report.violations]
     return run
+
+
+def test_producers_and_readers_leave_the_fraction_view_unbuilt(sample8):
+    """The solvers, maps and codec hand schedules over on their int rows,
+    and the validators, maps, generator, codec and ``==`` read those rows:
+    none of them builds ``entries``, one ``Fraction`` per time."""
+    src = solve_umps_exact(sample8).schedule  # the unit DP
+    art = umps_to_commdelay(sample8)
+    tgt = solve_commdelay_exact(art.output).schedule
+    fwd = forward_map_commdelay(art, src)
+    back = backward_map_commdelay(art, tgt)
+    delayed = solve_commdelay_exact(_commdelay4(2)).schedule  # the engine, with delays
+    related = solve_related_exact(_related3()).schedule
+    fs = gen_fractional(sample8, src, Fraction(1, 640), Fraction(1, 2), 3)
+    ext = extract_integral(canonicalize(fs))
+    greedy = greedy_umps(sample8)
+    scheds = [src, tgt, fwd, back, delayed, related, ext, greedy]
+    scheds += [from_obj(to_obj(x)) for x in scheds]
+    for x in (src, back, ext, greedy):
+        assert validate_umps(sample8, x).feasible
+    for x in (tgt, fwd):
+        assert validate_commdelay(art.output, x).feasible
+    assert validate_commdelay(_commdelay4(2), delayed).feasible
+    assert validate_related(_related3(), related).feasible
+    forward_map_related(umps_to_related(sample8, kappa_override=2), src)
+    assert scheds[:8] == scheds[8:]
+    assert [makespan(x) for x in scheds[:8]] == [makespan(x) for x in scheds[8:]]
+    for x in scheds:
+        assert "entries" not in vars(x)
 
 
 def _flat_schedule_digest(kind, n, m, seed):
@@ -509,15 +570,54 @@ def flat_cases(draw):
         del entries[n]
     elif job_set == "extra":
         entries[n + 1] = (1, Fraction(0), Fraction(1))
-    return inst, validate, duration, keys, Schedule(entries=entries)
+    # some times as ints, the rest as Fractions
+    entries = {j: (i, *(int(t) if t.denominator == 1 and draw(st.booleans()) else t
+                        for t in (s, e)))
+               for j, (i, s, e) in entries.items()}
+    return inst, validate, duration, keys, entries, draw(st.integers(1, 6))
+
+
+def _on_scale(entries, multiple):
+    """The schedule of ``entries`` built from ints on ``multiple`` times
+    the LCM of its denominators, a scale the schedule must reduce."""
+    scale = multiple * math.lcm(*(t.denominator for row in entries.values() for t in row[1:]))
+    return Schedule._of_rows({j: (i, int(s * scale), int(e * scale))
+                              for j, (i, s, e) in entries.items()}, scale)
+
+
+def _same_schedule(entries, sched, twin):
+    """``sched``, built by the constructor from ``entries``, and ``twin``
+    agree in every view, and both match ``entries``."""
+    assert sched == twin
+    for x in (sched, twin):
+        assert x.entries == entries
+        assert {type(t) for row in x.entries.values() for t in row[1:]} <= {Fraction}
+        assert x.horizon == max((e for _, _, e in entries.values()), default=0)
+        assert type(x.horizon) is Fraction
+        assert to_obj(x) == {"kind": "schedule", "entries": {
+            str(j): [i, str(Fraction(s)), str(Fraction(e))] for j, (i, s, e) in entries.items()}}
+        assert from_obj(to_obj(x)) == sched
+    assert dump_canonical(to_obj(sched)) == dump_canonical(to_obj(twin))
+    if not entries:
+        with pytest.raises(EmptySchedule):
+            makespan(twin)
 
 
 @settings(max_examples=150, deadline=None)
-@given(flat_cases())
-def test_flat_validators_match_the_fraction_oracle(case):
-    inst, validate, duration, keys, sched = case
-    _same_outcome(lambda: validate(inst, sched),
-                  lambda: oracle_flat_violations(inst.dag, sched, duration, **keys))
+@given(flat_cases(), st.data())
+def test_flat_validators_match_the_fraction_oracle(case, data):
+    inst, validate, duration, keys, entries, multiple = case
+    sched, twin = Schedule(entries=entries), _on_scale(entries, multiple)
+    _same_schedule(entries, sched, twin)
+    for x in (sched, twin):
+        _same_outcome(lambda: validate(inst, x),
+                      lambda: oracle_flat_violations(inst.dag, x, duration, **keys))
+    if entries:  # one time moved by one step of the twin's scale
+        job = data.draw(st.sampled_from(sorted(entries)))
+        at = data.draw(st.sampled_from((1, 2)))
+        row = list(twin._rows[job])
+        row[at] += 1
+        assert Schedule._of_rows({**twin._rows, job: tuple(row)}, twin._scale) != sched
 
 
 @st.composite
