@@ -4,9 +4,10 @@ Conventions used throughout the package:
 
 * jobs, machines, layers and slots are 1-based dense integer indices;
 * all times are exact rationals (integer data stays integral along every
-  arithmetic path, so there are no tolerances): a :class:`Schedule`
-  keeps its times as ints on its own time base, in units of the LCM of
-  their denominators, and shows them as ``fractions.Fraction`` values;
+  arithmetic path, so there are no tolerances): a :class:`Schedule` and
+  a :class:`GroupedSchedule` keep their times as ints on their own time
+  base, in units of the LCM of their denominators, and show them as
+  ``fractions.Fraction`` values;
 * job intervals are half-open ``[start, end)``, so touching intervals do
   not overlap and a successor may start exactly when its predecessor ends;
 * instances and schedules are frozen dataclasses, treated as immutable
@@ -16,10 +17,8 @@ Validators never raise on an infeasible schedule; they return a
 :class:`ValidationReport` listing every violation found.  Structural
 problems (wrong job set, machine index out of range) raise instead,
 because no report could be interpreted for them.  The validators check
-on an integer time base, so they add and compare plain integers: the
-flat ones read a schedule's own int times and put only the durations on
-its base, and the grouped one multiplies every time once by the LCM of
-the denominators.
+on an integer time base, so they add and compare plain integers: they
+read a schedule's own int times and put only the durations on its base.
 """
 
 from __future__ import annotations
@@ -392,8 +391,60 @@ class KPartiteInstance:
 # schedules
 
 
+class _OnTimeBase:
+    """What a schedule kept on its own integer time base shares: a
+    ``_scale``, the LCM of the reduced denominators of its times, and
+    ``_rows`` with its times as ints in units of ``1/_scale``.  Each
+    subclass names the times of its rows (``_times``), maps them
+    (``_map_times``) and builds the ``Fraction`` views listed in
+    ``_VIEWS`` (``_view``), on first read.  Two schedules of one class are
+    equal when their scales and rows are."""
+
+    _VIEWS = ()
+
+    @classmethod
+    def _on_lcm(cls, rows):
+        """``rows`` with int or ``Fraction`` times, put on the LCM of their
+        denominators: the pair (scale, int rows)."""
+        scale = math.lcm(*{t.denominator for t in cls._times(rows)})
+        return scale, cls._map_times(rows, lambda t: t.numerator * (scale // t.denominator))
+
+    @classmethod
+    def _of_rows(cls, rows, scale: int = 1):
+        """The schedule of ``rows``, int times in units of ``1/scale``,
+        taken as they are; the scale is reduced to the LCM of the times'
+        reduced denominators."""
+        if scale != 1:
+            common = math.gcd(scale, *cls._times(rows))
+            if common != 1:
+                scale //= common
+                rows = cls._map_times(rows, common.__rfloordiv__)  # t // common
+        sched = object.__new__(cls)
+        vars(sched).update(_scale=scale, _rows=rows)
+        return sched
+
+    def _fractions(self):
+        """Each distinct time of the rows as a ``Fraction``, by its int."""
+        scale = self._scale
+        return {t: Fraction(t, scale) for t in set(self._times(self._rows))}
+
+    def __getattr__(self, name):
+        # reached only when the normal lookup fails: a view before its
+        # first read
+        state = vars(self)
+        if name not in self._VIEWS or "_rows" not in state:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = state[name] = self._view(name)
+        return value
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._scale == other._scale and self._rows == other._rows
+
+
 @dataclass(frozen=True, eq=False)
-class Schedule:
+class Schedule(_OnTimeBase):
     """Job -> (machine, start, end), kept on the schedule's own integer
     time base: a ``scale``, the LCM of the reduced denominators of its
     times, and int rows ``{job: (machine, start * scale, end * scale)}``.
@@ -411,6 +462,9 @@ class Schedule:
     entries: dict
     horizon: Fraction = field(init=False)
 
+    _VIEWS = ("entries", "horizon")
+    __hash__ = None
+
     def __post_init__(self):
         rows = {}
         for job, (machine, start, end) in vars(self).pop("entries").items():
@@ -421,44 +475,21 @@ class Schedule:
                 if not isinstance(t, (int, Fraction)) or isinstance(t, bool):
                     raise TypeError(f"job {job!r}: time {t!r} is not an int or a Fraction")
             rows[int(job)] = (int(machine), start, end)
-        scale = math.lcm(*{t.denominator for _, s, e in rows.values() for t in (s, e)})
-        vars(self).update(_scale=scale, _rows={
-            j: (i, s.numerator * (scale // s.denominator), e.numerator * (scale // e.denominator))
-            for j, (i, s, e) in rows.items()})
+        scale, rows = self._on_lcm(rows)
+        vars(self).update(_scale=scale, _rows=rows)
 
-    @classmethod
-    def _of_rows(cls, rows: dict, scale: int = 1) -> Schedule:
-        """The schedule of ``rows``, {job: (machine, start, end)} with int
-        times in units of ``1/scale``, taken as they are; the scale is
-        reduced to the LCM of the times' reduced denominators."""
-        if scale != 1:
-            common = math.gcd(scale, *(t for _, s, e in rows.values() for t in (s, e)))
-            if common != 1:
-                scale //= common
-                rows = {j: (i, s // common, e // common) for j, (i, s, e) in rows.items()}
-        sched = object.__new__(cls)
-        vars(sched).update(_scale=scale, _rows=rows)
-        return sched
+    @staticmethod
+    def _times(rows):
+        return (t for _, s, e in rows.values() for t in (s, e))
 
-    def __getattr__(self, name):
-        # reached only when the normal lookup fails: entries or horizon
-        # before its first read
-        state = vars(self)
-        if name not in ("entries", "horizon") or "_rows" not in state:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        rows, scale = state["_rows"], state["_scale"]
+    @staticmethod
+    def _map_times(rows, f):
+        return {j: (i, f(s), f(e)) for j, (i, s, e) in rows.items()}
+
+    def _view(self, name):
         if name == "horizon":
-            value = Fraction(max((e for _, _, e in rows.values()), default=0), scale)
-        else:
-            frac = {t: Fraction(t, scale) for t in {t for _, s, e in rows.values() for t in (s, e)}}
-            value = {j: (i, frac[s], frac[e]) for j, (i, s, e) in rows.items()}
-        state[name] = value
-        return value
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._scale == other._scale and self._rows == other._rows
+            return Fraction(max((e for _, _, e in self._rows.values()), default=0), self._scale)
+        return self._map_times(self._rows, self._fractions().__getitem__)
 
 
 def makespan(sched: Schedule) -> Fraction:
@@ -470,7 +501,9 @@ def makespan(sched: Schedule) -> Fraction:
 @dataclass(frozen=True)
 class GroupedPlacement:
     """``count`` members of job group ``group`` run on machines of
-    ``machine_group`` during [start, end)."""
+    ``machine_group`` during [start, end).  The group, machine group and
+    count must be ints and the times ints or ``Fraction`` values (a bool
+    is rejected, not truncated); the times are kept as ``Fraction``."""
 
     group: int
     machine_group: int
@@ -479,31 +512,67 @@ class GroupedPlacement:
     count: int
 
     def __post_init__(self):
+        for index in (self.group, self.machine_group, self.count):
+            if not isinstance(index, int) or isinstance(index, bool):
+                raise TypeError(
+                    f"placement group, machine group and count must be ints, not {index!r}")
+        for t in (self.start, self.end):
+            if not isinstance(t, (int, Fraction)) or isinstance(t, bool):
+                raise TypeError(f"placement time {t!r} is not an int or a Fraction")
         object.__setattr__(self, "start", as_fraction(self.start))
         object.__setattr__(self, "end", as_fraction(self.end))
-        if not (isinstance(self.group, int) and isinstance(self.machine_group, int)
-                and isinstance(self.count, int)):
-            raise ValueError("placement group, machine group and count must be integers")
         if self.count < 1:
             raise ValueError("placement count must be >= 1")
 
 
-@dataclass(frozen=True)
-class GroupedSchedule:
+@dataclass(frozen=True, eq=False)
+class GroupedSchedule(_OnTimeBase):
+    """Placements of job-group members, kept as a :class:`Schedule` keeps
+    its entries: on the schedule's own integer time base, a ``scale`` (the
+    LCM of the reduced denominators of its times) and an int tuple of
+    rows ``(group, machine_group, start * scale, end * scale, count)``,
+    one per placement, in placement order.  Two grouped schedules are
+    equal when their scales and rows are; their hash is that of the pair.
+
+    The public constructor takes ``placements``; the package's producers
+    and the codec hand over int rows and a scale instead
+    (:meth:`_of_rows`), and ``placements`` is then built from the rows on
+    first read.
+    """
+
     placements: tuple
 
+    _VIEWS = ("placements",)
+
     def __post_init__(self):
-        object.__setattr__(self, "placements", tuple(self.placements))
+        placements = tuple(vars(self).pop("placements"))
+        scale, rows = self._on_lcm(tuple(
+            (pl.group, pl.machine_group, pl.start, pl.end, pl.count) for pl in placements))
+        vars(self).update(placements=placements, _scale=scale, _rows=rows)
+
+    @staticmethod
+    def _times(rows):
+        return (t for _, _, s, e, _ in rows for t in (s, e))
+
+    @staticmethod
+    def _map_times(rows, f):
+        return tuple((g, i, f(s), f(e), c) for g, i, s, e, c in rows)
+
+    def _view(self, name):
+        return tuple(GroupedPlacement(*row)
+                     for row in self._map_times(self._rows, self._fractions().__getitem__))
+
+    def __hash__(self):
+        return hash((self._scale, self._rows))
 
     def makespan(self) -> Fraction:
-        if not self.placements:
+        if not self._rows:
             raise EmptySchedule("grouped schedule has no placements")
-        return max(pl.end for pl in self.placements)
+        return Fraction(max(e for _, _, _, e, _ in self._rows), self._scale)
 
 
 # ---------------------------------------------------------------------------
-# validation, on an integer time base: the flat validators check on a
-# schedule's own, the grouped one scales its times once, then checks on ints
+# validation, on each schedule's own integer time base
 
 
 @dataclass(frozen=True)
@@ -625,31 +694,28 @@ def validate_grouped(
     every group is placed exactly once.
     """
     job_groups, machine_groups = inst.job_groups, inst.machine_groups
-    scale = math.lcm(*{t.denominator for pl in gs.placements for t in (pl.start, pl.end)})
+    scale = gs._scale
     violations = []
     per_group_count = [0] * (len(job_groups) + 1)
     last_end, first_start = {}, {}
     events = [[] for _ in range(len(machine_groups) + 1)]  # per machine group
-    for idx, pl in enumerate(gs.placements):
-        g, i = pl.group, pl.machine_group
+    for idx, (g, i, start, end, count) in enumerate(gs._rows):
         if not 1 <= g <= len(job_groups):
             raise JobSetMismatch(f"placement {idx}: unknown job group {g}")
         if not 1 <= i <= len(machine_groups):
             raise MachineOutOfRange(f"placement {idx}: unknown machine group {i}")
-        start = pl.start.numerator * (scale // pl.start.denominator)
-        end = pl.end.numerator * (scale // pl.end.denominator)
         if start < 0:
             violations.append(Violation("negative_time", (g,)))
         # end - start == length / speed on the unscaled times
         if (end - start) * machine_groups[i - 1].speed != job_groups[g - 1].length * scale:
             violations.append(Violation("duration", (g, i)))
-        per_group_count[g] += pl.count
+        per_group_count[g] += count
         if g not in last_end or end > last_end[g]:
             last_end[g] = end
         if g not in first_start or start < first_start[g]:
             first_start[g] = start
-        events[i].append((start, 1, pl.count))
-        events[i].append((end, 0, -pl.count))
+        events[i].append((start, 1, count))
+        events[i].append((end, 0, -count))
 
     for g, jg in enumerate(job_groups, start=1):
         total, mult = per_group_count[g], jg.multiplicity

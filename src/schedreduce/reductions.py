@@ -35,7 +35,6 @@ from .errors import (
 )
 from .model import (
     CommDelayInstance,
-    GroupedPlacement,
     GroupedRelatedInstance,
     GroupedSchedule,
     JobGroup,
@@ -220,23 +219,17 @@ def umps_to_related(inst: UmpsInstance, kappa_override: int = None) -> RelatedRe
     kappa = default_kappa if kappa_override is None else int(kappa_override)
     if kappa < 2:
         raise ValueError(f"kappa must be >= 2, got {kappa}")
-    job_groups = tuple(
-        JobGroup(
-            multiplicity=kappa ** (2 * (inst.m - inst.home[l])),
-            length=kappa ** (inst.home[l] - 1),
-            origin_job=l,
-        )
-        for l in range(1, inst.n + 1)
-    )
     machine_groups = tuple(
         MachineGroup(multiplicity=kappa ** (2 * (inst.m - i)), speed=kappa ** (i - 1))
         for i in range(1, inst.m + 1)
     )
+    # job l's group takes the multiplicity and speed of its home group as
+    # its multiplicity and length; the source's dag is the group dag
+    homes = [machine_groups[inst.home[l] - 1] for l in range(1, inst.n + 1)]
+    job_groups = tuple(JobGroup(multiplicity=mg.multiplicity, length=mg.speed, origin_job=l)
+                       for l, mg in enumerate(homes, start=1))
     output = GroupedRelatedInstance(
-        job_groups=job_groups,
-        machine_groups=machine_groups,
-        group_dag=PrecedenceDag(node_count=inst.n, edges=inst.dag.edges),
-    )
+        job_groups=job_groups, machine_groups=machine_groups, group_dag=inst.dag)
     return RelatedReductionArtifact(
         output=output,
         kappa=kappa,
@@ -254,21 +247,11 @@ def forward_map_related(art: RelatedReductionArtifact, sched: Schedule) -> Group
     report = validate_umps(art.source, sched)
     if not report.feasible:
         raise InfeasibleInput(f"input schedule infeasible: {report.violations[0]}")
-    placements = []
-    rows, scale = sched._rows, sched._scale
-    for l in range(1, art.source.n + 1):
-        _, start, end = rows[l]
-        jg = art.output.job_groups[l - 1]
-        placements.append(
-            GroupedPlacement(
-                group=l,
-                machine_group=art.machine_group_of[art.source.home[l]],
-                start=Fraction(start, scale),
-                end=Fraction(end, scale),
-                count=jg.multiplicity,
-            )
-        )
-    return GroupedSchedule(placements=tuple(placements))
+    rows, home, machine_group_of = sched._rows, art.source.home, art.machine_group_of
+    groups = art.output.job_groups
+    return GroupedSchedule._of_rows(tuple(
+        (l, machine_group_of[home[l]], rows[l][1], rows[l][2], groups[l - 1].multiplicity)
+        for l in range(1, art.source.n + 1)), sched._scale)
 
 
 def materialize_related(ginst: GroupedRelatedInstance):
@@ -315,31 +298,31 @@ def materialize_grouped_schedule(ginst: GroupedRelatedInstance, gs: GroupedSched
     entries = {}
     # placements go in (start, group) order, and each takes the
     # lowest-numbered machines of its machine group that are free by its
-    # start; a machine is free once its last placement has ended.
+    # start; a machine is free once its last placement has ended.  Times
+    # stay on the grouped schedule's time base.
     busy_until = {}  # machine index -> end time of its last placement
-    for pl in sorted(gs.placements, key=lambda p: (p.start, p.group)):
-        base = machine_base[pl.machine_group - 1]
-        cap = machine_base[pl.machine_group] - base
+    for group, machine_group, start, end, count in sorted(gs._rows, key=lambda r: (r[2], r[0])):
+        base = machine_base[machine_group - 1]
+        cap = machine_base[machine_group] - base
         assigned = 0
         for k in range(1, cap + 1):
-            if assigned == pl.count:
+            if assigned == count:
                 break
             machine = base + k
-            if busy_until.get(machine, Fraction(0)) <= pl.start:
-                job = next_member[pl.group - 1] + 1
-                if job > job_base[pl.group]:
+            if busy_until.get(machine, 0) <= start:
+                job = next_member[group - 1] + 1
+                if job > job_base[group]:
                     raise InfeasibleInput(
-                        f"job group {pl.group} places more members than its multiplicity"
+                        f"job group {group} places more members than its multiplicity"
                     )
-                next_member[pl.group - 1] = job
-                entries[job] = (machine, pl.start, pl.end)
-                busy_until[machine] = pl.end
+                next_member[group - 1] = job
+                entries[job] = (machine, start, end)
+                busy_until[machine] = end
                 assigned += 1
-        if assigned < pl.count:
-            raise InfeasibleInput(
-                f"machine group {pl.machine_group} cannot host {pl.count} members at {pl.start}"
-            )
-    return Schedule(entries=entries)
+        if assigned < count:
+            raise InfeasibleInput(f"machine group {machine_group} cannot host {count} members "
+                                  f"at {Fraction(start, gs._scale)}")
+    return Schedule._of_rows(entries, gs._scale)
 
 
 # ---------------------------------------------------------------------------

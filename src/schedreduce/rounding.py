@@ -44,16 +44,17 @@ The arithmetic runs on an integer mass base, as the exact search runs on
 an integer time base.  Each schedule is built on one grid, once, and
 the grid is checked once: every mass as an int in units of the LCM of
 the mass and gamma denominators, per job and per (machine, slot).  The
-constructor builds it from rational masses; :func:`strip_misplaced`,
+constructor, and so the file reader, builds it from rational masses;
+:func:`strip_misplaced` (from the int rows of a grouped schedule),
 :func:`greedy_canonical` and :func:`~schedreduce.generators.gen_fractional`
 build it from ints, and :func:`canonicalize` returns its working copy,
 checked after each pass that moved mass.  The property check, the
 rewrites and their scans, the greedy sweep, the partial-load bound, the
 extraction and ``==`` all read the grid.  ``Fraction`` appears only at
-the boundary: the ``y`` of a trace line, and the ``mass`` of a schedule,
-read off its grid on first use.  The swap and fill scans read only the
-jobs whose window spans two or more slots, the only ones a step can
-move.
+the boundary: the ``y`` of a trace line, a number in an error message,
+and the ``mass`` of a schedule, read off its grid when a caller (the
+file writer among them) first asks for it.  The swap and fill scans read only the jobs whose
+window spans two or more slots, the only ones a step can move.
 """
 
 from __future__ import annotations
@@ -83,11 +84,10 @@ class FractionalSchedule:
     :class:`PropertyViolated` with the first offending witness.  A job or
     slot that is not an int (a bool included) is rejected, not truncated.
 
-    The module's producers build their grid directly, check it once and
+    The package's producers build their grid directly, check it once and
     wrap it (:meth:`_of_units`, :meth:`_Grid.schedule`); the ``mass`` of
-    such a schedule is read off its grid on first use.  Two schedules are
-    equal when their horizon, gamma, instance and grid masses are; a
-    schedule is unhashable.
+    such a schedule is read off its grid on first use.  Two schedules are equal when their horizon, gamma, instance and grid
+    masses are; a schedule is unhashable.
     """
 
     horizon: int
@@ -208,24 +208,24 @@ def strip_misplaced(art, gs) -> FractionalSchedule:
     unit = math.lcm(gamma.denominator, *(jg.multiplicity for jg in groups))
     units = {}
     placed_home = {l: 0 for l in range(1, n + 1)}
-    for pl in gs.placements:
-        job = art.origin[pl.group]
-        home_group = art.machine_group_of[source.home[job]]
-        if pl.machine_group != home_group:
+    scale = gs._scale  # the placements' times are ints in units of 1/scale
+    for group, machine_group, start, end, count in gs._rows:
+        job = art.origin[group]
+        if machine_group != art.machine_group_of[source.home[job]]:
             continue  # off-home member: deleted
-        if pl.start.denominator != 1 or pl.end != pl.start + 1:
-            raise InfeasibleInput(
-                f"home placement of group {pl.group} at {pl.start} is not slot-aligned"
-            )
-        key = (job, int(pl.start) + 1)
-        units[key] = units.get(key, 0) + pl.count * (unit // groups[pl.group - 1].multiplicity)
-        placed_home[job] += pl.count
+        if start % scale or end != start + scale:
+            raise InfeasibleInput(f"home placement of group {group} at "
+                                  f"{Fraction(start, scale)} is not slot-aligned")
+        key = (job, start // scale + 1)
+        units[key] = units.get(key, 0) + count * (unit // groups[group - 1].multiplicity)
+        placed_home[job] += count
 
     if art.kappa_meets_bound:
         for l in range(1, n + 1):
-            deleted = 1 - Fraction(placed_home[l], groups[l - 1].multiplicity)
-            if deleted > gamma:
-                raise MisplacedFractionExceeded(l, deleted)
+            # the deleted share (mult - placed) / mult against gamma, cross-multiplied
+            mult = groups[l - 1].multiplicity
+            if (mult - placed_home[l]) * gamma.denominator > mult * gamma.numerator:
+                raise MisplacedFractionExceeded(l, 1 - Fraction(placed_home[l], mult))
     return FractionalSchedule._of_units(horizon, units, unit, gamma, source)
 
 

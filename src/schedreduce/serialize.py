@@ -24,17 +24,19 @@ is written in Python.
 Each kind is declared once, in ``FORMATS``: its class and the (encode,
 decode) pair of its fields.  Most kinds build that pair from one (encode,
 decode) pair per field, so ``to_obj`` and ``from_obj`` walk the same
-field list.  A ``schedule`` is written from and read into its integer
-time base directly: a whole time costs no ``Fraction`` either way, and
-any other costs one per distinct time written or text read.  A
-decoder reads only the fields its kind declares, so extra fields are
-ignored.  Integers are strict: where the format has an integer, a
-string or a boolean is an error, never coerced, and a map key must be a
-canonical decimal integer (``"1"``, never ``"01"``).  Rationals are
-strict too: the format writes each one as a string, so a number or a
-boolean in its place is an error.  Rational texts are read through one
-bounded table shared by every read, so a text read again costs one dict
-lookup and gives the same ``Fraction``.
+field list.  A ``schedule``, flat or grouped, is written from and read
+into its integer time base directly: a whole time costs no ``Fraction``
+either way, and any other costs one per distinct time written or text
+read; a time or count the fast reader does not take goes through the
+public constructors, so every error is theirs.  A decoder reads only
+the fields its kind declares, so extra fields are ignored.  Integers
+are strict: where the format has an integer, a string or a boolean is an
+error, never coerced, and a map key must be a canonical decimal integer
+(``"1"``, never ``"01"``).  Rationals are strict too: the format writes
+each one as a string, so a number or a boolean in its place is an
+error.  Rational texts are read through one bounded table shared by
+every read, so a text read again costs one dict lookup and gives the
+same ``Fraction``.
 
 Reduction artifacts and certificates are written the same way, as
 self-contained sidecar files (source and output instances embedded).  No
@@ -203,12 +205,20 @@ def _read_mass(rows) -> dict:
     return mass
 
 
+def _scaled_text(values, scale):
+    """The text of an int value in units of ``1/scale``, the rational
+    ``value / scale``: ``str`` on scale 1, where ``values`` is not read,
+    else a lookup of one text per distinct value among ``values``."""
+    if scale == 1:
+        return str
+    return {v: str(Fraction(v, scale)) for v in set(values)}.__getitem__
+
+
 def _write_schedule(sched) -> dict:
     """The fields of a :class:`Schedule`, written from its int rows: one
     text per time on scale 1, else one per distinct time."""
-    rows, scale = sched._rows, sched._scale
-    text = str if scale == 1 else {
-        t: str(Fraction(t, scale)) for _, s, e in rows.values() for t in (s, e)}.__getitem__
+    rows = sched._rows
+    text = _scaled_text((t for _, s, e in rows.values() for t in (s, e)), sched._scale)
     return {"entries": {str(j): [i, text(s), text(e)] for j, (i, s, e) in rows.items()}}
 
 
@@ -221,6 +231,27 @@ def _read_schedule(obj) -> Schedule:
     if set(map(type, chain.from_iterable(rows.values()))) == {int}:
         return Schedule._of_rows(rows)
     return Schedule(entries=rows)
+
+
+def _write_grouped(gs) -> dict:
+    """The fields of a :class:`GroupedSchedule`, written from its int rows."""
+    rows = gs._rows
+    text = _scaled_text((t for _, _, s, e, _ in rows for t in (s, e)), gs._scale)
+    return {"placements": [
+        {"group": g, "machine_group": i, "start": text(s), "end": text(e), "count": c}
+        for g, i, s, e, c in rows]}
+
+
+def _read_grouped(obj) -> GroupedSchedule:
+    """A :class:`GroupedSchedule` from its fields: on scale 1, as they
+    are, when every time is an int and every count positive, else through
+    the constructors, which check the counts and put the times on their
+    LCM."""
+    rows = tuple((_int(p["group"]), _int(p["machine_group"]), _time(p["start"]),
+                  _time(p["end"]), _int(p["count"])) for p in obj["placements"])
+    if set(map(type, chain.from_iterable(rows))) <= {int} and all(row[4] >= 1 for row in rows):
+        return GroupedSchedule._of_rows(rows)
+    return GroupedSchedule(placements=[GroupedPlacement(*row) for row in rows])
 
 
 _INT = (_same, _int)
@@ -266,10 +297,9 @@ FORMATS = {  # kind -> (class, (encode, decode) of its fields)
     "kpartite_certificate": _kind(KPartiteYesCertificate, {
         "partition": _list_of(_ROWS)}),
 }
-# the one shape outside the table: a "schedule" file with "placements"
-_GROUPED = _kind(GroupedSchedule, {"placements": _list_of(_record(GroupedPlacement, {
-    "group": _INT, "machine_group": _INT, "start": _FRAC, "end": _FRAC,
-    "count": _INT}))})
+# the one shape outside the table: a "schedule" file with "placements",
+# from and to the int rows
+_GROUPED = (GroupedSchedule, (_write_grouped, _read_grouped))
 _KIND_OF = {cls: (kind, codec) for kind, (cls, codec) in FORMATS.items()}
 _KIND_OF[GroupedSchedule] = ("schedule", _GROUPED[1])
 

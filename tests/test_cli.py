@@ -361,6 +361,25 @@ def test_zero_denominator_is_malformed_but_a_broken_property_is_infeasible(
     assert "infeasible" in capsys.readouterr().err
 
 
+# the first mass row of the sample fractional file is [1, 3, "10239/10240"];
+# each case puts ``value`` at index ``at`` of that row
+@pytest.mark.parametrize("at, value, code, message", [
+    (2, "3/2", 1, "infeasible: mass x[1,3] = 3/2 outside [0, 1]"),
+    (2, "-1/2", 1, "infeasible: mass x[1,3] = -1/2 outside [0, 1]"),
+    (0, True, 2, "bad.json: malformed file (TypeError: True is not an integer)"),
+    (2, "1/0", 2, "bad.json: malformed file (ZeroDivisionError: Fraction(1, 0))"),
+    (2, 1, 2, "bad.json: malformed file (TypeError: 1 is not a rational string)"),
+], ids=["mass-above-one", "negative-mass", "bool-job", "zero-denominator", "number-mass"])
+def test_malformed_fractional_file_keeps_its_message_and_exit_code(
+        tmp_path, sample8, capsys, at, value, code, message):
+    frac = _fractional_obj(sample8)
+    assert frac["mass"][0] == [1, 3, "10239/10240"]
+    frac["mass"][0][at] = value
+    (tmp_path / "bad.json").write_text(json.dumps(frac))
+    assert run("solve", str(tmp_path / "bad.json"), "--out", str(tmp_path / "o.json")) == code
+    assert message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # malformed-file fuzzer: seeded mutations of valid files of every kind must
 # end in an exit code, never in an exception

@@ -34,6 +34,7 @@ from schedreduce import (
     solve_commdelay_exact,
     solve_related_exact,
     solve_umps_exact,
+    strip_misplaced,
     topological_order,
     umps_to_commdelay,
     umps_to_related,
@@ -211,6 +212,18 @@ def test_schedule_rejects_a_non_int_index_or_a_non_rational_time(entries):
         Schedule(entries=entries)
 
 
+@pytest.mark.parametrize("args", [
+    (True, 1, 0, 1, True), (1, True, 0, 1, 1), (1, 1, 0, 1, False),
+    (1.5, 1, 0, 1, 1), ("1", 1, 0, 1, 1), (1, 1, 0, 1, 2.0),
+    (1, 1, 0.1, 1.1, 1), (1, 1, True, 2, 1), (1, 1, 0, "1", 1), (1, 1, None, 1, 1),
+])
+def test_grouped_placement_rejects_a_non_int_index_or_a_non_rational_time(args):
+    # a bool group and count would be written as true, which no reader
+    # takes back, and 0.1 would become its binary fraction
+    with pytest.raises(TypeError):
+        GroupedPlacement(*args)
+
+
 def violation_kinds(report):
     return {v.kind for v in report.violations}
 
@@ -356,7 +369,8 @@ def _checked(validate, make, entries):
 def test_producers_and_readers_leave_the_fraction_view_unbuilt(sample8):
     """The solvers, maps and codec hand schedules over on their int rows,
     and the validators, maps, generator, codec and ``==`` read those rows:
-    none of them builds ``entries``, one ``Fraction`` per time."""
+    none of them builds ``entries``, one ``Fraction`` per time, nor a
+    grouped schedule's ``placements``."""
     src = solve_umps_exact(sample8).schedule  # the unit DP
     art = umps_to_commdelay(sample8)
     tgt = solve_commdelay_exact(art.output).schedule
@@ -375,11 +389,21 @@ def test_producers_and_readers_leave_the_fraction_view_unbuilt(sample8):
         assert validate_commdelay(art.output, x).feasible
     assert validate_commdelay(_commdelay4(2), delayed).feasible
     assert validate_related(_related3(), related).feasible
-    forward_map_related(umps_to_related(sample8, kappa_override=2), src)
+    # the grouped path: the forward map hands over rows, and the validator,
+    # the strip, makespan, == and the codec read them
+    rel = umps_to_related(sample8, kappa_override=2)
+    gs = forward_map_related(rel, src)
+    gs_back = from_obj(to_obj(gs))
     assert scheds[:8] == scheds[8:]
     assert [makespan(x) for x in scheds[:8]] == [makespan(x) for x in scheds[8:]]
     for x in scheds:
         assert "entries" not in vars(x)
+    assert validate_grouped(rel.output, gs).feasible
+    strip_misplaced(rel, gs)
+    assert gs.makespan() == gs_back.makespan() == makespan(src)
+    assert gs == gs_back and hash(gs) == hash(gs_back)
+    for x in (gs, gs_back):
+        assert "placements" not in vars(x)
 
 
 def _flat_schedule_digest(kind, n, m, seed):
@@ -655,12 +679,46 @@ def grouped_cases(draw):
             g_count + 1 if unknown == "group" else pl.group,
             mg_count + 1 if unknown == "machine_group" else pl.machine_group,
             pl.start, pl.end, pl.count)
-    return inst, GroupedSchedule(placements=placements), draw(st.booleans())
+    return (inst, GroupedSchedule(placements=placements), draw(st.booleans()),
+            draw(st.integers(1, 6)))
+
+
+def _grouped_on_scale(gs, multiple):
+    """The grouped schedule of ``gs``'s placements built from ints on
+    ``multiple`` times the LCM of their denominators, a scale it must
+    reduce."""
+    scale = multiple * math.lcm(*(t.denominator for pl in gs.placements
+                                  for t in (pl.start, pl.end)))
+    return GroupedSchedule._of_rows(tuple(
+        (pl.group, pl.machine_group, int(pl.start * scale), int(pl.end * scale), pl.count)
+        for pl in gs.placements), scale)
+
+
+def _makespan_or_error(gs):
+    try:
+        return gs.makespan()
+    except EmptySchedule as exc:
+        return type(exc)
 
 
 @settings(max_examples=150, deadline=None)
-@given(grouped_cases())
-def test_grouped_validator_matches_the_fraction_oracle(case):
-    inst, gs, require_complete = case
-    _same_outcome(lambda: validate_grouped(inst, gs, require_complete),
-                  lambda: oracle_grouped_violations(inst, gs, require_complete))
+@given(grouped_cases(), st.data())
+def test_grouped_validator_matches_the_fraction_oracle(case, data):
+    inst, gs, require_complete, multiple = case
+    twin = _grouped_on_scale(gs, multiple)
+    assert twin == gs and hash(twin) == hash(gs)
+    assert twin.placements == gs.placements
+    assert {type(t) for pl in twin.placements for t in (pl.start, pl.end)} <= {Fraction}
+    assert _makespan_or_error(twin) == _makespan_or_error(gs)
+    assert dump_canonical(to_obj(twin)) == dump_canonical(to_obj(gs))
+    assert from_obj(to_obj(twin)) == gs
+    for x in (gs, twin):
+        _same_outcome(lambda: validate_grouped(inst, x, require_complete),
+                      lambda: oracle_grouped_violations(inst, gs, require_complete))
+    if twin._rows:  # one time moved by one step of the twin's scale
+        k = data.draw(st.integers(0, len(twin._rows) - 1))
+        at = data.draw(st.sampled_from((2, 3)))
+        rows = [list(row) for row in twin._rows]
+        rows[k][at] += 1
+        moved = GroupedSchedule._of_rows(tuple(map(tuple, rows)), twin._scale)
+        assert moved != gs and moved.placements != gs.placements

@@ -519,11 +519,20 @@ PRODUCERS = {
 @pytest.mark.parametrize("name", list(PRODUCERS))
 def test_rewritten_schedule_equals_one_built_from_its_masses(name):
     out = PRODUCERS[name]()
+    obj = to_obj(out)
+    back = from_obj(obj)
     rebuilt = FractionalSchedule(out.horizon, out.mass, out.gamma, out.umps_ref)
-    assert out == rebuilt
+    assert out == rebuilt == back
     assert repr(out) == repr(rebuilt)
-    assert _readings(out) == _readings(rebuilt)
-    assert vars(out._grid) == vars(rebuilt._grid)
+    assert _readings(out) == _readings(rebuilt) == _readings(back)
+    assert vars(out._grid) == vars(rebuilt._grid) == vars(back._grid)
+    # read back, the masses keep the file's (job, slot) order, as the
+    # constructor keeps them
+    in_file = FractionalSchedule(out.horizon, dict(sorted(out.mass.items())), out.gamma,
+                                 out.umps_ref)
+    assert list(back.mass) == list(in_file.mass) == sorted(out.mass)
+    assert repr(back) == repr(in_file)
+    assert dump_canonical(to_obj(back)) == dump_canonical(obj)
 
 
 def test_equality_reads_the_grids():
