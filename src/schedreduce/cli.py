@@ -117,16 +117,32 @@ def _parse_pairs(chunks) -> dict:
     return out
 
 
+def _fraction(key, text) -> Fraction:
+    """The rational ``text`` of parameter ``key``; a zero denominator is a
+    usage error, and so (by ``Fraction``'s ``ValueError``) is a text that
+    is not a rational."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise UsageError(f"{key}: zero denominator in {text!r}") from None
+
+
 def _parse_limits(text) -> SolveLimits:
+    """The limits of ``--limits``; each must be a number >= 0."""
     pairs = _parse_pairs(text)
     kwargs = {}
     for key, value in pairs.items():
         if key in ("max_jobs", "max_states"):
             kwargs[key] = int(value)
         elif key == "time_budget":
-            kwargs[key] = float(Fraction(value))
+            try:
+                kwargs[key] = float(_fraction(key, value))
+            except OverflowError:
+                raise UsageError(f"{key}: {value!r} is too large") from None
         else:
             raise UsageError(f"unknown limit {key!r}")
+        if kwargs[key] < 0:
+            raise UsageError(f"limit {key} must be >= 0, got {value!r}")
     return SolveLimits(**kwargs)
 
 
@@ -144,7 +160,7 @@ def _int(params, key, default=None):
 
 
 def _frac(params, key, default):
-    return Fraction(params[key]) if key in params else Fraction(default)
+    return _fraction(key, params[key]) if key in params else Fraction(default)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,21 @@ problems (wrong job set, machine index out of range) raise instead,
 because no report could be interpreted for them.  The validators check
 on an integer time base, so they add and compare plain integers: they
 read a schedule's own int times and put only the durations on its base.
+
+Instances and schedules are immutable, so a check need not run twice.
+The flat validators (:func:`validate_umps`, :func:`validate_commdelay`,
+:func:`validate_related`) keep the last report made for a
+:class:`Schedule` on that schedule, keyed by the validator and the
+identity of the instance object it was checked against.  A repeat of the
+same check (same validator, same instance object: identity, not
+equality) returns the same frozen report; any other check runs and
+replaces it.  A check that raises keeps nothing.  Every feasible check
+returns one shared report, so keeping it costs no object per schedule.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -593,8 +604,13 @@ class ValidationReport:
         object.__setattr__(self, "violations", tuple(self.violations))
 
 
+_FEASIBLE = ValidationReport(feasible=True, violations=())
+
+
 def _report(violations) -> ValidationReport:
-    return ValidationReport(feasible=not violations, violations=tuple(violations))
+    if not violations:
+        return _FEASIBLE
+    return ValidationReport(feasible=False, violations=tuple(violations))
 
 
 def _check_job_set(sched: Schedule, count: int):
@@ -663,12 +679,35 @@ def _validate_flat(dag, sched, duration, home=None, machines=None, delays=None):
     return _report(violations)
 
 
+def _once_per_pair(validator):
+    """``validator``, with its last report kept on the schedule: a repeat
+    with the same instance object returns the kept report (see the module
+    docstring).  The kept entry holds the instance, so its identity
+    cannot pass to another object while the report is kept."""
+
+    @functools.wraps(validator)
+    def check(inst, sched):
+        if type(sched) is not Schedule:
+            return validator(inst, sched)
+        state = vars(sched)
+        kept = state.get("_report")
+        if kept is not None and kept[0] is check and kept[1] is inst:
+            return kept[2]
+        report = validator(inst, sched)
+        state["_report"] = (check, inst, report)
+        return report
+
+    return check
+
+
+@_once_per_pair
 def validate_umps(inst: UmpsInstance, sched: Schedule) -> ValidationReport:
     """Feasibility for fixed-home scheduling: home machines, durations,
     no same-machine overlap, and precedence end <= start per edge."""
     return _validate_flat(inst.dag, sched, lambda j, i: inst.lengths[j], home=inst.home)
 
 
+@_once_per_pair
 def validate_commdelay(inst: CommDelayInstance, sched: Schedule) -> ValidationReport:
     """Feasibility with communication delays: cross-machine successors wait
     the edge delay after the predecessor ends; co-located ones do not."""
@@ -676,6 +715,7 @@ def validate_commdelay(inst: CommDelayInstance, sched: Schedule) -> ValidationRe
                           machines=inst.machines, delays=inst.delays)
 
 
+@_once_per_pair
 def validate_related(inst: RelatedInstance, sched: Schedule) -> ValidationReport:
     """Feasibility on related machines: any machine is allowed, but the
     interval must equal the job's speed-scaled duration there."""

@@ -11,8 +11,9 @@ read(write(x)) == x.
 
 The writer hands the two shapes that make up most of the bytes to the
 stdlib's C encoder, with its item separator set to the line break and
-indent: a row block (a non-empty list of non-empty lists of only ints
-and strs, such as dag edges, delays and fractional masses) and a leaf
+indent: a row block (a non-empty list of non-empty lists, or tuple of
+tuples, of only ints and strs, such as dag edges, delays and fractional
+masses) and a leaf
 dict of at least 16 items (str keys, int or str values, such as the
 lengths and homes of a larger instance).  The C encoder escapes strings,
 writes ints and sorts keys as the writer does; a row block's row
@@ -34,9 +35,23 @@ are strict: where the format has an integer, a string or a boolean is an
 error, never coerced, and a map key must be a canonical decimal integer
 (``"1"``, never ``"01"``).  Rationals are strict too: the format writes
 each one as a string, so a number or a boolean in its place is an
-error.  Rational texts are read through one bounded table shared by
-every read, so a text read again costs one dict lookup and gives the
-same ``Fraction``.
+error.
+
+Values that repeat are checked or decoded once, through small bounded
+tables shared by every read and write.  None changes a byte written or
+read, or an error raised:
+
+* ``_RationalTable`` (and ``_TimeTable`` for schedule times): rational
+  texts, so a text read again costs one dict lookup and gives the same
+  ``Fraction``;
+* ``_KeyTable``: the key list of a map, as the tuple of its key texts,
+  checked once to be canonical integers;
+* ``_InstanceTable``: ``umps`` instances, interned after every field of
+  a read has passed its strict checks, so one instance text read again
+  (standalone, or embedded in a ``fractional`` file or an artifact)
+  gives the same object and its dag is admitted once;
+* ``_BlockTexts``: the text of the last few dag edge blocks written, by
+  the identity of the edges tuple, which the writer is handed as it is.
 
 Reduction artifacts and certificates are written the same way, as
 self-contained sidecar files (source and output instances embedded).  No
@@ -158,14 +173,48 @@ def _ints(values, items=_same):
     return values
 
 
-def _int_keys(obj) -> list:
+def _read_int_keys(obj) -> tuple:
     """The keys of ``obj`` as ints; each must be a canonical decimal
     integer, so no two keys (``"1"`` and ``"01"``) name the same int."""
-    keys = list(map(int, obj))
+    keys = tuple(map(int, obj))
     if list(map(str, keys)) != list(obj):
         bad = next(key for key, k in zip(obj, keys) if key != str(k))
         raise ValueError(f"key {bad!r} is not a canonical integer")
     return keys
+
+
+class _KeyTable(dict):
+    """The key lists of maps read so far, each as the tuple of its key
+    texts in file order, with its ints; a miss reads the texts with
+    ``_read_int_keys`` and keeps them only when every key is canonical.
+    The table holds at most ``SIZE`` keys in all: it is emptied when a
+    list would not fit, and a longer list is never kept."""
+
+    __slots__ = ("held",)
+    SIZE = 4096
+
+    def __init__(self):
+        super().__init__()
+        self.held = 0
+
+    def __missing__(self, texts):
+        keys = _read_int_keys(texts)
+        if len(keys) <= self.SIZE:
+            if self.held + len(keys) > self.SIZE:
+                self.clear()
+                self.held = 0
+            self[texts] = keys
+            self.held += len(keys)
+        return keys
+
+
+_KEYS = _KeyTable()
+
+
+def _int_keys(obj) -> tuple:
+    """``_read_int_keys(obj)``: the key list of a dict is checked once per
+    distinct tuple of key texts; anything else is checked each time."""
+    return _KEYS[tuple(obj)] if type(obj) is dict else _read_int_keys(obj)
 
 
 def _bool(value) -> bool:
@@ -263,15 +312,60 @@ _FRAC = (frac_str, _rational)
 _OBJ = (lambda value: to_obj(value), lambda obj: from_obj(obj))
 _ROWS = (lambda rows: [list(row) for row in rows],
          lambda rows: _ints(rows, chain.from_iterable))
-_DAG = _record(PrecedenceDag, {"node_count": _INT, "edges": _ROWS})
+# a dag's edges are written as the tuple of int pairs they already are
+_DAG = _record(PrecedenceDag, {"node_count": _INT, "edges": (_same, _ROWS[1])})
 _DELAYS = (lambda d: [[u, v, c] for (u, v), c in sorted(d.items())],
            lambda rows: {(u, v): c for u, v, c in _ints(rows, chain.from_iterable)})
 _MASS = (lambda d: [[job, slot, frac_str(x)] for (job, slot), x in sorted(d.items())],
          _read_mass)
+_UMPS = {"n": _INT, "m": _INT, "lengths": _INT_MAP, "home": _INT_MAP, "dag": _DAG}
+
+
+class _InstanceTable(dict):
+    """``umps`` instances read so far, each under its counts and maps; the
+    oldest is dropped when the table is full, so it stays bounded."""
+
+    __slots__ = ()
+    SIZE = 1  # a pass reads an instance, then the files that embed it
+
+    def _get(self, key, rows, make):
+        """The kept instance of ``key`` whose dag edges are ``rows``, else
+        ``make()``, which is then kept under ``key``.  The writer lists a
+        dag's edges as the dag keeps them, sorted and once each, so the
+        kept dag's edges are the rows of every file written from it."""
+        inst = self.get(key)
+        if inst is None or inst.dag.edges != rows:
+            inst = make()
+            if len(self) >= self.SIZE:
+                del self[next(iter(self))]
+            self[key] = inst
+        return inst
+
+
+_INSTANCES = _InstanceTable()
+
+
+def _read_umps(obj) -> UmpsInstance:
+    """An :class:`UmpsInstance` from its fields, interned: every field is
+    decoded and type-checked first, in the order of its kind's fields, and
+    only then is a kept instance looked up, by every int of the file in
+    file order (counts, map items, edge rows).  A boolean or a string
+    where an int belongs therefore raises as before and never meets a
+    kept instance.  A text read again gives the same object, and its dag
+    is admitted once."""
+    n, m = _int(obj["n"]), _int(obj["m"])
+    lengths, home = _INT_MAP[1](obj["lengths"]), _INT_MAP[1](obj["home"])
+    dag = obj["dag"]
+    node_count, edges = _int(dag["node_count"]), _ROWS[1](dag["edges"])
+    key = (n, m, tuple(lengths.items()), tuple(home.items()), node_count)
+    return _INSTANCES._get(key, tuple(map(tuple, edges)), lambda: UmpsInstance(
+        n=n, m=m, lengths=lengths, home=home,
+        dag=PrecedenceDag(node_count=node_count, edges=edges)))
+
 
 FORMATS = {  # kind -> (class, (encode, decode) of its fields)
-    "umps": _kind(UmpsInstance, {
-        "n": _INT, "m": _INT, "lengths": _INT_MAP, "home": _INT_MAP, "dag": _DAG}),
+    # written field by field, read and interned by _read_umps
+    "umps": (UmpsInstance, (lambda value: _encode(value, _UMPS), _read_umps)),
     "jobshop": _kind(JobShopInstance, {"jobs": _list_of(_ROWS)}),
     "commdelay": _kind(CommDelayInstance, {
         "n_total": _INT, "lengths": _INT_MAP, "delays": _DELAYS, "dag": _DAG,
@@ -357,18 +451,63 @@ def _encoder(newline: str):
         separators=("," + newline, ": "), sort_keys=True, check_circular=False).encode
 
 
+class _BlockTexts(dict):
+    """The texts of the last few tuple row blocks written (a dag's edges),
+    by the block's identity and the indent it was written at.  Each entry
+    holds its block, so the block's ``id`` cannot pass to another object
+    while its text is kept, and a tuple of tuples of ints and strs cannot
+    change.  The oldest is dropped when the table is full."""
+
+    __slots__ = ()
+    SIZE = 2  # an instance written alone, then embedded one level down
+
+    def _text(self, block, newline: str):
+        key = (id(block), newline)
+        kept = self.get(key)
+        if kept is not None:
+            return kept[1]
+        text = _row_block(block, tuple, newline)
+        if text is not None:
+            if len(self) >= self.SIZE:
+                del self[next(iter(self))]
+            self[key] = (block, text)
+        return text
+
+
+_BLOCKS = _BlockTexts()
+
+
+def _row_block(value, row_type, newline: str):
+    """The text of a row block, a non-empty list or tuple of non-empty
+    rows of ``row_type`` holding only ints and strs, written by the C
+    encoder and re-indented at its row boundaries, whose pattern holds a
+    line break (an encoded str never does, so it matches nothing else);
+    None for anything else."""
+    if not (set(map(type, value)) == {row_type} and all(value)
+            and set(map(type, chain.from_iterable(value))) <= _LEAF_TYPES):
+        return None
+    inner = newline + "  "
+    inner2 = inner + "  "
+    # "[[a,<inner2>b],<inner2>[c]]" less its outer brackets
+    text = _encoder(inner2)(value)[2:-2]
+    return ("[" + inner + "[" + inner2
+            + text.replace("]," + inner2 + "[", inner + "]," + inner + "[" + inner2)
+            + inner + "]" + newline + "]")
+
+
 def _inline(value, newline: str):
     """The text of an int, a str, a non-empty list of only those, a row
     block or a leaf dict of ``_C_DICT_MIN`` or more items, the bulk of
     every file, written without recursing; None for anything else.  Row
-    blocks and leaf dicts are written by the C encoder.  A row block is
-    then re-indented at its row boundaries, whose pattern holds a line
-    break, and an encoded str never does, so it matches nothing else."""
+    blocks and leaf dicts are written by the C encoder; the text of a
+    tuple row block is kept in ``_BLOCKS``."""
     kind = type(value)
     if kind is int:
         return int.__repr__(value)
     if kind is str:
         return _encode_str(value)
+    if kind is tuple:
+        return _BLOCKS._text(value, newline) if value else None
     inner = newline + "  "
     if kind is list and value:
         if type(value[0]) is not list:
@@ -377,15 +516,7 @@ def _inline(value, newline: str):
             except KeyError:
                 return None
             return "[" + inner + ("," + inner).join(texts) + newline + "]"
-        if not (set(map(type, value)) == {list} and all(value)
-                and set(map(type, chain.from_iterable(value))) <= _LEAF_TYPES):
-            return None
-        inner2 = inner + "  "
-        # "[[a,<inner2>b],<inner2>[c]]" less its outer brackets
-        text = _encoder(inner2)(value)[2:-2]
-        return ("[" + inner + "[" + inner2
-                + text.replace("]," + inner2 + "[", inner + "]," + inner + "[" + inner2)
-                + inner + "]" + newline + "]")
+        return _row_block(value, list, newline)
     if (kind is dict and len(value) >= _C_DICT_MIN and set(map(type, value)) == {str}
             and set(map(type, value.values())) <= _LEAF_TYPES):
         return "{" + inner + _encoder(inner)(value)[1:-1] + newline + "}"

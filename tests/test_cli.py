@@ -169,6 +169,49 @@ def test_solve_budget_capped_still_writes_feasible_schedule(tmp_path, sample8_fi
     assert run("verify", sample8_file, out) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "random", "--params", "n=6,m=2,edge_prob=1/0", "--seed", "1"),
+    ("gen", "fractional", "--params", "instance={inst},schedule={sched},gamma=1/0"),
+    ("solve", "{inst}", "--limits", "time_budget=1/0"),
+], ids=["gen-edge-prob", "gen-gamma", "solve-time-budget"])
+def test_zero_denominator_parameter_is_usage_error(tmp_path, sample8_file, capsys, argv):
+    # Fraction("1/0") raises ZeroDivisionError, which used to escape as a
+    # traceback with exit 1
+    sched = str(tmp_path / "sched.json")
+    assert run("solve", sample8_file, "--out", sched) == 0
+    out = tmp_path / "out.json"
+    argv = [arg.format(inst=sample8_file, sched=sched) for arg in argv]
+    assert run(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "zero denominator in '1/0'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("limit", [
+    "max_jobs=-1", "max_states=-5", "time_budget=-1", "time_budget=-1/2",
+])
+def test_negative_limit_is_usage_error(tmp_path, sample8_file, capsys, limit):
+    # a negative budget used to trip at once (exit 3), and max_jobs=-1
+    # still wrote a schedule
+    out = tmp_path / "sched.json"
+    assert run("solve", sample8_file, "--limits", limit, "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"error: limit {limit.split('=')[0]} must be >= 0")
+    assert not out.exists()
+
+
+def test_too_large_time_budget_is_usage_error(tmp_path, sample8_file, capsys):
+    out = tmp_path / "sched.json"
+    assert run("solve", sample8_file, "--limits", "time_budget=1e400", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: time_budget: '1e400' is too large\n"
+
+
+@pytest.mark.parametrize("limit", ["max_jobs=0", "max_states=0"])
+def test_zero_limit_is_a_budget_not_a_usage_error(tmp_path, sample8_file, limit):
+    out = tmp_path / "sched.json"
+    assert run("solve", sample8_file, "--limits", limit, "--out", str(out)) == 3
+    assert read_obj(out)["proven_optimal"] is False
+
+
 def test_solve_size_cap_is_budget_exceeded(tmp_path, capsys):
     # the default kappa materializes tens of millions of jobs
     inst, grouped = str(tmp_path / "inst.json"), str(tmp_path / "grouped.json")

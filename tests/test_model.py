@@ -12,6 +12,7 @@ from schedreduce import (
     GroupedPlacement,
     GroupedRelatedInstance,
     GroupedSchedule,
+    InfeasibleInput,
     JobGroup,
     JobSetMismatch,
     JobShopInstance,
@@ -44,7 +45,7 @@ from schedreduce import (
     validate_umps,
 )
 from schedreduce.serialize import dump_canonical, from_obj, to_obj
-from conftest import SAMPLE8
+from conftest import SAMPLE8, make_sample8
 from oracle import oracle_dag_edges, oracle_flat_violations, oracle_grouped_violations
 
 # strategy: random dag via index-increasing edge choices
@@ -287,6 +288,119 @@ def test_validate_related_checks_speed_scaled_duration():
     assert validate_related(inst, good).feasible
     bad = Schedule(entries={1: (2, 0, 4), 2: (1, 0, 2)})
     assert "duration" in violation_kinds(validate_related(inst, bad))
+
+
+# ---------------------------------------------------------------------------
+# the report memo: a check runs once per (validator, instance object, schedule)
+
+
+@pytest.fixture
+def flat_runs(monkeypatch):
+    """The number of times ``_validate_flat`` has run, counted as a list."""
+    import schedreduce.model as model
+
+    runs, real = [], model._validate_flat
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(model, "_validate_flat", counted)
+    return runs
+
+
+def _witness(sample8):
+    return Schedule(entries={j: (m, s, s + 1) for j, (m, s) in SAMPLE8["witness"].items()})
+
+
+def _flat_pairs(sample8):
+    """(validator, instance factory, schedule factory) for each flat validator."""
+    commdelay = lambda: CommDelayInstance(n_total=2, lengths={1: 1, 2: 1}, delays={(1, 2): 5},
+                                          dag=PrecedenceDag(2, ((1, 2),)), machines=2)
+    related = lambda: RelatedInstance(machines=(1, 2), jobs=(4, 2), dag=PrecedenceDag(2, ()))
+    return [
+        (validate_umps, make_sample8, lambda: _witness(sample8)),
+        (validate_commdelay, commdelay, lambda: Schedule(entries={1: (1, 0, 1), 2: (2, 3, 4)})),
+        (validate_related, related, lambda: Schedule(entries={1: (2, 0, 2), 2: (1, 0, 2)})),
+    ]
+
+
+def test_a_repeated_check_returns_the_same_report_and_runs_once(sample8, flat_runs):
+    for validate, instance, schedule in _flat_pairs(sample8):
+        inst, sched = instance(), schedule()
+        before = len(flat_runs)
+        report = validate(inst, sched)
+        assert validate(inst, sched) is report and validate(inst, sched) is report
+        assert len(flat_runs) == before + 1
+        # a new schedule object with the same rows is checked again
+        assert validate(inst, schedule()) == report
+        assert len(flat_runs) == before + 2
+
+
+def test_an_equal_instance_that_is_another_object_is_checked_again(sample8, flat_runs):
+    for validate, instance, schedule in _flat_pairs(sample8):
+        first, twin, sched = instance(), instance(), schedule()
+        assert first == twin and first is not twin
+        before = len(flat_runs)
+        report = validate(first, sched)
+        assert validate(twin, sched) == report
+        assert validate(first, sched) == report  # the twin's check replaced it
+        assert len(flat_runs) == before + 3
+
+
+def test_every_feasible_check_returns_one_report(sample8):
+    first = validate_umps(sample8, _witness(sample8))
+    assert first.feasible and first.violations == ()
+    assert validate_umps(make_sample8(), _witness(sample8)) is first
+
+
+def test_another_validator_on_the_same_schedule_is_checked_again(sample8, flat_runs):
+    sched = _witness(sample8)
+    related = RelatedInstance(machines=(1, 1, 1), jobs=(1,) * 8, dag=sample8.dag)
+    assert validate_umps(sample8, sched).feasible
+    assert validate_related(related, sched).feasible
+    assert validate_umps(sample8, sched).feasible  # the related check replaced its report
+    assert len(flat_runs) == 3
+
+
+def test_a_check_that_raises_keeps_nothing(sample8, flat_runs):
+    sched = Schedule(entries={1: (1, 0, 1)})
+    for _ in range(2):
+        with pytest.raises(JobSetMismatch):
+            validate_umps(sample8, sched)
+    assert len(flat_runs) == 2
+
+
+def test_infeasible_pair_is_reported_and_raised_from_the_kept_report(sample8, flat_runs):
+    entries = {j: (m, s, s + 1) for j, (m, s) in SAMPLE8["witness"].items()}
+    entries[5] = (2, 1, 2)  # before its predecessor 7 ends
+    bad = Schedule(entries=entries)
+    report = validate_umps(sample8, bad)
+    assert not report.feasible and "precedence" in violation_kinds(report)
+    with pytest.raises(ValueError, match="input schedule infeasible: Violation"):
+        gen_fractional(sample8, bad, Fraction(1, 640), Fraction(1, 2), 3)
+    art = umps_to_related(sample8, kappa_override=2)
+    assert art.source is sample8
+    with pytest.raises(InfeasibleInput, match="input schedule infeasible") as exc:
+        forward_map_related(art, bad)
+    assert str(report.violations[0]) in str(exc.value)
+    assert validate_umps(sample8, bad) is report
+    assert len(flat_runs) == 1
+
+
+def test_the_maps_reuse_the_report_of_their_input(sample8, flat_runs):
+    src = solve_umps_exact(sample8).schedule
+    report = validate_umps(sample8, src)
+    art = umps_to_commdelay(sample8)
+    fwd = forward_map_commdelay(art, src)
+    forward_map_related(umps_to_related(sample8, kappa_override=2), src)
+    assert validate_umps(sample8, src) is report
+    assert len(flat_runs) == 1
+    target = validate_commdelay(art.output, fwd)
+    back = backward_map_commdelay(art, fwd)
+    assert validate_commdelay(art.output, fwd) is target
+    assert validate_umps(sample8, back).feasible
+    assert len(flat_runs) == 3
 
 
 def grouped_fixture():

@@ -351,3 +351,127 @@ def test_map_keys_must_be_canonical_integers(sample8, key):
 def test_canonical_negative_key_is_read_as_its_integer():
     (job,) = from_obj({"kind": "schedule", "entries": {"-3": [1, "0", "1"]}}).entries
     assert job == -3
+
+
+# ---------------------------------------------------------------------------
+# values read or written again: interned instances, key lists, edge texts
+
+
+def _text(value):
+    return dump_canonical(to_obj(value))
+
+
+def _fractional(sample8):
+    sched = solve_umps_exact(sample8).schedule
+    return gen_fractional(sample8, sched, F(1, 640), F(1, 2), 3)
+
+
+def test_one_umps_text_read_twice_gives_one_object(tmp_path, sample8):
+    p = tmp_path / "inst.json"
+    write_file(p, sample8)
+    first = read_file(p)
+    assert first == sample8 and first is not sample8
+    assert read_file(p) is first
+    assert from_obj(json.loads(_text(sample8))) is first
+    # the same instance embedded in other files is that object too
+    frac = from_obj(json.loads(_text(_fractional(sample8))))
+    art = from_obj(json.loads(_text(umps_to_related(sample8, kappa_override=2))))
+    assert frac.umps_ref is first and art.source is first
+
+
+def _umps_obj(sample8):
+    return json.loads(_text(sample8))
+
+
+def _swap_key(d, old, new):
+    return {new if key == old else key: value for key, value in d.items()}
+
+
+# each case breaks one int of a valid sample8 file, read after the valid one
+SWAPPED = {
+    "true-length": (lambda obj: obj["lengths"].update({"1": True}),
+                    TypeError, "True is not an integer"),
+    "true-home": (lambda obj: obj["home"].update({"1": True}),
+                  TypeError, "True is not an integer"),
+    "zero-padded-key": (lambda obj: obj.update(lengths=_swap_key(obj["lengths"], "1", "01")),
+                        ValueError, "key '01' is not a canonical integer"),
+    "str-endpoint": (lambda obj: obj["dag"]["edges"][0].__setitem__(1, "2"),
+                     TypeError, "'2' is not an integer"),
+    "true-endpoint": (lambda obj: obj["dag"]["edges"][0].__setitem__(0, True),
+                      TypeError, "True is not an integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWAPPED))
+def test_a_kept_instance_is_never_returned_for_a_swapped_int(sample8, case):
+    # True == 1 and hash(True) == hash(1), so a content key alone would
+    # match; the strict checks run before any lookup
+    swap, error, message = SWAPPED[case]
+    kept = from_obj(_umps_obj(sample8))
+    obj = _umps_obj(sample8)
+    swap(obj)
+    for _ in range(2):
+        with pytest.raises(error, match=message):
+            from_obj(obj)
+    assert from_obj(_umps_obj(sample8)) is kept
+
+
+def test_a_kept_instance_is_returned_only_for_the_same_content_in_the_same_order(sample8):
+    kept = from_obj(_umps_obj(sample8))
+    reordered = _umps_obj(sample8)
+    reordered["lengths"] = dict(reversed(reordered["lengths"].items()))
+    back = from_obj(reordered)
+    assert back == kept and back is not kept
+    assert list(back.lengths) == list(range(8, 0, -1))
+    # an edge listed twice, or out of order, reads as the parent reads it
+    doubled = _umps_obj(sample8)
+    doubled["dag"]["edges"].append(doubled["dag"]["edges"][0])
+    with pytest.raises(ValueError, match="duplicate edge"):
+        from_obj(doubled)
+    shuffled = _umps_obj(sample8)
+    shuffled["dag"]["edges"].reverse()
+    assert from_obj(shuffled) == sample8
+    other = _umps_obj(sample8)
+    other["dag"]["edges"].pop()
+    assert from_obj(other).dag.edges == sample8.dag.edges[:-1]
+
+
+def test_every_kept_table_stays_within_its_size(tmp_path):
+    from schedreduce.serialize import _BLOCKS, _INSTANCES, _KEYS
+
+    insts = [gen_random_umps(n, 2, F(1, 2), seed) for n in (3, 4, 5) for seed in range(12)]
+    for inst in insts:
+        text = _text(inst)
+        assert text == json.dumps(to_obj(inst), sort_keys=True, indent=2) + "\n"
+        assert from_obj(json.loads(text)) == inst
+        assert len(_INSTANCES) <= _INSTANCES.SIZE and len(_BLOCKS) <= _BLOCKS.SIZE
+    # key lists of every length up to past the table's size in keys, twice
+    for count in [*range(1, 200, 7), _KEYS.SIZE - 1, _KEYS.SIZE + 1] * 2:
+        keys = [str(k) for k in range(-count, count, 2)]
+        obj = {"kind": "schedule", "entries": {key: [1, "0", "1"] for key in keys}}
+        assert list(from_obj(obj).entries) == list(map(int, keys))
+        assert _KEYS.held == sum(map(len, _KEYS)) <= _KEYS.SIZE
+
+
+def test_one_key_list_is_checked_once(sample8):
+    from schedreduce.serialize import _int_keys
+
+    obj = _umps_obj(sample8)
+    keys = _int_keys(obj["lengths"])
+    assert keys == tuple(range(1, 9)) and _int_keys(obj["home"]) is keys
+    assert _int_keys(_umps_obj(sample8)["lengths"]) is keys
+    with pytest.raises(ValueError, match="key '01' is not a canonical integer"):
+        _int_keys(_swap_key(obj["lengths"], "1", "01"))
+    # a list of key texts is not a map, and is checked each time
+    assert _int_keys(["1", "2"]) == (1, 2)
+
+
+def test_dag_edges_are_written_as_the_tuple_they_are(sample8):
+    assert to_obj(sample8)["dag"]["edges"] is sample8.dag.edges
+
+
+def test_an_instance_written_at_every_depth_gives_the_bytes_of_json_dumps(sample8):
+    values = [sample8, _fractional(sample8), umps_to_related(sample8, kappa_override=2),
+              umps_to_commdelay(sample8)]
+    for value in values + values[::-1] + values:  # warm texts at each depth
+        assert _text(value) == json.dumps(to_obj(value), sort_keys=True, indent=2) + "\n"
