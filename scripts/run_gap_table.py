@@ -3,7 +3,8 @@
 
 Thin driver over ``sched-reduce bench``: writes the CSV, then prints a
 per-bound digest so a quick look tells which lemma a violation (if any)
-belongs to.  Exit code follows bench: 0 ok, 1 bound violated, 3 budget.
+belongs to.  Exit code follows bench: 0 ok, 1 bound violated, 2 usage
+error (no table is written or digested), 3 budget.
 """
 
 import argparse
@@ -19,14 +20,15 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("corpus_dir")
     ap.add_argument("--out", default="gap_table.csv")
-    ap.add_argument("--limits", default="",
-                    help="max_jobs=..,max_states=..,time_budget=..")
+    ap.add_argument("--limits", default="", help=cli.LIMITS_HELP)
     args = ap.parse_args(argv)
 
     bench_argv = ["bench", args.corpus_dir, "--out", args.out]
     if args.limits:
         bench_argv += ["--limits", args.limits]
     rc = cli.main(bench_argv)
+    if rc == 2:  # a usage error: bench wrote no table
+        return rc
 
     with open(args.out, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))

@@ -2,8 +2,12 @@
 
 Exit codes: 0 success/feasible, 1 infeasible or bound violated, 2 usage
 error, 3 budget exceeded (size caps count as budgets).  All file outputs
-are canonical JSON or CSV and depend only on inputs and --seed, never on
-the clock; measured timings go to stderr so reruns stay byte-identical.
+are canonical JSON or CSV and depend only on inputs and --seed; measured
+timings go to stderr so reruns stay byte-identical.  The one exception is
+a ``time_budget`` limit that trips: the exact searches then stop on the
+clock, and ``solve``, ``roundtrip`` and ``bench`` write the
+``solver_states`` at which it stopped them, which a rerun need not
+repeat.  A ``max_states`` or ``max_jobs`` cap is deterministic.
 """
 
 from __future__ import annotations
@@ -11,10 +15,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import re
 import sys
 import time
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from .errors import (
@@ -83,6 +89,8 @@ class UsageError(Exception):
 
 
 _BUDGET_ERRORS = (BudgetExceeded, MaterializationTooLarge)
+LIMITS_HELP = ("max_jobs=..,max_states=..,time_budget=..; a time_budget that trips "
+               "stops on the clock, so the solver_states written are not reproducible")
 
 
 @dataclass
@@ -127,13 +135,25 @@ def _fraction(key, text) -> Fraction:
         raise UsageError(f"{key}: zero denominator in {text!r}") from None
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(key, text) -> int:
+    """The integer ``text`` of parameter or option ``key``: ASCII
+    ``-?[0-9]+`` only, so ``1_0``, another script's digits or ``1.5`` is a
+    usage error rather than a number ``int()`` would read."""
+    if _INTEGER.fullmatch(text) is None:
+        raise UsageError(f"{key}: {text!r} is not an integer")
+    return int(text)
+
+
 def _parse_limits(text) -> SolveLimits:
     """The limits of ``--limits``; each must be a number >= 0."""
     pairs = _parse_pairs(text)
     kwargs = {}
     for key, value in pairs.items():
         if key in ("max_jobs", "max_states"):
-            kwargs[key] = int(value)
+            kwargs[key] = _integer(key, value)
         elif key == "time_budget":
             try:
                 kwargs[key] = float(_fraction(key, value))
@@ -156,7 +176,7 @@ def _param(params, key):
 def _int(params, key, default=None):
     if default is not None and key not in params:
         return default
-    return int(_param(params, key))
+    return _integer(key, _param(params, key))
 
 
 def _frac(params, key, default):
@@ -489,21 +509,22 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("family")
     g.add_argument("--params", action="append", default=[],
                    help="key=value[,key=value...] (repeatable)")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=partial(_integer, "--seed"), default=0)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen)
 
     r = sub.add_parser("reduce", help="apply a reduction, write output + sidecar")
     r.add_argument("in_path")
     r.add_argument("--reduction", required=True, choices=["commdelay", "related", "umps"])
-    r.add_argument("--kappa-override", type=int, default=None)
+    r.add_argument("--kappa-override", type=partial(_integer, "--kappa-override"),
+                   default=None)
     r.add_argument("--out", required=True)
     r.set_defaults(func=cmd_reduce)
 
     s = sub.add_parser("solve", help="solve an instance, write schedule + optimum")
     s.add_argument("in_path")
     s.add_argument("--solver", default="exact", choices=["exact", "greedy"])
-    s.add_argument("--limits", default="", help="max_jobs=..,max_states=..,time_budget=..")
+    s.add_argument("--limits", default="", help=LIMITS_HELP)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_solve)
 
@@ -515,14 +536,15 @@ def build_parser() -> argparse.ArgumentParser:
     rt = sub.add_parser("roundtrip", help="reduce, solve both sides, emit a gap row")
     rt.add_argument("in_path")
     rt.add_argument("--mode", required=True, choices=["commdelay", "related", "kpartite"])
-    rt.add_argument("--kappa-override", type=int, default=None)
-    rt.add_argument("--limits", default="")
+    rt.add_argument("--kappa-override", type=partial(_integer, "--kappa-override"),
+                    default=None)
+    rt.add_argument("--limits", default="", help=LIMITS_HELP)
     rt.add_argument("--out", default=None)
     rt.set_defaults(func=cmd_roundtrip)
 
     b = sub.add_parser("bench", help="roundtrip a corpus directory into a CSV table")
     b.add_argument("corpus_dir")
-    b.add_argument("--limits", default="")
+    b.add_argument("--limits", default="", help=LIMITS_HELP)
     b.add_argument("--out", default=None)
     b.set_defaults(func=cmd_bench)
     return p
@@ -530,8 +552,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # an option's type raises UsageError, which argparse passes on
+        args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

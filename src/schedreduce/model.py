@@ -55,6 +55,16 @@ def as_fraction(value: Rational) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
+def _int_tuple(values, what: str) -> tuple:
+    """``values`` as a tuple of ints; any other value, a bool or a float
+    too, raises ``TypeError`` naming it as ``what``, never truncated."""
+    values = tuple(values)
+    if not set(map(type, values)) <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise TypeError(f"{what} {bad!r} is not an int")
+    return values
+
+
 # ---------------------------------------------------------------------------
 # precedence graphs
 
@@ -204,20 +214,19 @@ class UmpsInstance:
 
 @dataclass(frozen=True)
 class JobShopInstance:
-    """Chains of operations; each operation is a (machine, duration) pair."""
+    """Chains of operations; each operation is a (machine, duration) pair
+    of ints (a float or a bool raises ``TypeError``)."""
 
     jobs: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "jobs",
-            tuple(tuple((int(mi), int(p)) for mi, p in chain) for chain in self.jobs),
-        )
-        if not self.jobs or any(not chain for chain in self.jobs):
+        jobs = tuple(tuple((mi, p) for mi, p in ops) for ops in self.jobs)
+        _int_tuple(chain.from_iterable(chain.from_iterable(jobs)), "machine or duration")
+        object.__setattr__(self, "jobs", jobs)
+        if not jobs or not all(jobs):
             raise ValueError("need at least one job, each with at least one operation")
-        for chain in self.jobs:
-            for mi, p in chain:
+        for ops in jobs:
+            for mi, p in ops:
                 if mi < 1 or p < 1:
                     raise ValueError(f"operation ({mi}, {p}) must have machine, duration >= 1")
 
@@ -233,7 +242,8 @@ class CommDelayInstance:
     ``machines`` is the machine count, or ``None`` for unlimited machines.
     ``delays`` maps each dag edge (u, v) to a nonnegative integer delay:
     if u and v run on different machines, v starts at least ``delay`` after
-    u ends; co-located jobs only obey plain precedence.
+    u ends; co-located jobs only obey plain precedence.  Edge endpoints
+    and delays are ints (a float or a bool raises ``TypeError``).
     """
 
     n_total: int
@@ -243,9 +253,10 @@ class CommDelayInstance:
     machines: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "delays", {(int(u), int(v)): int(c) for (u, v), c in self.delays.items()}
-        )
+        delays = {(u, v): c for (u, v), c in self.delays.items()}
+        _int_tuple(chain.from_iterable(delays), "delay edge endpoint")
+        _int_tuple(delays.values(), "delay")
+        object.__setattr__(self, "delays", delays)
         jobs = set(range(1, self.n_total + 1))
         if set(self.lengths) != jobs:
             raise ValueError("lengths must cover exactly jobs 1..n_total")
@@ -264,15 +275,16 @@ class CommDelayInstance:
 
 @dataclass(frozen=True)
 class RelatedInstance:
-    """Uniformly related machines: job j on machine i takes jobs[j]/machines[i]."""
+    """Uniformly related machines: job j on machine i takes jobs[j]/machines[i].
+    Speeds and lengths are ints (a float or a bool raises ``TypeError``)."""
 
     machines: tuple  # speeds s_i >= 1
     jobs: tuple      # lengths p_j >= 1
     dag: PrecedenceDag
 
     def __post_init__(self):
-        object.__setattr__(self, "machines", tuple(int(s) for s in self.machines))
-        object.__setattr__(self, "jobs", tuple(int(p) for p in self.jobs))
+        object.__setattr__(self, "machines", _int_tuple(self.machines, "speed"))
+        object.__setattr__(self, "jobs", _int_tuple(self.jobs, "length"))
         if not self.machines or not self.jobs:
             raise ValueError("need at least one machine and one job")
         if any(s < 1 for s in self.machines) or any(p < 1 for p in self.jobs):

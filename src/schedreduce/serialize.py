@@ -41,15 +41,10 @@ Values that repeat are checked or decoded once, through small bounded
 tables shared by every read and write.  None changes a byte written or
 read, or an error raised:
 
-* ``_RationalTable`` (and ``_TimeTable`` for schedule times): rational
-  texts, so a text read again costs one dict lookup and gives the same
-  ``Fraction``;
-* ``_KeyTable``: the key list of a map, as the tuple of its key texts,
-  checked once to be canonical integers;
-* ``_InstanceTable``: ``umps`` instances, interned after every field of
-  a read has passed its strict checks, so one instance text read again
-  (standalone, or embedded in a ``fractional`` file or an artifact)
-  gives the same object and its dag is admitted once;
+* three ``_Memo`` tables, bounded dicts that keep only what read
+  cleanly: rational texts (``_rational``) and schedule times (``_time``),
+  so a text read again costs one dict lookup, and the key lists of maps
+  (``_KEYS``), each checked once to be canonical integers;
 * ``_BlockTexts``: the text of the last few dag edge blocks written, by
   the identity of the edges tuple, which the writer is handed as it is.
 
@@ -112,41 +107,43 @@ def parse_rational(text) -> Fraction:
     return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
 
 
-class _RationalTable(dict):
-    """Rational texts read so far, each with its value; a miss reads the
-    text with ``read``, and a key that is not a str raises ``TypeError``.
-    The table is emptied when it is full, so it stays bounded."""
+class _Memo(dict):
+    """Values read so far, by the key they were read from: a miss calls
+    ``read(key)`` and keeps its value, or keeps nothing when ``read``
+    raises.  The memo is emptied when it is full, so it holds at most
+    ``size`` keys."""
 
-    __slots__ = ()
-    SIZE = 4096
-    read = staticmethod(parse_rational)
+    __slots__ = ("read", "size")
 
-    def __missing__(self, text):
-        # the format writes every rational as a string: a JSON number or
-        # boolean is not read as one
-        if type(text) is not str:
-            raise TypeError(f"{text!r} is not a rational string")
-        value = self.read(text)
-        if len(self) >= self.SIZE:
+    def __init__(self, read, size: int):
+        super().__init__()
+        self.read, self.size = read, size
+
+    def __missing__(self, key):
+        value = self.read(key)
+        if len(self) >= self.size:
             self.clear()
-        self[text] = value
+        self[key] = value
         return value
 
 
-class _TimeTable(_RationalTable):
-    """Schedule times: a whole number is read as an int, so a schedule
+def _read_rational(text) -> Fraction:
+    # the format writes every rational as a string: a JSON number or
+    # boolean is not read as one
+    if type(text) is not str:
+        raise TypeError(f"{text!r} is not a rational string")
+    return parse_rational(text)
+
+
+def _read_time(text):
+    """A schedule time: a whole number is read as an int, so a schedule
     whose times are all whole is read without a ``Fraction``."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def read(text):
-        value = parse_rational(text)
-        return value.numerator if value.denominator == 1 else value
+    value = _read_rational(text)
+    return value.numerator if value.denominator == 1 else value
 
 
-_rational = _RationalTable().__getitem__
-_time = _TimeTable().__getitem__
+_rational = _Memo(_read_rational, 4096).__getitem__
+_time = _Memo(_read_time, 4096).__getitem__
 
 
 # ---------------------------------------------------------------------------
@@ -183,32 +180,7 @@ def _read_int_keys(obj) -> tuple:
     return keys
 
 
-class _KeyTable(dict):
-    """The key lists of maps read so far, each as the tuple of its key
-    texts in file order, with its ints; a miss reads the texts with
-    ``_read_int_keys`` and keeps them only when every key is canonical.
-    The table holds at most ``SIZE`` keys in all: it is emptied when a
-    list would not fit, and a longer list is never kept."""
-
-    __slots__ = ("held",)
-    SIZE = 4096
-
-    def __init__(self):
-        super().__init__()
-        self.held = 0
-
-    def __missing__(self, texts):
-        keys = _read_int_keys(texts)
-        if len(keys) <= self.SIZE:
-            if self.held + len(keys) > self.SIZE:
-                self.clear()
-                self.held = 0
-            self[texts] = keys
-            self.held += len(keys)
-        return keys
-
-
-_KEYS = _KeyTable()
+_KEYS = _Memo(_read_int_keys, 64)  # key lists, by the tuple of their texts
 
 
 def _int_keys(obj) -> tuple:
@@ -318,54 +290,11 @@ _DELAYS = (lambda d: [[u, v, c] for (u, v), c in sorted(d.items())],
            lambda rows: {(u, v): c for u, v, c in _ints(rows, chain.from_iterable)})
 _MASS = (lambda d: [[job, slot, frac_str(x)] for (job, slot), x in sorted(d.items())],
          _read_mass)
-_UMPS = {"n": _INT, "m": _INT, "lengths": _INT_MAP, "home": _INT_MAP, "dag": _DAG}
-
-
-class _InstanceTable(dict):
-    """``umps`` instances read so far, each under its counts and maps; the
-    oldest is dropped when the table is full, so it stays bounded."""
-
-    __slots__ = ()
-    SIZE = 1  # a pass reads an instance, then the files that embed it
-
-    def _get(self, key, rows, make):
-        """The kept instance of ``key`` whose dag edges are ``rows``, else
-        ``make()``, which is then kept under ``key``.  The writer lists a
-        dag's edges as the dag keeps them, sorted and once each, so the
-        kept dag's edges are the rows of every file written from it."""
-        inst = self.get(key)
-        if inst is None or inst.dag.edges != rows:
-            inst = make()
-            if len(self) >= self.SIZE:
-                del self[next(iter(self))]
-            self[key] = inst
-        return inst
-
-
-_INSTANCES = _InstanceTable()
-
-
-def _read_umps(obj) -> UmpsInstance:
-    """An :class:`UmpsInstance` from its fields, interned: every field is
-    decoded and type-checked first, in the order of its kind's fields, and
-    only then is a kept instance looked up, by every int of the file in
-    file order (counts, map items, edge rows).  A boolean or a string
-    where an int belongs therefore raises as before and never meets a
-    kept instance.  A text read again gives the same object, and its dag
-    is admitted once."""
-    n, m = _int(obj["n"]), _int(obj["m"])
-    lengths, home = _INT_MAP[1](obj["lengths"]), _INT_MAP[1](obj["home"])
-    dag = obj["dag"]
-    node_count, edges = _int(dag["node_count"]), _ROWS[1](dag["edges"])
-    key = (n, m, tuple(lengths.items()), tuple(home.items()), node_count)
-    return _INSTANCES._get(key, tuple(map(tuple, edges)), lambda: UmpsInstance(
-        n=n, m=m, lengths=lengths, home=home,
-        dag=PrecedenceDag(node_count=node_count, edges=edges)))
 
 
 FORMATS = {  # kind -> (class, (encode, decode) of its fields)
-    # written field by field, read and interned by _read_umps
-    "umps": (UmpsInstance, (lambda value: _encode(value, _UMPS), _read_umps)),
+    "umps": _kind(UmpsInstance, {
+        "n": _INT, "m": _INT, "lengths": _INT_MAP, "home": _INT_MAP, "dag": _DAG}),
     "jobshop": _kind(JobShopInstance, {"jobs": _list_of(_ROWS)}),
     "commdelay": _kind(CommDelayInstance, {
         "n_total": _INT, "lengths": _INT_MAP, "delays": _DELAYS, "dag": _DAG,

@@ -199,6 +199,25 @@ def test_negative_limit_is_usage_error(tmp_path, sample8_file, capsys, limit):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("solve", "{inst}", "--limits", "max_jobs=1_0"), "max_jobs: '1_0' is not an integer"),
+    (("solve", "{inst}", "--limits", "max_jobs=٣"), "max_jobs: '٣' is not an integer"),
+    (("solve", "{inst}", "--limits", "max_jobs=1.5"), "max_jobs: '1.5' is not an integer"),
+    (("gen", "random", "--params", "n=1_2,m=2"), "n: '1_2' is not an integer"),
+    (("gen", "random", "--params", "n=3,m=2", "--seed", "1_0"),
+     "--seed: '1_0' is not an integer"),
+], ids=["underscore-limit", "arabic-indic-limit", "float-limit", "underscore-param",
+        "underscore-seed"])
+def test_cli_integer_that_is_not_ascii_digits_is_usage_error(
+        tmp_path, sample8_file, capsys, argv, message):
+    # int() reads "1_0" as 10 and "٣" as 3, and its message for "1.5"
+    # named no parameter
+    out = tmp_path / "out.json"
+    assert run(*[arg.format(inst=sample8_file) for arg in argv], "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_too_large_time_budget_is_usage_error(tmp_path, sample8_file, capsys):
     out = tmp_path / "sched.json"
     assert run("solve", sample8_file, "--limits", "time_budget=1e400", "--out", str(out)) == 2
@@ -749,14 +768,18 @@ def test_bench_empty_dir(tmp_path, capsys):
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def test_corpus_and_gap_table_scripts_run(tmp_path):
+def _run_script(name, *argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_corpus_and_gap_table_scripts_run(tmp_path):
     corpus, table = tmp_path / "corpus", tmp_path / "gap.csv"
     for argv in (["build_corpus.py", "--seeds", "1", "--out-dir", str(corpus)],
                  ["run_gap_table.py", str(corpus), "--out", str(table)]):
-        proc = subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
-                              capture_output=True, text=True, env=env)
+        proc = _run_script(*argv)
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stdout + proc.stderr
     assert table.read_text().splitlines()[0] == (
@@ -764,3 +787,17 @@ def test_corpus_and_gap_table_scripts_run(tmp_path):
     rows = read_rows(table)
     assert len(rows) == 8
     assert all(r["bound_holds"] == "true" for r in rows)
+
+
+@pytest.mark.parametrize("stale", [False, True], ids=["no-table", "stale-table"])
+def test_gap_table_script_digests_nothing_when_bench_is_a_usage_error(tmp_path, stale):
+    # the script used to read --out regardless: a traceback when it was
+    # missing, an old table's digest when it was not
+    table = tmp_path / "gap.csv"
+    if stale:
+        table.write_text(",".join(cli.GAP_COLUMNS) + "\nold,1,1,1,2,rounding_2L,true,0\n")
+    proc = _run_script("run_gap_table.py", str(tmp_path / "missing"), "--out", str(table))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert "is not a directory" in proc.stderr
+    assert "holds=" not in proc.stdout and "table written" not in proc.stdout

@@ -172,6 +172,23 @@ def test_jobshop_chain_accessors():
     assert js.machine_count == 2
 
 
+@pytest.mark.parametrize("make", [
+    lambda: CommDelayInstance(n_total=2, lengths={1: 1, 2: 1}, delays={(1, 2): 2.7},
+                              dag=PrecedenceDag(2, ((1, 2),))),
+    lambda: CommDelayInstance(n_total=2, lengths={1: 1, 2: 1}, delays={(1, 2): True},
+                              dag=PrecedenceDag(2, ((1, 2),))),
+    lambda: JobShopInstance(jobs=[[(1.9, 2.5)]]),
+    lambda: JobShopInstance(jobs=[[(1, True)]]),
+    lambda: RelatedInstance(machines=(1.5,), jobs=(2,), dag=PrecedenceDag(1, ())),
+    lambda: RelatedInstance(machines=(1,), jobs=(2.9,), dag=PrecedenceDag(1, ())),
+    lambda: RelatedInstance(machines=(True,), jobs=(2,), dag=PrecedenceDag(1, ())),
+], ids=["float-delay", "bool-delay", "float-operation", "bool-duration", "float-speed",
+        "float-length", "bool-speed"])
+def test_instance_ints_are_checked_not_truncated(make):
+    with pytest.raises(TypeError, match="is not an int"):
+        make()
+
+
 def test_commdelay_delays_must_cover_edges():
     dag = PrecedenceDag(2, ((1, 2),))
     with pytest.raises(ValueError):

@@ -19,8 +19,11 @@ from schedreduce import (
     umps_to_related,
 )
 from schedreduce.serialize import (
+    _BLOCKS,
+    _KEYS,
     _rational,
-    _RationalTable,
+    _read_mass,
+    _time,
     dump_canonical,
     frac_str,
     from_obj,
@@ -306,18 +309,36 @@ def _schedule_obj(times):
             "entries": {str(k): [1, s, e] for k, (s, e) in enumerate(times, 1)}}
 
 
-def test_rational_texts_read_past_the_shared_table_size(tmp_path):
-    count = 10_000
-    times = [(f"{k}/10007", f"{k + 1}/10007") for k in range(count)]
-    p = tmp_path / "s.json"
-    p.write_text(json.dumps(_schedule_obj(times)))
-    for _ in range(2):  # the second read meets a table the first one filled
-        entries = read_file(p).entries
-        assert len(entries) == count
-        for k, (machine, start, end) in entries.items():
-            assert machine == 1 and start == F(k - 1, 10007) and end == F(k, 10007)
-            assert type(start) is F and type(end) is F
-    assert len(_rational.__self__) <= _RationalTable.SIZE
+def _read_rationals(count):
+    mass = _read_mass([[1, k, f"{k}/7"] for k in range(count)])
+    assert list(mass.values()) == [F(k, 7) for k in range(count)]
+
+
+def _read_times(count):
+    entries = from_obj(_schedule_obj([(f"{k}/7", str(k)) for k in range(count)])).entries
+    assert entries == {k: (1, F(k - 1, 7), k - 1) for k in range(1, count + 1)}
+
+
+def _read_key_lists(count):
+    for k in range(count):
+        obj = {"kind": "schedule", "entries": {str(j): [1, "0", "1"] for j in range(-k, k + 1)}}
+        assert list(from_obj(obj).entries) == list(range(-k, k + 1))
+
+
+MEMOS = {  # each memo, and a read of ``count`` distinct keys through it
+    "rationals": (_rational.__self__, _read_rationals),
+    "times": (_time.__self__, _read_times),
+    "key-lists": (_KEYS, _read_key_lists),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMOS))
+def test_each_memo_reads_past_its_size_and_stays_within_it(name):
+    memo, read = MEMOS[name]
+    for _ in range(2):  # the second pass meets a memo the first one filled
+        read(memo.size + 100)
+        assert 0 < len(memo) <= memo.size
+        assert all(memo.read(key) == value for key, value in memo.items())
 
 
 def test_rational_texts_read_in_lowest_terms():
@@ -354,7 +375,7 @@ def test_canonical_negative_key_is_read_as_its_integer():
 
 
 # ---------------------------------------------------------------------------
-# values read or written again: interned instances, key lists, edge texts
+# values read or written again: key lists, edge texts, strict ints
 
 
 def _text(value):
@@ -364,19 +385,6 @@ def _text(value):
 def _fractional(sample8):
     sched = solve_umps_exact(sample8).schedule
     return gen_fractional(sample8, sched, F(1, 640), F(1, 2), 3)
-
-
-def test_one_umps_text_read_twice_gives_one_object(tmp_path, sample8):
-    p = tmp_path / "inst.json"
-    write_file(p, sample8)
-    first = read_file(p)
-    assert first == sample8 and first is not sample8
-    assert read_file(p) is first
-    assert from_obj(json.loads(_text(sample8))) is first
-    # the same instance embedded in other files is that object too
-    frac = from_obj(json.loads(_text(_fractional(sample8))))
-    art = from_obj(json.loads(_text(umps_to_related(sample8, kappa_override=2))))
-    assert frac.umps_ref is first and art.source is first
 
 
 def _umps_obj(sample8):
@@ -404,25 +412,22 @@ SWAPPED = {
 
 @pytest.mark.parametrize("case", sorted(SWAPPED))
 def test_a_kept_instance_is_never_returned_for_a_swapped_int(sample8, case):
-    # True == 1 and hash(True) == hash(1), so a content key alone would
-    # match; the strict checks run before any lookup
+    # True == 1 and hash(True) == hash(1), so a value kept from the valid
+    # read must not answer for the broken one, on any read
     swap, error, message = SWAPPED[case]
-    kept = from_obj(_umps_obj(sample8))
+    assert from_obj(_umps_obj(sample8)) == sample8
     obj = _umps_obj(sample8)
     swap(obj)
     for _ in range(2):
         with pytest.raises(error, match=message):
             from_obj(obj)
-    assert from_obj(_umps_obj(sample8)) is kept
 
 
-def test_a_kept_instance_is_returned_only_for_the_same_content_in_the_same_order(sample8):
-    kept = from_obj(_umps_obj(sample8))
+def test_a_reordered_or_edited_umps_text_reads_as_written(sample8):
     reordered = _umps_obj(sample8)
     reordered["lengths"] = dict(reversed(reordered["lengths"].items()))
     back = from_obj(reordered)
-    assert back == kept and back is not kept
-    assert list(back.lengths) == list(range(8, 0, -1))
+    assert back == sample8 and list(back.lengths) == list(range(8, 0, -1))
     # an edge listed twice, or out of order, reads as the parent reads it
     doubled = _umps_obj(sample8)
     doubled["dag"]["edges"].append(doubled["dag"]["edges"][0])
@@ -434,23 +439,6 @@ def test_a_kept_instance_is_returned_only_for_the_same_content_in_the_same_order
     other = _umps_obj(sample8)
     other["dag"]["edges"].pop()
     assert from_obj(other).dag.edges == sample8.dag.edges[:-1]
-
-
-def test_every_kept_table_stays_within_its_size(tmp_path):
-    from schedreduce.serialize import _BLOCKS, _INSTANCES, _KEYS
-
-    insts = [gen_random_umps(n, 2, F(1, 2), seed) for n in (3, 4, 5) for seed in range(12)]
-    for inst in insts:
-        text = _text(inst)
-        assert text == json.dumps(to_obj(inst), sort_keys=True, indent=2) + "\n"
-        assert from_obj(json.loads(text)) == inst
-        assert len(_INSTANCES) <= _INSTANCES.SIZE and len(_BLOCKS) <= _BLOCKS.SIZE
-    # key lists of every length up to past the table's size in keys, twice
-    for count in [*range(1, 200, 7), _KEYS.SIZE - 1, _KEYS.SIZE + 1] * 2:
-        keys = [str(k) for k in range(-count, count, 2)]
-        obj = {"kind": "schedule", "entries": {key: [1, "0", "1"] for key in keys}}
-        assert list(from_obj(obj).entries) == list(map(int, keys))
-        assert _KEYS.held == sum(map(len, _KEYS)) <= _KEYS.SIZE
 
 
 def test_one_key_list_is_checked_once(sample8):
@@ -475,3 +463,4 @@ def test_an_instance_written_at_every_depth_gives_the_bytes_of_json_dumps(sample
               umps_to_commdelay(sample8)]
     for value in values + values[::-1] + values:  # warm texts at each depth
         assert _text(value) == json.dumps(to_obj(value), sort_keys=True, indent=2) + "\n"
+        assert len(_BLOCKS) <= _BLOCKS.SIZE
