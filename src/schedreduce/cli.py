@@ -109,7 +109,8 @@ GAP_COLUMNS = [f.name for f in fields(GapRow)]
 
 
 def _parse_pairs(chunks) -> dict:
-    """Parse repeated/comma-separated key=value chunks."""
+    """Parse repeated/comma-separated key=value chunks; a key given twice
+    is a usage error."""
     out = {}
     if isinstance(chunks, str):
         chunks = [chunks]
@@ -121,7 +122,10 @@ def _parse_pairs(chunks) -> dict:
             if "=" not in part:
                 raise UsageError(f"expected key=value, got {part!r}")
             key, value = part.split("=", 1)
-            out[key.strip()] = value.strip()
+            key = key.strip()
+            if key in out:
+                raise UsageError(f"{key!r} is given more than once")
+            out[key] = value.strip()
     return out
 
 
@@ -187,9 +191,26 @@ def _frac(params, key, default):
 # subcommands
 
 
+# the --params keys each family of ``gen`` reads
+GEN_PARAMS = {
+    "layered": ("layers", "per_layer", "edge_prob"),
+    "random": ("n", "m", "edge_prob", "max_length"),
+    "jobshop": ("jobs", "machines", "ops_per_job"),
+    "kpartite_yes": ("n", "k"),
+    "kpartite_dense": ("n", "k", "density"),
+    "fractional": ("instance", "schedule", "gamma", "split_prob"),
+}
+
+
 def cmd_gen(args) -> int:
     params = _parse_pairs(args.params)
     family = args.family
+    if family not in GEN_PARAMS:
+        raise UsageError(f"unknown family {family!r}; choose from {', '.join(GEN_PARAMS)}")
+    for key in params:
+        if key not in GEN_PARAMS[family]:
+            raise UsageError(f"unknown parameter {key!r} for family {family}; "
+                             f"it reads {', '.join(GEN_PARAMS[family])}")
     if family == "layered":
         inst = gen_layered_umps(
             _int(params, "layers"), _int(params, "per_layer"),
@@ -216,7 +237,7 @@ def cmd_gen(args) -> int:
             _int(params, "n"), _int(params, "k"),
             _frac(params, "density", "9/10"), args.seed,
         )
-    elif family == "fractional":
+    else:  # fractional
         base = read_file(_param(params, "instance"))
         sched = read_file(_param(params, "schedule"))
         if not isinstance(base, UmpsInstance):
@@ -228,11 +249,6 @@ def cmd_gen(args) -> int:
             gamma=_frac(params, "gamma", "0"),
             split_prob=_frac(params, "split_prob", "1/2"),
             seed=args.seed,
-        )
-    else:
-        raise UsageError(
-            f"unknown family {family!r}; choose from layered, random, jobshop, "
-            "kpartite_yes, kpartite_dense, fractional"
         )
     write_file(args.out, inst)
     return 0
@@ -508,7 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate a seeded instance file")
     g.add_argument("family")
     g.add_argument("--params", action="append", default=[],
-                   help="key=value[,key=value...] (repeatable)")
+                   help="key=value[,key=value...] (repeatable); each key once, "
+                        "and only the keys the family reads")
     g.add_argument("--seed", type=partial(_integer, "--seed"), default=0)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen)

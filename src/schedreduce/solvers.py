@@ -33,7 +33,8 @@ parameterize it:
   per distinct speed, with speed-scaled durations.
 
 Sound pruning (admissible lower bounds, forced co-location under huge
-delays, and a completed-set dynamic program for unit lengths) keeps
+delays, and a completed-set dynamic program for unit lengths with a
+descendant-set exchange rule) keeps
 desk-scale runs fast without changing any optimum.  A node's lower bound
 is its longest path, raised by the one-machine relaxation of each machine
 whose job set the node changes: over each head threshold r, r plus the
@@ -588,7 +589,11 @@ def solve_umps_exact(inst: UmpsInstance, lim: SolveLimits = None) -> SolveResult
     filling an idle machine never hurts, so maximal rounds suffice).  A
     state is the bit mask of its done jobs and carries its ready mask: a
     child's is its parent's minus the jobs just run, plus those of their
-    successors whose predecessors are now all done.  Past
+    successors whose predecessors are now all done.  An exchange rule
+    drops children: a ready job with predecessors waits while a ready job
+    on its machine has a superset of its descendants (equal sets: the
+    lower index runs first).  It keeps the optimum and never defers a
+    predecessor-free job (see ``_solve_umps_unit``).  Past
     ``lim.max_states`` states it returns the ``greedy_umps`` schedule
     unproven, and it is not started when a count shows it must get there:
     with f the most predecessor-free jobs on one machine and L the most
@@ -609,6 +614,28 @@ def solve_umps_exact(inst: UmpsInstance, lim: SolveLimits = None) -> SolveResult
     return _exact_search(inst.dag, lim, lambda j, i: inst.lengths[j], pinned=inst.home)
 
 
+def _descendant_masks(pred_mask, succ) -> list:
+    """Each job's descendants as a bit mask, indexed by job (slot 0
+    unused).  Jobs are taken sinks first, so a job's mask is complete
+    before it is OR-ed into its predecessors'."""
+    n = len(succ) - 1
+    desc = [0] * (n + 1)
+    left = [len(s) for s in succ]  # successors not yet taken
+    order = [u for u in range(1, n + 1) if not left[u]]
+    for v in order:
+        d = (1 << (v - 1)) | desc[v]
+        pm = pred_mask[v]
+        while pm:
+            low = pm & -pm
+            pm ^= low
+            u = low.bit_length()
+            desc[u] |= d
+            left[u] -= 1
+            if not left[u]:
+                order.append(u)
+    return desc
+
+
 def _solve_umps_unit(inst: UmpsInstance, lim: SolveLimits) -> SolveResult:
     """The breadth-first DP of :func:`solve_umps_exact`, which returns
     ``greedy_umps(inst)`` unproven once more than ``lim.max_states``
@@ -625,6 +652,33 @@ def _solve_umps_unit(inst: UmpsInstance, lim: SolveLimits) -> SolveResult:
     full mask.  When the sum of C(f, t) over t = 0 .. min(L - 1, f)
     exceeds the cap, the BFS would therefore trip its cap and return the
     same greedy schedule; only ``states_explored`` differs.
+
+    The exchange rule: a ready job j that has predecessors is not run
+    while a ready job k on its machine has desc(j) a subset of desc(k),
+    where desc is all descendants, not just successors; when the two sets
+    are equal, the lower index runs first.  It keeps the optimum:
+
+    - rank each machine's jobs by (-|desc|, index);
+    - among optimal maximal-round schedules, take the one whose per-round
+      choices are lexicographically least by that rank;
+    - suppose it runs j at round t while a ready k dominates j, and swap
+      j and k.  k's successors only gain; j's successors are descendants
+      of k, so they already started after k's old slot;
+    - pull newly ready jobs into idle slots after t.  This restores
+      maximal rounds and never lengthens the schedule;
+    - the result agrees with the old schedule before t and is
+      lexicographically smaller at round t, a contradiction.  So the
+      least schedule obeys the rule at every round, and the BFS still
+      reaches the full mask at the optimum's depth.
+
+    Predecessor-free jobs are never deferred, so every subset of a
+    machine's predecessor-free jobs is still a done mask, and the skip
+    count above still holds.  Deferring them too would cut more states,
+    but the count would then fail, and searches it skips today would run
+    to their cap.  The rule's table is built on demand, so small searches
+    pay little for it: a job's row (the jobs that defer it) the first
+    time it is ready beside another job on its machine, and the
+    descendant masks with the first row.
     """
     n = inst.n
     full = (1 << n) - 1
@@ -638,6 +692,26 @@ def _solve_umps_unit(inst: UmpsInstance, lim: SolveLimits) -> SolveResult:
     for j in range(1, n + 1):
         home_mask[inst.home[j] - 1] |= 1 << (j - 1)
     ready0 = sum(1 << (j - 1) for j in range(1, n + 1) if not pred_mask[j])
+    later = full ^ ready0  # jobs with predecessors: the exchange rule may defer them
+    desc = None  # descendant masks, made at the rule's first use
+    defer = [None] * (n + 1)  # per job, made the first time it is ready beside another
+
+    def deferring(j):
+        # the jobs k on j's machine with desc(j) a proper subset of
+        # desc(k), or equal to it and k < j
+        nonlocal desc
+        if desc is None:
+            desc = _descendant_masks(pred_mask, succ)
+        dj = desc[j]
+        out = 0
+        rest = home_mask[inst.home[j] - 1] & ~(1 << (j - 1))
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            k = low.bit_length()
+            if dj & desc[k] == dj and (dj != desc[k] or k < j):
+                out |= low
+        return out
 
     def capped(states):
         sched = greedy_umps(inst)
@@ -668,6 +742,20 @@ def _solve_umps_unit(inst: UmpsInstance, lim: SolveLimits) -> SolveResult:
         for home in home_mask:
             avail = ready & home
             if avail:
+                if avail & (avail - 1):
+                    # the exchange rule: drop each deferred job
+                    run = avail
+                    rest = avail & later
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        j = low.bit_length()
+                        waits = defer[j]
+                        if waits is None:
+                            waits = defer[j] = deferring(j)
+                        if waits & avail:
+                            run ^= low
+                    avail = run
                 bits = []
                 while avail:
                     low = avail & -avail

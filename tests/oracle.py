@@ -10,6 +10,12 @@ sums of processing times), so the integer grid is exhaustive.  Only the
 plain data fields of an instance are read; no package graph helpers are
 used.
 
+The unit-length reference ``oracle_unit_bfs`` is the completed-set
+breadth-first search of ``solvers._solve_umps_unit`` with no exchange
+rule: every ready job on a machine is a choice at every round.  It counts
+states as the package search does, so the tests can require that the
+rule never adds one.
+
 The partial-load oracle sums the rational masses of a fractional
 schedule directly, where ``rounding.partial_load_bound_holds`` sweeps its
 integer grid.  The no-property oracle tests every pair of vertex sets,
@@ -29,6 +35,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import deque
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -103,6 +110,41 @@ def oracle_umps_optimum(inst) -> int:
         if fits(0, deadline):
             return deadline
     raise AssertionError("serial schedule always fits")
+
+
+def oracle_unit_bfs(inst, max_states: int) -> SimpleNamespace:
+    """Breadth-first search over the done masks of a unit-length
+    fixed-home instance: each round runs one ready job on every machine
+    that has one (maximal rounds), and every ready job is a choice.  It
+    stops when it takes the full mask from the queue.  Returns ``optimum``
+    (None once more than ``max_states`` masks are inserted, checked after
+    each expanded mask) and ``depth``, the round count of each inserted
+    mask."""
+    n = inst.n
+    full = (1 << n) - 1
+    pred = [0] * (n + 1)
+    for u, v in inst.dag.edges:
+        pred[v] |= 1 << (u - 1)
+    jobs_on = [[j for j in range(1, n + 1) if inst.home[j] == i] for i in range(1, inst.m + 1)]
+    depth = {0: 0}
+    queue = deque([0])
+    while True:
+        mask = queue.popleft()
+        if mask == full:
+            return SimpleNamespace(optimum=depth[full], depth=depth)
+        choices = []
+        for jobs in jobs_on:
+            ready = [1 << (j - 1) for j in jobs
+                     if not mask >> (j - 1) & 1 and pred[j] & mask == pred[j]]
+            if ready:
+                choices.append(ready)
+        for picked in itertools.product(*choices):
+            new = mask | sum(picked)
+            if new not in depth:
+                depth[new] = depth[mask] + 1
+                queue.append(new)
+        if len(depth) > max_states:
+            return SimpleNamespace(optimum=None, depth=depth)
 
 
 def oracle_commdelay_optimum(inst, machine_cap: int = None) -> int:

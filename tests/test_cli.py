@@ -218,6 +218,24 @@ def test_cli_integer_that_is_not_ascii_digits_is_usage_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("solve", "{inst}", "--limits", "max_jobs=1,max_jobs=50"),
+     "'max_jobs' is given more than once"),
+    (("gen", "random", "--params", "n=3", "--params", "n=5,m=2"), "'n' is given more than once"),
+    (("gen", "random", "--params", "n=3,m=2,edgeprob=1/4"),
+     "unknown parameter 'edgeprob' for family random; it reads n, m, edge_prob, max_length"),
+    (("gen", "kpartite_yes", "--params", "n=4,k=2,density=1"),
+     "unknown parameter 'density' for family kpartite_yes; it reads n, k"),
+], ids=["repeated-limit", "repeated-param", "unread-param", "unread-param-sidecar"])
+def test_repeated_or_unread_key_is_usage_error(tmp_path, sample8_file, capsys, argv, message):
+    # the last value of a repeated key used to win (max_jobs=50 solved),
+    # and a key the family does not read was ignored (edge_prob stayed 1/2)
+    out = tmp_path / "out.json"
+    assert run(*[arg.format(inst=sample8_file) for arg in argv], "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() and not Path(sidecar_path(out)).exists()
+
+
 def test_too_large_time_budget_is_usage_error(tmp_path, sample8_file, capsys):
     out = tmp_path / "sched.json"
     assert run("solve", sample8_file, "--limits", "time_budget=1e400", "--out", str(out)) == 2

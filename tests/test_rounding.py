@@ -327,7 +327,7 @@ CANONICAL_PINS = {
     "random-5-2-7363": ("b4092c9e278b2a38", "c19f589c2035fed8", True),
     "random-5-2-8407": ("06b6f74e1c4e9bef", "f98e3789ba8abf1f", True),
     "random-5-3-8483": ("20de81d6af6fca6c", "6a1fb58b30eb34a8", True),
-    "random-8-1-1": ("e3b0c44298fc1c14", "dba966d2495e00eb", True),
+    "random-8-1-1": ("e3b0c44298fc1c14", "30b66f4d534cc202", True),
     "random-10-2-1": ("e3b0c44298fc1c14", "eefff97fdfa762a5", True),
     "random-10-2-25": ("4a69279597563e85", "cd1c1ee5f5592e19", True),
     "random-12-3-2": ("e446d91bb9e5d403", "8f4177bb9229d2b3", True),

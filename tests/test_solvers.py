@@ -39,6 +39,7 @@ from oracle import (
     oracle_no_property,
     oracle_related_optimum,
     oracle_umps_optimum,
+    oracle_unit_bfs,
 )
 
 F = Fraction
@@ -462,8 +463,8 @@ PINNED = [
                  "33b5e1ac9f22a33b2960a692a170453f51019a7e3209a5b32ebdfd1489fa4a8d",
                  id="reduced-8-3-2"),
     pytest.param(solve_commdelay_exact, lambda: _reduced_unit(7, 3, 1), SolveLimits(max_jobs=12),
-                 "8", True, 11,
-                 "0f8aa912a7af5f505b496d74bc26c6b5d2f2fe42bc1b1922a65b95e4d688071d",
+                 "8", True, 9,
+                 "809c3dabc9bb06fd254d08cc4fec7b32c87c61928b8151cf4400ceb2ad5b8a20",
                  id="reduced-unit-7-3-1"),
     # gadget outputs on fewer machines than units: the engine's delay search
     pytest.param(solve_commdelay_exact, lambda: _short(_reduced(8, 3, 2)),
@@ -618,23 +619,23 @@ UNIT_LIMITS = SolveLimits(max_jobs=64, max_states=20_000)
 
 UNIT_PINNED = [
     pytest.param(lambda: gen_random_umps(24, 2, F(1, 4), 1), UNIT_LIMITS,
-                 "16", True, 51,
-                 "0891381c2e49d86a29ca9515697a273bfad36ee73e409af02c731c940d594c89",
+                 "16", True, 33,
+                 "c069489563d7278b59bd213ca756e14db41f46ceec2b3cfd46b081c93072cf39",
                  id="random-24-2"),
     pytest.param(lambda: gen_random_umps(40, 4, F(1, 3), 2), UNIT_LIMITS,
-                 "19", True, 47,
+                 "19", True, 35,
                  "1b1e7ffcec2eaf56a24c54e91e434442b650a6df6e024ebacd5188ab993bcb07",
                  id="random-40-4"),
     pytest.param(lambda: gen_random_umps(64, 4, F(1, 4), 3), UNIT_LIMITS,
-                 "32", True, 178,
-                 "a354bd9bc0d45d3b9d4f36ad2b781434d86d023c476ecebc71922220c6e4f462",
+                 "32", True, 65,
+                 "2e1bad466f526b85609d0bd0bf5d42d61c61f7e7a203b736881f371ba21f901e",
                  id="random-64-4"),
     pytest.param(lambda: gen_layered_umps(3, 8, F(1, 2), 4), UNIT_LIMITS,
-                 "15", True, 1541,
-                 "5cb2d99e7f660f446b43883b5b671aa38e73dba6f86fdd611f71383f0ab63e4d",
+                 "15", True, 1120,
+                 "ac38fe490ee4569e85499f2be76cf5d81811de2fb3dc7a35a74689aba5156d47",
                  id="layered-3-8"),
     pytest.param(lambda: gen_layered_umps(4, 8, F(2, 3), 5), UNIT_LIMITS,
-                 "23", True, 1239,
+                 "23", True, 806,
                  "a58b20d55d790b30feb3ecca62c0c03a24c6950ed3d14c68aa080128a52ba3ee",
                  id="layered-4-8"),
     pytest.param(lambda: gen_layered_umps(2, 16, F(1, 2), 6), UNIT_LIMITS,
@@ -685,6 +686,42 @@ def test_unit_dp_skips_only_searches_that_cannot_finish(inst, cap):
         uncapped = solve_umps_exact(inst, SolveLimits(max_jobs=64))
         assert uncapped.proven_optimal
         assert uncapped.states_explored > cap
+
+
+deep_layered_umps = st.tuples(
+    st.integers(4, 6), st.integers(1, 3), st.sampled_from([F(1, 4), F(1, 2), F(3, 4)]),
+    st.integers(0, 10_000)).map(lambda t: gen_layered_umps(*t))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_unit_umps, deep_layered_umps))
+def test_unit_dp_agrees_with_the_rule_free_search(inst):
+    # the exchange rule only drops children: where the rule-free search
+    # proves within the cap, the search proves the same optimum in no more
+    # states (so within the cap too), and every schedule is feasible
+    cap = 5_000
+    result = solve_umps_exact(inst, SolveLimits(max_jobs=64, max_states=cap))
+    assert validate_umps(inst, result.schedule).feasible
+    assert result.optimum == makespan(result.schedule)
+    reference = oracle_unit_bfs(inst, cap)
+    if reference.optimum is not None:
+        assert result.proven_optimal
+        assert result.optimum == reference.optimum
+        assert result.states_explored <= len(reference.depth)
+
+
+def test_unit_dp_never_defers_a_predecessor_free_job():
+    # jobs 1 and 2 are predecessor-free on machine 1, and desc(1) = {} is a
+    # proper subset of desc(2) = {3}.  The skip count needs every subset of
+    # them to be a done mask, so the search inserts both singletons, {1}
+    # and {2}: all five masks of the rule-free search, not three
+    inst = UmpsInstance(n=3, m=2, lengths={1: 1, 2: 1, 3: 1}, home={1: 1, 2: 1, 3: 2},
+                        dag=PrecedenceDag(3, ((2, 3),)))
+    reference = oracle_unit_bfs(inst, 10)
+    assert {0b001, 0b010} <= reference.depth.keys()
+    result = solve_umps_exact(inst)
+    assert (result.optimum, result.states_explored) == (reference.optimum, len(reference.depth))
+    assert len(reference.depth) == 5
 
 
 # ---------------------------------------------------------------------------
