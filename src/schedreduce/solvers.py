@@ -34,7 +34,7 @@ parameterize it:
 
 Sound pruning (admissible lower bounds, forced co-location under huge
 delays, and a completed-set dynamic program for unit lengths with a
-descendant-set exchange rule) keeps
+descendant-set exchange rule and layer dominance) keeps
 desk-scale runs fast without changing any optimum.  A node's lower bound
 is its longest path, raised by the one-machine relaxation of each machine
 whose job set the node changes: over each head threshold r, r plus the
@@ -58,7 +58,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -584,24 +583,29 @@ def greedy_umps(inst: UmpsInstance, priority=None) -> Schedule:
 def solve_umps_exact(inst: UmpsInstance, lim: SolveLimits = None) -> SolveResult:
     """Exact optimum for fixed-home scheduling.
 
-    Unit-length instances use a breadth-first dynamic program over
-    completed job sets (rounds process one available job per machine;
+    Unit-length instances use a dynamic program over completed job sets,
+    built round by round (rounds process one available job per machine;
     filling an idle machine never hurts, so maximal rounds suffice).  A
     state is the bit mask of its done jobs and carries its ready mask: a
     child's is its parent's minus the jobs just run, plus those of their
-    successors whose predecessors are now all done.  An exchange rule
+    successors whose predecessors are now all done.  Two rules drop
+    states and keep the optimum (see ``_unit_layers``).  An exchange rule
     drops children: a ready job with predecessors waits while a ready job
     on its machine has a superset of its descendants (equal sets: the
-    lower index runs first).  It keeps the optimum and never defers a
-    predecessor-free job (see ``_solve_umps_unit``).  Past
-    ``lim.max_states`` states it returns the ``greedy_umps`` schedule
-    unproven, and it is not started when a count shows it must get there:
-    with f the most predecessor-free jobs on one machine and L the most
-    jobs on one machine, it inserts at least the sum of C(f, t) over
-    t = 0 .. min(L - 1, f) states before it can finish.  Such a search
-    returns the greedy schedule at once with ``states_explored = 0``: no
-    state was explored, and the optimum, schedule and proof flag are those
-    the capped search would return.
+    lower index runs first); the argument holds from any done mask.
+    Layer dominance keeps, of each round, only the masks that lie inside
+    no other mask of that round: a superset done by the same round
+    finishes no later.  For any t of one machine's predecessor-free jobs,
+    round t still keeps a mask that holds just those of that machine's
+    jobs, so the count below holds (see ``_solve_umps_unit``).  Past
+    ``lim.max_states`` kept states, checked once per round, it returns the
+    ``greedy_umps`` schedule unproven, and it is not started when a count
+    shows it must get there: with f the most predecessor-free jobs on one
+    machine and L the most jobs on one machine, it keeps at least the sum
+    of C(f, t) over t = 0 .. min(L - 1, f) states before it can finish.
+    Such a search returns the greedy schedule at once with
+    ``states_explored = 0``: no state was explored, and the optimum,
+    schedule and proof flag are those the capped search would return.
     General lengths, and any instance with more than ``lim.max_jobs``
     jobs, go to the order-search engine; past ``max_jobs`` it returns its
     seed, which with every job pinned is the ``greedy_umps`` schedule.
@@ -636,31 +640,135 @@ def _descendant_masks(pred_mask, succ) -> list:
     return desc
 
 
+def _home_masks(inst: UmpsInstance) -> list:
+    """Each machine's jobs as a bit mask, in machine order."""
+    home_mask = [0] * inst.m
+    for j in range(1, inst.n + 1):
+        home_mask[inst.home[j] - 1] |= 1 << (j - 1)
+    return home_mask
+
+
 def _solve_umps_unit(inst: UmpsInstance, lim: SolveLimits) -> SolveResult:
-    """The breadth-first DP of :func:`solve_umps_exact`, which returns
-    ``greedy_umps(inst)`` unproven once more than ``lim.max_states``
-    states are inserted or ``lim.time_budget`` is spent.
+    """The round-by-round DP of :func:`solve_umps_exact` over the layers
+    of :func:`_unit_layers`, which returns ``greedy_umps(inst)`` unproven
+    once more than ``lim.max_states`` states are kept or
+    ``lim.time_budget`` is spent.  Both are checked once per round, after
+    its layer is filtered; a round that keeps the full mask ends the
+    search proven.  The schedule follows the parent links back from the
+    full mask: a mask's parent is the first kept mask of the round before,
+    in layer order, that generated it.
 
     A search that provably trips its cap is not started: the greedy
     schedule comes back at once with ``states_explored = 0``.  Let f be
-    the most predecessor-free jobs on one machine and L the most jobs on
-    one machine, a lower bound on the optimum.  Every t-subset S of those
-    f jobs, t < L, is that machine's done set after t maximal rounds (run
-    S there and any ready job elsewhere).  These done masks are pairwise
-    distinct, and each lies at BFS depth at most t < L, below the full
-    mask's depth, so the BFS inserts all of them before it can pop the
-    full mask.  When the sum of C(f, t) over t = 0 .. min(L - 1, f)
-    exceeds the cap, the BFS would therefore trip its cap and return the
-    same greedy schedule; only ``states_explored`` differs.
+    the most predecessor-free jobs on one machine i and L the most jobs on
+    one machine, a lower bound on the optimum.  For t <= min(L - 1, f):
+
+    - machine i has a ready predecessor-free job in each of rounds 1 .. t,
+      so every mask of round t holds exactly t jobs of machine i.  A mask
+      of round t can therefore lie only inside one with the same machine-i
+      set, and no mask of an earlier round has that set;
+    - by induction on t, for every t-subset S of those f jobs, round t
+      keeps a mask whose machine-i set is S.  Take the kept mask of round
+      t - 1 for S minus a job j.  j is ready and predecessor-free, so the
+      exchange rule never defers it, and a child that runs j on machine i
+      has machine-i set S.  That child is new in round t, and it is kept
+      or lies inside a kept mask with the same machine-i set.
+
+    These kept masks are pairwise distinct, and each of rounds
+    0 .. min(L - 1, f) ends below the full mask's round, with a cap check.
+    When the sum of C(f, t) over t = 0 .. min(L - 1, f) exceeds the cap,
+    the search would therefore trip its cap and return the same greedy
+    schedule; only ``states_explored`` differs.
+    """
+    full = (1 << inst.n) - 1
+    home_mask = _home_masks(inst)
+
+    def capped(states):
+        sched = greedy_umps(inst)
+        return SolveResult(makespan(sched), sched, proven_optimal=False,
+                           states_explored=states)
+
+    parent = {0: None}
+    layers = _unit_layers(inst, parent)
+    ready0 = next(layers)[0]  # round 0 keeps the empty mask alone
+    widest = max((ready0 & home).bit_count() for home in home_mask)  # f
+    load = max(home.bit_count() for home in home_mask)  # L
+    counted = 0  # a lower bound on the states the search keeps
+    for t in range(min(load - 1, widest) + 1):
+        counted += math.comb(widest, t)
+        if counted > lim.max_states:
+            return capped(0)
+    t0 = time.monotonic()
+
+    states = 1
+    for rounds, layer in enumerate(layers, start=1):
+        states += len(layer)
+        if full in layer:
+            break
+        if states > lim.max_states or time.monotonic() - t0 > lim.time_budget:
+            return capped(states)
+
+    entries = {}
+    mask, r = full, rounds
+    while mask:
+        prev = parent[mask]
+        r -= 1
+        chosen = mask ^ prev
+        for home in home_mask:  # machine order, as the round's choice
+            if chosen & home:
+                j = (chosen & home).bit_length()
+                entries[j] = (inst.home[j], r, r + 1)
+        mask = prev
+    sched = Schedule._of_rows(entries)
+    return SolveResult(
+        optimum=Fraction(rounds),
+        schedule=sched,
+        proven_optimal=True,
+        states_explored=states,
+    )
+
+
+def _unit_layers(inst: UmpsInstance, parent: dict):
+    """The kept layers of the unit DP, one per round from round 0 until
+    the round that keeps the full mask.  A layer maps each kept done mask
+    of its round to its ready mask.  ``parent``, given as ``{0: None}``,
+    gains every generated mask, kept or dropped, mapped to the kept mask
+    of the round before that generated it first; a mask generated once is
+    not generated again.  A layer keeps its masks in the order they were
+    first generated, and only its kept masks are expanded.
+
+    Layer dominance: a round keeps only its maximal masks, those that lie
+    inside no other mask of the same round.  It keeps the optimum.  Let
+    OPT(D) be the fewest rounds that finish from done mask D.
+
+    - If D is a subset of D', then OPT(D') <= OPT(D): run a schedule that
+      finishes from D and skip the jobs of D'.  A skipped job is done, so
+      every remaining job still has its predecessors done or run before.
+    - The exchange argument below holds from any done mask, so each kept
+      mask D has an optimal first round from D that obeys the rule.
+    - So some kept mask D of each round t has t + OPT(D) = OPT.  It holds
+      at round 0.  Given it at round t, D has a child D1 with
+      t + 1 + OPT(D1) = OPT.  D1 was not generated in an earlier round s:
+      a kept mask D2 of round s that contains D1 would give
+      s + OPT(D2) < OPT.  So D1 is in round t + 1, where it or a kept mask
+      that contains it carries the claim.
+    - The full mask therefore is kept in round OPT, and in no earlier
+      round, since every mask of round r is reached in r rounds.
+
+    A mask can lie only inside a mask with more jobs, so the filter takes
+    the masks by job count, most first, and keeps each one that lies
+    inside none of those kept before it; a layer of one job count keeps
+    every mask.
 
     The exchange rule: a ready job j that has predecessors is not run
     while a ready job k on its machine has desc(j) a subset of desc(k),
     where desc is all descendants, not just successors; when the two sets
-    are equal, the lower index runs first.  It keeps the optimum:
+    are equal, the lower index runs first.  It keeps the optimum from any
+    done mask:
 
     - rank each machine's jobs by (-|desc|, index);
-    - among optimal maximal-round schedules, take the one whose per-round
-      choices are lexicographically least by that rank;
+    - among optimal maximal-round schedules from the mask, take the one
+      whose per-round choices are lexicographically least by that rank;
     - suppose it runs j at round t while a ready k dominates j, and swap
       j and k.  k's successors only gain; j's successors are descendants
       of k, so they already started after k's old slot;
@@ -668,16 +776,14 @@ def _solve_umps_unit(inst: UmpsInstance, lim: SolveLimits) -> SolveResult:
       maximal rounds and never lengthens the schedule;
     - the result agrees with the old schedule before t and is
       lexicographically smaller at round t, a contradiction.  So the
-      least schedule obeys the rule at every round, and the BFS still
-      reaches the full mask at the optimum's depth.
+      least schedule obeys the rule at every round.
 
-    Predecessor-free jobs are never deferred, so every subset of a
-    machine's predecessor-free jobs is still a done mask, and the skip
-    count above still holds.  Deferring them too would cut more states,
-    but the count would then fail, and searches it skips today would run
-    to their cap.  The rule's table is built on demand, so small searches
-    pay little for it: a job's row (the jobs that defer it) the first
-    time it is ready beside another job on its machine, and the
+    Predecessor-free jobs are never deferred, so the skip count of
+    :func:`_solve_umps_unit` holds.  Deferring them too would cut more
+    states, but the count would then fail, and searches it skips today
+    would run to their cap.  The rule's table is built on demand, so
+    small searches pay little for it: a job's row (the jobs that defer it)
+    the first time it is ready beside another job on its machine, and the
     descendant masks with the first row.
     """
     n = inst.n
@@ -688,9 +794,7 @@ def _solve_umps_unit(inst: UmpsInstance, lim: SolveLimits) -> SolveResult:
         pred_mask[v] |= 1 << (u - 1)
     for u, v in inst.dag.edges:
         succ[u].append((1 << (v - 1), pred_mask[v]))
-    home_mask = [0] * inst.m
-    for j in range(1, n + 1):
-        home_mask[inst.home[j] - 1] |= 1 << (j - 1)
+    home_mask = _home_masks(inst)
     ready0 = sum(1 << (j - 1) for j in range(1, n + 1) if not pred_mask[j])
     later = full ^ ready0  # jobs with predecessors: the exchange rule may defer them
     desc = None  # descendant masks, made at the rule's first use
@@ -713,90 +817,68 @@ def _solve_umps_unit(inst: UmpsInstance, lim: SolveLimits) -> SolveResult:
                 out |= low
         return out
 
-    def capped(states):
-        sched = greedy_umps(inst)
-        return SolveResult(makespan(sched), sched, proven_optimal=False,
-                           states_explored=states)
-
-    widest = max((ready0 & home).bit_count() for home in home_mask)  # f
-    load = max(home.bit_count() for home in home_mask)  # L
-    inserted = 0  # a lower bound on the states the BFS inserts
-    for t in range(min(load - 1, widest) + 1):
-        inserted += math.comb(widest, t)
-        if inserted > lim.max_states:
-            return capped(0)
-    t0 = time.monotonic()
-
-    # a state is its done mask; its ready mask (jobs not done whose
-    # predecessors all are) rides along in the queue
-    dist = {0: 0}
-    parent = {0: None}
-    queue = deque([(0, ready0)])
-    while queue:
-        mask, ready = queue.popleft()
-        if mask == full:
-            break
-        # children: the done mask plus one ready job per machine, OR-ed in
-        # itertools.product order over the machines with a ready job
-        children = [mask]
-        for home in home_mask:
-            avail = ready & home
-            if avail:
-                if avail & (avail - 1):
-                    # the exchange rule: drop each deferred job
-                    run = avail
-                    rest = avail & later
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        j = low.bit_length()
-                        waits = defer[j]
-                        if waits is None:
-                            waits = defer[j] = deferring(j)
-                        if waits & avail:
-                            run ^= low
-                    avail = run
-                bits = []
-                while avail:
-                    low = avail & -avail
-                    bits.append(low)
-                    avail ^= low
-                children = [c | b for c in children for b in bits]
-        d = dist[mask] + 1
-        for new in children:
-            if new not in dist:
-                dist[new] = d
-                parent[new] = mask
-                chosen = new ^ mask
-                next_ready = ready ^ chosen
-                while chosen:
-                    low = chosen & -chosen
-                    chosen ^= low
-                    for bit, pm in succ[low.bit_length()]:
-                        if pm & new == pm:
-                            next_ready |= bit
-                queue.append((new, next_ready))
-        if len(dist) > lim.max_states or time.monotonic() - t0 > lim.time_budget:
-            return capped(len(dist))
-
-    entries = {}
-    mask = full
-    while parent[mask] is not None:
-        prev = parent[mask]
-        r = dist[prev]
-        chosen = mask & ~prev
-        for home in home_mask:  # machine order, as the round's choice
-            if chosen & home:
-                j = (chosen & home).bit_length()
-                entries[j] = (inst.home[j], r, r + 1)
-        mask = prev
-    sched = Schedule._of_rows(entries)
-    return SolveResult(
-        optimum=Fraction(dist[full]),
-        schedule=sched,
-        proven_optimal=True,
-        states_explored=len(dist),
-    )
+    layer = {0: ready0}
+    yield layer
+    while full not in layer:
+        fresh = []
+        for mask, ready in layer.items():
+            # children: the done mask plus one ready job per machine, OR-ed
+            # in itertools.product order over the machines with a ready job
+            children = [mask]
+            for home in home_mask:
+                avail = ready & home
+                if avail:
+                    if avail & (avail - 1):
+                        # the exchange rule: drop each deferred job
+                        run = avail
+                        rest = avail & later
+                        while rest:
+                            low = rest & -rest
+                            rest ^= low
+                            j = low.bit_length()
+                            waits = defer[j]
+                            if waits is None:
+                                waits = defer[j] = deferring(j)
+                            if waits & avail:
+                                run ^= low
+                        avail = run
+                    bits = []
+                    while avail:
+                        low = avail & -avail
+                        bits.append(low)
+                        avail ^= low
+                    children = [c | b for c in children for b in bits]
+            for new in children:
+                if new not in parent:
+                    parent[new] = mask
+                    fresh.append(new)
+        if len(set(map(int.bit_count, fresh))) > 1:
+            # layer dominance, most jobs first.  The subset test is an
+            # `in` over a map, which scans in C: an any() loop over the
+            # kept masks made the filter over a quarter of the search
+            kept = []
+            for _, same in itertools.groupby(sorted(fresh, key=int.bit_count, reverse=True),
+                                             int.bit_count):
+                if kept:
+                    same = [x for x in same if x not in map(x.__and__, kept)]
+                kept += same
+            kept = set(kept)
+            fresh = [x for x in fresh if x in kept]
+        # the kept masks' ready masks
+        grown = {}
+        for new in fresh:
+            mask = parent[new]
+            chosen = new ^ mask
+            ready = layer[mask] ^ chosen
+            while chosen:
+                low = chosen & -chosen
+                chosen ^= low
+                for bit, pm in succ[low.bit_length()]:
+                    if pm & new == pm:
+                        ready |= bit
+            grown[new] = ready
+        layer = grown
+        yield layer
 
 
 # ---------------------------------------------------------------------------

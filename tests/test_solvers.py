@@ -610,7 +610,7 @@ def test_exact_solvers_match_pinned_results(solve, make, lim, optimum, proven, s
 
 # Pinned results of the unit-length dynamic program, in the same columns.
 # The rows run the shapes a rounding pass solves (n 24..64 under a
-# 20,000-state cap).  The layered 4x8 row under a 500-state cap trips the
+# 20,000-state cap).  The layered 4x8 row under a 400-state cap trips the
 # cap after the round that crosses it, so its state count and greedy
 # schedule pin where the search stops.  The layered 2x16 and capped sample8
 # rows provably cannot finish within their caps, so they are not searched
@@ -619,32 +619,32 @@ UNIT_LIMITS = SolveLimits(max_jobs=64, max_states=20_000)
 
 UNIT_PINNED = [
     pytest.param(lambda: gen_random_umps(24, 2, F(1, 4), 1), UNIT_LIMITS,
-                 "16", True, 33,
-                 "c069489563d7278b59bd213ca756e14db41f46ceec2b3cfd46b081c93072cf39",
+                 "16", True, 27,
+                 "cfe6f689e76ba48686b3193d9423268bb6eb4541d5e99562aa067b89aa13e720",
                  id="random-24-2"),
     pytest.param(lambda: gen_random_umps(40, 4, F(1, 3), 2), UNIT_LIMITS,
-                 "19", True, 35,
-                 "1b1e7ffcec2eaf56a24c54e91e434442b650a6df6e024ebacd5188ab993bcb07",
+                 "19", True, 31,
+                 "0d29538729d371fdc336f701c408baf85748f1e8a8948627ca37d8ed544f1cc8",
                  id="random-40-4"),
     pytest.param(lambda: gen_random_umps(64, 4, F(1, 4), 3), UNIT_LIMITS,
-                 "32", True, 65,
+                 "32", True, 49,
                  "2e1bad466f526b85609d0bd0bf5d42d61c61f7e7a203b736881f371ba21f901e",
                  id="random-64-4"),
     pytest.param(lambda: gen_layered_umps(3, 8, F(1, 2), 4), UNIT_LIMITS,
-                 "15", True, 1120,
-                 "ac38fe490ee4569e85499f2be76cf5d81811de2fb3dc7a35a74689aba5156d47",
+                 "15", True, 449,
+                 "bdc8881a0802b888c1a5be1f3bc5a8884d8ab97b81ff0412398cece174d66769",
                  id="layered-3-8"),
     pytest.param(lambda: gen_layered_umps(4, 8, F(2, 3), 5), UNIT_LIMITS,
-                 "23", True, 806,
-                 "a58b20d55d790b30feb3ecca62c0c03a24c6950ed3d14c68aa080128a52ba3ee",
+                 "23", True, 466,
+                 "9ed72c38c0d13c9cd5c69d844ac4d0065fb1f315df3be927cd8037dedaaf5dc9",
                  id="layered-4-8"),
     pytest.param(lambda: gen_layered_umps(2, 16, F(1, 2), 6), UNIT_LIMITS,
                  "32", False, 0,
                  "a18884e15d272aba518a90deb59f611db487f001d2750c22cb3434fa1bbd79e6",
                  id="layered-2-16-capped"),
     pytest.param(lambda: gen_layered_umps(4, 8, F(2, 3), 5),
-                 SolveLimits(max_jobs=64, max_states=500),
-                 "31", False, 501,
+                 SolveLimits(max_jobs=64, max_states=400),
+                 "31", False, 404,
                  "f3cfad36087452ed8c324d6fe1c1c6465c1422741361c2170c0156e8ed1269a4",
                  id="layered-4-8-capped"),
     pytest.param(make_sample8, SolveLimits(max_states=1),
@@ -692,13 +692,24 @@ deep_layered_umps = st.tuples(
     st.integers(4, 6), st.integers(1, 3), st.sampled_from([F(1, 4), F(1, 2), F(3, 4)]),
     st.integers(0, 10_000)).map(lambda t: gen_layered_umps(*t))
 
+wide_layered_umps = st.tuples(
+    st.integers(2, 3), st.integers(4, 6), st.sampled_from([F(1, 4), F(1, 2), F(3, 4)]),
+    st.integers(0, 10_000)).map(lambda t: gen_layered_umps(*t))
+
+
+def _kept_layers(inst):
+    """The kept done masks of each round of the unit DP, uncapped."""
+    return [set(layer) for layer in solvers._unit_layers(inst, {0: None})]
+
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(small_unit_umps, deep_layered_umps))
+@given(st.one_of(small_unit_umps, deep_layered_umps, wide_layered_umps))
 def test_unit_dp_agrees_with_the_rule_free_search(inst):
-    # the exchange rule only drops children: where the rule-free search
-    # proves within the cap, the search proves the same optimum in no more
-    # states (so within the cap too), and every schedule is feasible
+    # the exchange rule and layer dominance only drop states: where the
+    # rule-free search proves within the cap, the search proves the same
+    # optimum in no more states (so within the cap too), and every
+    # schedule is feasible.  Its round t keeps masks that the rule-free
+    # search reaches by round t, none inside another
     cap = 5_000
     result = solve_umps_exact(inst, SolveLimits(max_jobs=64, max_states=cap))
     assert validate_umps(inst, result.schedule).feasible
@@ -708,20 +719,44 @@ def test_unit_dp_agrees_with_the_rule_free_search(inst):
         assert result.proven_optimal
         assert result.optimum == reference.optimum
         assert result.states_explored <= len(reference.depth)
+        layers = _kept_layers(inst)
+        assert len(layers) - 1 == result.optimum
+        assert sum(map(len, layers)) == result.states_explored
+        for t, layer in enumerate(layers):
+            assert all(reference.depth[x] <= t for x in layer)
+            assert not any(x != y and x & y == x for x in layer for y in layer)
+
+
+def _two_free_jobs():
+    # jobs 1 and 2 are predecessor-free on machine 1, and 2 -> 3 with job 3
+    # on machine 2, so desc(1) = {} is a proper subset of desc(2) = {3}
+    return UmpsInstance(n=3, m=2, lengths={1: 1, 2: 1, 3: 1}, home={1: 1, 2: 1, 3: 2},
+                        dag=PrecedenceDag(3, ((2, 3),)))
 
 
 def test_unit_dp_never_defers_a_predecessor_free_job():
-    # jobs 1 and 2 are predecessor-free on machine 1, and desc(1) = {} is a
-    # proper subset of desc(2) = {3}.  The skip count needs every subset of
-    # them to be a done mask, so the search inserts both singletons, {1}
-    # and {2}: all five masks of the rule-free search, not three
-    inst = UmpsInstance(n=3, m=2, lengths={1: 1, 2: 1, 3: 1}, home={1: 1, 2: 1, 3: 2},
-                        dag=PrecedenceDag(3, ((2, 3),)))
+    # the exchange rule would run job 2 before job 1, but job 1 has no
+    # predecessors.  The skip count needs every subset of them to be a kept
+    # done mask, so round 1 keeps both singletons, {1} and {2}, as the
+    # rule-free search reaches them
+    inst = _two_free_jobs()
     reference = oracle_unit_bfs(inst, 10)
-    assert {0b001, 0b010} <= reference.depth.keys()
+    assert reference.depth[0b001] == reference.depth[0b010] == 1
+    assert _kept_layers(inst)[1] == {0b001, 0b010}
     result = solve_umps_exact(inst)
-    assert (result.optimum, result.states_explored) == (reference.optimum, len(reference.depth))
-    assert len(reference.depth) == 5
+    assert (result.optimum, result.states_explored) == (reference.optimum, 4)
+
+
+def test_unit_dp_drops_a_mask_inside_another_of_its_round():
+    # round 2 reaches {1, 2} (from {1}) and {1, 2, 3} (from {2}); {1, 2} lies
+    # inside {1, 2, 3}, so round 2 keeps {1, 2, 3} alone, and the search
+    # keeps 4 states of the rule-free 5
+    inst = _two_free_jobs()
+    reference = oracle_unit_bfs(inst, 10)
+    assert reference.depth == {0b000: 0, 0b001: 1, 0b010: 1, 0b011: 2, 0b111: 2}
+    assert _kept_layers(inst) == [{0b000}, {0b001, 0b010}, {0b111}]
+    result = solve_umps_exact(inst)
+    assert (result.optimum, result.proven_optimal, result.states_explored) == (2, True, 4)
 
 
 # ---------------------------------------------------------------------------
