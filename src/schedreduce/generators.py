@@ -185,28 +185,35 @@ def gen_fractional(
     n = inst.n
     one = lcm(24, 2 * n * gamma.denominator)
     splits = [one // 12 * t for t in _SPLIT_TWELFTHS]
-    succ = inst.dag.successors()
+    # limit[j]: the first slot j's mass may not reach, its earliest
+    # successor's slot (past the horizon when it has none)
+    limit = [horizon + 1] * (n + 1)
+    for u, v in inst.dag.edges:
+        if slot_of[v] < limit[u]:
+            limit[u] = slot_of[v]
     mass = {(j, slot_of[j]): one for j in range(1, n + 1)}
     load = {}
     for j, s in slot_of.items():
         load[(inst.home[j], s)] = load.get((inst.home[j], s), 0) + one
 
-    rng = Stream(seed, "split")
+    # at most three "split" draws per job, taken in order from one block:
+    # a Bernoulli draw is w * den < num * 2^64, and a draw from a list of
+    # k is the multiply-shift w * k >> 64, as in the stream's own draws
+    num, den = split_prob.numerator, split_prob.denominator
+    if not 0 <= num <= den:
+        raise ValueError(f"probability {split_prob} outside [0, 1]")
+    draws = iter(Stream(seed, "split").words(3 * n))
     for j in range(1, n + 1):
-        if not rng.bernoulli(split_prob):
+        if next(draws) * den >= num << 64:
             continue
-        limit = min((slot_of[v] for v in succ[j]), default=horizon + 1)
         home = inst.home[j]
-        slots = [
-            t for t in range(slot_of[j] + 1, min(limit, horizon + 1))
-            if load.get((home, t), 0) < one
-        ]
+        slots = [t for t in range(slot_of[j] + 1, limit[j]) if load.get((home, t), 0) < one]
         if not slots:
             continue  # nothing admissible: leave the job integral
-        target = slots[rng.randrange(len(slots))]
+        target = slots[next(draws) * len(slots) >> 64]
         slack = one - load.get((home, target), 0)
         choices = [y for y in splits if y <= slack]
-        y = choices[rng.randrange(len(choices))] if choices else slack
+        y = choices[next(draws) * len(choices) >> 64] if choices else slack
         mass[(j, slot_of[j])] -= y
         mass[(j, target)] = y
         load[(home, slot_of[j])] -= y

@@ -119,12 +119,6 @@ class PrecedenceDag:
             seen.add((u, v))
         topological_order(self)  # raises CycleDetected on a cycle
 
-    def successors(self) -> dict:
-        out = {u: [] for u in range(1, self.node_count + 1)}
-        for u, v in self.edges:
-            out[u].append(v)
-        return out
-
 
 def topological_order(dag: PrecedenceDag) -> list:
     """Kahn's algorithm with a min-heap, so ties go to the lowest index."""

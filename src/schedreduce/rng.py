@@ -10,11 +10,10 @@ and stay reproducible even if the drawing order changes.
 Draws come in blocks: :meth:`Stream.words` returns the next ``count``
 words in one local loop, or, for a long block, runs each step of that loop
 once over all its words packed into one big integer.  The bounded-integer
-and Bernoulli draws map a block of words at once.  The single draws are
-the count-1 case of the blocks, so a block of ``count`` draws equals
-``count`` single draws and leaves the stream in the same state.  A block
-whose every draw maps to the same value (a one-value range, probability
-0 or 1) only advances the state and computes no word.
+and Bernoulli draws map a block of words at once, so a block of ``count``
+draws equals ``count`` blocks of one draw and leaves the stream in the
+same state.  A block whose every draw maps to the same value (a one-value
+range, probability 0 or 1) only advances the state and computes no word.
 
 All derived draws (integer ranges, Bernoulli trials with rational
 probability, shuffles) use exact integer arithmetic on the raw 64-bit
@@ -100,16 +99,6 @@ class Stream:
             return [lo] * count
         return [lo + (w * span >> 64) for w in self.words(count)]
 
-    def randint(self, lo: int, hi: int) -> int:
-        """Integer in the inclusive range [lo, hi]."""
-        return self.randints(lo, hi, 1)[0]
-
-    def randrange(self, n: int) -> int:
-        """Uniform-ish integer in [0, n) via the multiply-shift reduction."""
-        if n <= 0:
-            raise ValueError(f"randrange needs n >= 1, got {n}")
-        return self.randint(0, n - 1)
-
     def bernoullis(self, prob: Fraction, count: int) -> list:
         """``count`` trials, each true with probability ``prob``; exact for
         dyadic probabilities."""
@@ -123,10 +112,6 @@ class Stream:
             return [num == den] * count
         limit = num << 64
         return [w * den < limit for w in self.words(count)]
-
-    def bernoulli(self, prob: Fraction) -> bool:
-        """True with probability ``prob``; exact for dyadic probabilities."""
-        return self.bernoullis(prob, 1)[0]
 
     def shuffle(self, items: list) -> list:
         """In-place Fisher-Yates shuffle; returns the same list."""

@@ -60,6 +60,7 @@ window spans two or more slots, the only ones a step can move.
 from __future__ import annotations
 
 import copy
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,7 +83,9 @@ class FractionalSchedule:
     Only positive masses are stored; the constructor normalizes, builds
     the integer grid and verifies all three properties on it, raising
     :class:`PropertyViolated` with the first offending witness.  A job or
-    slot that is not an int (a bool included) is rejected, not truncated.
+    slot that is not an int (a bool included) is rejected, not truncated,
+    and so is a horizon that is not an int, or a gamma or mass that is not
+    an int or a ``Fraction`` (a bool or a float: ``TypeError``).
 
     The package's producers build their grid directly, check it once and
     wrap it (:meth:`_of_units`, :meth:`_Grid.schedule`); the ``mass`` of
@@ -96,6 +99,10 @@ class FractionalSchedule:
     umps_ref: UmpsInstance
 
     def __post_init__(self):
+        # one C-level pass over the masses' types when all is well
+        if (type(self.horizon) is not int or type(self.gamma) not in _RATIONAL
+                or not set(map(type, self.mass.values())) <= _RATIONAL):
+            _reject_types(self.horizon, self.gamma, self.mass)
         norm = {}
         for key, x in self.mass.items():
             job, slot = key
@@ -154,6 +161,26 @@ class FractionalSchedule:
         mine, theirs = self._grid, other._grid
         return ((self.horizon, self.gamma, self.umps_ref, mine.unit, mine.slots)
                 == (other.horizon, other.gamma, other.umps_ref, theirs.unit, theirs.slots))
+
+
+_RATIONAL = {int, Fraction}
+
+
+def _is_rational(x) -> bool:
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
+def _reject_types(horizon, gamma, mass) -> None:
+    """Raise ``TypeError`` for a horizon that is not an int, or a gamma or
+    mass that is not an int or a ``Fraction`` (a bool or a float
+    included), never truncated or rounded."""
+    if not isinstance(horizon, int) or isinstance(horizon, bool):
+        raise TypeError(f"horizon {horizon!r} is not an int")
+    if not _is_rational(gamma):
+        raise TypeError(f"gamma {gamma!r} is not an int or a Fraction")
+    for key, x in mass.items():
+        if not _is_rational(x):
+            raise TypeError(f"mass {key!r}: {x!r} is not an int or a Fraction")
 
 
 def _int_key(job, slot) -> tuple:
@@ -490,6 +517,10 @@ def greedy_canonical(fs: FractionalSchedule) -> FractionalSchedule:
     the first gets all its remaining mass, later ones whatever capacity
     is left.  Classic deadline-first feasibility: since the input masses
     themselves fit, the sweep always drains every job within its window.
+
+    The sweep is event-driven: a job joins a heap keyed by (window end,
+    index) at its window start and leaves it once drained or past its
+    window end, and a slot with no open job is skipped.
     """
     grid = fs._grid
     windows, unit = grid.windows, grid.unit
@@ -497,18 +528,31 @@ def greedy_canonical(fs: FractionalSchedule) -> FractionalSchedule:
     for i in range(1, len(grid.jobs_on)):
         jobs_i = grid.jobs_on[i]
         remaining = {l: sum(grid.slots[l].values()) for l in jobs_i}
-        for t in range(1, fs.horizon + 1):
-            open_jobs = [l for l in jobs_i if windows[l][0] <= t <= windows[l][1]]
-            open_jobs.sort(key=lambda l: (windows[l][1], l))
+        arrivals = sorted(jobs_i, key=lambda l: windows[l][0])
+        k, t, open_jobs = 0, 1, []
+        while k < len(arrivals) or open_jobs:
+            if not open_jobs:  # idle until the next window opens
+                t = max(t, windows[arrivals[k]][0])
+            while k < len(arrivals) and windows[arrivals[k]][0] <= t:
+                l = arrivals[k]
+                heapq.heappush(open_jobs, (windows[l][1], l))
+                k += 1
             capacity = unit
-            for l in open_jobs:
-                if capacity == 0:
-                    break
+            while open_jobs:
+                end, l = open_jobs[0]
+                if end < t:  # its window closed with mass left
+                    heapq.heappop(open_jobs)
+                    continue
                 give = min(remaining[l], capacity)
-                if give > 0:
-                    units[(l, t)] = give
-                    remaining[l] -= give
-                    capacity -= give
+                units[(l, t)] = give
+                remaining[l] -= give
+                capacity -= give
+                if remaining[l]:  # the slot is full; l goes on in the next
+                    break
+                heapq.heappop(open_jobs)
+                if not capacity:
+                    break
+            t += 1
         leftovers = [l for l in jobs_i if remaining[l] != 0]
         if leftovers:
             raise PropertyViolated(

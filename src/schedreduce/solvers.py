@@ -1,14 +1,16 @@
 """Exact desk-scale solvers and list-scheduling heuristics.
 
 The three exact solvers share one branch-and-bound engine,
-``_exact_search``.  It builds its own two seed schedules, a serial one and
-an earliest-finish list schedule, on its integer time base and seeds the
-incumbent with the better one.  It then enumerates machine assignments,
-and for each assignment the per-machine processing orders consistent with
-the precedence projection, scores each combination by the earliest-start
-longest path through the combined order graph, and keeps the first
-strictly best result, so ties resolve to the lexicographically earliest
-combination.
+``_exact_search``.  It builds its own seed schedules on its integer time
+base (a serial one and earliest-finish list schedules in index and in
+critical-path order) and seeds the incumbent with the shortest, at its
+own makespan.  It then enumerates machine assignments, and for each
+assignment the per-machine processing orders consistent with the
+precedence projection, scores each combination by the earliest-start
+longest path through the combined order graph, and replaces the
+incumbent only with a strictly shorter result.  A proven search thus
+returns the seed when nothing beats it, and otherwise the
+lexicographically earliest optimal combination.
 The longest paths are kept incrementally: each placement and each order
 raises only the starts it moves, and backtracking undoes them.
 Interchangeable machines are opened in label order and twin jobs are
@@ -55,6 +57,7 @@ its early states shows must pass ``max_states`` before it can finish.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import time
@@ -172,7 +175,7 @@ def _list_schedule(order, preds, times, pinned, classes) -> dict:
     sit on different machines.  With equal times on every candidate this
     is earliest-start scheduling.  Returns the entries ``{job: (machine,
     start, end)}``.  ``order`` is not checked: the engine passes its own
-    topological order, and :func:`_checked_list_schedule` checks a
+    topological orders, and :func:`_checked_list_schedule` checks a
     caller's priority.
 
     A predecessor on j's candidate machine ended by the time that machine
@@ -230,6 +233,25 @@ def _checked_list_schedule(dag, priority, lengths, delays, pinned, classes) -> S
         preds[v].append((u, delays.get((u, v), 0)))
     times = [()] + [(lengths[j],) for j in range(1, dag.node_count + 1)]
     return Schedule._of_rows(_list_schedule(priority, preds, times, pinned, classes))
+
+
+def _critical_path_order(preds, succs, level) -> list:
+    """The topological order that always takes the ready job of largest
+    ``level`` (a job's time plus its tail: the critical-path priority of
+    Hu's and Graham's list scheduling), ties to the lower index.  Jobs are
+    1..n; ``preds`` and ``succs`` list ``(job, delay)`` pairs per job."""
+    left = [len(p) for p in preds]  # predecessors not yet taken
+    ready = [(-level[j], j) for j in range(1, len(preds)) if not left[j]]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        u = heapq.heappop(ready)[1]
+        order.append(u)
+        for v, _ in succs[u]:
+            left[v] -= 1
+            if not left[v]:
+                heapq.heappush(ready, (-level[v], v))
+    return order
 
 
 def _machine_bound(held, start, dur, tail):
@@ -308,8 +330,8 @@ def _exact_search(dag, lim, duration, delay=None, pinned=None, units=(), classes
     leaf that improves the incumbent has a bound at most that leaf's
     makespan, below the incumbent of the moment, so the search meets the
     same improving leaves in the same order, in fewer states.  A proven
-    search returns the same first optimal leaf, and a capped one what the
-    search without the machine bound returns under some larger cap.
+    search returns what the search without the machine bound returns, and
+    a capped one what that search returns under some larger cap.
 
     Once the incumbent drops to a node's bound its remaining children are
     skipped, and an end that reaches the incumbent prunes a child at once,
@@ -318,20 +340,33 @@ def _exact_search(dag, lim, duration, delay=None, pinned=None, units=(), classes
     generated once per search and replayed when the same jobs share a
     machine again.
 
-    The engine builds two seed schedules from its integer tables, both in
-    topological order.  The serial one runs every job back to back on its
-    pin or else on the lowest-labelled class machine where it runs
-    fastest.  The callers' times are equal on every class machine
+    The engine builds its seed schedules from its integer tables.  The
+    serial one runs every job, in the lowest-index topological order, back
+    to back on its pin or else on the lowest-labelled class machine where
+    it runs fastest.  The callers' times are equal on every class machine
     (communication delays) or scale with one speed per machine (related
     machines), so every unpinned job shares that one machine and the
-    seed pays no delay.  The earliest-finish list schedule puts each job
-    on its pin or on any class machine.  The incumbent is seeded with the
-    serial makespan, or with ``h + 1`` when the list makespan ``h`` is
-    shorter, so a leaf that ties it still wins and a proven search
-    returns the same first optimal leaf as with the serial seed; only the
-    states explored fall.  The seed schedule is returned when the search
-    finds nothing better before its budget trips, and at once, unproven,
-    when there are more than ``lim.max_jobs`` jobs.
+    seed pays no delay.  The earliest-finish list schedule takes the jobs
+    in the same order and puts each on its pin or on any class machine.
+    The shorter of the two (the serial one on a tie) is the seed.  A
+    search of at most ``lim.max_jobs`` jobs then builds the list schedule
+    once more, in critical-path order (:func:`_critical_path_order`, with
+    each job's fastest time plus its tail as its level), and keeps it when
+    it is strictly shorter; so an oversized search returns the first
+    seed, which with every job pinned is the ``greedy_umps`` schedule.
+
+    The incumbent is the seed at its own makespan, and a leaf replaces it
+    only when strictly shorter: a proven search returns the seed when no
+    leaf beats it, and otherwise the first optimal leaf it meets.  A
+    smaller seed never adds a state.  Each test that prunes (a bound or an
+    end against the incumbent, the order loop's bound) cuts at least as
+    much under a smaller incumbent, and the incumbent stays no larger at every
+    step: a subtree that the smaller one prunes holds no leaf shorter than
+    it.  With a no-larger incumbent at every step, the search visits a
+    subsequence of the nodes that a larger seed's search visits.  The seed
+    schedule is returned when the search finds nothing better before its
+    budget trips, and at once, unproven, when there are more than
+    ``lim.max_jobs`` jobs.
     """
     n = dag.node_count
     delay = delay or {}
@@ -361,14 +396,12 @@ def _exact_search(dag, lim, duration, delay=None, pinned=None, units=(), classes
         t, i = (times[j][0], pinned[j]) if j in pinned else min(zip(times[j], lowest))
         seed[j] = (i, seed_ms, seed_ms + t)
         seed_ms += t
-    hint = _list_schedule(order, preds, times, pinned, classes)
-    hint_ms = max((end for _, _, end in hint.values()), default=0)
+    listed = _list_schedule(order, preds, times, pinned, classes)
+    listed_ms = max((end for _, _, end in listed.values()), default=0)
+    if listed_ms < seed_ms:
+        seed, seed_ms = listed, listed_ms
     search = _Search(lim)
-    if hint_ms < seed_ms:
-        seed, seed_ms = hint, hint_ms
-        search.offer(hint_ms + 1, None)  # + 1: a leaf that ties the hint still wins
-    else:
-        search.offer(seed_ms, None)
+    search.offer(seed_ms, None)
 
     def result(proven):
         if search.best_payload is None:
@@ -383,14 +416,22 @@ def _exact_search(dag, lim, duration, delay=None, pinned=None, units=(), classes
     if n > lim.max_jobs:
         return result(False)
 
-    # mach[j] is job j's machine (0 until placed), dur[j] its time there
-    # (its fastest time while unplaced), start[j] its earliest start and
-    # nxt[j] the job after it on its machine (0 until an order is fixed);
-    # on[i] lists machine i's jobs in the order they were placed
     fastest = [0] + [min(times[j]) for j in jobs]  # a pinned job has one time, on its pin
     tail = [0] * (n + 1)  # tail[u]: the longest path after u ends, at fastest times, no delay
     for u in reversed(order):
         tail[u] = max((fastest[v] + tail[v] for v, _ in succs[u]), default=0)
+    critical = _critical_path_order(preds, succs, [f + t for f, t in zip(fastest, tail)])
+    if critical != order:  # the same order gives the same schedule
+        listed = _list_schedule(critical, preds, times, pinned, classes)
+        listed_ms = max((end for _, _, end in listed.values()), default=0)
+        if listed_ms < seed_ms:
+            seed, seed_ms = listed, listed_ms
+            search.offer(seed_ms, None)
+
+    # mach[j] is job j's machine (0 until placed), dur[j] its time there
+    # (its fastest time while unplaced), start[j] its earliest start and
+    # nxt[j] the job after it on its machine (0 until an order is fixed);
+    # on[i] lists machine i's jobs in the order they were placed
     mach = [0] + [pinned.get(j, 0) for j in jobs]
     dur = list(fastest)
     width = machines[-1] + 1 if machines else 1  # per-machine lists are indexed by label

@@ -131,9 +131,17 @@ def predecessors(dag) -> dict:
     return out
 
 
+def successors(dag) -> dict:
+    """Node -> its direct successors, in edge order."""
+    out = {u: [] for u in range(1, dag.node_count + 1)}
+    for u, v in dag.edges:
+        out[u].append(v)
+    return out
+
+
 def reachable(dag) -> dict:
     """Node -> set of nodes strictly after it (transitive closure)."""
-    succ = dag.successors()
+    succ = successors(dag)
     reach = {}
     for u in reversed(topological_order(dag)):
         reach[u] = set(succ[u]).union(*(reach[v] for v in succ[u]))

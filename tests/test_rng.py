@@ -50,36 +50,37 @@ def test_labels_split_streams():
 
 @given(SEEDS, st.integers(min_value=1, max_value=1000))
 def test_randrange_bounds(seed, n):
+    # a draw from range(n): one of [0, n - 1]
     s = Stream(seed, "r")
     for _ in range(20):
-        assert 0 <= s.randrange(n) < n
+        assert 0 <= s.randints(0, n - 1, 1)[0] < n
 
 
 @given(SEEDS, st.integers(-50, 50), st.integers(0, 50))
 def test_randint_inclusive(seed, lo, width):
     s = Stream(seed, "r")
-    value = s.randint(lo, lo + width)
-    assert lo <= value <= lo + width
+    values = s.randints(lo, lo + width, 20)
+    assert all(lo <= value <= lo + width for value in values)
 
 
 def test_randrange_rejects_empty():
-    with pytest.raises(ValueError):
-        Stream(0, "r").randrange(0)
-    with pytest.raises(ValueError):
-        Stream(0, "r").randint(5, 4)
+    with pytest.raises(ValueError, match=r"empty range \[0, -1\]"):
+        Stream(0, "r").randints(0, -1, 1)
+    with pytest.raises(ValueError, match=r"empty range \[5, 4\]"):
+        Stream(0, "r").randints(5, 4, 1)
 
 
 @given(SEEDS)
 def test_bernoulli_endpoints_exact(seed):
     s = Stream(seed, "b")
-    assert all(s.bernoulli(Fraction(1)) for _ in range(10))
-    assert not any(s.bernoulli(Fraction(0)) for _ in range(10))
+    assert all(s.bernoullis(Fraction(1), 1)[0] for _ in range(10))
+    assert not any(s.bernoullis(Fraction(0), 1)[0] for _ in range(10))
 
 
 def test_bernoulli_rejects_out_of_range():
     for prob in (Fraction(3, 2), Fraction(-1, 3), 2, "-1/2"):
         with pytest.raises(ValueError, match=f"probability {Fraction(prob)} outside"):
-            Stream(0, "b").bernoulli(prob)
+            Stream(0, "b").bernoullis(prob, 1)
 
 
 @given(SEEDS, st.integers(0, 64), st.integers(1, 64))
@@ -88,7 +89,7 @@ def test_bernoulli_is_the_exact_test_for_any_spelling(seed, num, den):
     u = Stream(seed, "b").words(1)[0]
     expected = u * prob.denominator < prob.numerator << 64
     for spelling in (prob, str(prob)):
-        assert Stream(seed, "b").bernoulli(spelling) == expected
+        assert Stream(seed, "b").bernoullis(spelling, 1) == [expected]
 
 
 @given(SEEDS, st.lists(st.integers(), min_size=1, max_size=30))
@@ -129,10 +130,10 @@ def test_randint_block_equals_single_draws(seed, label, count, lo, width):
         with pytest.raises(ValueError, match=rf"empty range \[{lo}, {hi}\]"):
             block.randints(lo, hi, count)
         with pytest.raises(ValueError, match=rf"empty range \[{lo}, {hi}\]"):
-            single.randint(lo, hi)
+            single.randints(lo, hi, 1)
         return
     drawn = block.randints(lo, hi, count)
-    assert drawn == [single.randint(lo, hi) for _ in range(count)]
+    assert drawn == [single.randints(lo, hi, 1)[0] for _ in range(count)]
     assert drawn == [lo + (w * (width + 1) >> 64) for w in reference_words(seed, label, count)]
     assert block.words(2) == single.words(2)
 
@@ -142,12 +143,12 @@ def test_bernoulli_block_equals_single_draws(seed, label, count, num, den):
     prob = Fraction(num, den)
     block, single = Stream(seed, label), Stream(seed, label)
     if not 0 <= prob <= 1:
-        for draw in (lambda: block.bernoullis(prob, count), lambda: single.bernoulli(prob)):
+        for draw in (lambda: block.bernoullis(prob, count), lambda: single.bernoullis(prob, 1)):
             with pytest.raises(ValueError, match=f"probability {prob} outside"):
                 draw()
         return
     drawn = block.bernoullis(prob, count)
-    assert drawn == [single.bernoulli(prob) for _ in range(count)]
+    assert drawn == [single.bernoullis(prob, 1)[0] for _ in range(count)]
     limit = prob.numerator << 64
     assert drawn == [w * prob.denominator < limit for w in reference_words(seed, label, count)]
     assert block.words(2) == single.words(2)

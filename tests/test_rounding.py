@@ -146,6 +146,25 @@ def test_rejects_job_or_slot_that_is_not_an_int(key):
         FractionalSchedule(horizon=2, mass={key: F(1)}, gamma=0, umps_ref=one_machine(2))
 
 
+# a float horizon once passed and broke greedy_canonical with a bare
+# TypeError; a float gamma once became the binary fraction nearest to it
+@pytest.mark.parametrize("field, value, message", [
+    ("horizon", 2.5, "horizon 2.5 is not an int"),
+    ("horizon", True, "horizon True is not an int"),
+    ("gamma", 0.1, "gamma 0.1 is not an int or a Fraction"),
+    ("gamma", False, "gamma False is not an int or a Fraction"),
+    ("mass", {(1, 1): True}, "mass (1, 1): True is not an int or a Fraction"),
+    ("mass", {(1, 1): 1.0}, "mass (1, 1): 1.0 is not an int or a Fraction"),
+    ("mass", {(1, 1): HALF, (1, 2): 0.5}, "mass (1, 2): 0.5 is not an int or a Fraction"),
+], ids=["float-horizon", "bool-horizon", "float-gamma", "bool-gamma", "bool-mass", "float-mass",
+        "float-second-mass"])
+def test_rejects_horizon_gamma_or_mass_of_the_wrong_type(field, value, message):
+    fields = dict(horizon=2, mass={(1, 1): F(1)}, gamma=0, umps_ref=one_machine(1))
+    fields[field] = value
+    with pytest.raises(TypeError, match=exactly(message)):
+        FractionalSchedule(**fields)
+
+
 def test_zero_masses_are_dropped():
     fs = FractionalSchedule(
         horizon=2, mass={(1, 1): F(1), (1, 2): F(0)}, gamma=0,

@@ -393,48 +393,50 @@ def _related(n, speeds, seed):
 
 # (solver, instance, limits, optimum, proven_optimal, states_explored,
 #  sha256 of the canonical schedule JSON).  The hash pins tie-breaks, the
-# state count pins the pruning order, and the capped rows pin the
-# best-so-far on a budget trip.  A refactor of the search must keep every
-# field.  A faster search may change a proven row only by lowering its
-# state count.  A capped row may lower its optimum, change its hash or
-# become proven, and must never get worse.  The ``reduced-*`` gadget
-# outputs have delay-free units and take the fixed-home route; the
-# ``reduced-short-*`` and ``uniform-*`` rows run the engine's delay search.
+# state count pins the pruning order, and the rows that stay unproven pin
+# the best-so-far on a budget trip.  A refactor of the search must keep
+# every field.  A faster search may change a proven row only by lowering
+# its state count, and a stronger seed also by returning another optimal
+# schedule.  A capped row may lower its optimum, change its hash or become
+# proven (most ``*-capped`` rows prove within their caps; the last two
+# rows trip theirs), and must never get worse.  The ``reduced-*`` gadget outputs have delay-free units
+# and take the fixed-home route; the ``reduced-short-*`` and ``uniform-*``
+# rows run the engine's delay search.
 PINNED = [
     pytest.param(solve_umps_exact, lambda: _weighted(5, 2, 1), SolveLimits(),
                  "6", True, 5,
                  "e4dbada5066595fcd25ef06402aa4cbc7c338bb0a89fe1b726d4f154312c439d",
                  id="umps-5-2-1"),
     pytest.param(solve_umps_exact, lambda: _weighted(6, 2, 2), SolveLimits(),
-                 "7", True, 3,
+                 "7", True, 1,
                  "7d1f4d43689ca1eec83c25b2542b1c291690b32325b7b29d046724d04e27673d",
                  id="umps-6-2-2"),
     pytest.param(solve_umps_exact, lambda: _weighted(6, 3, 3), SolveLimits(),
-                 "7", True, 7,
+                 "7", True, 5,
                  "fa35a52b56e2d9936cc9b7d568dc1958bc91794616fca538e4fca1d0e1341e8a",
                  id="umps-6-3-3"),
     pytest.param(solve_umps_exact, lambda: _weighted(7, 2, 4), SolveLimits(),
-                 "9", True, 3,
+                 "9", True, 1,
                  "fd8645e85f5cbb330826cb9d6b04316c7e032a94cb9584d72b11817994886245",
                  id="umps-7-2-4"),
     pytest.param(solve_umps_exact, lambda: _weighted(7, 3, 5), SolveLimits(),
-                 "8", True, 3,
+                 "8", True, 1,
                  "4585a1386a1e5756f153186143070b6f175b2a54997445bc17d6a23fda053c8a",
                  id="umps-7-3-5"),
     pytest.param(solve_umps_exact, lambda: _weighted(8, 3, 6), SolveLimits(),
-                 "9", True, 4,
+                 "9", True, 1,
                  "3d414fa2cc06f4683ead7ca54c403733d2801d29048c3ace72b8e8941bd0a1cf",
                  id="umps-8-3-6"),
     pytest.param(solve_umps_exact, lambda: _weighted(8, 3, 6), SolveLimits(max_states=1),
-                 "9", False, 2,
+                 "9", True, 1,
                  "3d414fa2cc06f4683ead7ca54c403733d2801d29048c3ace72b8e8941bd0a1cf",
                  id="umps-capped1"),
     pytest.param(solve_umps_exact, lambda: _weighted(7, 3, 5), SolveLimits(max_states=6),
-                 "8", True, 3,
+                 "8", True, 1,
                  "4585a1386a1e5756f153186143070b6f175b2a54997445bc17d6a23fda053c8a",
                  id="umps-capped"),
     pytest.param(solve_commdelay_exact, lambda: _reduced(4, 2, 1), SolveLimits(max_jobs=12),
-                 "5", True, 3,
+                 "5", True, 1,
                  "2bdb52dd87668b9354772d9a28f2e2276199013b35dbcf0aedab6c5e8b89362b",
                  id="reduced-4-2-1"),
     pytest.param(solve_commdelay_exact, lambda: _reduced(5, 2, 2), SolveLimits(max_jobs=12),
@@ -442,24 +444,24 @@ PINNED = [
                  "3e7801cb2bec44cf0054742359cdb74cd420ef5d77d398115c3d4b3a34d97dd8",
                  id="reduced-5-2-2"),
     pytest.param(solve_commdelay_exact, lambda: _reduced(6, 2, 3), SolveLimits(max_jobs=12),
-                 "7", True, 4,
+                 "7", True, 1,
                  "9dd959b1bba51ad4928ae92c16d9ce3a5f77d5db9189d9e1f5c7028459277d33",
                  id="reduced-6-2-3"),
     pytest.param(solve_commdelay_exact, lambda: _reduced(5, 3, 4), SolveLimits(max_jobs=12),
-                 "5", True, 4,
+                 "5", True, 1,
                  "a822dfcfbeae381795fe030337715aabd68bee1ba29f7cadee9942faedf81de1",
                  id="reduced-5-3-4"),
     pytest.param(solve_commdelay_exact, lambda: _reduced(6, 2, 3), SolveLimits(max_jobs=12, max_states=5),
-                 "7", True, 4,
+                 "7", True, 1,
                  "9dd959b1bba51ad4928ae92c16d9ce3a5f77d5db9189d9e1f5c7028459277d33",
                  id="reduced-capped"),
     pytest.param(solve_commdelay_exact, lambda: _reduced(6, 2, 3), SolveLimits(max_jobs=12, max_states=2),
-                 "8", False, 3,
-                 "0f4a40960237d2ac7b61b312d7df7f7535aec65a8633c4e0ad05a98bd2b42c69",
+                 "7", True, 1,
+                 "9dd959b1bba51ad4928ae92c16d9ce3a5f77d5db9189d9e1f5c7028459277d33",
                  id="reduced-capped2"),
     pytest.param(solve_commdelay_exact, lambda: _reduced(8, 3, 2),
                  SolveLimits(max_jobs=12, max_states=200),
-                 "7", True, 8,
+                 "7", True, 6,
                  "33b5e1ac9f22a33b2960a692a170453f51019a7e3209a5b32ebdfd1489fa4a8d",
                  id="reduced-8-3-2"),
     pytest.param(solve_commdelay_exact, lambda: _reduced_unit(7, 3, 1), SolveLimits(max_jobs=12),
@@ -478,64 +480,74 @@ PINNED = [
                  "6a44cb11fa4906013f78cf8d1e6f6df4055f464bec40294bd4081aca3e1c5746",
                  id="reduced-short-capped"),
     pytest.param(solve_commdelay_exact, lambda: _uniform(5, 1, 1, None), SolveLimits(),
-                 "7", True, 8,
+                 "7", True, 1,
                  "9c3a2801ce72f8b6f7cb0e976412194aa9205fb52b918e0d21922c3119e84a82",
                  id="uniform-5-1-1-None"),
     pytest.param(solve_commdelay_exact, lambda: _uniform(6, 2, 2, None), SolveLimits(),
-                 "9", True, 39,
+                 "9", True, 16,
                  "cee88fc0a721f04a6039a32fcbe230576d3052c6d5ee67ef5b0e9aa5d72d378a",
                  id="uniform-6-2-2-None"),
     pytest.param(solve_commdelay_exact, lambda: _uniform(5, 1, 3, 2), SolveLimits(),
-                 "6", True, 10,
+                 "6", True, 1,
                  "44031b90cd356a7a42ebb96a9ef1aa01204ceb47d6a723ff30d25e7dde2de526",
                  id="uniform-5-1-3-2"),
     pytest.param(solve_commdelay_exact, lambda: _uniform(6, 2, 4, 2), SolveLimits(),
-                 "11", True, 44,
-                 "5f44d8c16b908f0ac5d54be8baee8674c7e68b9ac502daa4cc07fd0cb1147d68",
+                 "11", True, 24,
+                 "531ca6be89ff7701d51391e58240ede28a16171c2719ff29691442bccf5139e3",
                  id="uniform-6-2-4-2"),
     pytest.param(solve_commdelay_exact, lambda: _uniform(6, 0, 5, 2), SolveLimits(),
-                 "7", True, 27,
-                 "73fca7bc375ac1e6805f7de5cd31a9bcaa21ce3939791a086749e3955dee6ef7",
+                 "7", True, 17,
+                 "1335f078888c8b9da61aa926ef128f8235326199b09d5ed9ad2c45eff94123fc",
                  id="uniform-6-0-5-2"),
     pytest.param(solve_commdelay_exact, lambda: _uniform(6, 0, 5, 2), SolveLimits(max_states=20),
-                 "7", False, 21,
-                 "73fca7bc375ac1e6805f7de5cd31a9bcaa21ce3939791a086749e3955dee6ef7",
+                 "7", True, 17,
+                 "1335f078888c8b9da61aa926ef128f8235326199b09d5ed9ad2c45eff94123fc",
                  id="uniform-capped"),
     pytest.param(solve_related_exact, lambda: _related(4, (1, 2, 3), 1), SolveLimits(),
-                 "5/3", True, 29,
+                 "5/3", True, 1,
                  "0ccb4ce098822eadb45c018b959680021f60e235aa682452d52f93f7f28114b3",
                  id="related-4-1"),
     pytest.param(solve_related_exact, lambda: _related(5, (3, 1, 2), 2), SolveLimits(),
-                 "7/3", True, 19,
-                 "58542bc40b984f0e3b66fc6b2aeb8fc22cbe33d7e4805394a2b8de2031152825",
+                 "7/3", True, 1,
+                 "4cedbeabe1605d0e7945a8ee161b989f5f249a6804cde9d36782cb489a7479bc",
                  id="related-5-2"),
     pytest.param(solve_related_exact, lambda: _related(5, (2, 2, 3), 3), SolveLimits(),
-                 "8/3", True, 17,
+                 "8/3", True, 1,
                  "dd6fd913d150cb411280604d2916c377aff4dac0f1b469244f9e3394dae8b2de",
                  id="related-5-3"),
     pytest.param(solve_related_exact, lambda: _related(6, (1, 2, 4), 4), SolveLimits(),
-                 "3", True, 69,
-                 "d6a318836ba8ca4e4ecd77300027f0df8484fb06bb9e9efad7cff250982b2f21",
+                 "3", True, 58,
+                 "9e8b0feb17baa1acfcab99dd79741a0240ddd57856a472253d3088ac59798fda",
                  id="related-6-4"),
     pytest.param(solve_related_exact, lambda: _related(6, (1, 1, 2), 5), SolveLimits(),
-                 "4", True, 28,
-                 "d948a98b12125de8f5d1ed4273ded32a86c962e83b06a21e762f1bee0578d5db",
+                 "4", True, 13,
+                 "221f092499872e5d8da86504cb6dc8ae4ec2434622807bd69ab04298f4ae662e",
                  id="related-6-5"),
     pytest.param(solve_related_exact, lambda: _related(6, (1, 2, 4), 4), SolveLimits(max_states=60),
-                 "3", False, 61,
-                 "d6a318836ba8ca4e4ecd77300027f0df8484fb06bb9e9efad7cff250982b2f21",
+                 "3", True, 58,
+                 "9e8b0feb17baa1acfcab99dd79741a0240ddd57856a472253d3088ac59798fda",
                  id="related-capped"),
     # the related bench's shape: kappa = 2 gadgets of 10 flat jobs under its cap
     pytest.param(solve_related_exact, lambda: _kappa2((2, 2), F(1, 4), 3),
                  SolveLimits(max_states=1500),
-                 "2", True, 530,
-                 "d12b73ebfa45c0c57edfd5927721a69f73c45f9b21914619244cd87c1717b0b8",
+                 "2", True, 34,
+                 "1ee8242a83db2c2c174a40136bf49a04474aae8f44b534ad2276949ec1655c19",
                  id="kappa2-10-proven"),
     pytest.param(solve_related_exact, lambda: _kappa2((1, 6), F(1, 4), 1),
                  SolveLimits(max_states=1500),
-                 "6", False, 1501,
-                 "ba73447476bdebc8dcad44b77a26a23da8198384bdb5e5c9c3d22e459ec39a76",
+                 "5", True, 1198,
+                 "af696150281309868c36f1812413b8f2ef47c35ea87906db2e339b0bcf4367c3",
                  id="kappa2-10-capped"),
+    # searches that still trip their caps
+    pytest.param(solve_related_exact, lambda: _related(6, (1, 2, 4), 4), SolveLimits(max_states=30),
+                 "3", False, 31,
+                 "9e8b0feb17baa1acfcab99dd79741a0240ddd57856a472253d3088ac59798fda",
+                 id="related-capped-30"),
+    pytest.param(solve_related_exact, lambda: _kappa2((1, 6), F(1, 4), 1),
+                 SolveLimits(max_states=1000),
+                 "6", False, 1001,
+                 "ba73447476bdebc8dcad44b77a26a23da8198384bdb5e5c9c3d22e459ec39a76",
+                 id="kappa2-10-capped-1000"),
 ]
 
 
@@ -579,7 +591,7 @@ def test_exact_solvers_match_pinned_digest():
         calls += 1
     assert calls == 432
     assert digest.hexdigest() == (
-        "013c8eb5a4da0d08a580153fcbd833b67d882fec7f960c53798e1072f8a0ceea")
+        "70a28c449a635c276dc2076be0342538f4d8b67615e91eff2498a60eedcf4ca9")
 
 
 def test_exact_solvers_match_pinned_uncapped_outputs():
@@ -593,7 +605,7 @@ def test_exact_solvers_match_pinned_uncapped_outputs():
         digest.update(f"{result.optimum}\n".encode())
         digest.update(dump_canonical(to_obj(result.schedule)).encode())
     assert digest.hexdigest() == (
-        "5c5f264148464db99b8fdeccb6f664bd23713de26972df9d747666e32dbbf51c")
+        "2390d5df61a038cf3e4b682b6e405dcd2b73c46a93d917bc703e01ee4263b813")
 
 
 def _assert_pinned(result, optimum, proven, states, digest):
@@ -760,29 +772,30 @@ def test_unit_dp_drops_a_mask_inside_another_of_its_round():
 
 
 # ---------------------------------------------------------------------------
-# a search capped before its first leaf returns the earliest-finish list
-# schedule when that beats the serial one
+# the seeds: the incumbent is the shortest seed at its own makespan, so a
+# leaf replaces it only when strictly shorter
 
 
 def _related_list_beats_serial():
-    # speeds 2 and 3, three jobs of length 3, 1 -> 3.  Serially on machine 2
-    # they take 3.  Earliest finish: job 1 on machine 2 over [0, 1]; job 2 on
-    # machine 1 over [0, 3/2] (machine 2 would end it at 2); job 3 on machine
-    # 2 over [1, 2] (machine 1 would end it at 3).  Makespan 2.
-    inst = RelatedInstance(machines=(2, 3), jobs=(3, 3, 3), dag=PrecedenceDag(3, ((1, 3),)))
+    # speeds 2 and 3, three independent jobs of length 3.  Serially on
+    # machine 2 they take 3.  Earliest finish: job 1 on machine 2 over
+    # [0, 1]; job 2 on machine 1 over [0, 3/2] (machine 2 would end it at 2);
+    # job 3 on machine 2 over [1, 2] (machine 1 would end it at 3).
+    # Makespan 2, above the root bound 1 (one job on machine 2)
+    inst = RelatedInstance(machines=(2, 3), jobs=(3, 3, 3), dag=PrecedenceDag(3, ()))
     return inst, {1: (2, 0, 1), 2: (1, 0, F(3, 2)), 3: (2, 1, 2)}, validate_related
 
 
 def _commdelay_list_beats_serial():
-    # lengths 2, 1, 1, 1 on two machines, 1 -> 3 and 2 -> 4 each with delay 1.
-    # Serially they take 5.  Earliest finish: job 1 on machine 1 over [0, 2];
-    # job 2 on the idle machine 2 over [0, 1]; job 3 after job 1 on machine 1
-    # over [2, 3] (machine 2 would wait for the delay and end it at 4); job
-    # 4 after job 2 on machine 2 over [1, 2].  Makespan 3.
-    inst = CommDelayInstance(n_total=4, lengths={1: 2, 2: 1, 3: 1, 4: 1},
-                             delays={(1, 3): 1, (2, 4): 1},
-                             dag=PrecedenceDag(4, ((1, 3), (2, 4))), machines=2)
-    return inst, {1: (1, 0, 2), 2: (2, 0, 1), 3: (1, 2, 3), 4: (2, 1, 2)}, validate_commdelay
+    # four unit jobs on two machines, 1 -> 4 with delay 1.  Serially they
+    # take 4.  Earliest finish: jobs 1 and 2 side by side, job 3 on machine
+    # 1 over [1, 2] (the tie goes to the lower label), and job 4 after it
+    # over [2, 3], which machine 2 also reaches only at 3, once the delay
+    # is paid.  Makespan 3, above the root bound 2 (the path 1 -> 4); the
+    # optimum 2 runs job 4 after job 1 on machine 1
+    inst = CommDelayInstance(n_total=4, lengths={1: 1, 2: 1, 3: 1, 4: 1},
+                             delays={(1, 4): 1}, dag=PrecedenceDag(4, ((1, 4),)), machines=2)
+    return inst, {1: (1, 0, 1), 2: (2, 0, 1), 3: (1, 1, 2), 4: (1, 2, 3)}, validate_commdelay
 
 
 @pytest.mark.parametrize("solve, make", [
@@ -796,6 +809,89 @@ def test_capped_search_returns_the_list_schedule(solve, make):
     assert result.optimum == makespan(result.schedule) == max(e for _, _, e in listed.values())
     assert result.schedule.entries == listed
     assert validate(inst, result.schedule).feasible
+
+
+def _related_root_ties_list():
+    # speeds 2 and 3, three jobs of length 3, 1 -> 3.  Serially on machine
+    # 2 they take 3.  Earliest finish: job 1 on machine 2 over [0, 1]; job
+    # 2 on machine 1 over [0, 3/2]; job 3 on machine 2 over [1, 2].
+    # Makespan 2, which the path 1 -> 3 at the fastest speed already needs
+    inst = RelatedInstance(machines=(2, 3), jobs=(3, 3, 3), dag=PrecedenceDag(3, ((1, 3),)))
+    return inst, {1: (2, 0, 1), 2: (1, 0, F(3, 2)), 3: (2, 1, 2)}, validate_related
+
+
+def _commdelay_root_ties_list():
+    # lengths 2, 1, 1, 1 on two machines, 1 -> 3 and 2 -> 4 each with delay
+    # 1.  Serially they take 5.  Earliest finish: job 1 on machine 1 over
+    # [0, 2]; job 2 on machine 2 over [0, 1]; job 3 after job 1 over [2, 3];
+    # job 4 after job 2 over [1, 2].  Makespan 3, the length of the path
+    # 1 -> 3
+    inst = CommDelayInstance(n_total=4, lengths={1: 2, 2: 1, 3: 1, 4: 1},
+                             delays={(1, 3): 1, (2, 4): 1},
+                             dag=PrecedenceDag(4, ((1, 3), (2, 4))), machines=2)
+    return inst, {1: (1, 0, 2), 2: (2, 0, 1), 3: (1, 2, 3), 4: (2, 1, 2)}, validate_commdelay
+
+
+@pytest.mark.parametrize("solve, make", [
+    pytest.param(solve_related_exact, _related_root_ties_list, id="related"),
+    pytest.param(solve_commdelay_exact, _commdelay_root_ties_list, id="commdelay"),
+])
+def test_root_bound_equal_to_the_seed_proves_it_in_one_state(solve, make):
+    # no leaf can beat a seed that meets the root bound, so the search
+    # ends at the root and returns the seed, proven
+    inst, listed, validate = make()
+    result = solve(inst)
+    assert (result.optimum, result.proven_optimal, result.states_explored) == (
+        max(e for _, _, e in listed.values()), True, 1)
+    assert result.schedule.entries == listed
+    assert validate(inst, result.schedule).feasible
+
+
+def _related_critical_path_wins():
+    # two speed-1 machines, independent jobs 1 and 2 of length 2 and a
+    # chain 3 -> 4 of lengths 1 and 3.  In index order the list schedule
+    # runs jobs 1 and 2 first and the chain after them: makespan 6.  Job
+    # 3 heads the longest path (1 + 3), so the critical-path order runs
+    # the chain on machine 1 and jobs 1 and 2 on machine 2: makespan 4,
+    # the root bound
+    inst = RelatedInstance(machines=(1, 1), jobs=(2, 2, 1, 3), dag=PrecedenceDag(4, ((3, 4),)))
+    return inst, {1: (2, 0, 2), 2: (2, 2, 4), 3: (1, 0, 1), 4: (1, 1, 4)}, validate_related
+
+
+def _commdelay_critical_path_wins():
+    # the same jobs under communication delays, with delay 0 on 3 -> 4;
+    # four jobs on two machines, so the engine searches it
+    inst = CommDelayInstance(n_total=4, lengths={1: 2, 2: 2, 3: 1, 4: 3}, delays={(3, 4): 0},
+                             dag=PrecedenceDag(4, ((3, 4),)), machines=2)
+    return inst, {1: (2, 0, 2), 2: (2, 2, 4), 3: (1, 0, 1), 4: (1, 1, 4)}, validate_commdelay
+
+
+def _umps_critical_path_wins():
+    # machine 1 holds job 1 (length 2) and job 2 (length 1), and 2 -> 3
+    # with job 3 (length 3) on machine 2.  In index order (the greedy
+    # schedule) job 3 starts at 3 and ends at 6; job 2 heads the longer
+    # path, so the critical-path order runs it first and ends at 4
+    inst = UmpsInstance(n=3, m=2, lengths={1: 2, 2: 1, 3: 3}, home={1: 1, 2: 1, 3: 2},
+                        dag=PrecedenceDag(3, ((2, 3),)))
+    return inst, {1: (1, 1, 3), 2: (1, 0, 1), 3: (2, 1, 4)}, validate_umps
+
+
+@pytest.mark.parametrize("solve, make", [
+    pytest.param(solve_related_exact, _related_critical_path_wins, id="related"),
+    pytest.param(solve_commdelay_exact, _commdelay_critical_path_wins, id="commdelay"),
+    pytest.param(solve_umps_exact, _umps_critical_path_wins, id="umps"),
+])
+def test_critical_path_seed_wins_when_strictly_shorter(solve, make):
+    inst, critical, validate = make()
+    ms = max(e for _, _, e in critical.values())
+    for lim, proven in ((SolveLimits(max_states=0), False), (SolveLimits(), True)):
+        result = solve(inst, lim)
+        assert (result.optimum, result.proven_optimal) == (ms, proven)
+        assert result.schedule.entries == critical
+        assert validate(inst, result.schedule).feasible
+    # past max_jobs the engine returns before it builds this seed
+    oversized = solve(inst, SolveLimits(max_jobs=1))
+    assert oversized.optimum > ms and oversized.states_explored == 0
 
 
 def _commdelay_serial_beats_list():
@@ -1031,15 +1127,17 @@ def test_machine_bound_prunes_jobs_crowding_the_fast_machine():
     # feeder takes 1 on the fast machine 3 and 2 on a slow one; the join
     # takes 4 there and 8 on a slow one.  The optimum 6 runs one feeder on
     # each slow machine and two on machine 3, then the join on machine 3
-    # over [2, 6].  Three feeders on machine 3 end no earlier than 3 and
-    # the join takes at least 4 after them, so the machine bound 7 prunes
-    # that assignment as it is made, where the longest path alone sees the
-    # crowding only once their order is fixed (56 states without the bound)
+    # over [2, 6]; the earliest-finish list schedule is such a schedule, so
+    # the search only proves it.  A second feeder on a slow machine, or a
+    # third on machine 3, makes that machine's bound reach 6, so the
+    # machine bound prunes those assignments as they are made, where the
+    # longest path alone sees the crowding only once their order is fixed
+    # (9 states without the bound)
     inst = RelatedInstance(machines=(1, 1, 2), jobs=(2, 2, 2, 2, 8),
                            dag=PrecedenceDag(5, ((1, 5), (2, 5), (3, 5), (4, 5))))
     result = solve_related_exact(inst)
-    assert (result.optimum, result.proven_optimal, result.states_explored) == (6, True, 13)
-    assert result.schedule.entries == {1: (1, 0, 2), 2: (2, 0, 2), 3: (3, 0, 1), 4: (3, 1, 2),
+    assert (result.optimum, result.proven_optimal, result.states_explored) == (6, True, 4)
+    assert result.schedule.entries == {1: (3, 0, 1), 2: (1, 0, 2), 3: (2, 0, 2), 4: (3, 1, 2),
                                        5: (3, 2, 6)}
     assert validate_related(inst, result.schedule).feasible
 
