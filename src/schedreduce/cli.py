@@ -254,7 +254,16 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _kappa_only_for_related(args, option: str, value: str) -> None:
+    """A ``--kappa-override`` that ``option value`` would not read is a
+    usage error, not dropped without a word."""
+    if args.kappa_override is not None and value != "related":
+        raise UsageError(f"--kappa-override is not read by {option} {value}; "
+                         f"only {option} related reads it")
+
+
 def cmd_reduce(args) -> int:
+    _kappa_only_for_related(args, "--reduction", args.reduction)
     inst = read_file(args.in_path)
     if args.reduction == "commdelay":
         if not isinstance(inst, UmpsInstance):
@@ -441,6 +450,7 @@ def _write_rows(rows, out):
 
 
 def cmd_roundtrip(args) -> int:
+    _kappa_only_for_related(args, "--mode", args.mode)
     lim = _parse_limits(args.limits)
     row, budget_hit, messages = _roundtrip_row(
         read_file(args.in_path), args.in_path, args.mode, lim, args.kappa_override
@@ -469,8 +479,9 @@ def cmd_bench(args) -> int:
             continue
         try:
             inst = read_file(path)
-        except Exception as exc:  # unreadable corpus member: report, keep going
-            print(f"{path.name}: skipped ({exc})", file=sys.stderr)
+        except Exception as exc:  # an unreadable corpus member fails: report, keep going
+            print(f"{path.name}: failed ({exc})", file=sys.stderr)
+            any_failed = True
             continue
         if isinstance(inst, UmpsInstance):
             kind = "commdelay"

@@ -38,7 +38,7 @@ def gen_layered_umps(layers: int, per_layer: int, edge_prob, seed: int) -> UmpsI
     m, w = layers, per_layer
     if m < 1 or w < 1:
         raise ValueError("need layers >= 1 and per_layer >= 1")
-    prob = as_fraction(edge_prob)
+    prob = as_fraction(edge_prob, "edge_prob")
     n = m * w
     pairs = [((i - 1) * w + a, i * w + b)
              for i in range(1, m) for a in range(1, w + 1) for b in range(1, w + 1)]
@@ -60,7 +60,7 @@ def gen_random_umps(n: int, m: int, edge_prob, seed: int, max_length: int = 1) -
     the word).  Acyclic by construction."""
     if n < 1 or m < 1 or max_length < 1:
         raise ValueError("need n, m, max_length >= 1")
-    prob = as_fraction(edge_prob)
+    prob = as_fraction(edge_prob, "edge_prob")
     jobs = range(1, n + 1)
     home = dict(zip(jobs, Stream(seed, "homes").randints(1, m, n)))
     pairs = [(u, v) for u in jobs for v in range(u + 1, n + 1)]
@@ -133,7 +133,7 @@ def gen_kpartite_dense(n: int, k: int, density, seed: int) -> KPartiteInstance:
     certify the soundness floor before relying on it."""
     if k < 1 or n < 1:
         raise ValueError("need n, k >= 1")
-    prob = as_fraction(density)
+    prob = as_fraction(density, "density")
     pairs = [[(u, v) for u in range((i - 1) * n + 1, i * n + 1)
               for v in range(i * n + 1, (i + 1) * n + 1)]
              for i in range(1, k)]
@@ -170,8 +170,8 @@ def gen_fractional(
     every deletion exactly.  The result's grid is built from those units
     and validated once.
     """
-    gamma = as_fraction(gamma)
-    split_prob = as_fraction(split_prob)
+    gamma = as_fraction(gamma, "gamma")
+    split_prob = as_fraction(split_prob, "split_prob")
     if not inst.unit_lengths:
         raise ValueError("fractional perturbation needs unit lengths")
     report = validate_umps(inst, sched)

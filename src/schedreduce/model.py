@@ -11,7 +11,10 @@ Conventions used throughout the package:
 * job intervals are half-open ``[start, end)``, so touching intervals do
   not overlap and a successor may start exactly when its predecessor ends;
 * instances and schedules are frozen dataclasses, treated as immutable
-  values after construction.
+  values after construction;
+* every constructor takes ints by type and rationals as ``int`` or
+  ``Fraction`` (:func:`_check_types`, :func:`as_fraction`): a bool, a
+  float or a str raises ``TypeError`` naming it, never coerced.
 
 Validators never raise on an infeasible schedule; they return a
 :class:`ValidationReport` listing every violation found.  Structural
@@ -39,7 +42,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import (
     CycleDetected,
@@ -48,21 +51,31 @@ from .errors import (
     MachineOutOfRange,
 )
 
-Rational = Union[int, Fraction]
+# the value rule's two type sets: a bool is not an int
+_INT = frozenset({int})
+_RATIONAL = frozenset({int, Fraction})
 
 
-def as_fraction(value: Rational) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+def _check_types(allowed: frozenset, what: str, *groups) -> None:
+    """Raise ``TypeError`` naming, as ``what``, the first value in
+    ``groups`` whose type is not in ``allowed`` (``_INT`` or
+    ``_RATIONAL``).  Each group is a collection: one C-level pass over the
+    types builds nothing, and the groups are read again only to name a
+    culprit."""
+    values = groups[0] if len(groups) == 1 else chain.from_iterable(groups)
+    if not allowed.issuperset(map(type, values)):
+        bad = next(v for v in chain.from_iterable(groups) if type(v) not in allowed)
+        kind = "an int" if allowed is _INT else "an int or a Fraction"
+        raise TypeError(f"{what} {bad!r} is not {kind}")
 
 
-def _int_tuple(values, what: str) -> tuple:
-    """``values`` as a tuple of ints; any other value, a bool or a float
-    too, raises ``TypeError`` naming it as ``what``, never truncated."""
-    values = tuple(values)
-    if not set(map(type, values)) <= {int}:
-        bad = next(v for v in values if type(v) is not int)
-        raise TypeError(f"{what} {bad!r} is not an int")
-    return values
+def as_fraction(value: int | Fraction, what: str = "value") -> Fraction:
+    """``value``, an int or a ``Fraction``, as a ``Fraction``; any other
+    value raises ``TypeError`` naming it as ``what``."""
+    if type(value) is not Fraction:
+        _check_types(_RATIONAL, what, (value,))
+        value = Fraction(value)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -85,29 +98,22 @@ class PrecedenceDag:
     edges: tuple = ()
 
     def __post_init__(self):
-        # endpoints that are all ints (by type, so not bools) need no int()
-        rows = tuple(self.edges)
-        try:
-            edges = [(u, v) for u, v in rows]
-        except (TypeError, ValueError):
-            edges = None  # a malformed row: the conversion below raises
-        if edges is None or not set(map(type, chain.from_iterable(edges))) <= {int}:
-            edges = [(int(u), int(v)) for u, v in rows]
+        n = self.node_count
+        edges = [(u, v) for u, v in self.edges]
+        _check_types(_INT, "node count or edge endpoint", (n,), *edges)
         # stored sorted so equal edge sets compare (and serialize) equal
         edges = tuple(sorted(edges))
         object.__setattr__(self, "edges", edges)
-        n = self.node_count
         if n < 0:
             raise ValueError(f"node_count must be >= 0, got {n}")
-        if isinstance(n, int):
-            prev = None
-            for edge in edges:
-                u, v = edge
-                if not 1 <= u < v <= n or edge == prev:
-                    break
-                prev = edge
-            else:
-                return
+        prev = None
+        for edge in edges:
+            u, v = edge
+            if not 1 <= u < v <= n or edge == prev:
+                break
+            prev = edge
+        else:
+            return
         seen = set()
         for u, v in edges:
             if not (1 <= u <= n and 1 <= v <= n):
@@ -174,22 +180,20 @@ class UmpsInstance:
     dag: PrecedenceDag
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or not isinstance(self.m, int):
-            raise ValueError("job and machine counts must be integers")
+        lengths, homes = self.lengths.values(), self.home.values()
+        _check_types(_INT, "n, m, length or home", (self.n, self.m), lengths, homes)
         if self.n < 1 or self.m < 1:
             raise ValueError("need at least one job and one machine")
         jobs = set(range(1, self.n + 1))
-        if set(self.lengths) != jobs or set(self.home) != jobs:
+        if self.lengths.keys() != jobs or self.home.keys() != jobs:
             raise ValueError("lengths and home must cover exactly jobs 1..n")
-        lengths, homes = self.lengths.values(), self.home.values()
-        # one type pass and min/max; the per-job loops only name the culprit
-        if not ({*map(type, lengths), *map(type, homes)} == {int}
-                and min(lengths) >= 1 and 1 <= min(homes) and max(homes) <= self.m):
+        # min/max first; the per-job loops only name the culprit
+        if not (min(lengths) >= 1 and 1 <= min(homes) and max(homes) <= self.m):
             for l, p in self.lengths.items():
-                if not isinstance(p, int) or p < 1:
+                if p < 1:
                     raise ValueError(f"job {l}: length {p} must be a positive integer")
             for l, i in self.home.items():
-                if not isinstance(i, int) or not 1 <= i <= self.m:
+                if not 1 <= i <= self.m:
                     raise ValueError(
                         f"job {l}: home machine {i} must be an integer in 1..{self.m}")
         if self.dag.node_count != self.n:
@@ -215,7 +219,7 @@ class JobShopInstance:
 
     def __post_init__(self):
         jobs = tuple(tuple((mi, p) for mi, p in ops) for ops in self.jobs)
-        _int_tuple(chain.from_iterable(chain.from_iterable(jobs)), "machine or duration")
+        _check_types(_INT, "machine or duration", *chain.from_iterable(jobs))
         object.__setattr__(self, "jobs", jobs)
         if not jobs or not all(jobs):
             raise ValueError("need at least one job, each with at least one operation")
@@ -248,14 +252,17 @@ class CommDelayInstance:
 
     def __post_init__(self):
         delays = {(u, v): c for (u, v), c in self.delays.items()}
-        _int_tuple(chain.from_iterable(delays), "delay edge endpoint")
-        _int_tuple(delays.values(), "delay")
+        _check_types(_INT, "delay edge endpoint", *delays)
+        _check_types(_INT, "delay", delays.values())
         object.__setattr__(self, "delays", delays)
+        _check_types(_INT, "job or machine count", (self.n_total,),
+                     () if self.machines is None else (self.machines,))
         jobs = set(range(1, self.n_total + 1))
         if set(self.lengths) != jobs:
             raise ValueError("lengths must cover exactly jobs 1..n_total")
+        _check_types(_INT, "length", self.lengths.values())
         for l, p in self.lengths.items():
-            if not isinstance(p, int) or p < 1:
+            if p < 1:
                 raise ValueError(f"job {l}: length {p} must be a positive integer")
         if self.dag.node_count != self.n_total:
             raise ValueError("dag node count must equal n_total")
@@ -263,7 +270,7 @@ class CommDelayInstance:
             raise ValueError("delays must cover exactly the dag edges")
         if any(c < 0 for c in self.delays.values()):
             raise ValueError("delays must be nonnegative")
-        if self.machines is not None and (not isinstance(self.machines, int) or self.machines < 1):
+        if self.machines is not None and self.machines < 1:
             raise ValueError("machine count must be an integer >= 1 (or None for unlimited)")
 
 
@@ -277,8 +284,10 @@ class RelatedInstance:
     dag: PrecedenceDag
 
     def __post_init__(self):
-        object.__setattr__(self, "machines", _int_tuple(self.machines, "speed"))
-        object.__setattr__(self, "jobs", _int_tuple(self.jobs, "length"))
+        object.__setattr__(self, "machines", tuple(self.machines))
+        object.__setattr__(self, "jobs", tuple(self.jobs))
+        _check_types(_INT, "speed", self.machines)
+        _check_types(_INT, "length", self.jobs)
         if not self.machines or not self.jobs:
             raise ValueError("need at least one machine and one job")
         if any(s < 1 for s in self.machines) or any(p < 1 for p in self.jobs):
@@ -307,9 +316,8 @@ class JobGroup:
     origin_job: int
 
     def __post_init__(self):
-        if not (isinstance(self.multiplicity, int) and isinstance(self.length, int)
-                and isinstance(self.origin_job, int)):
-            raise ValueError("multiplicity, length and origin job must be integers")
+        _check_types(_INT, "multiplicity, length or origin job",
+                     (self.multiplicity, self.length, self.origin_job))
         if self.multiplicity < 1 or self.length < 1:
             raise ValueError("multiplicity and length must be >= 1")
 
@@ -320,8 +328,7 @@ class MachineGroup:
     speed: int
 
     def __post_init__(self):
-        if not isinstance(self.multiplicity, int) or not isinstance(self.speed, int):
-            raise ValueError("multiplicity and speed must be integers")
+        _check_types(_INT, "multiplicity or speed", (self.multiplicity, self.speed))
         if self.multiplicity < 1 or self.speed < 1:
             raise ValueError("multiplicity and speed must be >= 1")
 
@@ -371,13 +378,15 @@ class KPartiteInstance:
     delta: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(tuple(layer) for layer in self.layers))
+        _check_types(_INT, "k, n or Q", (self.k, self.n, self.Q))
+        layers = tuple(tuple(layer) for layer in self.layers)
+        edges = tuple(tuple(tuple(e) for e in es) for es in self.edges)
+        _check_types(_INT, "vertex", *layers, *chain.from_iterable(edges))
+        object.__setattr__(self, "layers", layers)
         # per-layer edge sets stored sorted so equal sets compare equal
-        object.__setattr__(
-            self, "edges", tuple(tuple(sorted(tuple(e) for e in es)) for es in self.edges)
-        )
-        object.__setattr__(self, "eps", as_fraction(self.eps))
-        object.__setattr__(self, "delta", as_fraction(self.delta))
+        object.__setattr__(self, "edges", tuple(tuple(sorted(es)) for es in edges))
+        object.__setattr__(self, "eps", as_fraction(self.eps, "eps"))
+        object.__setattr__(self, "delta", as_fraction(self.delta, "delta"))
         if self.k < 1 or self.n < 1 or self.Q < 1:
             raise ValueError("k, n and Q must be >= 1")
         expected = tuple(
@@ -469,7 +478,7 @@ class Schedule(_OnTimeBase):
     equality of their exact times; a schedule is unhashable.
 
     The public constructor takes ``entries`` with int jobs and machines
-    (a bool is rejected, not truncated) and int or ``Fraction`` times.
+    and int or ``Fraction`` times (a bool raises ``TypeError``).
     The package's producers hand over their int rows and scale instead
     (:meth:`_of_rows`).  ``entries``, the times as ``Fraction`` values,
     and ``horizon``, the largest end time (0 when there is none), are
@@ -483,15 +492,9 @@ class Schedule(_OnTimeBase):
     __hash__ = None
 
     def __post_init__(self):
-        rows = {}
-        for job, (machine, start, end) in vars(self).pop("entries").items():
-            for index in (job, machine):
-                if not isinstance(index, int) or isinstance(index, bool):
-                    raise TypeError(f"job {job!r}: job and machine must be ints, not {index!r}")
-            for t in (start, end):
-                if not isinstance(t, (int, Fraction)) or isinstance(t, bool):
-                    raise TypeError(f"job {job!r}: time {t!r} is not an int or a Fraction")
-            rows[int(job)] = (int(machine), start, end)
+        rows = {job: (i, s, e) for job, (i, s, e) in vars(self).pop("entries").items()}
+        _check_types(_INT, "job or machine", rows, [i for i, _, _ in rows.values()])
+        _check_types(_RATIONAL, "time", *rows.values())
         scale, rows = self._on_lcm(rows)
         vars(self).update(_scale=scale, _rows=rows)
 
@@ -520,7 +523,7 @@ class GroupedPlacement:
     """``count`` members of job group ``group`` run on machines of
     ``machine_group`` during [start, end).  The group, machine group and
     count must be ints and the times ints or ``Fraction`` values (a bool
-    is rejected, not truncated); the times are kept as ``Fraction``."""
+    raises ``TypeError``); the times are kept as ``Fraction``."""
 
     group: int
     machine_group: int
@@ -529,15 +532,10 @@ class GroupedPlacement:
     count: int
 
     def __post_init__(self):
-        for index in (self.group, self.machine_group, self.count):
-            if not isinstance(index, int) or isinstance(index, bool):
-                raise TypeError(
-                    f"placement group, machine group and count must be ints, not {index!r}")
-        for t in (self.start, self.end):
-            if not isinstance(t, (int, Fraction)) or isinstance(t, bool):
-                raise TypeError(f"placement time {t!r} is not an int or a Fraction")
-        object.__setattr__(self, "start", as_fraction(self.start))
-        object.__setattr__(self, "end", as_fraction(self.end))
+        _check_types(_INT, "placement group, machine group or count",
+                     (self.group, self.machine_group, self.count))
+        object.__setattr__(self, "start", as_fraction(self.start, "placement time"))
+        object.__setattr__(self, "end", as_fraction(self.end, "placement time"))
         if self.count < 1:
             raise ValueError("placement count must be >= 1")
 

@@ -34,6 +34,7 @@ from .errors import (
     NonUnitLengths,
 )
 from .model import (
+    _INT,
     CommDelayInstance,
     GroupedRelatedInstance,
     GroupedSchedule,
@@ -45,6 +46,7 @@ from .model import (
     RelatedInstance,
     Schedule,
     UmpsInstance,
+    _check_types,
     makespan,
     validate_commdelay,
     validate_umps,
@@ -216,7 +218,8 @@ def umps_to_related(inst: UmpsInstance, kappa_override: int = None) -> RelatedRe
     if not inst.unit_lengths:
         raise NonUnitLengths("the related-machines construction needs unit job lengths")
     default_kappa = 10 * inst.n**3 * inst.m
-    kappa = default_kappa if kappa_override is None else int(kappa_override)
+    kappa = default_kappa if kappa_override is None else kappa_override
+    _check_types(_INT, "kappa", (kappa,))
     if kappa < 2:
         raise ValueError(f"kappa must be >= 2, got {kappa}")
     machine_groups = tuple(
@@ -352,13 +355,9 @@ class KPartiteYesCertificate:
     partition: tuple  # partition[i-1][j] = tuple of vertex ids in cell j of layer i
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "partition",
-            tuple(tuple(tuple(cell) for cell in layer) for layer in self.partition),
-        )
-        if not all(isinstance(v, int) for layer in self.partition for cell in layer for v in cell):
-            raise ValueError("certificate cells must hold integer vertex ids")
+        partition = tuple(tuple(tuple(cell) for cell in layer) for layer in self.partition)
+        _check_types(_INT, "certificate vertex", *(cell for layer in partition for cell in layer))
+        object.__setattr__(self, "partition", partition)
 
 
 def validate_certificate(g: KPartiteInstance, cert: KPartiteYesCertificate) -> None:

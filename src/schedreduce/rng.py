@@ -26,6 +26,8 @@ import struct
 from fractions import Fraction
 from functools import lru_cache
 
+from .model import _INT, _check_types
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 # from this many words on, one pass over 128-bit lanes of a big integer
@@ -51,7 +53,8 @@ class Stream:
     """One labeled SplitMix64 substream."""
 
     def __init__(self, seed: int, label: str = ""):
-        self._state = (int(seed) ^ _label_hash(label)) & _MASK64
+        _check_types(_INT, "seed", (seed,))
+        self._state = (seed ^ _label_hash(label)) & _MASK64
 
     def words(self, count: int) -> list:
         """The next ``count`` 64-bit outputs, in order."""

@@ -73,7 +73,15 @@ from .errors import (
     PropertyViolated,
     TooManyJobsPerSlot,
 )
-from .model import Schedule, UmpsInstance, as_fraction, validate_grouped, validate_umps
+from .model import (
+    _INT,
+    Schedule,
+    UmpsInstance,
+    _check_types,
+    as_fraction,
+    validate_grouped,
+    validate_umps,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,22 +107,21 @@ class FractionalSchedule:
     umps_ref: UmpsInstance
 
     def __post_init__(self):
-        # one C-level pass over the masses' types when all is well
-        if (type(self.horizon) is not int or type(self.gamma) not in _RATIONAL
-                or not set(map(type, self.mass.values())) <= _RATIONAL):
-            _reject_types(self.horizon, self.gamma, self.mass)
+        _check_types(_INT, "horizon", (self.horizon,))
+        gamma = as_fraction(self.gamma, "gamma")
         norm = {}
         for key, x in self.mass.items():
+            if type(x) is not Fraction:  # so a Fraction costs no label
+                x = as_fraction(x, f"mass {key!r}:")
             job, slot = key
+            # a key of the file format: a property of the schedule, not a type error
             if type(job) is not int or type(slot) is not int:
-                key = _int_key(job, slot)
-            x = as_fraction(x)
+                raise PropertyViolated(f"mass key {key!r}: job and slot must be ints")
             if not 0 <= x.numerator <= x.denominator:
                 raise PropertyViolated(f"mass x[{job},{slot}] = {x} outside [0, 1]")
             if x.numerator:
                 norm[key] = x
         object.__setattr__(self, "mass", norm)
-        gamma = as_fraction(self.gamma)
         object.__setattr__(self, "gamma", gamma)
         _check_frame(self.horizon, gamma)
         unit = math.lcm(gamma.denominator, *(x.denominator for x in norm.values()))
@@ -161,33 +168,6 @@ class FractionalSchedule:
         mine, theirs = self._grid, other._grid
         return ((self.horizon, self.gamma, self.umps_ref, mine.unit, mine.slots)
                 == (other.horizon, other.gamma, other.umps_ref, theirs.unit, theirs.slots))
-
-
-_RATIONAL = {int, Fraction}
-
-
-def _is_rational(x) -> bool:
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
-
-
-def _reject_types(horizon, gamma, mass) -> None:
-    """Raise ``TypeError`` for a horizon that is not an int, or a gamma or
-    mass that is not an int or a ``Fraction`` (a bool or a float
-    included), never truncated or rounded."""
-    if not isinstance(horizon, int) or isinstance(horizon, bool):
-        raise TypeError(f"horizon {horizon!r} is not an int")
-    if not _is_rational(gamma):
-        raise TypeError(f"gamma {gamma!r} is not an int or a Fraction")
-    for key, x in mass.items():
-        if not _is_rational(x):
-            raise TypeError(f"mass {key!r}: {x!r} is not an int or a Fraction")
-
-
-def _int_key(job, slot) -> tuple:
-    for value in (job, slot):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise PropertyViolated(f"mass key ({job!r}, {slot!r}): job and slot must be ints")
-    return int(job), int(slot)
 
 
 def _check_frame(horizon, gamma: Fraction) -> None:

@@ -377,8 +377,16 @@ def oracle_dump_canonical(obj) -> str:
 
 def oracle_dag_edges(node_count, edges) -> tuple:
     """The edges ``PrecedenceDag(node_count, edges)`` stores, or the error
-    it raises, by checking every edge and running Kahn's algorithm."""
-    edges = tuple(sorted((int(u), int(v)) for u, v in edges))
+    it raises, by checking every edge and running Kahn's algorithm.  A
+    node count, then an endpoint (in the order given), that is not an int
+    by type ("3", 2.0, True) raises ``TypeError``, never coerced."""
+    if type(node_count) is not int:
+        raise TypeError(f"node count or edge endpoint {node_count!r} is not an int")
+    for u, v in edges:
+        for end in (u, v):
+            if type(end) is not int:
+                raise TypeError(f"node count or edge endpoint {end!r} is not an int")
+    edges = tuple(sorted(edges))
     if node_count < 0:
         raise ValueError(f"node_count must be >= 0, got {node_count}")
     seen = set()

@@ -226,10 +226,21 @@ def test_cli_integer_that_is_not_ascii_digits_is_usage_error(
      "unknown parameter 'edgeprob' for family random; it reads n, m, edge_prob, max_length"),
     (("gen", "kpartite_yes", "--params", "n=4,k=2,density=1"),
      "unknown parameter 'density' for family kpartite_yes; it reads n, k"),
-], ids=["repeated-limit", "repeated-param", "unread-param", "unread-param-sidecar"])
+    (("reduce", "{inst}", "--reduction", "commdelay", "--kappa-override", "2"),
+     "--kappa-override is not read by --reduction commdelay; only --reduction related reads it"),
+    (("reduce", "{inst}", "--reduction", "umps", "--kappa-override", "2"),
+     "--kappa-override is not read by --reduction umps; only --reduction related reads it"),
+    (("roundtrip", "{inst}", "--mode", "commdelay", "--kappa-override", "2"),
+     "--kappa-override is not read by --mode commdelay; only --mode related reads it"),
+    (("roundtrip", "{inst}", "--mode", "kpartite", "--kappa-override", "2"),
+     "--kappa-override is not read by --mode kpartite; only --mode related reads it"),
+], ids=["repeated-limit", "repeated-param", "unread-param", "unread-param-sidecar",
+        "unread-kappa-reduce-commdelay", "unread-kappa-reduce-umps",
+        "unread-kappa-roundtrip-commdelay", "unread-kappa-roundtrip-kpartite"])
 def test_repeated_or_unread_key_is_usage_error(tmp_path, sample8_file, capsys, argv, message):
     # the last value of a repeated key used to win (max_jobs=50 solved),
-    # and a key the family does not read was ignored (edge_prob stayed 1/2)
+    # and a key or option the command does not read was ignored
+    # (edge_prob stayed 1/2; --kappa-override was dropped, exit 0)
     out = tmp_path / "out.json"
     assert run(*[arg.format(inst=sample8_file) for arg in argv], "--out", str(out)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -688,10 +699,14 @@ def test_bench_over_corpus(tmp_path, capsys):
         "--out", str(corpus / "r2.json"))
     run("gen", "kpartite_yes", "--params", "n=4,k=2", "--seed", "3",
         "--out", str(corpus / "k1.json"))
-    (corpus / "broken.json").write_text("{not json")
+    # a kind with no roundtrip mode is skipped, and fails nothing
+    run("gen", "jobshop", "--params", "jobs=2,machines=2,ops_per_job=2", "--seed", "1",
+        "--out", str(corpus / "j1.json"))
     out = str(tmp_path / "gap.csv")
     assert run("bench", str(corpus), "--out", out) == 0
-    assert capsys.readouterr().out.strip() == "rows=3 bound_holds=3/3"
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "rows=3 bound_holds=3/3"
+    assert "j1.json: no roundtrip mode for this kind, skipped" in captured.err
     rows = read_rows(out)
     assert [r["instance_id"] for r in rows] == ["k1", "r1", "r2"]
     assert all(r["bound_holds"] == "true" for r in rows)
@@ -722,6 +737,16 @@ def test_bench_keeps_good_rows_when_one_instance_fails(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "k0.json: failed (" in captured.err
     assert captured.out.strip() == "rows=2 bound_holds=2/2"
+    # a member that does not read fails too, where it was once skipped
+    # with exit 0
+    (corpus / "k0.json").unlink()
+    for text in ('{"kind": "umps", "n": 1', "{not json"):
+        (corpus / "broken.json").write_text(text)
+        assert run("bench", str(corpus), "--out", str(out)) == 1
+        assert out.read_bytes() == good
+        captured = capsys.readouterr()
+        assert "broken.json: failed (" in captured.err
+        assert captured.out.strip() == "rows=2 bound_holds=2/2"
 
 
 @pytest.mark.parametrize("sidecar", [

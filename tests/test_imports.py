@@ -1,6 +1,7 @@
 """Every package module uses each name it imports, every exception class
-in ``errors.py`` is raised somewhere in the package, and every public
-function or method has a caller outside the tests."""
+in ``errors.py`` is raised somewhere in the package, every public
+function or method has a caller outside the tests, and no constructor
+checks its values with a rule of its own."""
 
 import ast
 from pathlib import Path
@@ -108,3 +109,32 @@ def test_every_public_function_has_a_caller_outside_the_tests():
                 for name in public_functions(path.read_text(encoding="utf-8"))
                 if name.rpartition(".")[2] not in used]
     assert sorted(uncalled) == sorted(UNCALLED_ALLOWED)
+
+
+def own_value_rules(source: str) -> list:
+    """``Class.__post_init__`` names, sorted, of the constructors in
+    ``source`` that call ``isinstance`` or ``int`` themselves instead of
+    the value rule in ``model`` (``_check_types``, ``as_fraction``)."""
+    out = set()
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for f in cls.body:
+            if isinstance(f, ast.FunctionDef) and f.name == "__post_init__":
+                if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                       and node.func.id in ("isinstance", "int") for node in ast.walk(f)):
+                    out.add(f"{cls.name}.__post_init__")
+    return sorted(out)
+
+
+def test_own_value_rules_finds_isinstance_and_int_calls():
+    source = ("class A:\n    def __post_init__(self):\n        isinstance(self.x, int)\n"
+              "class B:\n    def __post_init__(self):\n        self.x = int(self.x)\n"
+              "class C:\n    def __post_init__(self):\n        _check_types(_INT, 'x', (self.x,))\n"
+              "class D:\n    def build(self):\n        return int(self.x)\n")
+    assert own_value_rules(source) == ["A.__post_init__", "B.__post_init__"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_constructors_check_values_only_through_the_model_rule(path):
+    assert own_value_rules(path.read_text(encoding="utf-8")) == []

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ from schedreduce import (
     JobGroup,
     JobSetMismatch,
     JobShopInstance,
+    KPartiteInstance,
+    KPartiteYesCertificate,
     MachineGroup,
     MachineOutOfRange,
     PrecedenceDag,
@@ -44,6 +47,7 @@ from schedreduce import (
     validate_related,
     validate_umps,
 )
+from schedreduce.rng import Stream
 from schedreduce.serialize import dump_canonical, from_obj, to_obj
 from conftest import SAMPLE8, make_sample8
 from oracle import oracle_dag_edges, oracle_flat_violations, oracle_grouped_violations
@@ -82,13 +86,13 @@ def test_dag_rejects_self_loop_duplicate_and_range():
         PrecedenceDag(2, ((1, 3),))
 
 
-# endpoints in and out of range, also as "3" or 2.0, which int() accepts
-DAG_ENDPOINTS = st.integers(-1, 7).flatmap(
-    lambda v: st.sampled_from([v, str(v), float(v)]))
+# endpoints in and out of range, and now and then one that is not an int
+# by type ("3", 2.0, True), which raises TypeError, never coerced
+DAG_ENDPOINTS = st.one_of(st.integers(-1, 7), st.sampled_from(["3", 2.0, 1.7, True]))
 
 
 @settings(max_examples=300)
-@given(st.one_of(st.integers(-1, 7), st.just(3.0)),
+@given(st.one_of(st.integers(-1, 7), st.sampled_from([3.0, True])),
        st.lists(st.one_of(st.tuples(DAG_ENDPOINTS, DAG_ENDPOINTS),
                           st.integers(1, 6).flatmap(lambda u: st.tuples(
                               st.just(u), st.integers(u + 1, 7)))),
@@ -180,20 +184,59 @@ def test_jobshop_chain_accessors():
     assert js.machine_count == 2
 
 
-@pytest.mark.parametrize("make", [
-    lambda: CommDelayInstance(n_total=2, lengths={1: 1, 2: 1}, delays={(1, 2): 2.7},
-                              dag=PrecedenceDag(2, ((1, 2),))),
-    lambda: CommDelayInstance(n_total=2, lengths={1: 1, 2: 1}, delays={(1, 2): True},
-                              dag=PrecedenceDag(2, ((1, 2),))),
-    lambda: JobShopInstance(jobs=[[(1.9, 2.5)]]),
-    lambda: JobShopInstance(jobs=[[(1, True)]]),
-    lambda: RelatedInstance(machines=(1.5,), jobs=(2,), dag=PrecedenceDag(1, ())),
-    lambda: RelatedInstance(machines=(1,), jobs=(2.9,), dag=PrecedenceDag(1, ())),
-    lambda: RelatedInstance(machines=(True,), jobs=(2,), dag=PrecedenceDag(1, ())),
+def _umps(n=2, m=1, length=1, home=1):
+    return UmpsInstance(n=n, m=m, lengths={1: 1, 2: length}, home={1: 1, 2: home},
+                        dag=PrecedenceDag(2, ()))
+
+
+def _kpartite(layer=(1, 2), eps=Fraction(1, 2)):
+    return KPartiteInstance(k=1, n=2, layers=(layer,), edges=(), Q=2, eps=eps,
+                            delta=Fraction(1, 2))
+
+
+def _one_machine_fractional(gamma):
+    inst = gen_random_umps(2, 1, Fraction(1, 2), 0)
+    return gen_fractional(inst, solve_umps_exact(inst).schedule, gamma, Fraction(1, 2), 0)
+
+
+# each raises TypeError naming its culprit; int() once truncated the
+# floats and took a bool for 0 or 1, and a float rational became the
+# binary fraction nearest to it
+@pytest.mark.parametrize("make, culprit", [
+    (lambda: CommDelayInstance(n_total=2, lengths={1: 1, 2: 1}, delays={(1, 2): 2.7},
+                               dag=PrecedenceDag(2, ((1, 2),))), "2.7"),
+    (lambda: CommDelayInstance(n_total=2, lengths={1: 1, 2: 1}, delays={(1, 2): True},
+                               dag=PrecedenceDag(2, ((1, 2),))), "True"),
+    (lambda: JobShopInstance(jobs=[[(1.9, 2.5)]]), "1.9"),
+    (lambda: JobShopInstance(jobs=[[(1, True)]]), "True"),
+    (lambda: RelatedInstance(machines=(1.5,), jobs=(2,), dag=PrecedenceDag(1, ())), "1.5"),
+    (lambda: RelatedInstance(machines=(1,), jobs=(2.9,), dag=PrecedenceDag(1, ())), "2.9"),
+    (lambda: RelatedInstance(machines=(True,), jobs=(2,), dag=PrecedenceDag(1, ())), "True"),
+    (lambda: PrecedenceDag(3, [(1.7, 2)]), "node count or edge endpoint 1.7"),
+    (lambda: PrecedenceDag(3.0, ()), "node count or edge endpoint 3.0"),
+    (lambda: _umps(n=True), "n, m, length or home True"),
+    (lambda: _umps(m=True), "n, m, length or home True"),
+    (lambda: _umps(length=True), "n, m, length or home True"),
+    (lambda: _umps(home=True), "n, m, length or home True"),
+    (lambda: JobGroup(True, True, 1), "True"),
+    (lambda: MachineGroup(True, True), "True"),
+    (lambda: CommDelayInstance(n_total=1, lengths={1: 1}, delays={}, dag=PrecedenceDag(1, ()),
+                               machines=True), "count True"),
+    (lambda: KPartiteYesCertificate(partition=(((1, True),),)), "certificate vertex True"),
+    (lambda: _kpartite(layer=(1.0, 2)), "vertex 1.0"),
+    (lambda: _kpartite(eps=0.1), "eps 0.1"),
+    (lambda: umps_to_related(_umps(), kappa_override=2.9), "kappa 2.9"),
+    (lambda: _one_machine_fractional(0.001), "gamma 0.001"),
+    (lambda: Stream(1.9), "seed 1.9"),
+    (lambda: Stream(True), "seed True"),
 ], ids=["float-delay", "bool-delay", "float-operation", "bool-duration", "float-speed",
-        "float-length", "bool-speed"])
-def test_instance_ints_are_checked_not_truncated(make):
-    with pytest.raises(TypeError, match="is not an int"):
+        "float-length", "bool-speed", "float-dag-endpoint", "float-node-count", "bool-umps-n",
+        "bool-umps-m", "bool-umps-length", "bool-umps-home", "bool-job-group",
+        "bool-machine-group", "bool-commdelay-machines", "bool-certificate-cell",
+        "float-kpartite-vertex", "float-eps",
+        "float-kappa", "float-gamma", "float-seed", "bool-seed"])
+def test_instance_ints_are_checked_not_truncated(make, culprit):
+    with pytest.raises(TypeError, match=re.escape(culprit) + " is not an int"):
         make()
 
 
