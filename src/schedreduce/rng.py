@@ -54,6 +54,8 @@ class Stream:
 
     def __init__(self, seed: int, label: str = ""):
         _check_types(_INT, "seed", (seed,))
+        if not isinstance(label, str):
+            raise TypeError(f"label {label!r} is not a str")
         self._state = (seed ^ _label_hash(label)) & _MASK64
 
     def words(self, count: int) -> list:

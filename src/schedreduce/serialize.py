@@ -2,25 +2,14 @@
 
 Every file is UTF-8 JSON with a top-level "kind" discriminator; rationals
 are "p/q" strings (plain "p" when the denominator is 1).  The writer
-emits exactly the bytes of ``json.dumps(obj, sort_keys=True, indent=2)``
-plus a trailing newline (ASCII-escaped strings, sorted keys, two-space
-indent), and only for JSON-native values: str-keyed dicts, lists,
-tuples, str, int, bool and None.  Identical objects therefore always
-produce byte-identical files, and instances round-trip exactly:
-read(write(x)) == x.
-
-The writer hands the two shapes that make up most of the bytes to the
-stdlib's C encoder, with its item separator set to the line break and
-indent: a row block (a non-empty list of non-empty lists, or tuple of
-tuples, of only ints and strs, such as dag edges, delays and fractional
-masses) and a leaf
-dict of at least 16 items (str keys, int or str values, such as the
-lengths and homes of a larger instance).  The C encoder escapes strings,
-writes ints and sorts keys as the writer does; a row block's row
-boundaries are then re-indented by one replacement of ``"],"`` plus the
-separator plus ``"["``.  That pattern holds a line break, and an encoded
-string never does, so it matches only between rows.  Every other value
-is written in Python.
+emits exactly the bytes of ``json.dumps(obj, sort_keys=True,
+separators=(",", ":"))`` plus a trailing newline (ASCII-escaped strings,
+sorted keys, no whitespace between tokens), and only for JSON-native
+values: str-keyed dicts, lists, tuples, str, int, bool and None.
+Identical objects therefore always produce byte-identical files, and
+instances round-trip exactly: read(write(x)) == x.  The reader is
+``json.loads``, so a file in any other layout, such as the two-space
+indented one of earlier versions, reads to the same value.
 
 Each kind is declared once, in ``FORMATS``: its class and the (encode,
 decode) pair of its fields.  Most kinds build that pair from one (encode,
@@ -32,21 +21,17 @@ read; a time or count the fast reader does not take goes through the
 public constructors, so every error is theirs.  A decoder reads only
 the fields its kind declares, so extra fields are ignored.  Integers
 are strict: where the format has an integer, a string or a boolean is an
-error, never coerced, and a map key must be a canonical decimal integer
-(``"1"``, never ``"01"``).  Rationals are strict too: the format writes
-each one as a string, so a number or a boolean in its place is an
-error.
+error, never coerced, a map key must be a canonical decimal integer
+(``"1"``, never ``"01"``), and no object may give a key twice.
+Rationals are strict too: the format writes each one as a string, so a
+number or a boolean in its place is an error.
 
-Values that repeat are checked or decoded once, through small bounded
-tables shared by every read and write.  None changes a byte written or
-read, or an error raised:
-
-* three ``_Memo`` tables, bounded dicts that keep only what read
-  cleanly: rational texts (``_rational``) and schedule times (``_time``),
-  so a text read again costs one dict lookup, and the key lists of maps
-  (``_KEYS``), each checked once to be canonical integers;
-* ``_BlockTexts``: the text of the last few dag edge blocks written, by
-  the identity of the edges tuple, which the writer is handed as it is.
+Values that repeat are checked or decoded once, through three ``_Memo``
+tables, bounded dicts shared by every read that keep only what read
+cleanly: rational texts (``_rational``) and schedule times (``_time``),
+so a text read again costs one dict lookup, and the key lists of maps
+(``_KEYS``), each checked once to be canonical integers.  None changes a
+value read or an error raised.
 
 Reduction artifacts and certificates are written the same way, as
 self-contained sidecar files (source and output instances embedded).  No
@@ -58,8 +43,8 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from fractions import Fraction
-from functools import cache
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -77,6 +62,8 @@ from .model import (
     PrecedenceDag,
     Schedule,
     UmpsInstance,
+    _RATIONAL,
+    _check_types,
 )
 from .reductions import (
     CommDelayReductionArtifact,
@@ -86,21 +73,22 @@ from .reductions import (
 from .rounding import FractionalSchedule
 
 
-_EXACT = frozenset({int, Fraction})
+def frac_str(value: int | Fraction) -> str:
+    """The text of a rational, an int or a ``Fraction``: "p/q" in lowest
+    terms, or "p" when q is 1.  Any other value (a float, a bool, a str)
+    raises ``TypeError`` naming it, never approximated or coerced."""
+    if type(value) not in _RATIONAL:
+        _check_types(_RATIONAL, "rational", (value,))
+    return str(value)
 
 
-def frac_str(value) -> str:
-    # str of a Fraction is "p/q" in lowest terms, or "p" when q is 1
-    return str(value if type(value) in _EXACT else Fraction(value))
-
-
-_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(text) -> Fraction:
     """``Fraction(text)``, with the canonical "p" and "p/q" forms parsed
     directly; anything else (and every error) is ``Fraction``'s own."""
-    match = _RATIONAL.fullmatch(text) if type(text) is str else None
+    match = _RATIONAL_TEXT.fullmatch(text) if type(text) is str else None
     if match is None:
         return Fraction(text)
     num, den = match.groups()
@@ -353,152 +341,45 @@ def from_obj(obj):
 # files
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-_LEAF = {int: int.__repr__, str: _encode_str}
-_LEAF_TYPES = frozenset(_LEAF)
-# a smaller leaf dict, such as a record, is written faster in Python: a
-# call to the C encoder costs a few microseconds before its first item
-_C_DICT_MIN = 16
+# ASCII escapes, sorted keys, a tuple as a list; the type guard recurses
+# into a cycle first, so the encoder never meets one
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+_LEAVES = frozenset({str, int, bool, type(None)})
 
 
 def dump_canonical(obj: dict) -> str:
     """The canonical text of a JSON-native value: byte for byte
-    ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``.  Any other type
-    (a float, a Fraction, a non-str key) raises ``TypeError``."""
-    out = []
-    _emit(obj, "\n", out)
-    out.append("\n")
-    return "".join(out)
+    ``json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\\n"``;
+    any other type (a float, a Fraction, a non-str key) raises TypeError."""
+    _check_native(obj)
+    return _ENCODE(obj) + "\n"
 
 
-@cache  # one per nesting depth
-def _encoder(newline: str):
-    """``encode`` of the C encoder whose item separator is a comma and
-    ``newline``, so it writes one item of a list or dict a line.  It is
-    given only row blocks and leaf dicts, which cannot hold a cycle."""
-    return json.JSONEncoder(
-        separators=("," + newline, ": "), sort_keys=True, check_circular=False).encode
-
-
-class _BlockTexts(dict):
-    """The texts of the last few tuple row blocks written (a dag's edges),
-    by the block's identity and the indent it was written at.  Each entry
-    holds its block, so the block's ``id`` cannot pass to another object
-    while its text is kept, and a tuple of tuples of ints and strs cannot
-    change.  The oldest is dropped when the table is full."""
-
-    __slots__ = ()
-    SIZE = 2  # an instance written alone, then embedded one level down
-
-    def _text(self, block, newline: str):
-        key = (id(block), newline)
-        kept = self.get(key)
-        if kept is not None:
-            return kept[1]
-        text = _row_block(block, tuple, newline)
-        if text is not None:
-            if len(self) >= self.SIZE:
-                del self[next(iter(self))]
-            self[key] = (block, text)
-        return text
-
-
-_BLOCKS = _BlockTexts()
-
-
-def _row_block(value, row_type, newline: str):
-    """The text of a row block, a non-empty list or tuple of non-empty
-    rows of ``row_type`` holding only ints and strs, written by the C
-    encoder and re-indented at its row boundaries, whose pattern holds a
-    line break (an encoded str never does, so it matches nothing else);
-    None for anything else."""
-    if not (set(map(type, value)) == {row_type} and all(value)
-            and set(map(type, chain.from_iterable(value))) <= _LEAF_TYPES):
-        return None
-    inner = newline + "  "
-    inner2 = inner + "  "
-    # "[[a,<inner2>b],<inner2>[c]]" less its outer brackets
-    text = _encoder(inner2)(value)[2:-2]
-    return ("[" + inner + "[" + inner2
-            + text.replace("]," + inner2 + "[", inner + "]," + inner + "[" + inner2)
-            + inner + "]" + newline + "]")
-
-
-def _inline(value, newline: str):
-    """The text of an int, a str, a non-empty list of only those, a row
-    block or a leaf dict of ``_C_DICT_MIN`` or more items, the bulk of
-    every file, written without recursing; None for anything else.  Row
-    blocks and leaf dicts are written by the C encoder; the text of a
-    tuple row block is kept in ``_BLOCKS``."""
-    kind = type(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is str:
-        return _encode_str(value)
-    if kind is tuple:
-        return _BLOCKS._text(value, newline) if value else None
-    inner = newline + "  "
-    if kind is list and value:
-        if type(value[0]) is not list:
-            try:
-                texts = [_LEAF[type(item)](item) for item in value]
-            except KeyError:
-                return None
-            return "[" + inner + ("," + inner).join(texts) + newline + "]"
-        return _row_block(value, list, newline)
-    if (kind is dict and len(value) >= _C_DICT_MIN and set(map(type, value)) == {str}
-            and set(map(type, value.values())) <= _LEAF_TYPES):
-        return "{" + inner + _encoder(inner)(value)[1:-1] + newline + "}"
-    return None
-
-
-def _emit(value, newline: str, out: list) -> None:
-    """Append the fragments of ``value`` to ``out``; ``newline`` is the
-    line break plus the indent of the line ``value`` starts on."""
+def _check_native(value) -> None:
+    """Raise ``TypeError`` unless ``value`` is JSON-native: a str-keyed
+    dict, a list or tuple, a str, an int (bool included) or None, nested
+    only of those.  A container costs one pass over its item types, a
+    block of rows one more over their items, and only an item that is not
+    a leaf is recursed into."""
     if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep, comma = "{" + inner, "," + inner
-        for key, item in sorted(value.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            text = _inline(item, inner)
-            if text is None:
-                out.append(f"{sep}{_encode_str(key)}: ")
-                _emit(item, inner, out)
-            else:
-                out.append(f"{sep}{_encode_str(key)}: {text}")
-            sep = comma
-        out.append(newline + "}")
+        if not set(map(type, value)) <= {str}:
+            for key in value:
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+        items = value.values()
     elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep, comma = "[" + inner, "," + inner
-        for item in value:
-            text = _inline(item, inner)
-            if text is None:
-                out.append(sep)
-                _emit(item, inner, out)
-            else:
-                out.append(sep + text)
-            sep = comma
-        out.append(newline + "]")
-    elif isinstance(value, str):
-        out.append(_encode_str(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
+        items = value
+    elif isinstance(value, (str, int)) or value is None:
+        return
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not canonical JSON")
+    types = set(map(type, items))
+    if types <= _LEAVES or types <= {list, tuple} and _LEAVES.issuperset(
+            map(type, chain.from_iterable(items))):
+        return
+    for item in items:
+        if type(item) not in _LEAVES:
+            _check_native(item)
 
 
 def write_file(path, value, extra: dict = None) -> None:
@@ -514,10 +395,19 @@ def _not_an_integer(text):
     raise ValueError(f"number {text} is not an integer")
 
 
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+        raise ValueError(f"key {key!r} is given more than once")
+    return obj
+
+
 def read_obj(path) -> dict:
     """The JSON value in ``path``; a number that is not an integer (``2.5``,
-    ``2.0``, ``1e3``, ``Infinity``, ``NaN``) raises ``ValueError``."""
-    return json.loads(Path(path).read_text(encoding="utf-8"),
+    ``2.0``, ``1e3``, ``Infinity``, ``NaN``) or an object that gives a key
+    twice raises ``ValueError``."""
+    return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys,
                       parse_float=_not_an_integer, parse_constant=_not_an_integer)
 
 

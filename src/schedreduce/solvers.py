@@ -71,6 +71,8 @@ from .model import (
     RelatedInstance,
     Schedule,
     UmpsInstance,
+    _INT,
+    _check_types,
     makespan,
     topological_order,
 )
@@ -81,6 +83,9 @@ class SolveLimits:
     max_jobs: int = 10
     max_states: int = 2_000_000
     time_budget: float = 600.0  # seconds
+
+    def __post_init__(self):
+        _check_types(_INT, "max_jobs or max_states", (self.max_jobs, self.max_states))
 
 
 @dataclass(frozen=True)

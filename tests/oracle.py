@@ -24,10 +24,11 @@ where ``solvers.verify_no_property`` needs one popcount per lower set.
 The validator oracles keep the straightforward ``Fraction`` form of the
 schedule checks: every comparison on exact rationals, and each group edge
 answered by rescanning the placements.  The codec oracles at the end keep
-the writer as a ``json.dumps`` call and the precedence admission as the
-full range, self-loop, duplicate and cycle checks; for the cycle check and
-its witness they call the package's ``topological_order``, which the
-admission shortcut they are compared against skips.
+the writer as a ``json.dumps`` call, lay out the text the byte pins hash,
+and keep the precedence admission as the full range, self-loop, duplicate
+and cycle checks; for the cycle check and its witness they call the
+package's ``topological_order``, which the admission shortcut they are
+compared against skips.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from types import SimpleNamespace
 
 from schedreduce.errors import JobSetMismatch, MachineOutOfRange
 from schedreduce.model import topological_order
+from schedreduce.serialize import dump_canonical, to_obj
 
 
 def _topo(n, edges):
@@ -372,7 +374,15 @@ def oracle_grouped_violations(inst, gs, require_complete=True):
 
 def oracle_dump_canonical(obj) -> str:
     """The canonical text ``serialize.dump_canonical`` writes."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def pinned_text(value) -> str:
+    """The text the byte pins hash: the canonical text of ``value`` laid
+    out as ``json.dumps(..., sort_keys=True, indent=2)``, the layout the
+    pins were taken in.  It is read back from what ``dump_canonical``
+    writes, so a pin covers the writer's tokens and its type check."""
+    return json.dumps(json.loads(dump_canonical(to_obj(value))), sort_keys=True, indent=2) + "\n"
 
 
 def oracle_dag_edges(node_count, edges) -> tuple:

@@ -348,6 +348,9 @@ FLOAT_HOME_UMPS = json.dumps({
     "kind": "umps", "n": 2, "m": 2, "lengths": {"1": 1, "2": 1}, "home": {"1": 1, "2": 1.5},
     "dag": {"node_count": 2, "edges": [[1, 2]]},
 })
+# json.loads alone keeps the last of two equal keys: length 3 for job 1
+REPEATED_KEY_UMPS = ('{"kind": "umps", "n": 2, "m": 1, "lengths": {"1": 1, "2": 1, "1": 3}, '
+                     '"home": {"1": 1, "2": 1}, "dag": {"node_count": 2, "edges": [[1, 2]]}}')
 FLOAT_COUNT_COMMDELAY = json.dumps({
     "kind": "commdelay", "n_total": 2, "lengths": {"1": 1, "2": 1}, "delays": [[1, 2, 1]],
     "dag": {"node_count": 2, "edges": [[1, 2]]}, "machines": 1.5,
@@ -414,10 +417,10 @@ STRICT_INT_CASES = {
     _schedule_text([1, "1/0", "1"]), _schedule_text([1, "a/b", "1"]),
     _schedule_text([1, "0"]), '{"kind": "umps",', FLOAT_HOME_UMPS, FLOAT_COUNT_COMMDELAY,
     _umps_with_edge("[2.9, 3]"), _umps_with_edge("[Infinity, 3]"), FLOAT_DELAY_COMMDELAY,
-    *STRICT_INT_CASES.values(),
+    REPEATED_KEY_UMPS, *STRICT_INT_CASES.values(),
 ], ids=["missing-field", "list", "cycle", "zero-denominator", "bad-rational",
         "short-entry", "not-json", "float-home", "float-machine-count",
-        "float-edge", "infinity-edge", "float-delay", *STRICT_INT_CASES])
+        "float-edge", "infinity-edge", "float-delay", "repeated-key", *STRICT_INT_CASES])
 def test_malformed_file_is_usage_error_without_traceback(tmp_path, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)

@@ -42,6 +42,12 @@ def test_streams_are_reproducible(seed):
     assert a.words(4) == b.words(4)
 
 
+@pytest.mark.parametrize("label", [5, None, b"edges"])
+def test_a_label_that_is_not_a_str_is_named(label):
+    with pytest.raises(TypeError, match=f"label {label!r} is not a str"):
+        Stream(1, label)
+
+
 def test_labels_split_streams():
     a = Stream(12345, "edges")
     b = Stream(12345, "homes")

@@ -1,10 +1,12 @@
 import dataclasses
 import hashlib
 import json
+from collections import OrderedDict, namedtuple
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from schedreduce import (
     GroupedPlacement,
@@ -19,7 +21,6 @@ from schedreduce import (
     umps_to_related,
 )
 from schedreduce.serialize import (
-    _BLOCKS,
     _KEYS,
     _rational,
     _read_mass,
@@ -34,7 +35,7 @@ from schedreduce.serialize import (
     to_obj,
     write_file,
 )
-from oracle import oracle_dump_canonical
+from oracle import oracle_dump_canonical, pinned_text
 
 F = Fraction
 
@@ -49,8 +50,13 @@ def test_frac_text_plain_integer_form():
     assert frac_str(F(6, 3)) == "2"
     assert frac_str(F(-1, 2)) == "-1/2"
     assert frac_str(-7) == "-7"
-    assert frac_str(True) == "1"
-    assert frac_str("6/4") == "3/2"
+
+
+@pytest.mark.parametrize("value, name", [(0.1, "0.1"), (True, "True"), ("1/2", "'1/2'")])
+def test_frac_text_takes_only_an_int_or_a_fraction(value, name):
+    # a float is never approximated, and a bool or a text never coerced
+    with pytest.raises(TypeError, match=f"rational {name} is not an int or a Fraction"):
+        frac_str(value)
 
 
 # "p" and "p/q" with other signs, separators, spaces, decimals, exponents
@@ -199,7 +205,7 @@ PINNED_SHA256 = {
 @pytest.mark.parametrize("shape", sorted(PINNED_SHA256))
 def test_canonical_bytes_pinned_per_shape(sample8, shape):
     value = _pinned_values(sample8)[shape]
-    text = dump_canonical(to_obj(value))
+    text = pinned_text(value)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_SHA256[shape]
     assert from_obj(json.loads(text)) == value
 
@@ -219,20 +225,28 @@ JSON_VALUES = st.recursive(
 )
 
 
+class _Label(str):
+    pass
+
+
+# subclasses of the JSON types, which the writer admits by isinstance
+@example({_Label("b"): _Label("x"), "a": IntEnum("E", "ONE")(1)})
+@example(OrderedDict(b=[1], a=(2,)))
+@example([namedtuple("P", "x y")(1, "2"), (True, None)])
+@example([[_Label("x"), 3], [IntEnum("E", "TWO")(1)]])
 @given(JSON_VALUES)
 def test_writer_matches_json_dumps(value):
     assert dump_canonical(value) == oracle_dump_canonical(value)
 
 
-# row blocks (lists of non-empty leaf lists) and leaf dicts (str keys, int
-# or str values), which the writer hands to the C encoder, nested one to
-# three deep; their strings hold the patterns the writer re-indents, and
-# an empty row makes a list that is not a row block
+# row blocks (lists of leaf lists) and leaf dicts (str keys, int or str
+# values), which the writer checks in one pass over their types, nested
+# one to three deep; their strings hold brackets, separators and line
+# breaks
 SHAPE_TEXT = JSON_TEXT | st.sampled_from(
     ["],\n  [", "],\n    [", "],\n      [", '": [', "\n", "\\", "]", "[", "],", '"'])
 SHAPE_LEAF = st.integers(-10**30, 10**30) | SHAPE_TEXT
 ROW_BLOCKS = st.lists(st.lists(SHAPE_LEAF, max_size=5), min_size=1, max_size=5)
-# sizes on both sides of the 16 items from which a leaf dict is C-encoded
 LEAF_DICTS = st.dictionaries(SHAPE_TEXT, SHAPE_LEAF, min_size=1, max_size=20)
 
 
@@ -265,6 +279,16 @@ def test_write_read_file_and_canonical_bytes(tmp_path, sample8):
     assert first.endswith(b"\n")
     obj = read_obj(p)
     assert list(obj) == sorted(obj)  # canonical key order
+
+
+def test_a_file_in_the_indented_layout_reads_to_the_same_value(tmp_path, sample8):
+    # pinned_text is the two-space indented layout earlier versions wrote,
+    # byte for byte (the pins above hash it)
+    p = tmp_path / "indented.json"
+    for shape, value in _pinned_values(sample8).items():
+        p.write_text(pinned_text(value), encoding="utf-8")
+        assert read_file(p) == value, shape
+        assert read_obj(p) == json.loads(dump_canonical(to_obj(value))), shape
 
 
 def test_extra_fields_survive_write_and_are_ignored_on_read(tmp_path):
@@ -461,6 +485,6 @@ def test_dag_edges_are_written_as_the_tuple_they_are(sample8):
 def test_an_instance_written_at_every_depth_gives_the_bytes_of_json_dumps(sample8):
     values = [sample8, _fractional(sample8), umps_to_related(sample8, kappa_override=2),
               umps_to_commdelay(sample8)]
-    for value in values + values[::-1] + values:  # warm texts at each depth
-        assert _text(value) == json.dumps(to_obj(value), sort_keys=True, indent=2) + "\n"
-        assert len(_BLOCKS) <= _BLOCKS.SIZE
+    for value in values:
+        assert _text(value) == json.dumps(to_obj(value), sort_keys=True,
+                                          separators=(",", ":")) + "\n"

@@ -40,6 +40,7 @@ from oracle import (
     oracle_related_optimum,
     oracle_umps_optimum,
     oracle_unit_bfs,
+    pinned_text,
 )
 
 F = Fraction
@@ -110,6 +111,15 @@ def test_budget_capped_solve_degrades_to_greedy():
     assert not result.proven_optimal
     assert result.states_explored > 10  # the capped DP reports its work
     assert validate_umps(inst, result.schedule).feasible
+
+
+@pytest.mark.parametrize("limits, name", [
+    ({"max_jobs": True}, "True"), ({"max_jobs": 6.0}, "6.0"),
+    ({"max_states": 2.5}, "2.5"), ({"max_states": "10"}, "'10'")])
+def test_solve_limits_take_only_int_counts(limits, name):
+    # True would search with max_jobs 1, and a float cap is never coerced
+    with pytest.raises(TypeError, match=f"max_jobs or max_states {name} is not an int"):
+        SolveLimits(**limits)
 
 
 @settings(max_examples=40, deadline=None)
@@ -587,7 +597,7 @@ def test_exact_solvers_match_pinned_digest():
         result = solve(inst, lim)
         digest.update(f"{result.optimum} {result.proven_optimal} {result.states_explored}\n"
                       .encode())
-        digest.update(dump_canonical(to_obj(result.schedule)).encode())
+        digest.update(pinned_text(result.schedule).encode())
         calls += 1
     assert calls == 432
     assert digest.hexdigest() == (
@@ -603,13 +613,13 @@ def test_exact_solvers_match_pinned_uncapped_outputs():
         result = solve(inst, dataclasses.replace(lim, max_states=10**8))
         assert result.proven_optimal
         digest.update(f"{result.optimum}\n".encode())
-        digest.update(dump_canonical(to_obj(result.schedule)).encode())
+        digest.update(pinned_text(result.schedule).encode())
     assert digest.hexdigest() == (
         "2390d5df61a038cf3e4b682b6e405dcd2b73c46a93d917bc703e01ee4263b813")
 
 
 def _assert_pinned(result, optimum, proven, states, digest):
-    schedule_json = dump_canonical(to_obj(result.schedule)).encode()
+    schedule_json = pinned_text(result.schedule).encode()
     assert (str(result.optimum), result.proven_optimal, result.states_explored) == (
         optimum, proven, states)
     assert hashlib.sha256(schedule_json).hexdigest() == digest
