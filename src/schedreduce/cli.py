@@ -45,7 +45,6 @@ from .model import (
     Schedule,
     UmpsInstance,
     makespan,
-    topological_order,
     validate_commdelay,
     validate_grouped,
     validate_related,
@@ -152,10 +151,9 @@ def _integer(key, text) -> int:
 
 
 def _parse_limits(text) -> SolveLimits:
-    """The limits of ``--limits``; each must be a number >= 0."""
-    pairs = _parse_pairs(text)
+    """The limits of ``--limits``, which :class:`SolveLimits` checks."""
     kwargs = {}
-    for key, value in pairs.items():
+    for key, value in _parse_pairs(text).items():
         if key in ("max_jobs", "max_states"):
             kwargs[key] = _integer(key, value)
         elif key == "time_budget":
@@ -165,8 +163,6 @@ def _parse_limits(text) -> SolveLimits:
                 raise UsageError(f"{key}: {value!r} is too large") from None
         else:
             raise UsageError(f"unknown limit {key!r}")
-        if kwargs[key] < 0:
-            raise UsageError(f"limit {key} must be >= 0, got {value!r}")
     return SolveLimits(**kwargs)
 
 
@@ -302,11 +298,7 @@ def cmd_solve(args) -> int:
     if isinstance(inst, UmpsInstance):
         result = greedy_umps(inst) if greedy else solve_umps_exact(inst, lim)
     elif isinstance(inst, CommDelayInstance):
-        if greedy:
-            m = inst.machines if inst.machines is not None else inst.n_total
-            result = list_schedule_commdelay(inst, m, topological_order(inst.dag))
-        else:
-            result = solve_commdelay_exact(inst, lim)
+        result = list_schedule_commdelay(inst) if greedy else solve_commdelay_exact(inst, lim)
     elif isinstance(inst, GroupedRelatedInstance):
         if greedy:
             raise UsageError("no greedy solver for related_grouped; use --solver exact")

@@ -51,22 +51,22 @@ from .errors import (
     MachineOutOfRange,
 )
 
-# the value rule's two type sets: a bool is not an int
+# the value rule's type sets, each with its name: a bool is not an int
 _INT = frozenset({int})
 _RATIONAL = frozenset({int, Fraction})
+_REAL = frozenset({int, float})  # seconds
+_KINDS = {_INT: "an int", _RATIONAL: "an int or a Fraction", _REAL: "an int or a float"}
 
 
 def _check_types(allowed: frozenset, what: str, *groups) -> None:
     """Raise ``TypeError`` naming, as ``what``, the first value in
-    ``groups`` whose type is not in ``allowed`` (``_INT`` or
-    ``_RATIONAL``).  Each group is a collection: one C-level pass over the
-    types builds nothing, and the groups are read again only to name a
-    culprit."""
+    ``groups`` whose type is not in ``allowed`` (a set of ``_KINDS``).
+    Each group is a collection: one C-level pass over the types builds
+    nothing, and the groups are read again only to name a culprit."""
     values = groups[0] if len(groups) == 1 else chain.from_iterable(groups)
     if not allowed.issuperset(map(type, values)):
         bad = next(v for v in chain.from_iterable(groups) if type(v) not in allowed)
-        kind = "an int" if allowed is _INT else "an int or a Fraction"
-        raise TypeError(f"{what} {bad!r} is not {kind}")
+        raise TypeError(f"{what} {bad!r} is not {_KINDS[allowed]}")
 
 
 def as_fraction(value: int | Fraction, what: str = "value") -> Fraction:
@@ -126,39 +126,38 @@ class PrecedenceDag:
         topological_order(self)  # raises CycleDetected on a cycle
 
 
-def topological_order(dag: PrecedenceDag) -> list:
-    """Kahn's algorithm with a min-heap, so ties go to the lowest index."""
-    indeg = {u: 0 for u in range(1, dag.node_count + 1)}
-    succ = {u: [] for u in range(1, dag.node_count + 1)}
+def topological_order(dag: PrecedenceDag, level=None) -> list:
+    """Kahn's algorithm with a heap: each step takes the ready node of
+    largest ``level[u]`` (a list indexed by node), ties to the lowest
+    index; with no ``level``, the lowest index."""
+    n = dag.node_count
+    indeg = [0] * (n + 1)
+    succ = [[] for _ in range(n + 1)]
     for u, v in dag.edges:
         indeg[v] += 1
         succ[u].append(v)
-    ready = [u for u in indeg if indeg[u] == 0]
+    level = level or [0] * (n + 1)
+    ready = [(-level[u], u) for u in range(1, n + 1) if not indeg[u]]
     heapq.heapify(ready)
     order = []
     while ready:
-        u = heapq.heappop(ready)
+        u = heapq.heappop(ready)[1]
         order.append(u)
         for v in succ[u]:
             indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(ready, v)
-    if len(order) != dag.node_count:
-        remaining = {u for u in indeg if indeg[u] > 0}
-        witness = _find_cycle(remaining, succ)
-        raise CycleDetected(witness)
+            if not indeg[v]:
+                heapq.heappush(ready, (-level[v], v))
+    if len(order) != n:  # a cycle: walk lowest successors from the lowest node reaching one
+        remaining = {u for u in range(1, n + 1) if indeg[u]}
+        while dead := {u for u in remaining if remaining.isdisjoint(succ[u])}:
+            remaining -= dead  # nodes past every cycle, where a walk would stop
+        path, seen, node = [], {}, min(remaining)
+        while node not in seen:
+            seen[node] = len(path)
+            path.append(node)
+            node = min(v for v in succ[node] if v in remaining)
+        raise CycleDetected(path[seen[node]:] + [node])
     return order
-
-
-def _find_cycle(remaining, succ):
-    start = min(remaining)
-    path, seen = [], {}
-    node = start
-    while node not in seen:
-        seen[node] = len(path)
-        path.append(node)
-        node = min(v for v in succ[node] if v in remaining)
-    return path[seen[node]:] + [node]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import struct
 from fractions import Fraction
 from functools import lru_cache
 
-from .model import _INT, _check_types
+from .model import _INT, _check_types, as_fraction
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -104,12 +104,10 @@ class Stream:
             return [lo] * count
         return [lo + (w * span >> 64) for w in self.words(count)]
 
-    def bernoullis(self, prob: Fraction, count: int) -> list:
+    def bernoullis(self, prob: int | Fraction, count: int) -> list:
         """``count`` trials, each true with probability ``prob``; exact for
         dyadic probabilities."""
-        if type(prob) is not Fraction:
-            prob = Fraction(prob)
-        num, den = prob.numerator, prob.denominator
+        num, den = as_fraction(prob, "probability").as_integer_ratio()
         if not 0 <= num <= den:
             raise ValueError(f"probability {prob} outside [0, 1]")
         if num == 0 or num == den:

@@ -34,9 +34,10 @@ so a text read again costs one dict lookup, and the key lists of maps
 value read or an error raised.
 
 Reduction artifacts and certificates are written the same way, as
-self-contained sidecar files (source and output instances embedded).  No
-command reads a reduction artifact back (``roundtrip`` recomputes the
-reduction); the k-partite certificate is the one sidecar that is read.
+self-contained sidecar files (source and output instances embedded; an
+embedded object of another kind is a ``TypeError``).  No command reads a
+reduction artifact back (``roundtrip`` recomputes the reduction); the
+k-partite certificate is the one sidecar that is read.
 """
 
 from __future__ import annotations
@@ -269,7 +270,6 @@ _OPT_INT = (_same, lambda value: None if value is None else _int(value))
 _INT_MAP = (lambda d: {str(k): v for k, v in d.items()},
             lambda d: dict(zip(_int_keys(d), _ints(d.values()))))
 _FRAC = (frac_str, _rational)
-_OBJ = (lambda value: to_obj(value), lambda obj: from_obj(obj))
 _ROWS = (lambda rows: [list(row) for row in rows],
          lambda rows: _ints(rows, chain.from_iterable))
 # a dag's edges are written as the tuple of int pairs they already are
@@ -278,6 +278,15 @@ _DELAYS = (lambda d: [[u, v, c] for (u, v), c in sorted(d.items())],
            lambda rows: {(u, v): c for u, v, c in _ints(rows, chain.from_iterable)})
 _MASS = (lambda d: [[job, slot, frac_str(x)] for (job, slot), x in sorted(d.items())],
          _read_mass)
+
+
+def _obj(cls):
+    """An embedded object, which must read as a ``cls``."""
+    def decode(obj):
+        if type(value := from_obj(obj)) is not cls:
+            raise TypeError(f"a {type(value).__name__} where a {cls.__name__} belongs")
+        return value
+    return (lambda value: to_obj(value), decode)
 
 
 FORMATS = {  # kind -> (class, (encode, decode) of its fields)
@@ -298,13 +307,14 @@ FORMATS = {  # kind -> (class, (encode, decode) of its fields)
     # "entries": {job: [machine, start, end]}, from and to the int rows
     "schedule": (Schedule, (_write_schedule, _read_schedule)),
     "fractional": _kind(FractionalSchedule, {
-        "horizon": _INT, "gamma": _FRAC, "mass": _MASS, "umps_ref": _OBJ}),
+        "horizon": _INT, "gamma": _FRAC, "mass": _MASS, "umps_ref": _obj(UmpsInstance)}),
     "commdelay_artifact": _kind(CommDelayReductionArtifact, {
         "c_infinity": _INT, "dummy_ids": (list, lambda ids: tuple(_ints(ids))),
-        "origin": _INT_MAP, "source": _OBJ, "output": _OBJ}),
+        "origin": _INT_MAP, "source": _obj(UmpsInstance), "output": _obj(CommDelayInstance)}),
     "related_artifact": _kind(RelatedReductionArtifact, {
         "kappa": _INT, "kappa_meets_bound": _BOOL, "origin": _INT_MAP,
-        "machine_group_of": _INT_MAP, "source": _OBJ, "output": _OBJ}),
+        "machine_group_of": _INT_MAP, "source": _obj(UmpsInstance),
+        "output": _obj(GroupedRelatedInstance)}),
     "kpartite_certificate": _kind(KPartiteYesCertificate, {
         "partition": _list_of(_ROWS)}),
 }

@@ -57,7 +57,6 @@ its early states shows must pass ``max_states`` before it can finish.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import time
@@ -72,6 +71,7 @@ from .model import (
     Schedule,
     UmpsInstance,
     _INT,
+    _REAL,
     _check_types,
     makespan,
     topological_order,
@@ -86,6 +86,10 @@ class SolveLimits:
 
     def __post_init__(self):
         _check_types(_INT, "max_jobs or max_states", (self.max_jobs, self.max_states))
+        _check_types(_REAL, "time_budget", (self.time_budget,))
+        for name, value in vars(self).items():
+            if not value >= 0:  # a NaN budget fails too
+                raise ValueError(f"limit {name} must be >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -179,9 +183,8 @@ def _list_schedule(order, preds, times, pinned, classes) -> dict:
     lists ``(u, lag)`` pairs: j starts ``lag`` after u ends when the two
     sit on different machines.  With equal times on every candidate this
     is earliest-start scheduling.  Returns the entries ``{job: (machine,
-    start, end)}``.  ``order`` is not checked: the engine passes its own
-    topological orders, and :func:`_checked_list_schedule` checks a
-    caller's priority.
+    start, end)}``.  ``order`` is not checked: every caller passes an
+    order of :func:`topological_order`.
 
     A predecessor on j's candidate machine ended by the time that machine
     went free, so j starts there at the later of the machine's free time
@@ -224,39 +227,14 @@ def _list_schedule(order, preds, times, pinned, classes) -> dict:
     return entries
 
 
-def _checked_list_schedule(dag, priority, lengths, delays, pinned, classes) -> Schedule:
-    """:func:`_list_schedule` in a caller's ``priority``, which must list
-    every job of ``dag`` once, in topological order; job j takes
-    ``lengths[j]`` on every machine."""
-    if sorted(priority) != list(range(1, dag.node_count + 1)):
-        raise ValueError("priority must be a permutation of all jobs")
-    pos = {j: k for k, j in enumerate(priority)}
+def _list_heuristic(dag, lengths, delays, pinned, classes) -> Schedule:
+    """:func:`_list_schedule` in the lowest-index topological order of
+    ``dag``; job j takes ``lengths[j]`` on every machine."""
     preds = [[] for _ in range(dag.node_count + 1)]
     for u, v in dag.edges:
-        if pos[u] >= pos[v]:
-            raise ValueError(f"priority is not topological: {u} -> {v}")
         preds[v].append((u, delays.get((u, v), 0)))
     times = [()] + [(lengths[j],) for j in range(1, dag.node_count + 1)]
-    return Schedule._of_rows(_list_schedule(priority, preds, times, pinned, classes))
-
-
-def _critical_path_order(preds, succs, level) -> list:
-    """The topological order that always takes the ready job of largest
-    ``level`` (a job's time plus its tail: the critical-path priority of
-    Hu's and Graham's list scheduling), ties to the lower index.  Jobs are
-    1..n; ``preds`` and ``succs`` list ``(job, delay)`` pairs per job."""
-    left = [len(p) for p in preds]  # predecessors not yet taken
-    ready = [(-level[j], j) for j in range(1, len(preds)) if not left[j]]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        u = heapq.heappop(ready)[1]
-        order.append(u)
-        for v, _ in succs[u]:
-            left[v] -= 1
-            if not left[v]:
-                heapq.heappush(ready, (-level[v], v))
-    return order
+    return Schedule._of_rows(_list_schedule(topological_order(dag), preds, times, pinned, classes))
 
 
 def _machine_bound(held, start, dur, tail):
@@ -355,7 +333,7 @@ def _exact_search(dag, lim, duration, delay=None, pinned=None, units=(), classes
     in the same order and puts each on its pin or on any class machine.
     The shorter of the two (the serial one on a tie) is the seed.  A
     search of at most ``lim.max_jobs`` jobs then builds the list schedule
-    once more, in critical-path order (:func:`_critical_path_order`, with
+    once more, in critical-path order (:func:`topological_order` with
     each job's fastest time plus its tail as its level), and keeps it when
     it is strictly shorter; so an oversized search returns the first
     seed, which with every job pinned is the ``greedy_umps`` schedule.
@@ -425,7 +403,7 @@ def _exact_search(dag, lim, duration, delay=None, pinned=None, units=(), classes
     tail = [0] * (n + 1)  # tail[u]: the longest path after u ends, at fastest times, no delay
     for u in reversed(order):
         tail[u] = max((fastest[v] + tail[v] for v, _ in succs[u]), default=0)
-    critical = _critical_path_order(preds, succs, [f + t for f, t in zip(fastest, tail)])
+    critical = topological_order(dag, [f + t for f, t in zip(fastest, tail)])
     if critical != order:  # the same order gives the same schedule
         listed = _list_schedule(critical, preds, times, pinned, classes)
         listed_ms = max((end for _, _, end in listed.values()), default=0)
@@ -618,12 +596,9 @@ def _exact_search(dag, lim, duration, delay=None, pinned=None, units=(), classes
 # fixed-home jobs
 
 
-def greedy_umps(inst: UmpsInstance, priority=None) -> Schedule:
-    """List scheduling on home machines in ``priority`` (default: the
-    lowest-index topological order)."""
-    if priority is None:
-        priority = topological_order(inst.dag)
-    return _checked_list_schedule(inst.dag, priority, inst.lengths, {}, inst.home, ())
+def greedy_umps(inst: UmpsInstance) -> Schedule:
+    """List scheduling on home machines in the lowest-index topological order."""
+    return _list_heuristic(inst.dag, inst.lengths, {}, inst.home, ())
 
 
 def solve_umps_exact(inst: UmpsInstance, lim: SolveLimits = None) -> SolveResult:
@@ -662,28 +637,6 @@ def solve_umps_exact(inst: UmpsInstance, lim: SolveLimits = None) -> SolveResult
     if inst.unit_lengths and inst.n <= lim.max_jobs:
         return _solve_umps_unit(inst, lim)
     return _exact_search(inst.dag, lim, lambda j, i: inst.lengths[j], pinned=inst.home)
-
-
-def _descendant_masks(pred_mask, succ) -> list:
-    """Each job's descendants as a bit mask, indexed by job (slot 0
-    unused).  Jobs are taken sinks first, so a job's mask is complete
-    before it is OR-ed into its predecessors'."""
-    n = len(succ) - 1
-    desc = [0] * (n + 1)
-    left = [len(s) for s in succ]  # successors not yet taken
-    order = [u for u in range(1, n + 1) if not left[u]]
-    for v in order:
-        d = (1 << (v - 1)) | desc[v]
-        pm = pred_mask[v]
-        while pm:
-            low = pm & -pm
-            pm ^= low
-            u = low.bit_length()
-            desc[u] |= d
-            left[u] -= 1
-            if not left[u]:
-                order.append(u)
-    return desc
 
 
 def _home_masks(inst: UmpsInstance) -> list:
@@ -830,7 +783,8 @@ def _unit_layers(inst: UmpsInstance, parent: dict):
     would run to their cap.  The rule's table is built on demand, so
     small searches pay little for it: a job's row (the jobs that defer it)
     the first time it is ready beside another job on its machine, and the
-    descendant masks with the first row.
+    descendant masks with the first row, in one pass over the jobs in
+    reversed topological order (a job's successors come first).
     """
     n = inst.n
     full = (1 << n) - 1
@@ -851,7 +805,10 @@ def _unit_layers(inst: UmpsInstance, parent: dict):
         # desc(k), or equal to it and k < j
         nonlocal desc
         if desc is None:
-            desc = _descendant_masks(pred_mask, succ)
+            desc = [0] * (n + 1)
+            for u in reversed(topological_order(inst.dag)):
+                for bit, _ in succ[u]:
+                    desc[u] |= bit | desc[bit.bit_length()]
         dj = desc[j]
         out = 0
         rest = home_mask[inst.home[j] - 1] & ~(1 << (j - 1))
@@ -997,17 +954,13 @@ def _forced_units(inst: CommDelayInstance) -> list:
     return sorted(units.values())
 
 
-def list_schedule_commdelay(inst: CommDelayInstance, m: int, priority) -> Schedule:
-    """List scheduling with communication delays on machines 1..m: each
-    job in ``priority`` goes where it can start earliest, counting the edge
-    delay from predecessors on other machines; ties go to the lowest
-    machine index."""
-    if m < 1:
-        raise ValueError("need at least one machine")
-    if inst.machines is not None and m > inst.machines:
-        raise ValueError(f"instance allows {inst.machines} machines, asked for {m}")
-    return _checked_list_schedule(inst.dag, priority, inst.lengths, inst.delays, {},
-                                  (range(1, m + 1),))
+def list_schedule_commdelay(inst: CommDelayInstance) -> Schedule:
+    """List scheduling with communication delays on the instance's
+    machines (``n_total`` when unbounded): each job, in the lowest-index
+    topological order, goes where it starts earliest after the delays of
+    its predecessors on other machines, ties to the lowest machine."""
+    cap = inst.machines if inst.machines is not None else inst.n_total
+    return _list_heuristic(inst.dag, inst.lengths, inst.delays, {}, (range(1, cap + 1),))
 
 
 # ---------------------------------------------------------------------------
@@ -1033,7 +986,10 @@ def solve_related_exact(inst: RelatedInstance, lim: SolveLimits = None) -> Solve
 # layered-graph spread check
 
 
-def verify_no_property(g: KPartiteInstance, max_sets: int = 5_000_000) -> bool:
+NO_PROPERTY_SET_CAP = 5_000_000  # lower-layer sets verify_no_property checks at most
+
+
+def verify_no_property(g: KPartiteInstance) -> bool:
     """Exhaustively check the dense-instance condition: between every two
     consecutive layers, every s-set of the lower layer and every s-set of
     the upper one, s = ceil(delta*n), are joined by at least one edge.
@@ -1041,8 +997,8 @@ def verify_no_property(g: KPartiteInstance, max_sets: int = 5_000_000) -> bool:
     That fails exactly when some lower s-set leaves s or more upper
     vertices outside its neighbourhood (they form an unjoined upper
     s-set), so each lower s-set costs one popcount.  Returns False on the
-    first such set; raises :class:`BudgetExceeded` past ``max_sets``
-    lower-layer sets.
+    first such set; raises :class:`BudgetExceeded` past
+    ``NO_PROPERTY_SET_CAP`` lower-layer sets.
     """
     size = math.ceil(g.delta * g.n)  # 1 <= size <= n, as 0 < delta < 1
     checked = 0
@@ -1053,8 +1009,8 @@ def verify_no_property(g: KPartiteInstance, max_sets: int = 5_000_000) -> bool:
             nb[u] |= 1 << pos[v]
         for combo in itertools.combinations(g.layers[i - 1], size):
             checked += 1
-            if checked > max_sets:
-                raise BudgetExceeded(f"more than {max_sets} lower-layer sets")
+            if checked > NO_PROPERTY_SET_CAP:
+                raise BudgetExceeded(f"more than {NO_PROPERTY_SET_CAP} lower-layer sets")
             reach = 0
             for u in combo:
                 reach |= nb[u]

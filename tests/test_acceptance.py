@@ -43,7 +43,6 @@ from schedreduce import (
     solve_commdelay_exact,
     solve_related_exact,
     solve_umps_exact,
-    topological_order,
     umps_to_commdelay,
     umps_to_related,
     validate_commdelay,
@@ -306,7 +305,7 @@ def test_criterion_8_list_scheduling_bound(report):
                 )
                 cases += 1
                 exact = solve_commdelay_exact(inst)
-                listed = list_schedule_commdelay(inst, n, topological_order(inst.dag))
+                listed = list_schedule_commdelay(inst)
                 if not exact.proven_optimal:
                     bad += 1
                 elif not validate_commdelay(inst, listed).feasible:

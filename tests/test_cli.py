@@ -410,6 +410,14 @@ STRICT_INT_CASES = {
     "int-end": _schedule_text([1, "0", 1]),
     "bool-gamma": _with(_fractional_obj(make_sample8()), ("gamma",), False),
 }
+# an embedded object of another kind: a schedule as an artifact's source,
+# a commdelay instance as a fractional schedule's umps_ref
+WRONG_KIND_CASES = {
+    "schedule-as-source": _with(to_obj(umps_to_commdelay(make_sample8())), ("source",),
+                                to_obj(solve_umps_exact(make_sample8()).schedule)),
+    "commdelay-as-umps-ref": _with(_fractional_obj(make_sample8()), ("umps_ref",),
+                                   to_obj(umps_to_commdelay(make_sample8()).output)),
+}
 
 
 @pytest.mark.parametrize("text", [
@@ -417,10 +425,11 @@ STRICT_INT_CASES = {
     _schedule_text([1, "1/0", "1"]), _schedule_text([1, "a/b", "1"]),
     _schedule_text([1, "0"]), '{"kind": "umps",', FLOAT_HOME_UMPS, FLOAT_COUNT_COMMDELAY,
     _umps_with_edge("[2.9, 3]"), _umps_with_edge("[Infinity, 3]"), FLOAT_DELAY_COMMDELAY,
-    REPEATED_KEY_UMPS, *STRICT_INT_CASES.values(),
+    REPEATED_KEY_UMPS, *STRICT_INT_CASES.values(), *WRONG_KIND_CASES.values(),
 ], ids=["missing-field", "list", "cycle", "zero-denominator", "bad-rational",
         "short-entry", "not-json", "float-home", "float-machine-count",
-        "float-edge", "infinity-edge", "float-delay", "repeated-key", *STRICT_INT_CASES])
+        "float-edge", "infinity-edge", "float-delay", "repeated-key", *STRICT_INT_CASES,
+        *WRONG_KIND_CASES])
 def test_malformed_file_is_usage_error_without_traceback(tmp_path, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -432,7 +441,7 @@ def test_malformed_file_is_usage_error_without_traceback(tmp_path, text):
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr and "bad.json" in proc.stderr
+    assert "Traceback" not in proc.stderr and "bad.json: malformed file" in proc.stderr
 
 
 def test_zero_denominator_is_malformed_but_a_broken_property_is_infeasible(

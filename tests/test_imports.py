@@ -1,7 +1,8 @@
 """Every package module uses each name it imports, every exception class
 in ``errors.py`` is raised somewhere in the package, every public
-function or method has a caller outside the tests, and no constructor
-checks its values with a rule of its own."""
+function or method has a caller outside the tests, every optional
+parameter of one has a caller outside the tests that passes it, and no
+constructor checks its values with a rule of its own."""
 
 import ast
 from pathlib import Path
@@ -109,6 +110,73 @@ def test_every_public_function_has_a_caller_outside_the_tests():
                 for name in public_functions(path.read_text(encoding="utf-8"))
                 if name.rpartition(".")[2] not in used]
     assert sorted(uncalled) == sorted(UNCALLED_ALLOWED)
+
+
+def optional_parameters(source: str) -> list:
+    """``(name, parameter, place)`` for each parameter with a default of
+    the public functions and methods of ``source``, in definition order;
+    ``place`` is its index among a call's positional arguments (``self``
+    is not one), or None when it is keyword-only."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            funcs = [(node, 0)]
+        elif isinstance(node, ast.ClassDef):
+            funcs = [(f, 0 if any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                  for d in f.decorator_list) else 1)
+                     for f in node.body if isinstance(f, ast.FunctionDef)]
+        else:
+            continue
+        for f, bound in funcs:
+            if f.name.startswith("_"):
+                continue
+            args = f.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            out += [(f.name, a.arg, k - bound) for k, a in enumerate(positional) if k >= first]
+            out += [(f.name, a.arg, None)
+                    for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def passed_arguments(sources: list) -> set:
+    """``(name, keyword)`` and ``(name, place)`` for each keyword and each
+    positional place that a call of ``name`` (a plain or an attribute
+    call) in ``sources`` fills; ``(name, "*")`` when a call unpacks
+    ``*args`` or ``**kwargs``, which may fill any of them."""
+    out = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    k.arg is None for k in node.keywords):
+                out.add((name, "*"))
+            out.update((name, k) for k in range(len(node.args)))
+            out.update((name, k.arg) for k in node.keywords)
+    return out
+
+
+def test_optional_parameters_and_passed_arguments_find_defaults_and_calls():
+    source = ("def f(a, b=1, *, c=2, d):\n    pass\ndef _g(x=1):\n    pass\nclass C:\n"
+              "    def m(self, x, y=0):\n        pass\n    @staticmethod\n"
+              "    def s(z=0):\n        pass\n")
+    assert optional_parameters(source) == [
+        ("f", "b", 1), ("f", "c", None), ("m", "y", 1), ("s", "z", 0)]
+    calls = "f(1, 2, d=3)\nobj.m(1, y=2)\ns(*rest)\n"
+    assert passed_arguments([calls]) == {
+        ("f", 0), ("f", 1), ("f", "d"), ("m", 0), ("m", "y"), ("s", 0), ("s", "*")}
+
+
+def test_every_optional_parameter_is_passed_outside_the_tests():
+    calls = passed_arguments([p.read_text(encoding="utf-8")
+                              for folder in CALLER_DIRS for p in sorted(folder.rglob("*.py"))])
+    unpassed = [f"{name}({param})" for path in MODULES
+                for name, param, place in optional_parameters(path.read_text(encoding="utf-8"))
+                if not {(name, param), (name, place), (name, "*")} & calls]
+    assert unpassed == []
 
 
 def own_value_rules(source: str) -> list:

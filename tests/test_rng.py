@@ -84,9 +84,17 @@ def test_bernoulli_endpoints_exact(seed):
 
 
 def test_bernoulli_rejects_out_of_range():
-    for prob in (Fraction(3, 2), Fraction(-1, 3), 2, "-1/2"):
+    for prob in (Fraction(3, 2), Fraction(-1, 3), 2, -1):
         with pytest.raises(ValueError, match=f"probability {Fraction(prob)} outside"):
             Stream(0, "b").bernoullis(prob, 1)
+
+
+@pytest.mark.parametrize("prob, name", [
+    (0.5, "0.5"), (True, "True"), ("1/2", "'1/2'"), (None, "None")])
+def test_bernoulli_takes_only_an_int_or_a_fraction(prob, name):
+    # a float, a bool or a str used to be coerced through Fraction()
+    with pytest.raises(TypeError, match=f"probability {name} is not an int or a Fraction"):
+        Stream(1, "x").bernoullis(prob, 4)
 
 
 @given(SEEDS, st.integers(0, 64), st.integers(1, 64))
@@ -94,7 +102,8 @@ def test_bernoulli_is_the_exact_test_for_any_spelling(seed, num, den):
     prob = Fraction(min(num, den), den)
     u = Stream(seed, "b").words(1)[0]
     expected = u * prob.denominator < prob.numerator << 64
-    for spelling in (prob, str(prob)):
+    # the spellings the value rule takes: a Fraction, and an int when whole
+    for spelling in (prob, prob.numerator) if prob.denominator == 1 else (prob,):
         assert Stream(seed, "b").bernoullis(spelling, 1) == [expected]
 
 

@@ -312,6 +312,28 @@ def test_sidecar_path_suffix():
     assert sidecar_path("/tmp/x/reduced.json") == "/tmp/x/reduced.json.sidecar.json"
 
 
+@pytest.mark.parametrize("make, field, put, message", [
+    (umps_to_commdelay, "source", "schedule", "a Schedule where a UmpsInstance belongs"),
+    (umps_to_commdelay, "output", "umps", "a UmpsInstance where a CommDelayInstance belongs"),
+    (lambda inst: umps_to_related(inst, kappa_override=2), "output", "commdelay",
+     "a CommDelayInstance where a GroupedRelatedInstance belongs"),
+    (lambda inst: gen_fractional(inst, solve_umps_exact(inst).schedule, F(1, 640), F(1, 2), 3),
+     "umps_ref", "commdelay", "a CommDelayInstance where a UmpsInstance belongs"),
+], ids=["artifact-source", "artifact-output", "related-output", "fractional-umps-ref"])
+def test_an_embedded_object_of_another_kind_is_named(tmp_path, sample8, make, field, put, message):
+    # a commdelay artifact whose source was a schedule used to read
+    # without error, a Schedule in its source field
+    embedded = {"schedule": solve_umps_exact(sample8).schedule, "umps": sample8,
+                "commdelay": umps_to_commdelay(sample8).output}[put]
+    obj = to_obj(make(sample8))
+    obj[field] = to_obj(embedded)
+    with pytest.raises(TypeError, match=message):
+        from_obj(obj)
+    (tmp_path / "bad.json").write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match=f"malformed file \\(TypeError: {message}\\)"):
+        read_file(tmp_path / "bad.json")
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         from_obj({"kind": "mystery"})

@@ -23,7 +23,6 @@ from schedreduce import (
     solve_commdelay_exact,
     solve_related_exact,
     solve_umps_exact,
-    topological_order,
     umps_to_commdelay,
     umps_to_related,
     validate_commdelay,
@@ -122,6 +121,26 @@ def test_solve_limits_take_only_int_counts(limits, name):
         SolveLimits(**limits)
 
 
+@pytest.mark.parametrize("limits, error, message", [
+    ({"time_budget": "x"}, TypeError, "time_budget 'x' is not an int or a float"),
+    ({"time_budget": True}, TypeError, "time_budget True is not an int or a float"),
+    ({"time_budget": F(1, 2)}, TypeError, r"time_budget Fraction\(1, 2\) is not an int or a float"),
+    ({"time_budget": float("nan")}, ValueError, "limit time_budget must be >= 0, got nan"),
+    ({"time_budget": -0.5}, ValueError, "limit time_budget must be >= 0, got -0.5"),
+    ({"max_states": -5}, ValueError, "limit max_states must be >= 0, got -5"),
+    ({"max_jobs": -1}, ValueError, "limit max_jobs must be >= 0, got -1"),
+])
+def test_solve_limits_take_a_real_time_budget_and_no_negative_limit(limits, error, message):
+    # a str budget used to fail only mid-search, at its first clock check
+    with pytest.raises(error, match=message):
+        SolveLimits(**limits)
+
+
+def test_solve_limits_take_zero_and_an_unbounded_budget():
+    assert SolveLimits(max_jobs=0, max_states=0, time_budget=0).time_budget == 0
+    assert SolveLimits(time_budget=float("inf")).time_budget == float("inf")
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(random_umps, random_umps_weighted))
 def test_oversized_instance_falls_back(inst):
@@ -140,20 +159,6 @@ def test_greedy_is_feasible_and_above_optimum(inst):
     sched = greedy_umps(inst)
     assert validate_umps(inst, sched).feasible
     assert makespan(sched) >= solve_umps_exact(inst).optimum
-
-
-def test_greedy_rejects_non_topological_priority(sample8):
-    with pytest.raises(ValueError):
-        greedy_umps(sample8, priority=[1, 2, 3, 4, 5, 6, 7, 8])
-
-
-@pytest.mark.parametrize("priority", [
-    pytest.param([3, 6, 2, 7, 8, 4, 1, 1], id="repeated"),
-    pytest.param([3, 6, 2, 7, 8, 4, 1], id="missing"),
-])
-def test_greedy_rejects_priority_that_is_not_a_permutation(sample8, priority):
-    with pytest.raises(ValueError, match="permutation"):
-        greedy_umps(sample8, priority=priority)
 
 
 # ---------------------------------------------------------------------------
@@ -291,23 +296,20 @@ def test_other_delay_instances_keep_the_engine(make, cap):
 # delay-aware list scheduling
 
 
-def test_list_schedule_requires_topological_priority():
-    inst = chain2(delay=1)
-    with pytest.raises(ValueError):
-        list_schedule_commdelay(inst, 2, [2, 1])
-    with pytest.raises(ValueError):
-        list_schedule_commdelay(inst, 2, [1, 1])
-
-
 def test_list_schedule_respects_machine_cap():
-    inst = chain2(delay=1, machines=1)
-    with pytest.raises(ValueError):
-        list_schedule_commdelay(inst, 2, [1, 2])
+    # four independent unit jobs: a bounded instance's list schedule uses
+    # only machines 1..machines, an unbounded one a machine per job
+    for machines, used in ((2, {1, 2}), (None, {1, 2, 3, 4})):
+        inst = CommDelayInstance(n_total=4, lengths=dict.fromkeys(range(1, 5), 1), delays={},
+                                 dag=PrecedenceDag(4), machines=machines)
+        sched = list_schedule_commdelay(inst)
+        assert validate_commdelay(inst, sched).feasible
+        assert {i for i, _, _ in sched.entries.values()} == used
 
 
 def test_list_schedule_pays_delay_or_waits():
     inst = chain2(delay=3)
-    sched = list_schedule_commdelay(inst, 2, [1, 2])
+    sched = list_schedule_commdelay(inst)
     assert validate_commdelay(inst, sched).feasible
     assert makespan(sched) == 2  # co-locating is free and earliest
 
@@ -320,7 +322,7 @@ def test_list_schedule_within_c_plus_one_of_optimum(n, c, seed):
         n_total=n, lengths=dict(base.lengths),
         delays={e: c for e in base.dag.edges}, dag=base.dag, machines=None,
     )
-    sched = list_schedule_commdelay(inst, n, topological_order(inst.dag))
+    sched = list_schedule_commdelay(inst)
     assert validate_commdelay(inst, sched).feasible
     opt = solve_commdelay_exact(inst)
     assert opt.proven_optimal
@@ -1218,12 +1220,14 @@ def test_verify_no_property_finds_missing_pair():
     assert not verify_no_property(inst)
 
 
-def test_verify_no_property_budget():
+def test_verify_no_property_budget(monkeypatch):
     # s = 2: each of the two layer pairs has C(6, 2) = 15 lower-layer sets
     dense = gen_kpartite_dense(6, 3, F(9, 10), seed=1)
-    with pytest.raises(BudgetExceeded):
-        verify_no_property(dense, max_sets=29)
-    assert verify_no_property(dense, max_sets=30)
+    monkeypatch.setattr(solvers, "NO_PROPERTY_SET_CAP", 29)
+    with pytest.raises(BudgetExceeded, match="more than 29 lower-layer sets"):
+        verify_no_property(dense)
+    monkeypatch.setattr(solvers, "NO_PROPERTY_SET_CAP", 30)
+    assert verify_no_property(dense)
 
 
 def test_verify_no_property_matches_the_pair_oracle():
@@ -1239,7 +1243,8 @@ def test_verify_no_property_matches_the_pair_oracle():
     assert outcomes == {False, True}
 
 
-def test_verify_no_property_certifies_sixteen_by_four():
+def test_verify_no_property_certifies_sixteen_by_four(monkeypatch):
     # s = 4: 3 * C(16, 4) = 5,460 lower-layer sets, where the pairs of
     # s-sets number 3 * C(16, 4)^2, about 9.9 million
-    assert verify_no_property(gen_kpartite_dense(16, 4, F(7, 8), seed=1), max_sets=5_460)
+    monkeypatch.setattr(solvers, "NO_PROPERTY_SET_CAP", 5_460)
+    assert verify_no_property(gen_kpartite_dense(16, 4, F(7, 8), seed=1))
