@@ -91,7 +91,10 @@ class PrecedenceDag:
     points forward (1 <= u < v <= node_count) and none repeats, index
     order is already topological, so admission is one pass over the
     sorted edges; any other edge set gets the full range, self-loop,
-    duplicate and cycle checks, with the same errors.
+    duplicate and cycle checks, with the same errors.  A forward dag
+    records that on itself (``_forward``, which is no field: ``==``,
+    ``hash``, ``repr`` and the codec ignore it), and
+    :func:`topological_order` then returns index order without a pass.
     """
 
     node_count: int
@@ -113,6 +116,7 @@ class PrecedenceDag:
                 break
             prev = edge
         else:
+            object.__setattr__(self, "_forward", True)
             return
         seen = set()
         for u, v in edges:
@@ -129,8 +133,15 @@ class PrecedenceDag:
 def topological_order(dag: PrecedenceDag, level=None) -> list:
     """Kahn's algorithm with a heap: each step takes the ready node of
     largest ``level[u]`` (a list indexed by node), ties to the lowest
-    index; with no ``level``, the lowest index."""
+    index; with no ``level``, the lowest index.  That is ``1..n`` on a
+    dag whose every edge points forward, since node k is ready once nodes
+    1..k-1 are done, so a :class:`PrecedenceDag` admitted as forward gets
+    it without the loop; any other graph (an edge set that is not a
+    :class:`PrecedenceDag` too) runs the loop and raises
+    :class:`CycleDetected` on a cycle."""
     n = dag.node_count
+    if level is None and getattr(dag, "_forward", False):
+        return list(range(1, n + 1))
     indeg = [0] * (n + 1)
     succ = [[] for _ in range(n + 1)]
     for u, v in dag.edges:

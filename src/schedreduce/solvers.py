@@ -16,23 +16,24 @@ raises only the starts it moves, and backtracking undoes them.
 Interchangeable machines are opened in label order and twin jobs are
 kept in job order; these rules skip symmetric copies of a schedule but
 keep the lexicographically earliest member of each class, so optima and
-tie-breaks are those of the unrestricted search.  Times are scaled to
-integers (by the LCM of their denominators) for the search, and the
-result's schedule keeps them on that integer time base; only its
-``optimum`` is a ``Fraction``.  The solvers differ only in how they
-parameterize it:
+tie-breaks are those of the unrestricted search.  The solvers hand the
+engine each job's times as ints on one scale, and the result's schedule
+keeps them on that integer time base; only its ``optimum`` is a
+``Fraction``.  The solvers differ only in how they parameterize it:
 
 - fixed-home jobs pin every job to its home machine, so the search is
-  the order enumeration alone;
+  the order enumeration alone; lengths are the times, on scale 1;
 - communication delays place forced co-location units on one class of
   interchangeable machines (set partitions, capped at the machine count)
   and pay the edge delay between machines.  An instance whose edges
   between units all have delay 0, with a machine to spare for every
   unit, is solved as a fixed-home instance instead, one machine per unit:
   giving each unit a machine of its own keeps every start and pays no
-  delay, so it loses nothing (see ``solve_commdelay_exact``);
+  delay, so it loses nothing (see ``solve_commdelay_exact``); lengths and
+  delays are the times, on scale 1;
 - related machines place single jobs on machines grouped into one class
-  per distinct speed, with speed-scaled durations.
+  per distinct speed.  With L the LCM of the distinct speeds, a job of
+  length p takes ``p * (L // s)`` on a machine of speed s, on scale L.
 
 Sound pruning (admissible lower bounds, forced co-location under huge
 delays, and a completed-set dynamic program for unit lengths with a
@@ -227,13 +228,19 @@ def _list_schedule(order, preds, times, pinned, classes) -> dict:
     return entries
 
 
+def _length_rows(lengths, n) -> list:
+    """The time table of jobs 1..n that take ``lengths[j]`` on every
+    machine: one time per job, on its pin or on the one machine class."""
+    return [()] + [(lengths[j],) for j in range(1, n + 1)]
+
+
 def _list_heuristic(dag, lengths, delays, pinned, classes) -> Schedule:
     """:func:`_list_schedule` in the lowest-index topological order of
     ``dag``; job j takes ``lengths[j]`` on every machine."""
     preds = [[] for _ in range(dag.node_count + 1)]
     for u, v in dag.edges:
         preds[v].append((u, delays.get((u, v), 0)))
-    times = [()] + [(lengths[j],) for j in range(1, dag.node_count + 1)]
+    times = _length_rows(lengths, dag.node_count)
     return Schedule._of_rows(_list_schedule(topological_order(dag), preds, times, pinned, classes))
 
 
@@ -253,12 +260,14 @@ def _machine_bound(held, start, dur, tail):
     return bound
 
 
-def _exact_search(dag, lim, duration, delay=None, pinned=None, units=(), classes=()):
+def _exact_search(dag, lim, times, scale=1, delay=None, pinned=None, units=(), classes=()):
     """Branch and bound over machine assignments, then per-machine orders.
 
-    ``duration(j, i)`` is job j's time on machine i, and ``delay`` maps a
-    dag edge to the extra wait paid when its ends sit on different
-    machines.  ``pinned`` fixes jobs to machines up front; with no
+    ``times[j]`` is job j's row of times, ints in units of ``1/scale``: on
+    each class, in class order, or for a pinned job one time, on its pin.
+    ``delay`` maps a dag edge to the extra wait (an int on the same scale)
+    paid when its ends sit on different machines.  ``pinned`` fixes jobs
+    to machines up front; with no
     ``units`` the search goes straight to the order enumeration.
     Otherwise ``units`` (tuples of jobs that must share a machine) are
     placed in order, each on the machines of ``classes`` in increasing
@@ -266,18 +275,19 @@ def _exact_search(dag, lim, duration, delay=None, pinned=None, units=(), classes
     its class.  A class is a tuple of interchangeable machines, listed in
     increasing label order, on each of which a job takes the same time.
 
-    Set-up costs O(jobs x classes + machines + edges).  ``duration`` is
-    called once per job and class (on the class's first machine) or, for
-    a pinned job, once on its pin, and this table gives the scale, each
-    job's fastest time and the twin keys.  Times are scaled by the LCM of
-    their denominators, so the search runs on plain ints, and the result's
-    schedule keeps them on that base.  One topological pass
-    orders the seeds and gives each job's ancestors as a bit mask, and a
-    pass back over it gives each job's tail: the longest path after the
-    job ends, at fastest times and with no edge delay.
+    Set-up costs O(jobs x classes + machines + edges) and builds no
+    ``Fraction``: the table gives each job's fastest time and the twin
+    keys, the search runs on its ints, and the result's schedule keeps
+    them on ``scale``.  One topological pass (index order, for a dag
+    admitted as forward) orders the seeds and gives each job's ancestors
+    as a bit mask, and a pass back over it gives each job's tail: the
+    longest path after the job ends, at fastest times and with no edge
+    delay.
 
     Twin jobs (the same time on every class, or on the same pin, and the
-    same predecessors, successors and edge delays) are interchangeable
+    same predecessors, successors and edge delays; the dag's edges are
+    sorted, so its predecessor and successor lists are built sorted and
+    compare as built) are interchangeable
     too: a later single-job unit never takes a lower machine than its
     earlier twin, and twins sharing a machine run in job order.  Each
     symmetry rule keeps the lexicographically least member of every
@@ -358,14 +368,6 @@ def _exact_search(dag, lim, duration, delay=None, pinned=None, units=(), classes
     jobs = range(1, n + 1)
     class_of = {i: (c, slot) for c, cls in enumerate(classes) for slot, i in enumerate(cls)}
     machines = sorted(set(class_of) | set(pinned.values()))
-    # job j's time on its pin, or on each class, whose first machine stands
-    # for all of them
-    exact = [()] + [(duration(j, pinned[j]),) if j in pinned
-                    else tuple(duration(j, cls[0]) for cls in classes) for j in jobs]
-    scale = math.lcm(*(t.denominator for row in exact for t in row),
-                     *(c.denominator for c in delay.values()))
-    times = [tuple(t.numerator * (scale // t.denominator) for t in row) for row in exact]
-    delay = {e: c.numerator * (scale // c.denominator) for e, c in delay.items()}
     preds = [[] for _ in range(n + 1)]  # (u, delay) per job
     succs = [[] for _ in range(n + 1)]  # (v, delay) per job
     for u, v in dag.edges:
@@ -435,7 +437,7 @@ def _exact_search(dag, lim, duration, delay=None, pinned=None, units=(), classes
     first, twin = {}, {}  # twin[j]: the first job of j's twin class
     twins_so_far = {}
     for j in jobs:
-        key = (times[j], tuple(sorted(preds[j])), tuple(sorted(succs[j])), pinned.get(j))
+        key = (times[j], tuple(preds[j]), tuple(succs[j]), pinned.get(j))
         t = twin[j] = first.setdefault(key, j)
         before[j] |= twins_so_far.get(t, 0)
         twins_so_far[t] = twins_so_far.get(t, 0) | 1 << j
@@ -636,7 +638,7 @@ def solve_umps_exact(inst: UmpsInstance, lim: SolveLimits = None) -> SolveResult
     lim = lim or SolveLimits()
     if inst.unit_lengths and inst.n <= lim.max_jobs:
         return _solve_umps_unit(inst, lim)
-    return _exact_search(inst.dag, lim, lambda j, i: inst.lengths[j], pinned=inst.home)
+    return _exact_search(inst.dag, lim, _length_rows(inst.lengths, inst.n), pinned=inst.home)
 
 
 def _home_masks(inst: UmpsInstance) -> list:
@@ -688,7 +690,7 @@ def _solve_umps_unit(inst: UmpsInstance, lim: SolveLimits) -> SolveResult:
                            states_explored=states)
 
     parent = {0: None}
-    layers = _unit_layers(inst, parent)
+    layers = _unit_layers(inst, home_mask, parent)
     ready0 = next(layers)[0]  # round 0 keeps the empty mask alone
     widest = max((ready0 & home).bit_count() for home in home_mask)  # f
     load = max(home.bit_count() for home in home_mask)  # L
@@ -727,10 +729,11 @@ def _solve_umps_unit(inst: UmpsInstance, lim: SolveLimits) -> SolveResult:
     )
 
 
-def _unit_layers(inst: UmpsInstance, parent: dict):
+def _unit_layers(inst: UmpsInstance, home_mask: list, parent: dict):
     """The kept layers of the unit DP, one per round from round 0 until
     the round that keeps the full mask.  A layer maps each kept done mask
-    of its round to its ready mask.  ``parent``, given as ``{0: None}``,
+    of its round to its ready mask.  ``home_mask`` is
+    :func:`_home_masks` of ``inst``.  ``parent``, given as ``{0: None}``,
     gains every generated mask, kept or dropped, mapped to the kept mask
     of the round before that generated it first; a mask generated once is
     not generated again.  A layer keeps its masks in the order they were
@@ -794,7 +797,6 @@ def _unit_layers(inst: UmpsInstance, parent: dict):
         pred_mask[v] |= 1 << (u - 1)
     for u, v in inst.dag.edges:
         succ[u].append((1 << (v - 1), pred_mask[v]))
-    home_mask = _home_masks(inst)
     ready0 = sum(1 << (j - 1) for j in range(1, n + 1) if not pred_mask[j])
     later = full ^ ready0  # jobs with predecessors: the exchange rule may defer them
     desc = None  # descendant masks, made at the rule's first use
@@ -927,7 +929,7 @@ def solve_commdelay_exact(inst: CommDelayInstance, lim: SolveLimits = None) -> S
                                      for (u, v), c in inst.delays.items()):
         return solve_umps_exact(UmpsInstance(n, len(units), inst.lengths, home, inst.dag), lim)
     return _exact_search(
-        inst.dag, lim, lambda j, i: inst.lengths[j], delay=inst.delays,
+        inst.dag, lim, _length_rows(inst.lengths, n), delay=inst.delays,
         units=units, classes=[tuple(range(1, cap + 1))],
     )
 
@@ -970,13 +972,17 @@ def list_schedule_commdelay(inst: CommDelayInstance) -> Schedule:
 def solve_related_exact(inst: RelatedInstance, lim: SolveLimits = None) -> SolveResult:
     """Exact optimum on related machines: single jobs placed on machines
     grouped into one class per distinct speed (equal-speed machines are
-    interchangeable), plus per-machine order enumeration."""
+    interchangeable), plus per-machine order enumeration.  The search
+    runs on scale L, the LCM of the distinct speeds, where a job of
+    length p takes ``p * (L // s)`` at speed s."""
     lim = lim or SolveLimits()
     by_speed = {}
     for i, speed in enumerate(inst.machines, start=1):
         by_speed.setdefault(speed, []).append(i)
+    scale = math.lcm(*by_speed)
+    steps = [scale // speed for speed in by_speed]  # one unit of length, per class
     return _exact_search(
-        inst.dag, lim, inst.duration,
+        inst.dag, lim, [()] + [tuple(p * k for k in steps) for p in inst.jobs], scale,
         units=[(j,) for j in range(1, inst.n + 1)],
         classes=[tuple(machines) for machines in by_speed.values()],
     )

@@ -1,11 +1,13 @@
+import copy
 import dataclasses
 import hashlib
 import math
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from schedreduce import (
     CommDelayInstance,
@@ -54,16 +56,20 @@ from conftest import SAMPLE8, make_sample8
 from oracle import (oracle_dag_edges, oracle_flat_violations, oracle_grouped_violations,
                     pinned_text)
 
-# strategy: random dag via index-increasing edge choices
+# strategy: random dag via index-increasing edge choices, relabelled by a
+# permutation of the nodes, so that it may have backward edges and take
+# the full admission checks
 dags = st.integers(2, 7).flatmap(
     lambda n: st.builds(
-        lambda pairs: PrecedenceDag(n, tuple(sorted(set(pairs)))),
+        lambda pairs, label: PrecedenceDag(n, tuple({(label[u - 1], label[v - 1])
+                                                     for u, v in pairs})),
         st.lists(
             st.tuples(st.integers(1, n - 1), st.integers(2, n)).filter(
                 lambda e: e[0] < e[1]
             ),
             max_size=n * 2,
         ),
+        st.one_of(st.just(range(1, n + 1)), st.permutations(range(1, n + 1))),
     )
 )
 
@@ -137,16 +143,63 @@ def test_topological_order_respects_edges(dag):
     assert all(pos[u] < pos[v] for u, v in dag.edges)
 
 
+def assert_takes_the_ready_node_of_largest_level(dag, order, level):
+    pred, done = predecessors(dag), set()
+    for u in order:
+        ready = [v for v in pred if v not in done and done.issuperset(pred[v])]
+        assert u == min(ready, key=lambda v: (-level[v], v))
+        done.add(u)
+    assert len(done) == dag.node_count
+
+
 @given(dags, st.data())
 def test_topological_order_takes_the_ready_node_of_largest_level(dag, data):
     n = dag.node_count
     level = [0] + data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-    pred, done = predecessors(dag), set()
-    for u in topological_order(dag, level):
-        ready = [v for v in pred if v not in done and done.issuperset(pred[v])]
-        assert u == min(ready, key=lambda v: (-level[v], v))
-        done.add(u)
-    assert len(done) == n
+    assert_takes_the_ready_node_of_largest_level(dag, topological_order(dag, level), level)
+
+
+@given(dags)
+def test_topological_order_without_level_takes_the_lowest_ready_node(dag):
+    # a forward dag is admitted as one and gets index order without
+    # Kahn's loop; any other dag, and a plain edge set, runs the loop
+    n = dag.node_count
+    forward = all(u < v for u, v in dag.edges)
+    assert getattr(dag, "_forward", False) == forward
+    order = topological_order(dag)
+    assert_takes_the_ready_node_of_largest_level(dag, order, [0] * (n + 1))
+    if forward:
+        assert order == list(range(1, n + 1))
+    assert topological_order(SimpleNamespace(node_count=n, edges=dag.edges)) == order
+
+
+@given(dags, st.data())
+def test_topological_order_of_a_plain_edge_set_raises_the_cycle(dag, data):
+    # a graph that is no PrecedenceDag carries no forward flag, so it
+    # runs Kahn's loop and raises the witness admission raises
+    assume(dag.edges)
+    u, v = data.draw(st.sampled_from(dag.edges))
+    edges = tuple(sorted(dag.edges + ((v, u),)))
+    with pytest.raises(CycleDetected) as admitted:
+        PrecedenceDag(dag.node_count, edges)
+    with pytest.raises(CycleDetected) as plain:
+        topological_order(SimpleNamespace(node_count=dag.node_count, edges=edges))
+    assert plain.value.witness == admitted.value.witness
+
+
+@given(dags)
+def test_forward_flag_is_no_field(dag):
+    # ==, hash, repr and the codec bytes read the fields alone, and a
+    # read-back dag is admitted again
+    bare = copy.copy(dag)
+    vars(bare).pop("_forward", None)
+    n = dag.node_count
+    ones = dict.fromkeys(range(1, n + 1), 1)
+    insts = [UmpsInstance(n, 1, ones, ones, d) for d in (dag, bare)]
+    assert bare == dag and hash(bare) == hash(dag) and repr(bare) == repr(dag)
+    assert dump_canonical(to_obj(insts[0])) == dump_canonical(to_obj(insts[1]))
+    back = from_obj(to_obj(insts[1])).dag
+    assert getattr(back, "_forward", False) == getattr(dag, "_forward", False)
 
 
 def predecessors(dag) -> dict:

@@ -30,7 +30,7 @@ from schedreduce import (
     validate_umps,
     verify_no_property,
 )
-from schedreduce import solvers
+from schedreduce import model, solvers
 from schedreduce.serialize import dump_canonical, to_obj
 from conftest import SAMPLE8, make_sample8
 from oracle import (
@@ -227,7 +227,7 @@ def _engine_commdelay(inst, lim):
     instance that does not take the fixed-home route."""
     cap = inst.machines if inst.machines is not None else inst.n_total
     return solvers._exact_search(
-        inst.dag, lim, lambda j, i: inst.lengths[j], delay=inst.delays,
+        inst.dag, lim, solvers._length_rows(inst.lengths, inst.n_total), delay=inst.delays,
         units=solvers._forced_units(inst), classes=[tuple(range(1, cap + 1))])
 
 
@@ -723,7 +723,8 @@ wide_layered_umps = st.tuples(
 
 def _kept_layers(inst):
     """The kept done masks of each round of the unit DP, uncapped."""
-    return [set(layer) for layer in solvers._unit_layers(inst, {0: None})]
+    return [set(layer) for layer in solvers._unit_layers(inst, solvers._home_masks(inst),
+                                                          {0: None})]
 
 
 @settings(max_examples=100, deadline=None)
@@ -977,40 +978,67 @@ def test_orders_memo_generates_each_order_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the search's time table: one duration call per job and class, or per pin
+# the search's time table: one int time per job and class, or per pin, and
+# no Fraction before the result
 
 
-def _counted_search(inst, lim, duration, **kw):
-    calls = []
+def _tabled_search(monkeypatch, solve, inst, lim=None):
+    """``solve(inst, lim)`` and the time table and scale it handed the
+    engine."""
+    tables = []
+    search = solvers._exact_search
 
-    def counted(j, i):
-        calls.append((j, i))
-        return duration(j, i)
+    def spied(dag, lim, times, scale=1, **kw):
+        tables.append((times, scale))
+        return search(dag, lim, times, scale, **kw)
 
-    return solvers._exact_search(inst.dag, lim, counted, **kw), sorted(calls)
+    monkeypatch.setattr(solvers, "_exact_search", spied)
+    result = solve(inst, lim)
+    monkeypatch.undo()
+    assert len(tables) == 1
+    return result, *tables[0]
 
 
-def test_search_asks_one_time_per_job_and_class():
-    # ten jobs on one class of ten machines: ten calls, not a hundred
+def test_search_asks_one_time_per_job_and_class(monkeypatch):
+    # ten jobs on one class of ten machines: one time per job, not ten
     comm, lim = _uniform(10, 1, 3, None), SolveLimits(max_jobs=12, max_states=50)
-    result, calls = _counted_search(
-        comm, lim, lambda j, i: comm.lengths[j], delay=comm.delays,
-        units=[(j,) for j in range(1, 11)], classes=[tuple(range(1, 11))])
-    assert calls == [(j, 1) for j in range(1, 11)]
-    assert result == solve_commdelay_exact(comm, lim)
-    # speeds 2, 1, 2, 3, 1: three classes, first machines 1, 2 and 4
+    result, times, scale = _tabled_search(monkeypatch, solve_commdelay_exact, comm, lim)
+    assert (times, scale) == ([()] + [(comm.lengths[j],) for j in range(1, 11)], 1)
+    assert validate_commdelay(comm, result.schedule).feasible
+    # speeds 2, 1, 2, 3, 1: three classes, first machines 1, 2 and 4, so
+    # three times per job on the LCM of the speeds
     rel = _related(6, (2, 1, 2, 3, 1), 2)
-    result, calls = _counted_search(rel, SolveLimits(), rel.duration,
-                                    units=[(j,) for j in range(1, 7)],
-                                    classes=[(1, 3), (2, 5), (4,)])
-    assert calls == [(j, i) for j in range(1, 7) for i in (1, 2, 4)]
-    assert result == solve_related_exact(rel)
-    # a pinned job: one call, on its pin
+    result, times, scale = _tabled_search(monkeypatch, solve_related_exact, rel)
+    assert scale == 6
+    assert times == [()] + [tuple(rel.duration(j, i) * scale for i in (1, 2, 4))
+                            for j in range(1, 7)]
+    assert all(type(t) is int for row in times for t in row)
+    assert result.proven_optimal and validate_related(rel, result.schedule).feasible
+    # a pinned job: one time, on its pin
     umps = _weighted(8, 3, 6)
-    result, calls = _counted_search(umps, SolveLimits(), lambda j, i: umps.lengths[j],
-                                    pinned=umps.home)
-    assert calls == sorted(umps.home.items())
-    assert result == solve_umps_exact(umps)
+    result, times, scale = _tabled_search(monkeypatch, solve_umps_exact, umps)
+    assert (times, scale) == ([()] + [(umps.lengths[j],) for j in range(1, 9)], 1)
+    assert result.proven_optimal and validate_umps(umps, result.schedule).feasible
+
+
+def test_related_search_builds_one_fraction(monkeypatch):
+    # ten jobs on three speed classes: the search runs on ints, so the
+    # result's optimum is the one Fraction built through the solvers and
+    # the model (RelatedInstance.duration builds one per call)
+    inst = _related(10, (2, 1, 2, 3, 1), 4)
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr(solvers, "Fraction", Counted)
+    monkeypatch.setattr(model, "Fraction", Counted)
+    result = solve_related_exact(inst, SolveLimits(max_states=20_000))
+    monkeypatch.undo()
+    assert len(built) == 1 and Fraction(*built[0]) == result.optimum
+    assert validate_related(inst, result.schedule).feasible
 
 
 # ---------------------------------------------------------------------------
