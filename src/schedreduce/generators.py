@@ -4,6 +4,8 @@ Every generator is a pure function of its parameters and a 64-bit seed.
 Randomness comes from splitmix64 streams split per entity kind (see
 :mod:`schedreduce.rng`), and each generator documents its draw order, so
 identical inputs produce bit-identical instances on any platform.
+Size parameters follow the value rule: a bool, a float or any other
+non-int raises ``TypeError`` naming the parameter.
 """
 
 from __future__ import annotations
@@ -14,11 +16,13 @@ from math import lcm
 
 from .errors import DivisibilityError
 from .model import (
+    _INT,
     JobShopInstance,
     KPartiteInstance,
     PrecedenceDag,
     Schedule,
     UmpsInstance,
+    _check_types,
     as_fraction,
     makespan,
     validate_umps,
@@ -28,6 +32,12 @@ from .rng import Stream
 from .rounding import FractionalSchedule
 
 
+def _check_sizes(**sizes) -> None:
+    """Raise ``TypeError`` naming the first size parameter that is not an int."""
+    for name, value in sizes.items():
+        _check_types(_INT, name, (value,))
+
+
 def gen_layered_umps(layers: int, per_layer: int, edge_prob, seed: int) -> UmpsInstance:
     """Layered unit-job instance: machine i owns jobs (i-1)*w+1 .. i*w and
     edges only run from layer i to layer i+1.
@@ -35,6 +45,7 @@ def gen_layered_umps(layers: int, per_layer: int, edge_prob, seed: int) -> UmpsI
     Each potential edge is drawn from the "edges" stream in (layer,
     source, target) order with probability ``edge_prob``.
     """
+    _check_sizes(layers=layers, per_layer=per_layer)
     m, w = layers, per_layer
     if m < 1 or w < 1:
         raise ValueError("need layers >= 1 and per_layer >= 1")
@@ -58,6 +69,7 @@ def gen_random_umps(n: int, m: int, edge_prob, seed: int, max_length: int = 1) -
     stream, (u, v) order), lengths uniform in [1, max_length] ("lengths"
     stream; at max_length 1 it is not drawn, as every length is 1 whatever
     the word).  Acyclic by construction."""
+    _check_sizes(n=n, m=m, max_length=max_length)
     if n < 1 or m < 1 or max_length < 1:
         raise ValueError("need n, m, max_length >= 1")
     prob = as_fraction(edge_prob, "edge_prob")
@@ -73,6 +85,7 @@ def gen_jobshop(jobs: int, machines: int, ops_per_job: int, seed: int) -> JobSho
     """Random job shop: each of ``jobs`` chains has ``ops_per_job``
     operations with a uniform machine ("machines" stream) and a duration
     uniform in [1, 4] ("durations" stream), drawn job-major."""
+    _check_sizes(jobs=jobs, machines=machines, ops_per_job=ops_per_job)
     if jobs < 1 or machines < 1 or ops_per_job < 1:
         raise ValueError("need jobs, machines, ops_per_job >= 1")
     count = jobs * ops_per_job
@@ -98,6 +111,7 @@ def gen_kpartite_yes(n: int, k: int, seed: int):
     (layer, j1, j2, u, v) order).  Returns the instance and the planted
     certificate, which is valid by construction.
     """
+    _check_sizes(n=n, k=k)
     if k < 1 or n < 1:
         raise ValueError("need n, k >= 1")
     if n % k != 0:
@@ -131,6 +145,7 @@ def gen_kpartite_dense(n: int, k: int, density, seed: int) -> KPartiteInstance:
     ``density`` ("edges" stream, (layer, u, v) order); delta = 1/k is
     recorded but NOT certified here - run the exhaustive spread check to
     certify the soundness floor before relying on it."""
+    _check_sizes(n=n, k=k)
     if k < 1 or n < 1:
         raise ValueError("need n, k >= 1")
     prob = as_fraction(density, "density")

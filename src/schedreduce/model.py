@@ -81,6 +81,62 @@ def as_fraction(value: int | Fraction, what: str = "value") -> Fraction:
 # ---------------------------------------------------------------------------
 # precedence graphs
 
+# Forward pairs are immutable values, so dags on up to this many nodes
+# share one tuple per pair (u, v), u < v, for the life of the process.
+SHARED_PAIR_NODES = 128
+# _pair_table[u][v] is the shared (u, v) for 1 <= u < v < len(_pair_table)
+_pair_table = [None]
+
+
+def _pair_rows(n: int) -> list:
+    """The shared rows over nodes 1..n, n <= ``SHARED_PAIR_NODES``: item
+    ``[u][v]`` is the tuple (u, v) for 1 <= u < v <= n.  A smaller table
+    is grown into a new one, bound in one step, which keeps the tuples
+    already handed out, so no reader sees a row half grown."""
+    global _pair_table
+    top = len(_pair_table)
+    if top <= n:
+        _pair_table = ([None] + [row + [(u, v) for v in range(top, n + 1)]
+                                 for u, row in enumerate(_pair_table[1:], 1)]
+                       + [[None] * (u + 1) + [(u, v) for v in range(u + 1, n + 1)]
+                          for u in range(top, n + 1)])
+    return _pair_table
+
+
+_PAIR_KINDS, _TUPLE_KIND, _TWO = frozenset({tuple, list}), frozenset({tuple}), frozenset({2})
+
+
+def _plain_pairs(edges) -> list:
+    """``edges`` as a new list of plain 2-tuples: the items themselves
+    when each already is one, else each unpacked and rebuilt, so that
+    anything but a pair raises the unpacking error."""
+    edges = list(edges)
+    if _TUPLE_KIND.issuperset(map(type, edges)) and _TWO.issuperset(map(len, edges)):
+        return edges
+    return [(u, v) for u, v in edges]
+
+
+def _forward_run(n, edges) -> Optional[tuple]:
+    """The edges a forward dag on nodes 1..n stores, when ``edges`` (a
+    list or a tuple) is a strictly increasing run of int pairs (u, v),
+    1 <= u < v <= n: the shared tuples up to ``SHARED_PAIR_NODES`` nodes,
+    else ``edges`` themselves, which must then be plain tuples.  None for
+    anything else (which may be forward too), so the caller checks it."""
+    if type(n) is not int or n < 0 or type(edges) not in (tuple, list):
+        return None
+    rows = _pair_rows(n) if n <= SHARED_PAIR_NODES else None
+    kinds = _PAIR_KINDS if rows else _TUPLE_KIND  # a shared pair replaces a list
+    if not (kinds.issuperset(map(type, edges)) and _TWO.issuperset(map(len, edges))):
+        return None
+    out, pu, pv = [], 0, n  # (pu, pv): the last pair, above which the next must lie
+    for edge in edges:
+        u, v = edge
+        if not (type(u) is int is type(v) and (pu < u < v <= n or u == pu and pv < v <= n)):
+            return None
+        out.append(rows[u][v] if rows else edge)
+        pu, pv = u, v
+    return tuple(out)
+
 
 @dataclass(frozen=True)
 class PrecedenceDag:
@@ -89,12 +145,24 @@ class PrecedenceDag:
     Construction rejects out-of-range endpoints, self-loops, duplicate
     edges and cycles, so a live instance is always a DAG.  When every edge
     points forward (1 <= u < v <= node_count) and none repeats, index
-    order is already topological, so admission is one pass over the
-    sorted edges; any other edge set gets the full range, self-loop,
-    duplicate and cycle checks, with the same errors.  A forward dag
-    records that on itself (``_forward``, which is no field: ``==``,
-    ``hash``, ``repr`` and the codec ignore it), and
+    order is already topological.  Edges handed in as such a run, sorted
+    and of int pairs (as the umps generators and the codec hand them),
+    are admitted in one pass that checks types, order and range together
+    (:func:`_forward_run`); any other edge set is checked in full, with
+    the same errors: types, then sorted, then that pass again, and if it
+    is not forward the range, self-loop, duplicate and cycle checks.  A
+    forward dag records that on itself (``_forward``, which is no field:
+    ``==``, ``hash``, ``repr`` and the codec ignore it), and
     :func:`topological_order` then returns index order without a pass.
+
+    Edges are stored as plain 2-tuples.  A forward dag of at most
+    ``SHARED_PAIR_NODES`` (128) nodes stores the process-wide shared
+    tuple of each pair (:func:`_pair_rows`), mapped in the forward pass,
+    so every such dag holding (u, v) holds the same object; a larger
+    dag, or one with a backward edge, keeps tuples of its own (the plain
+    2-tuples it was handed, or new ones).  Which objects a dag holds is
+    no part of ``==``, ``hash`` or the codec: equal edge sets compare,
+    hash and serialize alike either way.
     """
 
     node_count: int
@@ -102,22 +170,20 @@ class PrecedenceDag:
 
     def __post_init__(self):
         n = self.node_count
-        edges = [(u, v) for u, v in self.edges]
-        _check_types(_INT, "node count or edge endpoint", (n,), *edges)
-        # stored sorted so equal edge sets compare (and serialize) equal
-        edges = tuple(sorted(edges))
-        object.__setattr__(self, "edges", edges)
-        if n < 0:
-            raise ValueError(f"node_count must be >= 0, got {n}")
-        prev = None
-        for edge in edges:
-            u, v = edge
-            if not 1 <= u < v <= n or edge == prev:
-                break
-            prev = edge
-        else:
+        forward = _forward_run(n, self.edges)
+        if forward is None:  # not handed in as a sorted forward run
+            edges = _plain_pairs(self.edges)
+            _check_types(_INT, "node count or edge endpoint", (n,), *edges)
+            # stored sorted so equal edge sets compare (and serialize) equal
+            edges.sort()
+            if n < 0:
+                raise ValueError(f"node_count must be >= 0, got {n}")
+            forward = _forward_run(n, edges)
+        if forward is not None:
+            object.__setattr__(self, "edges", forward)
             object.__setattr__(self, "_forward", True)
             return
+        object.__setattr__(self, "edges", tuple(edges))
         seen = set()
         for u, v in edges:
             if not (1 <= u <= n and 1 <= v <= n):
@@ -261,7 +327,7 @@ class CommDelayInstance:
     machines: Optional[int] = None
 
     def __post_init__(self):
-        delays = {(u, v): c for (u, v), c in self.delays.items()}
+        delays = dict(zip(_plain_pairs(self.delays.keys()), self.delays.values()))
         _check_types(_INT, "delay edge endpoint", *delays)
         _check_types(_INT, "delay", delays.values())
         object.__setattr__(self, "delays", delays)

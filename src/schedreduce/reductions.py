@@ -86,17 +86,15 @@ def umps_to_commdelay(inst: UmpsInstance) -> CommDelayReductionArtifact:
     dummy_ids = tuple(inst.n + i for i in range(1, inst.m + 1))
     for d in dummy_ids:
         lengths[d] = 1
-    edges = list(inst.dag.edges)
-    delays = {(u, v): 0 for u, v in edges}
-    for l in range(1, inst.n + 1):
-        e = (l, inst.n + inst.home[l])
-        edges.append(e)
-        delays[e] = c_inf
+    anchors = tuple((l, inst.n + inst.home[l]) for l in range(1, inst.n + 1))
+    dag = PrecedenceDag(node_count=n_total, edges=inst.dag.edges + anchors)
+    # keyed by the dag's own edge objects: an anchor edge ends past n
+    delays = {e: c_inf if e[1] > inst.n else 0 for e in dag.edges}
     output = CommDelayInstance(
         n_total=n_total,
         lengths=lengths,
         delays=delays,
-        dag=PrecedenceDag(node_count=n_total, edges=tuple(edges)),
+        dag=dag,
         machines=None,
     )
     return CommDelayReductionArtifact(

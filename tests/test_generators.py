@@ -123,6 +123,61 @@ def test_kpartite_dense_density_one_is_complete():
 
 
 # ---------------------------------------------------------------------------
+# size parameters follow the value rule: a float or a bool raises
+# TypeError naming the parameter, before any draw
+
+
+def _raises_naming(make, message):
+    with pytest.raises(TypeError) as err:
+        make()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((2.0, 2, F(1, 2), 1), {}, "n 2.0 is not an int"),
+    ((4, 2.0, F(1, 2), 1), {}, "m 2.0 is not an int"),
+    ((4, 2, F(1, 2), 1), {"max_length": 2.5}, "max_length 2.5 is not an int"),
+    ((4, 2, F(1, 2), 1), {"max_length": True}, "max_length True is not an int"),
+])
+def test_random_umps_sizes_follow_the_value_rule(args, kwargs, message):
+    _raises_naming(lambda: gen_random_umps(*args, **kwargs), message)
+
+
+@pytest.mark.parametrize("layers, per_layer, message", [
+    (2.0, 2, "layers 2.0 is not an int"),
+    (2, True, "per_layer True is not an int"),
+    (2, "3", "per_layer '3' is not an int"),
+])
+def test_layered_umps_sizes_follow_the_value_rule(layers, per_layer, message):
+    _raises_naming(lambda: gen_layered_umps(layers, per_layer, F(1, 2), 1), message)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((2.0, 2, 2), "jobs 2.0 is not an int"),
+    ((2, True, 2), "machines True is not an int"),
+    ((2, 2, 1.5), "ops_per_job 1.5 is not an int"),
+])
+def test_jobshop_sizes_follow_the_value_rule(args, message):
+    _raises_naming(lambda: gen_jobshop(*args, 1), message)
+
+
+@pytest.mark.parametrize("n, k, message", [
+    (4.0, 2, "n 4.0 is not an int"),
+    (4, True, "k True is not an int"),
+])
+def test_kpartite_yes_sizes_follow_the_value_rule(n, k, message):
+    _raises_naming(lambda: gen_kpartite_yes(n, k, 1), message)
+
+
+@pytest.mark.parametrize("n, k, message", [
+    (3.0, 2, "n 3.0 is not an int"),
+    (3, 2.0, "k 2.0 is not an int"),
+])
+def test_kpartite_dense_sizes_follow_the_value_rule(n, k, message):
+    _raises_naming(lambda: gen_kpartite_dense(n, k, F(1, 2), 1), message)
+
+
+# ---------------------------------------------------------------------------
 # fractional perturbation
 
 

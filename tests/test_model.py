@@ -1,8 +1,12 @@
 import copy
 import dataclasses
 import hashlib
+import json
 import math
 import re
+import sys
+import tracemalloc
+from collections import namedtuple
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -124,6 +128,87 @@ def test_dag_admission_matches_full_checks(node_count, edges, doubled):
         assert str(err.value) == str(exc)
     else:
         assert PrecedenceDag(node_count, edges).edges == expected
+
+
+Edge = namedtuple("Edge", "u v")
+
+# what admission stores, or the error it raises, for each shape of input
+ADMISSION_PINS = [
+    (3, [[2, 3], [1, 2]], ((1, 2), (2, 3))),
+    (3, [[1, 2], [2, 3]], ((1, 2), (2, 3))),
+    (3, {(2, 3), (1, 2)}, ((1, 2), (2, 3))),
+    (3, [Edge(2, 3), Edge(1, 2)], ((1, 2), (2, 3))),
+    (3, [(1, 2), (1,)], (ValueError, "not enough values to unpack (expected 2, got 1)")),
+    (3, [(1, 2, 3)], (ValueError, "too many values to unpack (expected 2)")),
+    (3, 5, (TypeError, "'int' object is not iterable")),
+    (3, [(1, 2), 5], (TypeError, "cannot unpack non-iterable int object")),
+    (3, ["12"], (TypeError, "node count or edge endpoint '1' is not an int")),
+    (3, "12", (ValueError, "not enough values to unpack (expected 2, got 1)")),
+    (3, [(True, 2)], (TypeError, "node count or edge endpoint True is not an int")),
+    (3, [(3, 1), (1, 2)], ((1, 2), (3, 1))),
+    (3, [(1, 2), (1, 2)], (ValueError, "duplicate edge (1, 2)")),
+    (3, [(2, 2)], (ValueError, "self-loop at node 2")),
+    (129, [(128, 129), (1, 129)], ((1, 129), (128, 129))),
+    (129, [[1, 129], [128, 129]], ((1, 129), (128, 129))),
+]
+
+
+@pytest.mark.parametrize("node_count, edges, expected", ADMISSION_PINS)
+def test_dag_admission_is_pinned(node_count, edges, expected):
+    if isinstance(expected[0], type):
+        with pytest.raises(expected[0]) as err:
+            PrecedenceDag(node_count, edges)
+        assert str(err.value) == expected[1]
+    else:
+        stored = PrecedenceDag(node_count, edges).edges
+        assert stored == expected and {type(e) for e in stored} == {tuple}
+
+
+# ---------------------------------------------------------------------------
+# shared edge pairs: a forward dag on at most 128 nodes holds the one
+# process-wide tuple of each pair
+
+
+def assert_shares_common_edges(edges, others):
+    """Every edge of ``edges`` that ``others`` holds too is the same
+    object there, and there is at least one."""
+    held = {e: e for e in others}
+    common = [e for e in edges if e in held]
+    assert common and all(held[e] is e for e in common)
+
+
+def test_generated_reduced_and_read_back_dags_share_their_edges():
+    a, b = (gen_random_umps(24, 2, Fraction(1, 3), seed) for seed in (1, 2))
+    assert_shares_common_edges(a.dag.edges, b.dag.edges)
+    out = umps_to_commdelay(a).output
+    assert_shares_common_edges(a.dag.edges, out.dag.edges)
+    assert_shares_common_edges(out.dag.edges, umps_to_commdelay(b).output.dag.edges)
+    assert_shares_common_edges(out.dag.edges, out.delays)  # keyed by the dag's objects
+    back = from_obj(json.loads(dump_canonical(to_obj(a))))
+    assert back == a and all(x is y for x, y in zip(back.dag.edges, a.dag.edges))
+
+
+def test_a_dag_past_the_shared_bound_or_with_a_backward_edge_keeps_its_own_tuples():
+    shared = PrecedenceDag(3, [(1, 2), (2, 3)]).edges
+    for n, edges in ((129, [[1, 2], [2, 129]]), (3, [[1, 2], [3, 2]])):
+        first, second = PrecedenceDag(n, edges).edges, PrecedenceDag(n, edges).edges
+        assert first == second
+        assert not any(x is y for x in first for y in second + shared)
+
+
+def test_generated_dags_allocate_no_tuple_per_edge():
+    gen_random_umps(64, 4, Fraction(1, 3), 0)  # grows the shared rows to 64 nodes first
+    pair_size = sys.getsizeof((1, 2))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        insts = [gen_random_umps(64, 4, Fraction(1, 3), seed) for seed in range(1, 17)]
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    pairs = [sum(t.size == pair_size for t in snap.traces) for snap in (before, after)]
+    edges = sum(len(inst.dag.edges) for inst in insts)
+    assert edges > 10_000 and 10 * (pairs[1] - pairs[0]) < edges
 
 
 def test_edges_stored_sorted():
