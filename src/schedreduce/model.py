@@ -330,7 +330,6 @@ class CommDelayInstance:
         delays = dict(zip(_plain_pairs(self.delays.keys()), self.delays.values()))
         _check_types(_INT, "delay edge endpoint", *delays)
         _check_types(_INT, "delay", delays.values())
-        object.__setattr__(self, "delays", delays)
         _check_types(_INT, "job or machine count", (self.n_total,),
                      () if self.machines is None else (self.machines,))
         jobs = set(range(1, self.n_total + 1))
@@ -342,12 +341,15 @@ class CommDelayInstance:
                 raise ValueError(f"job {l}: length {p} must be a positive integer")
         if self.dag.node_count != self.n_total:
             raise ValueError("dag node count must equal n_total")
-        if set(self.delays) != set(self.dag.edges):
+        if set(delays) != set(self.dag.edges):
             raise ValueError("delays must cover exactly the dag edges")
-        if any(c < 0 for c in self.delays.values()):
+        if any(c < 0 for c in delays.values()):
             raise ValueError("delays must be nonnegative")
         if self.machines is not None and self.machines < 1:
             raise ValueError("machine count must be an integer >= 1 (or None for unlimited)")
+        # keyed by the dag's own edge objects, so a read-back instance
+        # holds each edge once
+        object.__setattr__(self, "delays", {e: delays[e] for e in self.dag.edges})
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,15 @@
 The three exact solvers share one branch-and-bound engine,
 ``_exact_search``.  It builds its own seed schedules on its integer time
 base (a serial one and earliest-finish list schedules in index and in
-critical-path order) and seeds the incumbent with the shortest, at its
-own makespan.  It then enumerates machine assignments, and for each
-assignment the per-machine processing orders consistent with the
-precedence projection, scores each combination by the earliest-start
-longest path through the combined order graph, and replaces the
-incumbent only with a strictly shorter result.  A proven search thus
-returns the seed when nothing beats it, and otherwise the
-lexicographically earliest optimal combination.
-The longest paths are kept incrementally: each placement and each order
-raises only the starts it moves, and backtracking undoes them.
+critical-path order) and keeps the shortest as its incumbent.  It then
+enumerates machine assignments, and for each assignment the per-machine
+processing orders consistent with the precedence projection, scores each
+combination by the earliest-start longest path through the combined order
+graph, and replaces the incumbent only with a strictly shorter result.  A
+proven search thus returns the seed when nothing beats it, and otherwise
+the lexicographically earliest optimal combination.  One relax routine
+keeps the longest paths at every level, raising only the starts a step
+moves, and backtracking undoes them.
 Interchangeable machines are opened in label order and twin jobs are
 kept in job order; these rules skip symmetric copies of a schedule but
 keep the lexicographically earliest member of each class, so optima and
@@ -106,14 +105,16 @@ class _Abort(Exception):
 
 
 class _Search:
-    """Shared bookkeeping: best-so-far, state counter, budget checks."""
+    """One search's state budget and its incumbent: the shortest schedule
+    offered so far, as entries ``{job: (machine, start, end)}`` on the
+    search's integer time base, and its makespan ``best_ms``."""
 
     def __init__(self, lim: SolveLimits):
         self.lim = lim
         self.t0 = time.monotonic()
         self.states = 0
-        self.best_ms = None
-        self.best_payload = None
+        self.best_ms = math.inf
+        self.best = None
 
     def tick(self):
         self.states += 1
@@ -122,10 +123,18 @@ class _Search:
         if self.states % 4096 == 0 and time.monotonic() - self.t0 > self.lim.time_budget:
             raise _Abort
 
-    def offer(self, ms, payload):
-        if self.best_ms is None or ms < self.best_ms:
-            self.best_ms = ms
-            self.best_payload = payload
+    def offer(self, entries, ms=None):
+        """Keep ``entries`` when its makespan ``ms`` (by default its latest
+        end) is strictly below the incumbent's."""
+        if ms is None:
+            ms = max((end for _, _, end in entries.values()), default=0)
+        if ms < self.best_ms:
+            self.best_ms, self.best = ms, entries
+
+    def result(self, scale, proven):
+        """The incumbent, its times in units of ``1/scale``."""
+        return SolveResult(Fraction(self.best_ms, scale), Schedule._of_rows(self.best, scale),
+                           proven, self.states)
 
 
 def _extensions(jobs, pred_sets):
@@ -295,13 +304,16 @@ def _exact_search(dag, lim, times, scale=1, delay=None, pinned=None, units=(), c
     first, so the rules change the states explored but neither the
     optimum nor the schedule returned.
 
-    One array of earliest starts serves the whole search.  Edge weights
-    are computed as an edge is relaxed: the earlier job's time on its
-    machine (its fastest time while unplaced), plus the edge delay once
-    both ends are placed apart.  The root relaxes the whole dag; placing
-    a unit relaxes only from the ends its times lengthen and the delays
-    it newly pays; fixing a machine's order links each of its jobs to the
-    next one and relaxes from those links.  Every raised start is logged
+    One array of earliest starts serves the whole search, and one relax
+    routine raises it: from the jobs whose ends may have risen, it lifts
+    each successor's start, and the next job's on the same machine, to
+    that end and goes on from each job it lifts.  An edge weighs the
+    earlier job's time on its machine (its fastest time while unplaced),
+    plus the edge delay once both ends are placed apart.  The root relaxes
+    from every job, a placement from its unit after lifting the delays
+    that placed predecessors on other machines now owe, and a machine's
+    order from the jobs its links lift.  Starts only rise, so any order of
+    lifts reaches the same longest paths.  Every lifted start is logged
     and undone on backtrack.
 
     A node's bound is admissible and never below its parent's: it is the
@@ -333,33 +345,31 @@ def _exact_search(dag, lim, times, scale=1, delay=None, pinned=None, units=(), c
     generated once per search and replayed when the same jobs share a
     machine again.
 
-    The engine builds its seed schedules from its integer tables.  The
-    serial one runs every job, in the lowest-index topological order, back
-    to back on its pin or else on the lowest-labelled class machine where
-    it runs fastest.  The callers' times are equal on every class machine
-    (communication delays) or scale with one speed per machine (related
-    machines), so every unpinned job shares that one machine and the
-    seed pays no delay.  The earliest-finish list schedule takes the jobs
-    in the same order and puts each on its pin or on any class machine.
-    The shorter of the two (the serial one on a tie) is the seed.  A
-    search of at most ``lim.max_jobs`` jobs then builds the list schedule
-    once more, in critical-path order (:func:`topological_order` with
-    each job's fastest time plus its tail as its level), and keeps it when
-    it is strictly shorter; so an oversized search returns the first
-    seed, which with every job pinned is the ``greedy_umps`` schedule.
+    The incumbent, ``_Search``, keeps the shortest schedule offered as
+    entries ``{job: (machine, start, end)}``, taking a new one only when
+    strictly shorter.  The engine offers its seeds first, built from its
+    integer tables.  The serial one runs every job, in the lowest-index
+    topological order, back to back on its pin or else on the
+    lowest-labelled class machine where it runs fastest.  The callers'
+    times are equal on every class machine (communication delays) or scale
+    with one speed per machine (related machines), so every unpinned job
+    shares that one machine and the seed pays no delay.  The
+    earliest-finish list schedule takes the jobs in the same order and
+    puts each on its pin or on any class machine.  A search of more than
+    ``lim.max_jobs`` jobs returns the shorter of the two at once, unproven
+    (with every job pinned, the ``greedy_umps`` schedule).  Any other
+    offers the list schedule in critical-path order too
+    (:func:`topological_order` with each job's fastest time plus its tail
+    as its level), then its leaves.  A proven search returns the seed
+    when no leaf beats it, and otherwise the first optimal leaf it meets;
+    a capped one returns the incumbent when its budget trips.
 
-    The incumbent is the seed at its own makespan, and a leaf replaces it
-    only when strictly shorter: a proven search returns the seed when no
-    leaf beats it, and otherwise the first optimal leaf it meets.  A
-    smaller seed never adds a state.  Each test that prunes (a bound or an
-    end against the incumbent, the order loop's bound) cuts at least as
-    much under a smaller incumbent, and the incumbent stays no larger at every
-    step: a subtree that the smaller one prunes holds no leaf shorter than
-    it.  With a no-larger incumbent at every step, the search visits a
-    subsequence of the nodes that a larger seed's search visits.  The seed
-    schedule is returned when the search finds nothing better before its
-    budget trips, and at once, unproven, when there are more than
-    ``lim.max_jobs`` jobs.
+    A smaller seed never adds a state.  Each test that prunes (a bound or
+    an end against the incumbent, the order loop's bound) cuts at least as
+    much under a smaller incumbent, and the incumbent stays no larger at
+    every step: a subtree that the smaller one prunes holds no leaf
+    shorter than it.  With a no-larger incumbent at every step, the search
+    visits a subsequence of the nodes that a larger seed's search visits.
     """
     n = dag.node_count
     delay = delay or {}
@@ -376,30 +386,16 @@ def _exact_search(dag, lim, times, scale=1, delay=None, pinned=None, units=(), c
         succs[u].append((v, c))
     order = topological_order(dag)
     lowest = [cls[0] for cls in classes]
-    seed, seed_ms = {}, 0  # the serial seed; seed_ms runs as its cursor
+    search = _Search(lim)
+    serial, cursor = {}, 0
     for j in order:
         t, i = (times[j][0], pinned[j]) if j in pinned else min(zip(times[j], lowest))
-        seed[j] = (i, seed_ms, seed_ms + t)
-        seed_ms += t
-    listed = _list_schedule(order, preds, times, pinned, classes)
-    listed_ms = max((end for _, _, end in listed.values()), default=0)
-    if listed_ms < seed_ms:
-        seed, seed_ms = listed, listed_ms
-    search = _Search(lim)
-    search.offer(seed_ms, None)
-
-    def result(proven):
-        if search.best_payload is None:
-            best, entries = seed_ms, seed
-        else:
-            labels, starts, durs = search.best_payload
-            best, entries = search.best_ms, {
-                j: (labels[j], starts[j], starts[j] + durs[j]) for j in jobs}
-        return SolveResult(Fraction(best, scale), Schedule._of_rows(entries, scale), proven,
-                           search.states)
-
+        serial[j] = (i, cursor, cursor + t)
+        cursor += t
+    search.offer(serial)
+    search.offer(_list_schedule(order, preds, times, pinned, classes))
     if n > lim.max_jobs:
-        return result(False)
+        return search.result(scale, False)
 
     fastest = [0] + [min(times[j]) for j in jobs]  # a pinned job has one time, on its pin
     tail = [0] * (n + 1)  # tail[u]: the longest path after u ends, at fastest times, no delay
@@ -407,11 +403,7 @@ def _exact_search(dag, lim, times, scale=1, delay=None, pinned=None, units=(), c
         tail[u] = max((fastest[v] + tail[v] for v, _ in succs[u]), default=0)
     critical = topological_order(dag, [f + t for f, t in zip(fastest, tail)])
     if critical != order:  # the same order gives the same schedule
-        listed = _list_schedule(critical, preds, times, pinned, classes)
-        listed_ms = max((end for _, _, end in listed.values()), default=0)
-        if listed_ms < seed_ms:
-            seed, seed_ms = listed, listed_ms
-            search.offer(seed_ms, None)
+        search.offer(_list_schedule(critical, preds, times, pinned, classes))
 
     # mach[j] is job j's machine (0 until placed), dur[j] its time there
     # (its fastest time while unplaced), start[j] its earliest start and
@@ -451,58 +443,35 @@ def _exact_search(dag, lim, times, scale=1, delay=None, pinned=None, units=(), c
     opened = [0] * len(classes)
     memo = {}  # a machine's jobs, as placed -> their _Orders
 
-    def relax(pending, limit):
-        """Raise earliest starts from the ``(job, start)`` candidates in
-        ``pending`` along the dag edges and the machine links, logging
-        each overwritten start.  Returns the latest end raised (0 if
-        none), or None as soon as an end reaches ``limit``.  Every time is
-        positive, so a cycle raises its ends without bound and always
-        ends in None."""
-        top = 0
-        while pending:
-            v, t = pending.pop()
-            if t > start[v]:
-                log.append((v, start[v]))
-                start[v] = t
-                t += dur[v]
-                if t >= limit:
-                    return None
-                if t > top:
-                    top = t
-                mv = mach[v]
-                for w, c in succs[v]:
-                    tw = t + c if c and mv and (mw := mach[w]) and mw != mv else t
-                    if tw > start[w]:
-                        pending.append((w, tw))
-                w = nxt[v]
-                if w and t > start[w]:
-                    pending.append((w, t))
-        return top
+    def lift(v, t):
+        """Raise v's earliest start to t, logging the one it had."""
+        log.append((v, start[v]))
+        start[v] = t
 
-    def raise_ends(group, top, limit):
-        """Relax from the ends of ``group``'s jobs, which have just been
-        placed (or, at the root, are all new), and from the delays they
-        newly pay.  Returns the latest end, ``top`` at least, or None as
-        soon as an end reaches ``limit``."""
-        if top >= limit:
-            return None
-        pending = []
-        for j in group:
-            t = start[j] + dur[j]
+    def relax(stack, limit):
+        """Lift earliest starts along the dag edges and the machine links
+        from the jobs on ``stack``, whose ends may have risen, pushing each
+        job it lifts.  Returns the latest end met (0 if none), or None once
+        an end reaches ``limit``, as a cycle's always do: times are positive."""
+        top = 0
+        while stack:
+            v = stack.pop()
+            t = start[v] + dur[v]
             if t >= limit:
                 return None
             if t > top:
                 top = t
-            mj = mach[j]
-            for w, c in succs[j]:
-                tw = t + c if c and mj and (mw := mach[w]) and mw != mj else t
+            mv = mach[v]
+            for w, c in succs[v]:
+                tw = t + c if c and mv and (mw := mach[w]) and mw != mv else t
                 if tw > start[w]:
-                    pending.append((w, tw))
-            for u, c in preds[j]:
-                if c and mj and (mu := mach[u]) and mu != mj:
-                    pending.append((j, start[u] + dur[u] + c))
-        raised = relax(pending, limit)
-        return None if raised is None else max(top, raised)
+                    lift(w, tw)
+                    stack.append(w)
+            w = nxt[v]
+            if w and t > start[w]:
+                lift(w, t)
+                stack.append(w)
+        return top
 
     def undo(mark):
         while len(log) > mark:
@@ -513,7 +482,7 @@ def _exact_search(dag, lim, times, scale=1, delay=None, pinned=None, units=(), c
         """Try each order of ``groups[k]`` on top of the orders fixed for
         the groups before it; a full set offers its makespan."""
         if k == len(groups):
-            search.offer(bound, (list(mach), list(start), list(dur)))
+            search.offer({j: (mach[j], start[j], start[j] + dur[j]) for j in jobs}, bound)
             return
         group = iter(groups[k])
         while bound < search.best_ms:  # every later order starts from this bound
@@ -522,15 +491,14 @@ def _exact_search(dag, lim, times, scale=1, delay=None, pinned=None, units=(), c
                 return
             search.tick()
             mark = len(log)
-            pending = []
-            u = order[0]
-            for v in order[1:]:
+            raised = []
+            for u, v in zip(order, order[1:]):
                 nxt[u] = v
                 t = start[u] + dur[u]
                 if t > start[v]:
-                    pending.append((v, t))
-                u = v
-            top = relax(pending, search.best_ms)
+                    lift(v, t)
+                    raised.append(v)
+            top = relax(raised, search.best_ms)
             if top is not None:
                 orders(k + 1, groups, max(bound, top))
             undo(mark)
@@ -564,11 +532,17 @@ def _exact_search(dag, lim, times, scale=1, delay=None, pinned=None, units=(), c
                 mach[j], dur[j] = i, times[j][c]
                 on[i].append(j)
             mark = len(log)
-            child = raise_ends(unit, path, search.best_ms)
-            if child is not None and len(on[i]) > 1:
-                child = max(child, _machine_bound(on[i], start, dur, tail))
-            if child is not None and child < search.best_ms:
-                assign(k + 1, child)
+            for j in unit:  # the delays now owed by placed predecessors on other machines
+                for u, d in preds[j]:
+                    if d and mach[u] not in (0, i) and (t := start[u] + dur[u] + d) > start[j]:
+                        lift(j, t)
+            child = relax(list(unit), search.best_ms)
+            if child is not None:
+                child = max(child, path)
+                if len(on[i]) > 1:
+                    child = max(child, _machine_bound(on[i], start, dur, tail))
+                if child < search.best_ms:
+                    assign(k + 1, child)
             undo(mark)
             for j in unit:
                 mach[j], dur[j] = 0, fastest[j]
@@ -580,7 +554,7 @@ def _exact_search(dag, lim, times, scale=1, delay=None, pinned=None, units=(), c
     proven = True
     try:
         search.tick()
-        path = raise_ends(jobs, 0, search.best_ms)
+        path = relax(list(jobs), search.best_ms)
         if path is not None:
             path = max([path] + [_machine_bound(on[i], start, dur, tail)
                                  for i in machines if len(on[i]) > 1])
@@ -591,7 +565,7 @@ def _exact_search(dag, lim, times, scale=1, delay=None, pinned=None, units=(), c
     # assign and orders call themselves, so their closures are cycles:
     # break them, and what the search holds is freed now
     assign = orders = None
-    return result(proven)
+    return search.result(scale, proven)
 
 
 # ---------------------------------------------------------------------------

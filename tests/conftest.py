@@ -18,7 +18,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for `import oracle`
 
-from schedreduce import PrecedenceDag, UmpsInstance
+from fractions import Fraction
+
+from schedreduce import CommDelayInstance, PrecedenceDag, UmpsInstance, gen_random_umps
+from schedreduce.rng import Stream
 
 SAMPLE8 = {
     "edges": ((4, 1), (1, 5), (6, 2), (3, 6), (6, 7), (7, 5), (8, 4)),
@@ -42,6 +45,17 @@ SAMPLE8 = {
 def is_layered(inst: UmpsInstance) -> bool:
     """True when every edge goes from a machine-i job to a machine-(i+1) job."""
     return all(inst.home[v] == inst.home[u] + 1 for u, v in inst.dag.edges)
+
+
+def random_delays(n: int, seed: int, machines: int | None) -> CommDelayInstance:
+    """n jobs of lengths 1 (even seeds) or 1-2 (odd seeds) on ``machines``
+    interchangeable machines (None: unbounded), with edge probability 1/2
+    and a delay drawn from 0-3 for each edge."""
+    base = gen_random_umps(n, 1, Fraction(1, 2), seed, max_length=1 + seed % 2)
+    edges = base.dag.edges
+    delays = dict(zip(edges, Stream(seed, "delays").randints(0, 3, len(edges))))
+    return CommDelayInstance(n_total=n, lengths=dict(base.lengths), delays=delays,
+                             dag=base.dag, machines=machines)
 
 
 def make_sample8() -> UmpsInstance:

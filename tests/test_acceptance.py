@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import random_delays
 from oracle import (
     oracle_commdelay_optimum,
     oracle_partial_load,
@@ -347,6 +348,12 @@ def test_criterion_9_oracle_equivalence(report):
                                   CommDelayInstance(n_total=n, lengths=dict(base.lengths),
                                                     delays={e: c for e in base.dag.edges},
                                                     dag=base.dag, machines=machines)))
+    # random delays 0-3 on every edge, the paper's own problem
+    for n in (3, 4, 5, 6):
+        for machines in (None, 2, 3):
+            for seed in range(4):
+                cases.append((solve_commdelay_exact, oracle_commdelay_optimum,
+                              random_delays(n, seed, machines)))
     for n, m in ((2, 2), (3, 2), (3, 3)):
         for seed in range(3):
             cases.append((solve_commdelay_exact, oracle_commdelay_optimum,

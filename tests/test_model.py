@@ -188,6 +188,14 @@ def test_generated_reduced_and_read_back_dags_share_their_edges():
     assert back == a and all(x is y for x, y in zip(back.dag.edges, a.dag.edges))
 
 
+def test_a_read_back_delay_instance_keys_its_delays_by_its_dag_edges():
+    inst = umps_to_commdelay(gen_random_umps(24, 2, Fraction(1, 3), 1)).output
+    back = from_obj(json.loads(dump_canonical(to_obj(inst))))
+    held = {e: e for e in back.delays}
+    assert back == inst and len(held) == len(back.dag.edges) == 119
+    assert all(held[e] is e for e in back.dag.edges)
+
+
 def test_a_dag_past_the_shared_bound_or_with_a_backward_edge_keeps_its_own_tuples():
     shared = PrecedenceDag(3, [(1, 2), (2, 3)]).edges
     for n, edges in ((129, [[1, 2], [2, 129]]), (3, [[1, 2], [3, 2]])):

@@ -32,7 +32,7 @@ from schedreduce import (
 )
 from schedreduce import model, solvers
 from schedreduce.serialize import dump_canonical, to_obj
-from conftest import SAMPLE8, make_sample8
+from conftest import SAMPLE8, make_sample8, random_delays
 from oracle import (
     oracle_commdelay_optimum,
     oracle_no_property,
@@ -618,6 +618,26 @@ def test_exact_solvers_match_pinned_uncapped_outputs():
         digest.update(pinned_text(result.schedule).encode())
     assert digest.hexdigest() == (
         "2390d5df61a038cf3e4b682b6e405dcd2b73c46a93d917bc703e01ee4263b813")
+
+
+def test_delay_search_on_random_delays_matches_pinned_digest():
+    # the paper's own problem, random delays 0-3 on every edge: one sha256
+    # over every call's optimum, proof flag, state count and canonical
+    # schedule JSON, under caps from none to more than any search takes
+    digest, calls = hashlib.sha256(), 0
+    for n in range(3, 9):
+        for machines in (None, 2, 3):
+            for seed in range(4):
+                inst = random_delays(n, seed, machines)
+                for cap in (0, 1, 7, 200, 10**6):
+                    result = solve_commdelay_exact(inst, SolveLimits(max_jobs=12, max_states=cap))
+                    digest.update(f"{result.optimum} {result.proven_optimal} "
+                                  f"{result.states_explored}\n".encode())
+                    digest.update(pinned_text(result.schedule).encode())
+                    calls += 1
+    assert calls == 360
+    assert digest.hexdigest() == (
+        "4989c559aeba0e81e27b1fce610a3c9369250a37238ec433c87af953c5086ebe")
 
 
 def _assert_pinned(result, optimum, proven, states, digest):
