@@ -53,6 +53,7 @@ from .model import (
 )
 from .reductions import (
     CommDelayReductionArtifact,
+    JobShopReductionArtifact,
     KPartiteYesCertificate,
     RelatedReductionArtifact,
     backward_map_commdelay,

@@ -61,7 +61,6 @@ from .reductions import (
     materialize_related,
     umps_to_commdelay,
     umps_to_related,
-    validate_certificate,
 )
 from .rounding import canonicalize, extract_integral, strip_misplaced
 from .serialize import (
@@ -265,29 +264,21 @@ def cmd_reduce(args) -> int:
         if not isinstance(inst, UmpsInstance):
             raise UsageError("commdelay reduction needs a umps instance")
         art = umps_to_commdelay(inst)
-        write_file(args.out, art.output)
-        write_file(sidecar_path(args.out), art)
     elif args.reduction == "related":
         if not isinstance(inst, UmpsInstance):
             raise UsageError("related reduction needs a umps instance")
         art = umps_to_related(inst, kappa_override=args.kappa_override)
-        write_file(args.out, art.output)
-        write_file(sidecar_path(args.out), art)
     elif args.reduction == "umps":
-        if isinstance(inst, JobShopInstance):
-            out, origin = jobshop_to_umps(inst)
-            write_file(args.out, out)
-            side = {
-                "kind": "jobshop_origin",
-                "origin": {str(j): list(src) for j, src in origin.items()},
-            }
-            Path(sidecar_path(args.out)).write_text(dump_canonical(side), encoding="utf-8")
-        elif isinstance(inst, KPartiteInstance):
+        if isinstance(inst, KPartiteInstance):  # no artifact, so no sidecar
             write_file(args.out, kpartite_to_umps(inst))
-        else:
+            return 0
+        if not isinstance(inst, JobShopInstance):
             raise UsageError("umps reduction needs a jobshop or kpartite instance")
+        art = jobshop_to_umps(inst)
     else:
         raise UsageError(f"unknown reduction {args.reduction!r}")
+    write_file(args.out, art.output)
+    write_file(sidecar_path(args.out), art)
     return 0
 
 
@@ -398,7 +389,6 @@ def _roundtrip_row(inst, in_path, mode, lim, kappa_override=None):
             cert = read_file(side)
             if not isinstance(cert, KPartiteYesCertificate):
                 raise ValueError(f"{side}: not a kpartite_certificate")
-            validate_certificate(inst, cert)
             sched = kpartite_yes_schedule(inst, cert)
             reduced = kpartite_to_umps(inst)
             report = validate_umps(reduced, sched)

@@ -1,8 +1,8 @@
 """Makespan-preserving reductions between the scheduling models.
 
-Each reduction returns an artifact holding the output instance together
-with the origin bookkeeping needed to translate schedules in both
-directions, so a backward map never has to re-derive anything.
+Each reduction returns an artifact: its input, its output instance and
+what the schedule maps read of the construction.  An artifact file holds
+only the input, and reading one runs the reduction again.
 
 The two headline constructions:
 
@@ -63,15 +63,13 @@ MATERIALIZE_JOB_CAP = 10**6
 class CommDelayReductionArtifact:
     """Output instance plus the bookkeeping for both schedule maps.
 
-    ``origin`` maps every non-anchor output job to its input job (here the
-    identity on 1..n); ``dummy_ids`` lists the anchor job of each machine
-    in machine order.
+    Output jobs 1..n are the input jobs; ``dummy_ids`` lists the anchor
+    job of each machine in machine order.
     """
 
     output: CommDelayInstance
     c_infinity: int
     dummy_ids: tuple
-    origin: dict
     source: UmpsInstance
 
 
@@ -97,13 +95,8 @@ def umps_to_commdelay(inst: UmpsInstance) -> CommDelayReductionArtifact:
         dag=dag,
         machines=None,
     )
-    return CommDelayReductionArtifact(
-        output=output,
-        c_infinity=c_inf,
-        dummy_ids=dummy_ids,
-        origin={l: l for l in range(1, inst.n + 1)},
-        source=inst,
-    )
+    return CommDelayReductionArtifact(output=output, c_infinity=c_inf, dummy_ids=dummy_ids,
+                                      source=inst)
 
 
 def forward_map_commdelay(art: CommDelayReductionArtifact, sched: Schedule) -> Schedule:
@@ -154,34 +147,36 @@ def backward_map_commdelay(art: CommDelayReductionArtifact, sched: Schedule) -> 
 # job shop -> fixed-home jobs
 
 
-def jobshop_to_umps(js: JobShopInstance):
+@dataclass(frozen=True)
+class JobShopReductionArtifact:
+    """The fixed-home instance of a job shop, numbered job-major."""
+
+    output: UmpsInstance
+    source: JobShopInstance
+
+
+def jobshop_to_umps(js: JobShopInstance) -> JobShopReductionArtifact:
     """One job per operation, chained per input job.
 
-    Returns ``(instance, origin)`` where ``origin`` maps each new job to
-    its (job index, operation index), both 1-based.  The precedence graph
-    is a disjoint union of chains: every node has in- and out-degree at
-    most 1.
+    Jobs are numbered job-major: operation o of input job j (both
+    1-based) becomes job o plus the operation count of jobs 1..j-1, homed
+    on the operation's machine with its duration as length.  The
+    precedence graph is a disjoint union of chains, one per input job:
+    every node has in- and out-degree at most 1.
     """
-    lengths, home, edges, origin = {}, {}, [], {}
-    idx = 0
-    for j, chain in enumerate(js.jobs, start=1):
-        prev = None
-        for o, (machine, dur) in enumerate(chain, start=1):
-            idx += 1
-            lengths[idx] = dur
-            home[idx] = machine
-            origin[idx] = (j, o)
-            if prev is not None:
-                edges.append((prev, idx))
-            prev = idx
-    inst = UmpsInstance(
-        n=idx,
+    ops = dict(enumerate((op for chain in js.jobs for op in chain), start=1))
+    edges, first = [], 1
+    for chain in js.jobs:
+        edges += [(l, l + 1) for l in range(first, first + len(chain) - 1)]
+        first += len(chain)
+    output = UmpsInstance(
+        n=len(ops),
         m=js.machine_count,
-        lengths=lengths,
-        home=home,
-        dag=PrecedenceDag(node_count=idx, edges=tuple(edges)),
+        lengths={l: dur for l, (_, dur) in ops.items()},
+        home={l: machine for l, (machine, _) in ops.items()},
+        dag=PrecedenceDag(node_count=len(ops), edges=tuple(edges)),
     )
-    return inst, origin
+    return JobShopReductionArtifact(output=output, source=js)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +187,7 @@ def jobshop_to_umps(js: JobShopInstance):
 class RelatedReductionArtifact:
     """Grouped output plus the kappa bookkeeping.
 
+    Job group l is input job l and machine group i is input machine i.
     ``kappa_meets_bound`` records whether kappa >= 10 n^3 m, the
     precondition of the misplaced-fraction argument; overriding kappa
     below that keeps the construction well-defined but voids the bound.
@@ -199,8 +195,6 @@ class RelatedReductionArtifact:
 
     output: GroupedRelatedInstance
     kappa: int
-    origin: dict             # job group -> input job
-    machine_group_of: dict   # input machine -> machine group
     kappa_meets_bound: bool
     source: UmpsInstance
 
@@ -231,14 +225,8 @@ def umps_to_related(inst: UmpsInstance, kappa_override: int = None) -> RelatedRe
                        for l, mg in enumerate(homes, start=1))
     output = GroupedRelatedInstance(
         job_groups=job_groups, machine_groups=machine_groups, group_dag=inst.dag)
-    return RelatedReductionArtifact(
-        output=output,
-        kappa=kappa,
-        origin={l: l for l in range(1, inst.n + 1)},
-        machine_group_of={i: i for i in range(1, inst.m + 1)},
-        kappa_meets_bound=kappa >= default_kappa,
-        source=inst,
-    )
+    return RelatedReductionArtifact(output=output, kappa=kappa,
+                                    kappa_meets_bound=kappa >= default_kappa, source=inst)
 
 
 def forward_map_related(art: RelatedReductionArtifact, sched: Schedule) -> GroupedSchedule:
@@ -248,10 +236,10 @@ def forward_map_related(art: RelatedReductionArtifact, sched: Schedule) -> Group
     report = validate_umps(art.source, sched)
     if not report.feasible:
         raise InfeasibleInput(f"input schedule infeasible: {report.violations[0]}")
-    rows, home, machine_group_of = sched._rows, art.source.home, art.machine_group_of
+    rows, home = sched._rows, art.source.home
     groups = art.output.job_groups
     return GroupedSchedule._of_rows(tuple(
-        (l, machine_group_of[home[l]], rows[l][1], rows[l][2], groups[l - 1].multiplicity)
+        (l, home[l], rows[l][1], rows[l][2], groups[l - 1].multiplicity)
         for l in range(1, art.source.n + 1)), sched._scale)
 
 

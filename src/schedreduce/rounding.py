@@ -216,15 +216,14 @@ def strip_misplaced(art, gs) -> FractionalSchedule:
     units = {}
     placed_home = {l: 0 for l in range(1, n + 1)}
     scale = gs._scale  # the placements' times are ints in units of 1/scale
-    for group, machine_group, start, end, count in gs._rows:
-        job = art.origin[group]
-        if machine_group != art.machine_group_of[source.home[job]]:
+    for job, machine_group, start, end, count in gs._rows:  # job group l is job l
+        if machine_group != source.home[job]:
             continue  # off-home member: deleted
         if start % scale or end != start + scale:
-            raise InfeasibleInput(f"home placement of group {group} at "
+            raise InfeasibleInput(f"home placement of group {job} at "
                                   f"{Fraction(start, scale)} is not slot-aligned")
         key = (job, start // scale + 1)
-        units[key] = units.get(key, 0) + count * (unit // groups[group - 1].multiplicity)
+        units[key] = units.get(key, 0) + count * (unit // groups[job - 1].multiplicity)
         placed_home[job] += count
 
     if art.kappa_meets_bound:

@@ -33,11 +33,12 @@ so a text read again costs one dict lookup, and the key lists of maps
 (``_KEYS``), each checked once to be canonical integers.  None changes a
 value read or an error raised.
 
-Reduction artifacts and certificates are written the same way, as
-self-contained sidecar files (source and output instances embedded; an
-embedded object of another kind is a ``TypeError``).  No command reads a
-reduction artifact back (``roundtrip`` recomputes the reduction); the
-k-partite certificate is the one sidecar that is read.
+Reduction artifacts and certificates are sidecar files.  An artifact
+holds only its reduction's input (the embedded source, and ``kappa`` for
+the related reduction), and reading one runs the reduction again; an
+embedded object of another kind is a ``TypeError``.  No command reads an
+artifact back (``roundtrip`` recomputes the reduction); the k-partite
+certificate is the one sidecar that is read.
 """
 
 from __future__ import annotations
@@ -68,8 +69,12 @@ from .model import (
 )
 from .reductions import (
     CommDelayReductionArtifact,
+    JobShopReductionArtifact,
     KPartiteYesCertificate,
     RelatedReductionArtifact,
+    jobshop_to_umps,
+    umps_to_commdelay,
+    umps_to_related,
 )
 from .rounding import FractionalSchedule
 
@@ -178,12 +183,6 @@ def _int_keys(obj) -> tuple:
     return _KEYS[tuple(obj)] if type(obj) is dict else _read_int_keys(obj)
 
 
-def _bool(value) -> bool:
-    if type(value) is not bool:
-        raise TypeError(f"{value!r} is not a boolean")
-    return value
-
-
 def _list_of(codec):
     encode, decode = codec
     return (lambda values: [encode(v) for v in values],
@@ -198,6 +197,13 @@ def _record(cls, fields):
 def _kind(cls, fields):
     """A kind whose class ``cls`` is written and read field by field."""
     return cls, _record(cls, fields)
+
+
+def _reduction(cls, fields, reduce):
+    """A reduction artifact ``cls``, written as the input ``fields`` of
+    its reduction and read by running ``reduce`` on them again."""
+    return cls, (lambda value: _encode(value, fields),
+                 lambda obj: reduce(*(decode(obj[name]) for name, (_, decode) in fields.items())))
 
 
 def _encode(value, fields) -> dict:
@@ -265,7 +271,6 @@ def _read_grouped(obj) -> GroupedSchedule:
 
 
 _INT = (_same, _int)
-_BOOL = (_same, _bool)
 _OPT_INT = (_same, lambda value: None if value is None else _int(value))
 _INT_MAP = (lambda d: {str(k): v for k, v in d.items()},
             lambda d: dict(zip(_int_keys(d), _ints(d.values()))))
@@ -308,13 +313,12 @@ FORMATS = {  # kind -> (class, (encode, decode) of its fields)
     "schedule": (Schedule, (_write_schedule, _read_schedule)),
     "fractional": _kind(FractionalSchedule, {
         "horizon": _INT, "gamma": _FRAC, "mass": _MASS, "umps_ref": _obj(UmpsInstance)}),
-    "commdelay_artifact": _kind(CommDelayReductionArtifact, {
-        "c_infinity": _INT, "dummy_ids": (list, lambda ids: tuple(_ints(ids))),
-        "origin": _INT_MAP, "source": _obj(UmpsInstance), "output": _obj(CommDelayInstance)}),
-    "related_artifact": _kind(RelatedReductionArtifact, {
-        "kappa": _INT, "kappa_meets_bound": _BOOL, "origin": _INT_MAP,
-        "machine_group_of": _INT_MAP, "source": _obj(UmpsInstance),
-        "output": _obj(GroupedRelatedInstance)}),
+    "commdelay_artifact": _reduction(CommDelayReductionArtifact, {
+        "source": _obj(UmpsInstance)}, umps_to_commdelay),
+    "related_artifact": _reduction(RelatedReductionArtifact, {
+        "source": _obj(UmpsInstance), "kappa": _INT}, umps_to_related),
+    "jobshop_artifact": _reduction(JobShopReductionArtifact, {
+        "source": _obj(JobShopInstance)}, jobshop_to_umps),
     "kpartite_certificate": _kind(KPartiteYesCertificate, {
         "partition": _list_of(_ROWS)}),
 }
@@ -426,8 +430,10 @@ def read_file(path):
     shape (a missing field, a list where an object belongs, a number that
     is not an integer, a rational such as ``"1/0"`` or ``"a/b"``, a
     precedence cycle) raises ``ValueError`` naming ``path``.  An
-    unreadable file raises ``OSError``, and a well-formed fractional file
-    that breaks one of its properties raises ``PropertyViolated``."""
+    unreadable file raises ``OSError``, a well-formed fractional file
+    that breaks one of its properties raises ``PropertyViolated``, and an
+    artifact whose source its reduction refuses raises that reduction's
+    error (``DegenerateInstance``, ``NonUnitLengths``)."""
     try:
         return from_obj(read_obj(path))
     except (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError,

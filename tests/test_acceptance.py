@@ -215,10 +215,9 @@ def test_criterion_5_related_completeness(report):
                         bad += 1
                 # with the default replication factor the instance is too big
                 # to materialize, but the group identities are checkable
-                art = umps_to_related(inst)
-                out = art.output
+                out = umps_to_related(inst).output
                 for g in out.job_groups:
-                    mg = out.machine_groups[art.machine_group_of[inst.home[g.origin_job]] - 1]
+                    mg = out.machine_groups[inst.home[g.origin_job] - 1]
                     if g.multiplicity != mg.multiplicity or F(g.length, mg.speed) != 1:
                         identity_bad += 1
     ok = bad == 0 and identity_bad == 0

@@ -18,7 +18,9 @@ from schedreduce import (
     gen_jobshop,
     gen_kpartite_yes,
     gen_layered_umps,
+    gen_random_umps,
     greedy_umps,
+    jobshop_to_umps,
     kpartite_yes_schedule,
     solve_commdelay_exact,
     solve_umps_exact,
@@ -115,8 +117,9 @@ def test_reduce_commdelay_writes_sidecar(tmp_path, sample8_file):
     obj = read_obj(out)
     assert obj["kind"] == "commdelay" and obj["n_total"] == 11
     side = read_obj(sidecar_path(out))
-    assert side["c_infinity"] == 64
+    assert sorted(side) == ["kind", "source"] and side["kind"] == "commdelay_artifact"
     assert side["source"]["kind"] == "umps"
+    assert read_file(sidecar_path(out)).c_infinity == 64
 
 
 def test_reduce_related_with_override(tmp_path, sample8_file):
@@ -125,7 +128,8 @@ def test_reduce_related_with_override(tmp_path, sample8_file):
                "--kappa-override", "2", "--out", out) == 0
     assert read_obj(out)["kind"] == "related_grouped"
     side = read_obj(sidecar_path(out))
-    assert side["kappa"] == 2 and side["kappa_meets_bound"] is False
+    assert sorted(side) == ["kappa", "kind", "source"] and side["kind"] == "related_artifact"
+    assert side["kappa"] == 2 and not read_file(sidecar_path(out)).kappa_meets_bound
 
 
 def test_reduce_jobshop_and_kpartite_to_umps(tmp_path):
@@ -135,9 +139,48 @@ def test_reduce_jobshop_and_kpartite_to_umps(tmp_path):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     assert run("reduce", js, "--reduction", "umps", "--out", a) == 0
     assert read_file(a).n == 6  # one job per operation
-    assert read_obj(sidecar_path(a))["kind"] == "jobshop_origin"
+    side = read_obj(sidecar_path(a))
+    assert sorted(side) == ["kind", "source"] and side["kind"] == "jobshop_artifact"
     assert run("reduce", yes, "--reduction", "umps", "--out", b) == 0
     assert read_file(b).n == 8  # n*k vertices become jobs
+    assert not Path(sidecar_path(b)).exists()  # a k-partite reduction has no artifact
+
+
+UNIT6 = gen_random_umps(6, 2, Fraction(1, 3), 1)
+WEIGHTED6 = gen_random_umps(6, 2, Fraction(1, 3), 1, max_length=3)
+JOBSHOP = gen_jobshop(3, 2, 3, seed=4)
+ARTIFACT_CASES = {  # case -> (reduce input, --reduction and its options, the library's artifact)
+    "commdelay-unit": (UNIT6, ["commdelay"], umps_to_commdelay(UNIT6)),
+    "commdelay-weighted": (WEIGHTED6, ["commdelay"], umps_to_commdelay(WEIGHTED6)),
+    "related-kappa2": (UNIT6, ["related", "--kappa-override", "2"],
+                       umps_to_related(UNIT6, kappa_override=2)),
+    "related-default": (UNIT6, ["related"], umps_to_related(UNIT6)),
+    "jobshop": (JOBSHOP, ["umps"], jobshop_to_umps(JOBSHOP)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARTIFACT_CASES))
+def test_every_artifact_kind_round_trips_through_a_file(tmp_path, case):
+    inst, options, art = ARTIFACT_CASES[case]
+    p = tmp_path / "art.json"
+    write_file(p, art)
+    assert read_file(p) == art
+    inputs = ["kappa", "kind", "source"] if case.startswith("related") else ["kind", "source"]
+    assert sorted(read_obj(p)) == inputs
+    src, out = str(tmp_path / "in.json"), str(tmp_path / "out.json")
+    write_file(src, inst)
+    assert run("reduce", src, "--reduction", *options, "--out", out) == 0
+    assert read_file(sidecar_path(out)) == art and read_file(out) == art.output
+    if case == "jobshop":
+        # job-major: operation o of input job j is job o plus the operation
+        # count of jobs 1..j-1, and each input job is one chain
+        ops = [op for chain in inst.jobs for op in chain]
+        assert art.output.home == {l: machine for l, (machine, _) in enumerate(ops, 1)}
+        assert art.output.lengths == {l: length for l, (_, length) in enumerate(ops, 1)}
+        firsts = [1 + sum(map(len, inst.jobs[:j])) for j in range(len(inst.jobs))]
+        assert set(art.output.dag.edges) == {
+            (first + o, first + o + 1)
+            for first, chain in zip(firsts, inst.jobs) for o in range(len(chain) - 1)}
 
 
 def test_reduce_wrong_kind_is_usage_error(tmp_path):
@@ -395,8 +438,6 @@ STRICT_INT_CASES = {
     "bool-home": _with(UMPS3, ("home", "3"), True),
     "str-delay": _with(COMMDELAY2, ("delays", 0), [1, 2, "3"]),
     "str-operation": json.dumps({"kind": "jobshop", "jobs": [[["1", "2"]]]}),
-    "int-kappa-flag": _with(to_obj(umps_to_related(make_sample8(), kappa_override=2)),
-                            ("kappa_meets_bound",), 1),
     # map keys other than canonical decimal integers, which int() would read
     # as another spelling of a job number ("01" and "+1" as 1, "1_0" as 10)
     "zero-padded-length-key": _with(UMPS3, ("lengths", "01"), 7),
@@ -536,8 +577,8 @@ def _at(obj, path):
 
 
 FUZZ_KINDS = ["umps", "schedule", "commdelay", "commdelay_artifact", "related_grouped",
-              "grouped_schedule", "related_artifact", "fractional", "jobshop", "kpartite",
-              "kpartite_certificate"]
+              "grouped_schedule", "related_artifact", "fractional", "jobshop",
+              "jobshop_artifact", "kpartite", "kpartite_certificate"]
 
 
 def test_fuzzer_covers_every_kind_in_the_codec_table():
@@ -560,6 +601,7 @@ def test_mutated_files_exit_cleanly(tmp_path, sample8, kind):
         "related_artifact": lambda: to_obj(related),
         "fractional": lambda: _fractional_obj(sample8),
         "jobshop": lambda: to_obj(gen_jobshop(3, 2, 3, seed=4)),
+        "jobshop_artifact": lambda: to_obj(jobshop_to_umps(gen_jobshop(3, 2, 3, seed=4))),
         "kpartite": lambda: to_obj(kpartite),
         "kpartite_certificate": lambda: to_obj(cert),
     }[kind]()

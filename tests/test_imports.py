@@ -206,3 +206,41 @@ def test_own_value_rules_finds_isinstance_and_int_calls():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_constructors_check_values_only_through_the_model_rule(path):
     assert own_value_rules(path.read_text(encoding="utf-8")) == []
+
+
+# the one writer of domain objects and the one writer of gap tables
+WRITE_TEXT_ALLOWED = {"serialize.write_file", "cli._write_rows"}
+
+
+def write_text_callers(module: str, source: str) -> list:
+    """``module.function``, sorted, for each module-level function or
+    method (as ``module.Class.method``) of ``source`` that calls
+    ``.write_text``, nested functions included in their outer one."""
+    out = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            funcs = [(f"{node.name}.{f.name}", f) for f in node.body
+                     if isinstance(f, ast.FunctionDef)]
+        elif isinstance(node, ast.FunctionDef):
+            funcs = [(node.name, node)]
+        else:
+            funcs = [("<module>", node)]
+        for name, func in funcs:
+            if any(isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                   and call.func.attr == "write_text" for call in ast.walk(func)):
+                out.add(f"{module}.{name}")
+    return sorted(out)
+
+
+def test_write_text_callers_finds_functions_methods_and_module_code():
+    source = ("def f(p):\n    p.write_text('x')\ndef g(p):\n    def h():\n"
+              "        Path(p).write_text('y')\nclass C:\n    def m(self):\n"
+              "        self.p.write_text('z')\n    def n(self):\n        pass\n"
+              "Path('a').write_text('b')\ndef k(p):\n    return p.read_text()\n")
+    assert write_text_callers("mod", source) == ["mod.<module>", "mod.C.m", "mod.f", "mod.g"]
+
+
+def test_only_the_two_writers_call_write_text():
+    callers = [caller for path in MODULES
+               for caller in write_text_callers(path.stem, path.read_text(encoding="utf-8"))]
+    assert sorted(callers) == sorted(WRITE_TEXT_ALLOWED)

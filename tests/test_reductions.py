@@ -127,7 +127,6 @@ def test_backward_map_reports_split_groups(sample8):
         output=art.output,
         c_infinity=10**6,
         dummy_ids=art.dummy_ids,
-        origin=art.origin,
         source=art.source,
     )
     entries = {}
@@ -160,10 +159,12 @@ def test_backward_of_forward_identity_on_random_instances(inst):
 
 def test_jobshop_embedding_one_job_per_operation():
     js = gen_jobshop(2, 2, 2, seed=3)
-    inst, origin = jobshop_to_umps(js)
+    art = jobshop_to_umps(js)
+    inst = art.output
+    assert art.source == js
     assert inst.n == 4  # one job per operation
-    assert len(inst.dag.edges) == 2  # one chain edge per job
-    assert origin == {1: (1, 1), 2: (1, 2), 3: (2, 1), 4: (2, 2)}
+    # job-major: input job 1 is jobs 1 and 2, input job 2 is jobs 3 and 4
+    assert inst.dag.edges == ((1, 2), (3, 4))
     # chains: every node has in- and out-degree at most 1
     outdegree = [u for u, _ in inst.dag.edges]
     indegree = [v for _, v in inst.dag.edges]
@@ -172,7 +173,7 @@ def test_jobshop_embedding_one_job_per_operation():
 
 def test_jobshop_single_operation():
     js = gen_jobshop(1, 1, 1, seed=0)
-    inst, _ = jobshop_to_umps(js)
+    inst = jobshop_to_umps(js).output
     assert inst.n == 1 and inst.dag.edges == ()
 
 
@@ -180,12 +181,15 @@ def test_jobshop_single_operation():
 @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 4), st.integers(0, 99))
 def test_jobshop_embedding_preserves_durations(jobs, machines, ops, seed):
     js = gen_jobshop(jobs, machines, ops, seed)
-    inst, origin = jobshop_to_umps(js)
+    inst = jobshop_to_umps(js).output
     assert inst.n == sum(len(chain) for chain in js.jobs)
-    for job, (chain_idx, op_idx) in origin.items():
-        machine, duration = js.jobs[chain_idx - 1][op_idx - 1]
-        assert inst.home[job] == machine
-        assert inst.lengths[job] == duration
+    # operation o of input job j is job o plus the operation count of jobs 1..j-1
+    before = 0
+    for chain in js.jobs:
+        for o, (machine, duration) in enumerate(chain, start=1):
+            assert inst.home[before + o] == machine
+            assert inst.lengths[before + o] == duration
+        before += len(chain)
 
 
 # ---------------------------------------------------------------------------
@@ -215,24 +219,22 @@ def test_related_reduction_override2_shape(sample8):
     assert art.kappa == 2 and not art.kappa_meets_bound
     out = art.output
     for g, group in enumerate(out.job_groups, start=1):
-        home = SAMPLE8["home"][art.origin[g]]
+        home = SAMPLE8["home"][g]
         mult, length = SAMPLE8["override2_job_groups"][home]
         assert (group.multiplicity, group.length) == (mult, length)
     assert tuple(
         (mg.multiplicity, mg.speed) for mg in out.machine_groups
     ) == SAMPLE8["override2_machine_groups"]
-    # group dag mirrors the input dag through the origin map
-    relabeled = {(art.origin[u], art.origin[v]) for u, v in out.group_dag.edges}
-    assert relabeled == set(SAMPLE8["edges"])
+    # job group l is input job l, so the group dag is the input dag
+    assert set(out.group_dag.edges) == set(SAMPLE8["edges"])
 
 
 def test_related_symbolic_identities_at_true_kappa(sample8):
     # each job group is exactly as numerous as its home machine group,
     # and runs at normalized duration 1 there
-    art = umps_to_related(sample8)
-    out = art.output
+    out = umps_to_related(sample8).output
     for g, group in enumerate(out.job_groups, start=1):
-        mg = out.machine_groups[art.machine_group_of[SAMPLE8["home"][art.origin[g]]] - 1]
+        mg = out.machine_groups[SAMPLE8["home"][g] - 1]
         assert group.multiplicity == mg.multiplicity
         assert Fraction(group.length, mg.speed) == 1
 

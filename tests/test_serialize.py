@@ -12,11 +12,16 @@ from schedreduce import (
     GroupedPlacement,
     GroupedSchedule,
     Schedule,
+    backward_map_commdelay,
+    forward_map_commdelay,
+    forward_map_related,
     gen_fractional,
     gen_jobshop,
     gen_kpartite_yes,
     gen_random_umps,
+    jobshop_to_umps,
     solve_umps_exact,
+    strip_misplaced,
     umps_to_commdelay,
     umps_to_related,
 )
@@ -180,6 +185,7 @@ def _pinned_values(sample8):
                                      F(1, 160), F(1, 2), seed=6),
         "commdelay_artifact": umps_to_commdelay(sample8),
         "related_artifact": umps_to_related(sample8, kappa_override=2),
+        "jobshop_artifact": jobshop_to_umps(gen_jobshop(3, 2, 3, seed=4)),
     }
 
 
@@ -197,8 +203,9 @@ PINNED_SHA256 = {
     "schedule": "236eb87773fe558006cf9494595112ce7eb5eb80ad01280f5cb0e2422689bf33",
     "grouped_schedule": "359b1f3029dfc28b27d04f0f43713f6439992ba6de54f0d43b531c9db349c25e",
     "fractional": "7010241a9798cf69c0356ddf8a83a1e13e36dc3738baba4ee858d84464e82652",
-    "commdelay_artifact": "4301a24203a2dceb2aa46fc4010ac4771dd903f65ab31f4f860a758e2ba895a2",
-    "related_artifact": "0aba9fd3a1ab1044dc9659a02f6ee7bfe12e2530893217b3b1c05e6d9a69c33e",
+    "commdelay_artifact": "5d5b232d6731468d5870cd1d7023967bb94b2d0f5d9ce73328f91b01046de78b",
+    "related_artifact": "2c4506fb162d0c2fbcea2ececef1e3b2106402010d9aa83b0a673b221a8fb7e1",
+    "jobshop_artifact": "c26c5095f2a6cfe8eb80e2b7ceaff19e9a6ed4527f455b70334552ef697e6ca2",
 }
 
 
@@ -305,7 +312,49 @@ def test_artifact_file_round_trip(tmp_path, sample8):
     p = tmp_path / "art.json"
     write_file(p, art)
     assert read_file(p) == art
-    assert read_obj(p)["c_infinity"] == 64
+    # the file holds the reduction's input; the threshold is rebuilt on reading
+    assert sorted(read_obj(p)) == ["kind", "source"]
+    assert read_file(p).c_infinity == 64
+
+
+def _old_layout_sidecars():
+    """Two artifact files in the layout of earlier versions, which also
+    wrote what the reduction derives, for ``gen_random_umps(6, 2, 1/3,
+    1)``, each edited to contradict itself: the commdelay one names jobs 1
+    and 2 as the anchors, and the related one (kappa = 2) claims that kappa
+    meets its bound and swaps the two machine groups."""
+    inst = gen_random_umps(6, 2, F(1, 3), 1)
+    identity = {str(l): l for l in range(1, inst.n + 1)}
+    commdelay, related = umps_to_commdelay(inst), umps_to_related(inst, kappa_override=2)
+    return inst, {
+        "commdelay": {"kind": "commdelay_artifact", "c_infinity": commdelay.c_infinity,
+                      "dummy_ids": [1, 2], "origin": identity, "source": to_obj(inst),
+                      "output": to_obj(commdelay.output)},
+        "related": {"kind": "related_artifact", "kappa": 2, "kappa_meets_bound": True,
+                    "origin": identity, "machine_group_of": {"1": 2, "2": 1},
+                    "source": to_obj(inst), "output": to_obj(related.output)},
+    }
+
+
+@pytest.mark.parametrize("kind", ["commdelay", "related"])
+def test_an_old_layout_sidecar_reads_to_the_reduction_of_its_source(tmp_path, kind):
+    inst, files = _old_layout_sidecars()
+    p = tmp_path / "old.sidecar.json"
+    p.write_text(json.dumps(files[kind]))
+    art = read_file(p)
+    sched = solve_umps_exact(inst).schedule
+    if kind == "commdelay":
+        fresh = umps_to_commdelay(inst)
+        assert art == fresh and art.dummy_ids == (7, 8)
+        fwd = forward_map_commdelay(art, sched)
+        assert fwd == forward_map_commdelay(fresh, sched)
+        assert backward_map_commdelay(art, fwd) == backward_map_commdelay(fresh, fwd) == sched
+    else:
+        fresh = umps_to_related(inst, kappa_override=2)
+        assert art == fresh and not art.kappa_meets_bound
+        grouped = forward_map_related(art, sched)
+        assert grouped == forward_map_related(fresh, sched)
+        assert strip_misplaced(art, grouped) == strip_misplaced(fresh, grouped)
 
 
 def test_sidecar_path_suffix():
@@ -314,12 +363,9 @@ def test_sidecar_path_suffix():
 
 @pytest.mark.parametrize("make, field, put, message", [
     (umps_to_commdelay, "source", "schedule", "a Schedule where a UmpsInstance belongs"),
-    (umps_to_commdelay, "output", "umps", "a UmpsInstance where a CommDelayInstance belongs"),
-    (lambda inst: umps_to_related(inst, kappa_override=2), "output", "commdelay",
-     "a CommDelayInstance where a GroupedRelatedInstance belongs"),
     (lambda inst: gen_fractional(inst, solve_umps_exact(inst).schedule, F(1, 640), F(1, 2), 3),
      "umps_ref", "commdelay", "a CommDelayInstance where a UmpsInstance belongs"),
-], ids=["artifact-source", "artifact-output", "related-output", "fractional-umps-ref"])
+], ids=["artifact-source", "fractional-umps-ref"])
 def test_an_embedded_object_of_another_kind_is_named(tmp_path, sample8, make, field, put, message):
     # a commdelay artifact whose source was a schedule used to read
     # without error, a Schedule in its source field
@@ -408,8 +454,7 @@ def test_bad_rational_is_a_value_error_naming_the_file_every_time(tmp_path, bad)
 @pytest.mark.parametrize("key", ["01", "+1", " 1", "1 ", "1_0", "\u0661", "-0", "1.0", ""])
 def test_map_keys_must_be_canonical_integers(sample8, key):
     for obj, field in ((to_obj(sample8), "lengths"), (to_obj(sample8), "home"),
-                       (_schedule_obj([("0", "1")]), "entries"),
-                       (to_obj(umps_to_related(sample8, kappa_override=2)), "origin")):
+                       (_schedule_obj([("0", "1")]), "entries")):
         obj[field][key] = obj[field]["1"]
         with pytest.raises(ValueError):
             from_obj(obj)
