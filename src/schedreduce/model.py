@@ -103,6 +103,29 @@ def _pair_rows(n: int) -> list:
     return _pair_table
 
 
+# Unit time slots are immutable rows too: schedules on up to this many
+# machines and rounds share one tuple per slot (machine, r, r + 1).
+SHARED_SLOTS = 128
+# _slot_table[i][r] is the shared (i, r, r + 1); rows 1.. all have one length
+_slot_table = [None]
+
+
+def _slot_rows(m: int, rounds: int) -> list:
+    """The shared slot rows of machines 1..m and rounds 0..rounds - 1,
+    m and rounds <= ``SHARED_SLOTS``: item ``[i][r]`` is the tuple
+    (i, r, r + 1).  Grown as :func:`_pair_rows` grows its table, so the
+    tuples already handed out stay shared."""
+    global _slot_table
+    width = len(_slot_table[-1] or ())  # every machine's row has this many rounds
+    if len(_slot_table) <= m or width < rounds:
+        width = max(width, rounds)
+        _slot_table = ([None] + [row + [(i, r, r + 1) for r in range(len(row), width)]
+                                 for i, row in enumerate(_slot_table[1:], 1)]
+                       + [[(i, r, r + 1) for r in range(width)]
+                          for i in range(len(_slot_table), m + 1)])
+    return _slot_table
+
+
 _PAIR_KINDS, _TUPLE_KIND, _TWO = frozenset({tuple, list}), frozenset({tuple}), frozenset({2})
 
 

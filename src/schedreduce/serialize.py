@@ -51,7 +51,7 @@ from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 
-from .errors import CycleDetected
+from .errors import CycleDetected, SchedReduceError
 from .model import (
     CommDelayInstance,
     GroupedPlacement,
@@ -430,15 +430,19 @@ def read_file(path):
     shape (a missing field, a list where an object belongs, a number that
     is not an integer, a rational such as ``"1/0"`` or ``"a/b"``, a
     precedence cycle) raises ``ValueError`` naming ``path``.  An
-    unreadable file raises ``OSError``, a well-formed fractional file
+    unreadable file raises ``OSError``.  A well-formed fractional file
     that breaks one of its properties raises ``PropertyViolated``, and an
     artifact whose source its reduction refuses raises that reduction's
-    error (``DegenerateInstance``, ``NonUnitLengths``)."""
+    error (``DegenerateInstance``, ``NonUnitLengths``); either names
+    ``path`` ahead of its own message."""
     try:
         return from_obj(read_obj(path))
     except (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError,
             CycleDetected) as exc:
         raise ValueError(f"{path}: malformed file ({type(exc).__name__}: {exc})") from exc
+    except SchedReduceError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def sidecar_path(out_path) -> str:

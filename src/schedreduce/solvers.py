@@ -57,6 +57,8 @@ its early states shows must pass ``max_states`` before it can finish.
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import math
 import time
@@ -68,11 +70,13 @@ from .model import (
     CommDelayInstance,
     KPartiteInstance,
     RelatedInstance,
+    SHARED_SLOTS,
     Schedule,
     UmpsInstance,
     _INT,
     _REAL,
     _check_types,
+    _slot_rows,
     makespan,
     topological_order,
 )
@@ -592,14 +596,17 @@ def solve_umps_exact(inst: UmpsInstance, lim: SolveLimits = None) -> SolveResult
     lower index runs first); the argument holds from any done mask.
     Layer dominance keeps, of each round, only the masks that lie inside
     no other mask of that round: a superset done by the same round
-    finishes no later.  For any t of one machine's predecessor-free jobs,
-    round t still keeps a mask that holds just those of that machine's
-    jobs, so the count below holds (see ``_solve_umps_unit``).  Past
-    ``lim.max_states`` kept states, checked once per round, it returns the
-    ``greedy_umps`` schedule unproven, and it is not started when a count
-    shows it must get there: with f the most predecessor-free jobs on one
-    machine and L the most jobs on one machine, it keeps at least the sum
-    of C(f, t) over t = 0 .. min(L - 1, f) states before it can finish.
+    finishes no later.  A wide round finds them through a column index
+    over its job bits, a narrow one by scanning the kept masks; both keep
+    the same masks in the same order.  For any t of one machine's
+    predecessor-free jobs, round t still keeps a mask that holds just
+    those of that machine's jobs, so the count below holds (see
+    ``_solve_umps_unit``).  Past ``lim.max_states`` kept states, checked
+    once per round, it returns the ``greedy_umps`` schedule unproven, and
+    it is not started when a count shows it must get there: with f the
+    most predecessor-free jobs on one machine and L the most jobs on one
+    machine, it keeps at least the sum of C(f, t) over
+    t = 0 .. min(L - 1, f) states before it can finish.
     Such a search returns the greedy schedule at once with
     ``states_explored = 0``: no state was explored, and the optimum,
     schedule and proof flag are those the capped search would return.
@@ -607,7 +614,11 @@ def solve_umps_exact(inst: UmpsInstance, lim: SolveLimits = None) -> SolveResult
     jobs, go to the order-search engine; past ``max_jobs`` it returns its
     seed, which with every job pinned is the ``greedy_umps`` schedule.
     Both paths return the same optima; the tests cross-check them against
-    a time-indexed brute-force oracle.
+    a time-indexed brute-force oracle.  The unit path's schedule holds
+    the process-wide shared slot tuples (machine, r, r + 1) of
+    ``model._slot_rows`` on up to ``SHARED_SLOTS`` machines and rounds,
+    and tuples of its own past that; which objects it holds is no part
+    of ``==`` or the codec.
     """
     lim = lim or SolveLimits()
     if inst.unit_lengths and inst.n <= lim.max_jobs:
@@ -683,6 +694,9 @@ def _solve_umps_unit(inst: UmpsInstance, lim: SolveLimits) -> SolveResult:
         if states > lim.max_states or time.monotonic() - t0 > lim.time_budget:
             return capped(states)
 
+    # each job's row (machine, r, r + 1), from the shared slot table
+    # unless the schedule is too wide or too long for it
+    slots = _slot_rows(inst.m, rounds) if max(inst.m, rounds) <= SHARED_SLOTS else None
     entries = {}
     mask, r = full, rounds
     while mask:
@@ -692,7 +706,8 @@ def _solve_umps_unit(inst: UmpsInstance, lim: SolveLimits) -> SolveResult:
         for home in home_mask:  # machine order, as the round's choice
             if chosen & home:
                 j = (chosen & home).bit_length()
-                entries[j] = (inst.home[j], r, r + 1)
+                i = inst.home[j]
+                entries[j] = slots[i][r] if slots else (i, r, r + 1)
         mask = prev
     sched = Schedule._of_rows(entries)
     return SolveResult(
@@ -731,10 +746,11 @@ def _unit_layers(inst: UmpsInstance, home_mask: list, parent: dict):
     - The full mask therefore is kept in round OPT, and in no earlier
       round, since every mask of round r is reached in r rounds.
 
-    A mask can lie only inside a mask with more jobs, so the filter takes
-    the masks by job count, most first, and keeps each one that lies
-    inside none of those kept before it; a layer of one job count keeps
-    every mask.
+    A mask can lie only inside a mask with more jobs, so the filter
+    (:func:`_maximal_masks`, which indexes the kept masks by job bit on
+    wide rounds) takes the masks by job count, most first, and keeps each
+    one that lies inside none of those kept before it; a layer of one job
+    count keeps every mask.
 
     The exchange rule: a ready job j that has predecessors is not run
     while a ready job k on its machine has desc(j) a subset of desc(k),
@@ -832,17 +848,7 @@ def _unit_layers(inst: UmpsInstance, home_mask: list, parent: dict):
                     parent[new] = mask
                     fresh.append(new)
         if len(set(map(int.bit_count, fresh))) > 1:
-            # layer dominance, most jobs first.  The subset test is an
-            # `in` over a map, which scans in C: an any() loop over the
-            # kept masks made the filter over a quarter of the search
-            kept = []
-            for _, same in itertools.groupby(sorted(fresh, key=int.bit_count, reverse=True),
-                                             int.bit_count):
-                if kept:
-                    same = [x for x in same if x not in map(x.__and__, kept)]
-                kept += same
-            kept = set(kept)
-            fresh = [x for x in fresh if x in kept]
+            fresh = _maximal_masks(fresh)
         # the kept masks' ready masks
         grown = {}
         for new in fresh:
@@ -858,6 +864,63 @@ def _unit_layers(inst: UmpsInstance, home_mask: list, parent: dict):
             grown[new] = ready
         layer = grown
         yield layer
+
+
+# a job count whose masks times the masks kept before it reach this many
+# pairs is filtered through the column index; fewer pairs scan faster
+INDEXED_PAIRS = 4096
+
+
+def _maximal_masks(fresh: list) -> list:
+    """The masks of ``fresh``, distinct done masks of one round with more
+    than one job count, that lie inside no other of them, in their order
+    in ``fresh``.
+
+    The masks are taken by job count, most first, and each is kept unless
+    it lies inside a kept mask, which has more jobs.  While a count's
+    masks times the kept masks stay below ``INDEXED_PAIRS``, each is
+    tested against every kept mask by an `in` over a map, which scans in
+    C.  From the first count that reaches it, the round uses a column
+    index (the inverted bitmaps of set-containment joins, after Helmer
+    and Moerkotte, VLDB 1997): for each job bit that varies within the
+    round, the kept masks that hold it, as the bits of one int by kept
+    index.  Every kept mask holds the bits common to the round, so the
+    kept masks that contain x are the AND of the columns of x's varying
+    bits, taken until it reaches 0.
+    """
+    kept, cols, indexed = [], None, 0
+    for _, same in itertools.groupby(sorted(fresh, key=int.bit_count, reverse=True),
+                                     int.bit_count):
+        same = list(same)
+        if cols is None and len(same) * len(kept) < INDEXED_PAIRS:
+            if kept:
+                same = [x for x in same if x not in map(x.__and__, kept)]
+        else:
+            if cols is None:  # column of each varying bit, by its mask
+                cols = collections.defaultdict(int)
+                vary = functools.reduce(int.__or__, fresh) ^ functools.reduce(int.__and__, fresh)
+            for i, y in enumerate(kept[indexed:], indexed):  # index the new kept masks
+                y &= vary
+                while y:
+                    low = y & -y
+                    y ^= low
+                    cols[low] |= 1 << i
+            indexed = len(kept)
+            every = (1 << indexed) - 1
+            out = []
+            for x in same:
+                hit = every
+                x_vary = x & vary
+                while x_vary and hit:
+                    low = x_vary & -x_vary
+                    x_vary ^= low
+                    hit &= cols[low]
+                if not hit:
+                    out.append(x)
+            same = out
+        kept += same
+    kept = set(kept)
+    return [x for x in fresh if x in kept]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ The unit-length reference ``oracle_unit_bfs`` is the completed-set
 breadth-first search of ``solvers._solve_umps_unit`` with no exchange
 rule: every ready job on a machine is a choice at every round.  It counts
 states as the package search does, so the tests can require that the
-rule never adds one.
+rule never adds one.  ``oracle_maximal_masks`` is its layer-dominance
+filter as a scan of every kept mask, where the package indexes the kept
+masks by job bit.
 
 The partial-load oracle sums the rational masses of a fractional
 schedule directly, where ``rounding.partial_load_bound_holds`` sweeps its
@@ -147,6 +149,22 @@ def oracle_unit_bfs(inst, max_states: int) -> SimpleNamespace:
                 queue.append(new)
         if len(depth) > max_states:
             return SimpleNamespace(optimum=None, depth=depth)
+
+
+def oracle_maximal_masks(fresh: list) -> list:
+    """The masks of ``fresh`` (distinct ints) that lie inside no other of
+    them, in their order in ``fresh``: the masks by job count, most
+    first, each kept unless it lies inside a mask kept before it, found
+    by scanning every kept mask.  This is the layer-dominance filter the
+    unit DP ran on every round before its column index."""
+    kept = []
+    for _, same in itertools.groupby(sorted(fresh, key=int.bit_count, reverse=True),
+                                     int.bit_count):
+        if kept:
+            same = [x for x in same if x not in map(x.__and__, kept)]
+        kept += same
+    kept = set(kept)
+    return [x for x in fresh if x in kept]
 
 
 def oracle_commdelay_optimum(inst, machine_cap: int = None) -> int:

@@ -12,6 +12,8 @@ import pytest
 
 from conftest import make_sample8
 from schedreduce import (
+    PrecedenceDag,
+    UmpsInstance,
     cli,
     forward_map_related,
     gen_fractional,
@@ -508,8 +510,8 @@ def test_zero_denominator_is_malformed_but_a_broken_property_is_infeasible(
 # the first mass row of the sample fractional file is [1, 3, "10239/10240"];
 # each case puts ``value`` at index ``at`` of that row
 @pytest.mark.parametrize("at, value, code, message", [
-    (2, "3/2", 1, "infeasible: mass x[1,3] = 3/2 outside [0, 1]"),
-    (2, "-1/2", 1, "infeasible: mass x[1,3] = -1/2 outside [0, 1]"),
+    (2, "3/2", 1, "bad.json: mass x[1,3] = 3/2 outside [0, 1]"),
+    (2, "-1/2", 1, "bad.json: mass x[1,3] = -1/2 outside [0, 1]"),
     (0, True, 2, "bad.json: malformed file (TypeError: True is not an integer)"),
     (2, "1/0", 2, "bad.json: malformed file (ZeroDivisionError: Fraction(1, 0))"),
     (2, 1, 2, "bad.json: malformed file (TypeError: 1 is not a rational string)"),
@@ -522,6 +524,28 @@ def test_malformed_fractional_file_keeps_its_message_and_exit_code(
     (tmp_path / "bad.json").write_text(json.dumps(frac))
     assert run("solve", str(tmp_path / "bad.json"), "--out", str(tmp_path / "o.json")) == code
     assert message in capsys.readouterr().err
+
+
+def _one_job_umps():
+    return UmpsInstance(n=1, m=1, lengths={1: 1}, home={1: 1}, dag=PrecedenceDag(1, ()))
+
+
+# a well-formed file whose content the package refuses: a reduction that
+# refuses the artifact's source, or a fractional schedule off its grid
+@pytest.mark.parametrize("make, message", [
+    (lambda _: {"kind": "commdelay_artifact", "source": to_obj(_one_job_umps())},
+     "need at least 2 jobs for the delay threshold to separate"),
+    (lambda _: {"kind": "related_artifact", "kappa": 2,
+                "source": to_obj(gen_random_umps(4, 2, Fraction(1, 2), 0, max_length=3))},
+     "the related-machines construction needs unit job lengths"),
+    (lambda sample8: {**_fractional_obj(sample8), "gamma": "2"}, "gamma"),
+], ids=["commdelay-one-job-source", "related-weighted-source", "fractional-gamma"])
+def test_a_refused_file_is_infeasible_and_named(tmp_path, sample8, capsys, make, message):
+    bad = tmp_path / "refused.json"
+    bad.write_text(json.dumps(make(sample8)))
+    assert run("solve", str(bad), "--out", str(tmp_path / "o.json")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"infeasible: {bad}: ") and message in err
 
 
 # ---------------------------------------------------------------------------

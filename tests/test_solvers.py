@@ -1,6 +1,8 @@
+import collections
 import dataclasses
 import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,12 +13,15 @@ from schedreduce import (
     CommDelayInstance,
     PrecedenceDag,
     RelatedInstance,
+    Schedule,
     SolveLimits,
     UmpsInstance,
     gen_kpartite_dense,
+    gen_kpartite_yes,
     gen_layered_umps,
     gen_random_umps,
     greedy_umps,
+    kpartite_to_umps,
     list_schedule_commdelay,
     makespan,
     materialize_related,
@@ -35,6 +40,7 @@ from schedreduce.serialize import dump_canonical, to_obj
 from conftest import SAMPLE8, make_sample8, random_delays
 from oracle import (
     oracle_commdelay_optimum,
+    oracle_maximal_masks,
     oracle_no_property,
     oracle_related_optimum,
     oracle_umps_optimum,
@@ -695,6 +701,15 @@ UNIT_PINNED = [
                  "7", False, 0,
                  "8551d6318883129248c49c9d157bafae5cc641db774f0056cbfe97181f20c1e5",
                  id="sample8-capped"),
+    # the paper's own family: their wide rounds go through the column index
+    pytest.param(lambda: kpartite_to_umps(gen_kpartite_yes(12, 4, 1)[0]), UNIT_LIMITS,
+                 "18", True, 9382,
+                 "93e498c7f50a897f5a2f590b0e404df9454eb3f631bf3ef7cd66ddfef634fed1",
+                 id="kpartite-yes-12-4-1"),
+    pytest.param(lambda: kpartite_to_umps(gen_kpartite_yes(12, 4, 2)[0]), UNIT_LIMITS,
+                 "18", True, 13999,
+                 "e90a044040d0fca8de579206847a96acce9ebc2a3b620371545948df75b2d4ec",
+                 id="kpartite-yes-12-4-2"),
 ]
 
 
@@ -770,6 +785,102 @@ def test_unit_dp_agrees_with_the_rule_free_search(inst):
         for t, layer in enumerate(layers):
             assert all(reference.depth[x] <= t for x in layer)
             assert not any(x != y and x & y == x for x in layer for y in layer)
+
+
+def _mask_family(family, indexed, rnd):
+    """Distinct done masks of one shape, shuffled: few enough that every
+    job count stays below ``solvers.INDEXED_PAIRS`` pairs, or, when
+    ``indexed``, enough that some count reaches it."""
+    n = rnd.randint(16, 40) if indexed else rnd.randint(4, 70)
+    if family == "nested-chains":  # each chain the prefixes of a job order
+        masks = set()
+        for _ in range(300 if indexed else 3):
+            mask = 0
+            for b in rnd.sample(range(n), rnd.randint(n // 4, n // 2)):
+                mask |= 1 << b
+                masks.add(mask)
+    elif family == "equal-counts":  # many masks of each of a few job counts
+        counts = rnd.sample(range(1, n), 3 if indexed else rnd.randint(1, 3))
+        masks = {sum(1 << b for b in rnd.sample(range(n), rnd.choice(counts)))
+                 for _ in range(900 if indexed else 12)}
+    else:  # one core common to every mask, the core itself among them
+        core = sum(1 << b for b in rnd.sample(range(n), n // 4))
+        masks = {core} | {core | rnd.getrandbits(n) & rnd.getrandbits(n)
+                          for _ in range(1000 if indexed else 20)}
+    masks = list(masks)
+    rnd.shuffle(masks)
+    return masks
+
+
+def _reaches_the_index(fresh, kept):
+    """Whether some job count of ``fresh`` times the ``kept`` masks with
+    more jobs reaches ``solvers.INDEXED_PAIRS``."""
+    size = collections.Counter(map(int.bit_count, fresh))
+    above = collections.Counter(map(int.bit_count, kept))
+    return any(size[c] * sum(k for d, k in above.items() if d > c) >= solvers.INDEXED_PAIRS
+               for c in size)
+
+
+@pytest.mark.parametrize("indexed", [False, True], ids=["scan", "indexed"])
+@pytest.mark.parametrize("family", ["nested-chains", "equal-counts", "common-core"])
+@pytest.mark.parametrize("seed", range(4))
+def test_layer_dominance_keeps_the_masks_of_the_scan(family, indexed, seed):
+    # the column index keeps the same masks in the same order as the scan
+    # of every kept mask, on rounds on both sides of its threshold
+    fresh = _mask_family(family, indexed, random.Random(seed))
+    kept = oracle_maximal_masks(fresh)
+    assert solvers._maximal_masks(fresh) == kept
+    assert _reaches_the_index(fresh, kept) == indexed
+
+
+def _rows(sched):
+    return list(sched._rows.values())
+
+
+def test_unit_dp_results_share_their_slot_rows():
+    a, b = (solve_umps_exact(gen_random_umps(24, 2, F(1, 4), seed), UNIT_LIMITS).schedule
+            for seed in (1, 2))
+    held = {row: row for row in _rows(b)}
+    common = [row for row in _rows(a) if row in held]
+    assert len(common) > 10 and all(held[row] is row for row in common)
+
+
+def test_growing_the_slot_table_keeps_the_rows_handed_out():
+    before = model._slot_rows(2, 3)
+    handed = [row for machine in before[1:] for row in machine]
+    m, rounds = len(before), len(before[-1]) + 1  # one machine and one round more
+    grown = model._slot_rows(m, rounds)
+    assert grown is not before and len(grown) == m + 1
+    assert all(grown[i][r] == (i, r, r + 1) for i in range(1, m + 1) for r in range(rounds))
+    kept = [grown[i][r] for i in range(1, m) for r in range(rounds - 1)]
+    assert len(kept) == len(handed) and all(x is y for x, y in zip(kept, handed))
+
+
+@pytest.mark.parametrize("n, m, home", [
+    (model.SHARED_SLOTS + 1, 1, lambda j: 1),  # a chain: one round per job
+    (2, model.SHARED_SLOTS + 1, lambda j: model.SHARED_SLOTS + j - 1),
+], ids=["rounds", "machines"])
+def test_a_schedule_past_the_slot_bound_gets_fresh_rows(n, m, home):
+    inst = UmpsInstance(n=n, m=m, lengths=dict.fromkeys(range(1, n + 1), 1),
+                        home={j: home(j) for j in range(1, n + 1)},
+                        dag=PrecedenceDag(n, [(j, j + 1) for j in range(1, n)]))
+    lim = SolveLimits(max_jobs=n)
+    first, second = (solve_umps_exact(inst, lim) for _ in range(2))
+    assert first == second and first.proven_optimal and first.optimum == n
+    assert not any(x is y for x, y in zip(_rows(first.schedule), _rows(second.schedule)))
+
+
+def test_a_schedule_reads_the_same_on_shared_or_fresh_rows():
+    inst = gen_random_umps(40, 4, F(1, 3), 2)
+    shared = solve_umps_exact(inst, UNIT_LIMITS).schedule
+    fresh = Schedule._of_rows({j: tuple(list(row)) for j, row in shared._rows.items()})
+    public = Schedule(entries={j: (i, F(s), F(e)) for j, (i, s, e) in shared._rows.items()})
+    assert not any(x is y for x, y in zip(_rows(shared), _rows(fresh)))
+    for other in (fresh, public):
+        assert other == shared
+        assert dump_canonical(to_obj(other)) == dump_canonical(to_obj(shared))
+        assert validate_umps(inst, other) == validate_umps(inst, shared)
+    assert validate_umps(inst, shared).feasible
 
 
 def _two_free_jobs():
