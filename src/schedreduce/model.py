@@ -81,49 +81,40 @@ def as_fraction(value: int | Fraction, what: str = "value") -> Fraction:
 # ---------------------------------------------------------------------------
 # precedence graphs
 
-# Forward pairs are immutable values, so dags on up to this many nodes
-# share one tuple per pair (u, v), u < v, for the life of the process.
-SHARED_PAIR_NODES = 128
-# _pair_table[u][v] is the shared (u, v) for 1 <= u < v < len(_pair_table)
-_pair_table = [None]
+class _Memo(dict):
+    """Values read so far, by the key they were read from: a miss calls
+    ``read(key)`` and keeps its value, or keeps nothing when ``read``
+    raises.  The memo is emptied when it is full, so it holds at most
+    ``size`` keys.  Every process-wide cache of the package is one."""
+
+    __slots__ = ("read", "size")
+
+    def __init__(self, read, size: int):
+        super().__init__()
+        self.read, self.size = read, size
+
+    def __missing__(self, key):
+        value = self.read(key)
+        if len(self) >= self.size:
+            self.clear()
+        self[key] = value
+        return value
 
 
-def _pair_rows(n: int) -> list:
-    """The shared rows over nodes 1..n, n <= ``SHARED_PAIR_NODES``: item
-    ``[u][v]`` is the tuple (u, v) for 1 <= u < v <= n.  A smaller table
-    is grown into a new one, bound in one step, which keeps the tuples
-    already handed out, so no reader sees a row half grown."""
-    global _pair_table
-    top = len(_pair_table)
-    if top <= n:
-        _pair_table = ([None] + [row + [(u, v) for v in range(top, n + 1)]
-                                 for u, row in enumerate(_pair_table[1:], 1)]
-                       + [[None] * (u + 1) + [(u, v) for v in range(u + 1, n + 1)]
-                          for u in range(top, n + 1)])
-    return _pair_table
+# Rows of ints are immutable values, so every dag edge (u, v) and every
+# unit-DP slot (machine, r, r + 1) is the one tuple held here, shared for
+# the life of the process.  A key goes in only once its items are checked
+# ints: a bool is equal to an int and hashes alike, so it would stand in
+# for the int row.
+_shared = _Memo(lambda row: row, 1 << 15)
 
 
-# Unit time slots are immutable rows too: schedules on up to this many
-# machines and rounds share one tuple per slot (machine, r, r + 1).
-SHARED_SLOTS = 128
-# _slot_table[i][r] is the shared (i, r, r + 1); rows 1.. all have one length
-_slot_table = [None]
-
-
-def _slot_rows(m: int, rounds: int) -> list:
-    """The shared slot rows of machines 1..m and rounds 0..rounds - 1,
-    m and rounds <= ``SHARED_SLOTS``: item ``[i][r]`` is the tuple
-    (i, r, r + 1).  Grown as :func:`_pair_rows` grows its table, so the
-    tuples already handed out stay shared."""
-    global _slot_table
-    width = len(_slot_table[-1] or ())  # every machine's row has this many rounds
-    if len(_slot_table) <= m or width < rounds:
-        width = max(width, rounds)
-        _slot_table = ([None] + [row + [(i, r, r + 1) for r in range(len(row), width)]
-                                 for i, row in enumerate(_slot_table[1:], 1)]
-                       + [[(i, r, r + 1) for r in range(width)]
-                          for i in range(len(_slot_table), m + 1)])
-    return _slot_table
+def _shared_rows(pairs) -> tuple:
+    """The shared row of each of ``pairs`` (checked int 2-tuples), as a
+    tuple.  It is built through a list: a tuple grown from an iterator of
+    unknown length is resized as it grows, which raised the peak RSS of
+    building the seed-1 ``related`` bench corpus by about 0.5 MB."""
+    return tuple(list(map(_shared.__getitem__, pairs)))
 
 
 _PAIR_KINDS, _TUPLE_KIND, _TWO = frozenset({tuple, list}), frozenset({tuple}), frozenset({2})
@@ -142,23 +133,19 @@ def _plain_pairs(edges) -> list:
 def _forward_run(n, edges) -> Optional[tuple]:
     """The edges a forward dag on nodes 1..n stores, when ``edges`` (a
     list or a tuple) is a strictly increasing run of int pairs (u, v),
-    1 <= u < v <= n: the shared tuples up to ``SHARED_PAIR_NODES`` nodes,
-    else ``edges`` themselves, which must then be plain tuples.  None for
-    anything else (which may be forward too), so the caller checks it."""
+    1 <= u < v <= n, each a tuple or a list: the shared row of each pair
+    (``_shared``), taken once the whole run is checked.  None for anything
+    else (which may be forward too), so the caller checks it."""
     if type(n) is not int or n < 0 or type(edges) not in (tuple, list):
         return None
-    rows = _pair_rows(n) if n <= SHARED_PAIR_NODES else None
-    kinds = _PAIR_KINDS if rows else _TUPLE_KIND  # a shared pair replaces a list
-    if not (kinds.issuperset(map(type, edges)) and _TWO.issuperset(map(len, edges))):
+    if not (_PAIR_KINDS.issuperset(map(type, edges)) and _TWO.issuperset(map(len, edges))):
         return None
-    out, pu, pv = [], 0, n  # (pu, pv): the last pair, above which the next must lie
-    for edge in edges:
-        u, v = edge
+    pu, pv = 0, n  # (pu, pv): the last pair, above which the next must lie
+    for u, v in edges:
         if not (type(u) is int is type(v) and (pu < u < v <= n or u == pu and pv < v <= n)):
             return None
-        out.append(rows[u][v] if rows else edge)
         pu, pv = u, v
-    return tuple(out)
+    return _shared_rows(map(tuple, edges))
 
 
 @dataclass(frozen=True)
@@ -178,14 +165,12 @@ class PrecedenceDag:
     ``==``, ``hash``, ``repr`` and the codec ignore it), and
     :func:`topological_order` then returns index order without a pass.
 
-    Edges are stored as plain 2-tuples.  A forward dag of at most
-    ``SHARED_PAIR_NODES`` (128) nodes stores the process-wide shared
-    tuple of each pair (:func:`_pair_rows`), mapped in the forward pass,
-    so every such dag holding (u, v) holds the same object; a larger
-    dag, or one with a backward edge, keeps tuples of its own (the plain
-    2-tuples it was handed, or new ones).  Which objects a dag holds is
-    no part of ``==``, ``hash`` or the codec: equal edge sets compare,
-    hash and serialize alike either way.
+    Edges are stored as plain 2-tuples: each is the process-wide row
+    (u, v) of the bounded memo ``_shared``, taken in the forward pass or,
+    for a dag with a backward edge, once the types are checked, so dags
+    holding (u, v) hold the same object whatever their size.  Which
+    objects a dag holds is no part of ``==``, ``hash`` or the codec:
+    equal edge sets compare, hash and serialize alike either way.
     """
 
     node_count: int
@@ -206,7 +191,7 @@ class PrecedenceDag:
             object.__setattr__(self, "edges", forward)
             object.__setattr__(self, "_forward", True)
             return
-        object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "edges", _shared_rows(edges))
         seen = set()
         for u, v in edges:
             if not (1 <= u <= n and 1 <= v <= n):
@@ -522,10 +507,10 @@ class _OnTimeBase:
     """What a schedule kept on its own integer time base shares: a
     ``_scale``, the LCM of the reduced denominators of its times, and
     ``_rows`` with its times as ints in units of ``1/_scale``.  Each
-    subclass names the times of its rows (``_times``), maps them
-    (``_map_times``) and builds the ``Fraction`` views listed in
-    ``_VIEWS`` (``_view``), on first read.  Two schedules of one class are
-    equal when their scales and rows are."""
+    subclass names the times and the end times of its rows (``_times``,
+    ``_ends``), maps them (``_map_times``) and builds the ``Fraction``
+    views listed in ``_VIEWS`` (``_view``), on first read.  Two schedules
+    of one class are equal when their scales and rows are."""
 
     _VIEWS = ()
 
@@ -604,19 +589,17 @@ class Schedule(_OnTimeBase):
         return (t for _, s, e in rows.values() for t in (s, e))
 
     @staticmethod
+    def _ends(rows):
+        return (e for _, _, e in rows.values())
+
+    @staticmethod
     def _map_times(rows, f):
         return {j: (i, f(s), f(e)) for j, (i, s, e) in rows.items()}
 
     def _view(self, name):
         if name == "horizon":
-            return Fraction(max((e for _, _, e in self._rows.values()), default=0), self._scale)
+            return Fraction(max(self._ends(self._rows), default=0), self._scale)
         return self._map_times(self._rows, self._fractions().__getitem__)
-
-
-def makespan(sched: Schedule) -> Fraction:
-    if not sched._rows:
-        raise EmptySchedule("schedule has no entries")
-    return sched.horizon
 
 
 @dataclass(frozen=True)
@@ -671,6 +654,10 @@ class GroupedSchedule(_OnTimeBase):
         return (t for _, _, s, e, _ in rows for t in (s, e))
 
     @staticmethod
+    def _ends(rows):
+        return (e for _, _, _, e, _ in rows)
+
+    @staticmethod
     def _map_times(rows, f):
         return tuple((g, i, f(s), f(e), c) for g, i, s, e, c in rows)
 
@@ -681,10 +668,14 @@ class GroupedSchedule(_OnTimeBase):
     def __hash__(self):
         return hash((self._scale, self._rows))
 
-    def makespan(self) -> Fraction:
-        if not self._rows:
-            raise EmptySchedule("grouped schedule has no placements")
-        return Fraction(max(e for _, _, _, e, _ in self._rows), self._scale)
+
+def makespan(sched: Schedule | GroupedSchedule) -> Fraction:
+    """The largest end time of a flat or a grouped schedule, read on its
+    own integer time base; an empty schedule raises
+    :class:`EmptySchedule`."""
+    if not sched._rows:
+        raise EmptySchedule(f"{type(sched).__name__} has no rows")
+    return Fraction(max(sched._ends(sched._rows)), sched._scale)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from functools import lru_cache
 
-from .model import _INT, _check_types, as_fraction
+from .model import _INT, _Memo, _check_types, as_fraction
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -46,7 +45,7 @@ def fnv1a64(text: str) -> int:
 
 # the package draws from a handful of labels; the bound keeps a caller's
 # arbitrary labels from growing memory
-_label_hash = lru_cache(maxsize=32)(fnv1a64)
+_label_hash = _Memo(fnv1a64, 32)
 
 
 class Stream:
@@ -56,7 +55,7 @@ class Stream:
         _check_types(_INT, "seed", (seed,))
         if not isinstance(label, str):
             raise TypeError(f"label {label!r} is not a str")
-        self._state = (seed ^ _label_hash(label)) & _MASK64
+        self._state = (seed ^ _label_hash[label]) & _MASK64
 
     def words(self, count: int) -> list:
         """The next ``count`` 64-bit outputs, in order."""

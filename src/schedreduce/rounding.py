@@ -79,6 +79,7 @@ from .model import (
     UmpsInstance,
     _check_types,
     as_fraction,
+    makespan,
     validate_grouped,
     validate_umps,
 )
@@ -204,7 +205,7 @@ def strip_misplaced(art, gs) -> FractionalSchedule:
         raise InfeasibleInput(f"grouped schedule infeasible: {report.violations[0]}")
     n = source.n
     gamma = Fraction(1, 10 * n * n)
-    ms = gs.makespan()
+    ms = makespan(gs)
     if ms > n:
         raise InfeasibleInput(f"grouped makespan {ms} exceeds the job count {n}")
     horizon = int(ms) if ms.denominator == 1 else int(ms) + 1

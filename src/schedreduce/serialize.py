@@ -26,8 +26,9 @@ error, never coerced, a map key must be a canonical decimal integer
 Rationals are strict too: the format writes each one as a string, so a
 number or a boolean in its place is an error.
 
-Values that repeat are checked or decoded once, through three ``_Memo``
-tables, bounded dicts shared by every read that keep only what read
+Values that repeat are checked or decoded once, through three bounded
+memos (``model._Memo``, whose module also holds the shared rows of dag
+edges and unit slots), shared by every read and keeping only what read
 cleanly: rational texts (``_rational``) and schedule times (``_time``),
 so a text read again costs one dict lookup, and the key lists of maps
 (``_KEYS``), each checked once to be canonical integers.  None changes a
@@ -65,6 +66,7 @@ from .model import (
     Schedule,
     UmpsInstance,
     _RATIONAL,
+    _Memo,
     _check_types,
 )
 from .reductions import (
@@ -99,26 +101,6 @@ def parse_rational(text) -> Fraction:
         return Fraction(text)
     num, den = match.groups()
     return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
-
-
-class _Memo(dict):
-    """Values read so far, by the key they were read from: a miss calls
-    ``read(key)`` and keeps its value, or keeps nothing when ``read``
-    raises.  The memo is emptied when it is full, so it holds at most
-    ``size`` keys."""
-
-    __slots__ = ("read", "size")
-
-    def __init__(self, read, size: int):
-        super().__init__()
-        self.read, self.size = read, size
-
-    def __missing__(self, key):
-        value = self.read(key)
-        if len(self) >= self.size:
-            self.clear()
-        self[key] = value
-        return value
 
 
 def _read_rational(text) -> Fraction:

@@ -70,13 +70,12 @@ from .model import (
     CommDelayInstance,
     KPartiteInstance,
     RelatedInstance,
-    SHARED_SLOTS,
     Schedule,
     UmpsInstance,
     _INT,
     _REAL,
     _check_types,
-    _slot_rows,
+    _shared,
     makespan,
     topological_order,
 )
@@ -615,10 +614,9 @@ def solve_umps_exact(inst: UmpsInstance, lim: SolveLimits = None) -> SolveResult
     seed, which with every job pinned is the ``greedy_umps`` schedule.
     Both paths return the same optima; the tests cross-check them against
     a time-indexed brute-force oracle.  The unit path's schedule holds
-    the process-wide shared slot tuples (machine, r, r + 1) of
-    ``model._slot_rows`` on up to ``SHARED_SLOTS`` machines and rounds,
-    and tuples of its own past that; which objects it holds is no part
-    of ``==`` or the codec.
+    the process-wide slot rows (machine, r, r + 1) of the bounded memo
+    ``model._shared``, at any width and length; which objects it holds
+    is no part of ``==`` or the codec.
     """
     lim = lim or SolveLimits()
     if inst.unit_lengths and inst.n <= lim.max_jobs:
@@ -694,10 +692,7 @@ def _solve_umps_unit(inst: UmpsInstance, lim: SolveLimits) -> SolveResult:
         if states > lim.max_states or time.monotonic() - t0 > lim.time_budget:
             return capped(states)
 
-    # each job's row (machine, r, r + 1), from the shared slot table
-    # unless the schedule is too wide or too long for it
-    slots = _slot_rows(inst.m, rounds) if max(inst.m, rounds) <= SHARED_SLOTS else None
-    entries = {}
+    entries = {}  # each job's row (machine, r, r + 1), the shared one
     mask, r = full, rounds
     while mask:
         prev = parent[mask]
@@ -707,7 +702,7 @@ def _solve_umps_unit(inst: UmpsInstance, lim: SolveLimits) -> SolveResult:
             if chosen & home:
                 j = (chosen & home).bit_length()
                 i = inst.home[j]
-                entries[j] = slots[i][r] if slots else (i, r, r + 1)
+                entries[j] = _shared[i, r, r + 1]
         mask = prev
     sched = Schedule._of_rows(entries)
     return SolveResult(

@@ -1,8 +1,9 @@
 """Every package module uses each name it imports, every exception class
 in ``errors.py`` is raised somewhere in the package, every public
 function or method has a caller outside the tests, every optional
-parameter of one has a caller outside the tests that passes it, and no
-constructor checks its values with a rule of its own."""
+parameter of one has a caller outside the tests that passes it, no
+constructor checks its values with a rule of its own, and no module
+rebinds a module-level name from inside a function (``global``)."""
 
 import ast
 from pathlib import Path
@@ -244,3 +245,23 @@ def test_only_the_two_writers_call_write_text():
     callers = [caller for path in MODULES
                for caller in write_text_callers(path.stem, path.read_text(encoding="utf-8"))]
     assert sorted(callers) == sorted(WRITE_TEXT_ALLOWED)
+
+
+def global_statements(source: str) -> list:
+    """The names that ``global`` statements in ``source`` declare, in the
+    order they appear, nested functions and methods included."""
+    return [name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Global)
+            for name in node.names]
+
+
+def test_global_statements_finds_declarations_at_any_depth():
+    source = ("x = 1\ndef f():\n    global x\n    x = 2\nclass C:\n"
+              "    def m(self):\n        def g():\n            global y, z\n"
+              "def h():\n    nonlocal_free = x\n")
+    assert global_statements(source) == ["x", "y", "z"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_rebinds_a_global(path):
+    # process-wide state lives in objects mutated in place (a ``_Memo``)
+    assert global_statements(path.read_text(encoding="utf-8")) == []

@@ -54,6 +54,7 @@ from schedreduce import (
     validate_related,
     validate_umps,
 )
+from schedreduce import model
 from schedreduce.rng import Stream
 from schedreduce.serialize import dump_canonical, from_obj, to_obj
 from conftest import SAMPLE8, make_sample8
@@ -165,8 +166,8 @@ def test_dag_admission_is_pinned(node_count, edges, expected):
 
 
 # ---------------------------------------------------------------------------
-# shared edge pairs: a forward dag on at most 128 nodes holds the one
-# process-wide tuple of each pair
+# shared rows: every dag holds the one process-wide tuple of each pair,
+# kept in the bounded memo ``model._shared``
 
 
 def assert_shares_common_edges(edges, others):
@@ -196,16 +197,35 @@ def test_a_read_back_delay_instance_keys_its_delays_by_its_dag_edges():
     assert all(held[e] is e for e in back.dag.edges)
 
 
-def test_a_dag_past_the_shared_bound_or_with_a_backward_edge_keeps_its_own_tuples():
-    shared = PrecedenceDag(3, [(1, 2), (2, 3)]).edges
-    for n, edges in ((129, [[1, 2], [2, 129]]), (3, [[1, 2], [3, 2]])):
+def test_a_large_or_backward_dag_shares_its_edges_with_small_ones():
+    small = PrecedenceDag(3, [(1, 2), (2, 3)]).edges
+    for n, edges in ((129, [[1, 2], [2, 129]]), (129, ((1, 2), (2, 129))),
+                     (3, [[1, 2], [3, 2]])):
         first, second = PrecedenceDag(n, edges).edges, PrecedenceDag(n, edges).edges
-        assert first == second
-        assert not any(x is y for x in first for y in second + shared)
+        assert first == second and all(x is y for x, y in zip(first, second))
+        assert_shares_common_edges(first, small)
+
+
+def test_a_full_memo_empties_itself_and_keeps_reading_equal_values():
+    memo = model._Memo(lambda key: (key, key * key), 4)
+    firsts = [memo[k] for k in range(10)]
+    assert 0 < len(memo) <= 4
+    assert [memo[k] for k in range(10)] == firsts == [(k, k * k) for k in range(10)]
+    assert memo[9] is memo[9]
+
+
+def test_a_bool_edge_leaves_no_row_in_the_memo():
+    for edges in ([(True, 2)], [[True, 2]], [(2, 1), (True, 2)]):
+        with pytest.raises(TypeError, match="True"):
+            PrecedenceDag(2, edges)
+        assert not any(type(x) is bool for row in model._shared for x in row)
+    (edge,) = PrecedenceDag(2, [(1, 2)]).edges
+    assert [type(x) for x in edge] == [int, int]
 
 
 def test_generated_dags_allocate_no_tuple_per_edge():
-    gen_random_umps(64, 4, Fraction(1, 3), 0)  # grows the shared rows to 64 nodes first
+    for seed in range(17):  # puts the row of every pair the dags below use in the memo
+        gen_random_umps(64, 4, Fraction(1, 3), seed)
     pair_size = sys.getsizeof((1, 2))
     tracemalloc.start()
     try:
@@ -435,6 +455,14 @@ def test_schedule_horizon_computed_and_checked():
     assert mixed == Schedule._of_rows({1: (1, 6, 12), 2: (2, -4, 4)}, 12)
     assert to_obj(mixed)["entries"] == {"1": [1, "1/2", "1"], "2": [2, "-1/3", "1/3"]}
     assert mixed != Schedule._of_rows({1: (1, 3, 6), 2: (2, -2, 3)}, 6)
+
+
+def test_makespan_takes_a_grouped_schedule_on_its_time_base():
+    gs = GroupedSchedule(placements=(GroupedPlacement(1, 1, 0, Fraction(5, 2), 2),
+                                     GroupedPlacement(2, 1, Fraction(1, 3), 2, 1)))
+    assert gs._scale == 6 and makespan(gs) == Fraction(5, 2)
+    with pytest.raises(EmptySchedule):
+        makespan(GroupedSchedule(placements=()))
 
 
 @pytest.mark.parametrize("entries", [
@@ -750,7 +778,7 @@ def test_producers_and_readers_leave_the_fraction_view_unbuilt(sample8):
         assert "entries" not in vars(x)
     assert validate_grouped(rel.output, gs).feasible
     strip_misplaced(rel, gs)
-    assert gs.makespan() == gs_back.makespan() == makespan(src)
+    assert makespan(gs) == makespan(gs_back) == makespan(src)
     assert gs == gs_back and hash(gs) == hash(gs_back)
     for x in (gs, gs_back):
         assert "placements" not in vars(x)
@@ -1038,7 +1066,7 @@ def _grouped_on_scale(gs, multiple):
 
 def _makespan_or_error(gs):
     try:
-        return gs.makespan()
+        return makespan(gs)
     except EmptySchedule as exc:
         return type(exc)
 

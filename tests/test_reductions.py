@@ -265,7 +265,7 @@ def test_forward_map_related_has_source_makespan(sample8):
     sched = sample8_schedule()
     gs = forward_map_related(art, sched)
     assert validate_grouped(art.output, gs).feasible
-    assert gs.makespan() == SAMPLE8["optimum"]
+    assert makespan(gs) == SAMPLE8["optimum"]
 
 
 def test_materialized_schedule_passes_flat_validation(sample8):

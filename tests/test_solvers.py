@@ -845,29 +845,22 @@ def test_unit_dp_results_share_their_slot_rows():
     assert len(common) > 10 and all(held[row] is row for row in common)
 
 
-def test_growing_the_slot_table_keeps_the_rows_handed_out():
-    before = model._slot_rows(2, 3)
-    handed = [row for machine in before[1:] for row in machine]
-    m, rounds = len(before), len(before[-1]) + 1  # one machine and one round more
-    grown = model._slot_rows(m, rounds)
-    assert grown is not before and len(grown) == m + 1
-    assert all(grown[i][r] == (i, r, r + 1) for i in range(1, m + 1) for r in range(rounds))
-    kept = [grown[i][r] for i in range(1, m) for r in range(rounds - 1)]
-    assert len(kept) == len(handed) and all(x is y for x, y in zip(kept, handed))
-
-
 @pytest.mark.parametrize("n, m, home", [
-    (model.SHARED_SLOTS + 1, 1, lambda j: 1),  # a chain: one round per job
-    (2, model.SHARED_SLOTS + 1, lambda j: model.SHARED_SLOTS + j - 1),
+    (129, 1, lambda j: 1),  # a chain: one round per job
+    (2, 129, lambda j: 128 * j - 127),  # machines 1 and 129
 ], ids=["rounds", "machines"])
-def test_a_schedule_past_the_slot_bound_gets_fresh_rows(n, m, home):
+def test_a_long_or_wide_unit_schedule_shares_its_rows_with_small_ones(n, m, home):
     inst = UmpsInstance(n=n, m=m, lengths=dict.fromkeys(range(1, n + 1), 1),
                         home={j: home(j) for j in range(1, n + 1)},
                         dag=PrecedenceDag(n, [(j, j + 1) for j in range(1, n)]))
     lim = SolveLimits(max_jobs=n)
     first, second = (solve_umps_exact(inst, lim) for _ in range(2))
     assert first == second and first.proven_optimal and first.optimum == n
-    assert not any(x is y for x, y in zip(_rows(first.schedule), _rows(second.schedule)))
+    assert all(x is y for x, y in zip(_rows(first.schedule), _rows(second.schedule)))
+    small = _rows(solve_umps_exact(gen_random_umps(24, 2, F(1, 4), 1), UNIT_LIMITS).schedule)
+    held = {row: row for row in small}
+    common = [row for row in _rows(first.schedule) if row in held]
+    assert common and all(held[row] is row for row in common)
 
 
 def test_a_schedule_reads_the_same_on_shared_or_fresh_rows():
